@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 from .core import (
     EmpiricalMeasure,
     Ensemble,
+    EnsembleBatch,
     RngStream,
     TimeGrid,
     empirical_moments,
@@ -30,6 +31,7 @@ __all__ = [
     "DegenerateWeights",
     "EmpiricalMeasure",
     "Ensemble",
+    "EnsembleBatch",
     "MeanFieldError",
     "ModelSpecError",
     "RngStream",

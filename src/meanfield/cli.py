@@ -24,11 +24,14 @@ from . import __version__
 from .core import Ensemble, RngStream, TimeGrid
 from .jump import CmcConfig, cmc_run
 from .mckean import (
-    coupling_replica_mse,
+    # not called here: perfbench/tracer.py wraps cli.coupling_replica_mse by
+    # name and fails to install without it
+    coupling_replica_mse,  # noqa: F401
     kuramoto_model,
     mean_field_ou_model,
     ou_reference,
     simulate,
+    simulate_synchronous_coupling,
 )
 from .metrics import fit_rate, kuramoto_order_parameter, wasserstein_1d
 from .boltzmann import CellGrid, bird_simulate, exact_simulate, maxwell_cutoff_model
@@ -38,6 +41,8 @@ from .schemes1d import CdfScheme, bossy_talay_run, l1_cdf_error, write_cdf_check
 KINDS = ("coupling_rate", "dsmc_compare", "cbo", "eks", "cmc", "bossy_talay", "kuramoto_sweep")
 
 _SWEEP_KINDS = {"coupling_rate", "bossy_talay"}  # fit a rate over n_list
+
+_CMC_STEPS, _CMC_BURN_IN = 2000, 500  # cmc defaults for params.steps and params.burn_in
 
 
 def validate(config: dict) -> list[str]:
@@ -61,6 +66,8 @@ def validate(config: dict) -> list[str]:
             v.append("n_list: must be strictly ascending")
         elif kind in _SWEEP_KINDS and len(n_list) < 3:
             v.append("n_list: rate-fitting experiments need at least 3 sizes")
+        elif kind == "coupling_rate" and n_list[0] < 2:
+            v.append("n_list: coupling_rate needs at least 2 particles")
     replicas = config.get("replicas", 1)
     if not isinstance(replicas, int) or replicas < 1:
         v.append("replicas: must be a positive integer")
@@ -92,6 +99,10 @@ def validate(config: dict) -> list[str]:
                 v.append(f"params.{name}: must be symmetric positive definite")
         if "G" not in params or "y" not in params:
             v.append("params: eks needs G and y")
+    if kind == "cmc":
+        steps, burn_in = params.get("steps", _CMC_STEPS), params.get("burn_in", _CMC_BURN_IN)
+        if isinstance(steps, int) and isinstance(burn_in, int) and not 0 <= burn_in < steps:
+            v.append(f"params.burn_in: must satisfy 0 <= burn_in < steps, got {burn_in} with steps {steps}")
     if kind == "cbo" and params.get("objective") not in ("quadratic", "rastrigin", None):
         v.append("params.objective: must be 'quadratic' or 'rastrigin'")
     if kind == "kuramoto_sweep":
@@ -172,26 +183,21 @@ def _check_thresholds(summary: dict, thresholds: dict) -> bool:
 
 
 def _run_coupling_rate(config, out: Path, threads: int) -> dict:
+    # simulate_synchronous_coupling batches the replicas in this thread, so
+    # ``threads`` is not used.
     p = config.get("params", {})
     lam, kappa = p.get("lambda", 1.0), p.get("kappa", 1.0)
     m0, v0 = p.get("m0", 1.0), p.get("v0", 1.0)
     grid = TimeGrid(config["time"].get("t0", 0.0), config["time"]["t_end"], config["time"]["dt"])
     model = mean_field_ou_model(lam, kappa)
     ref = ou_reference(lam, kappa, m0, v0)
-    ref.check_model(model)
     replicas = config.get("replicas", 1)
     base = RngStream(config["seed"])
     sup_mse = {}
     for idx, n in enumerate(config["n_list"]):
-        n_stream = base.substream(idx)
-        results = _map_replicas(
-            lambda r: coupling_replica_mse(model, ref, n, grid, n_stream.substream(r)),
-            replicas, threads,
-        )
-        mse = np.mean(results, axis=0)
-        sup_mse[n] = float(np.max(mse))
-        _write_csv(out / f"coupling_N{n}.csv", "time,n,replicas,mse",
-                   [(float(t), n, replicas, float(m)) for t, m in zip(grid.times(), mse)])
+        report = simulate_synchronous_coupling(model, ref, n, grid, base.substream(idx), replicas)
+        sup_mse[n] = report.sup_mse
+        report.write_csv(out / f"coupling_N{n}.csv")
     fit = fit_rate(sup_mse)
     return {
         "kind": "coupling_rate",
@@ -342,8 +348,8 @@ def _run_cmc(config, out: Path, threads: int) -> dict:
         target_log_density=lambda x: -0.5 * float(np.sum(np.asarray(x) ** 2)),
         h=p.get("h", 0.5),
         n=n,
-        steps=p.get("steps", 2000),
-        burn_in=p.get("burn_in", 500),
+        steps=p.get("steps", _CMC_STEPS),
+        burn_in=p.get("burn_in", _CMC_BURN_IN),
         dim=p.get("dim", 1),
     )
     base = RngStream(config["seed"])

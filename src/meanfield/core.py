@@ -110,13 +110,33 @@ class Ensemble:
         return EmpiricalMeasure(self)
 
 
+@dataclass
+class EnsembleBatch:
+    """States of R ensembles of equal size at one time instant.
+
+    ``states`` is an (R, n, dim) array, one (n, dim) ensemble per replica.
+    Unlike ``Ensemble`` it neither copies nor validates its states: the
+    batched coupling engine checks finiteness once per step over the whole
+    batch and names the offending replica itself.
+    """
+
+    states: np.ndarray
+    time: float = 0.0
+
+    def measure(self) -> "EmpiricalMeasure":
+        return EmpiricalMeasure(self)
+
+
 class EmpiricalMeasure:
     """Non-owning view of an ensemble as the measure (1/N) sum of delta_{x^i}.
 
     Weights are uniform by construction, so the total mass is exactly 1.
+    The view also wraps an ``EnsembleBatch``; ``points`` is then (R, n, d)
+    and every reduction over particles runs over axis -2, one measure per
+    replica.
     """
 
-    def __init__(self, ensemble: Ensemble):
+    def __init__(self, ensemble: Ensemble | EnsembleBatch):
         self.ensemble = ensemble
 
     @property
@@ -125,10 +145,15 @@ class EmpiricalMeasure:
 
     @property
     def n(self) -> int:
-        return self.ensemble.n
+        return self.points.shape[-2]
 
     def mean(self) -> np.ndarray:
-        return self.points.mean(axis=0)
+        """The (d,) mean of one ensemble, or the (R, 1, d) per-replica means
+        of a batch, shaped to broadcast against its (R, n, d) states."""
+        pts = self.points
+        if pts.ndim == 2:
+            return pts.mean(axis=0)
+        return pts.mean(axis=-2, keepdims=True)
 
 
 def kernel_convolve(mu: EmpiricalMeasure, kernel, x) -> np.ndarray:
@@ -161,7 +186,8 @@ def weighted_mean(ensemble: Ensemble, w=None, log_w=None) -> np.ndarray:
     log-weight, so exponential weights with large exponents never
     underflow; it is the route used by the consensus-point computation.
 
-    Raises ``DegenerateWeights`` when every weight is zero or non-finite.
+    Raises ``DegenerateWeights`` when every weight is zero or non-finite,
+    or when a log-weight is +inf (its weight would swamp all the others).
     """
     if (w is None) == (log_w is None):
         raise ValueError("provide exactly one of w or log_w")
@@ -170,6 +196,9 @@ def weighted_mean(ensemble: Ensemble, w=None, log_w=None) -> np.ndarray:
         lw = np.asarray(log_w(pts), dtype=float).reshape(-1)
         lw = np.where(np.isnan(lw), -np.inf, lw)
         shift = lw.max()
+        if shift == np.inf:
+            bad = int(np.argmax(lw))
+            raise DegenerateWeights(f"log-weight of +inf at particle {bad}")
         if not np.isfinite(shift):
             raise DegenerateWeights("all log-weights are -inf or nan")
         weights = np.exp(lw - shift)

@@ -10,17 +10,20 @@ class DegenerateWeights(MeanFieldError):
 
 
 class StepError(MeanFieldError):
-    """A time step produced a non-finite drift/diffusion/objective value.
+    """A time step produced a non-finite drift/diffusion/state/objective value.
 
-    Carries enough context (particle index, step index, time) to locate the
-    blow-up in a long run.
+    Carries enough context (replica index, particle index, step index, time)
+    to locate the blow-up in a long run.
     """
 
-    def __init__(self, message, particle=None, step=None, time=None):
+    def __init__(self, message, particle=None, step=None, time=None, replica=None):
+        self.replica = replica
         self.particle = particle
         self.step = step
         self.time = time
         parts = [message]
+        if replica is not None:
+            parts.append(f"replica={replica}")
         if particle is not None:
             parts.append(f"particle={particle}")
         if step is not None:

@@ -92,8 +92,8 @@ class CmcConfig:
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("proposal bandwidth h must be positive")
-        if not 0 <= self.burn_in <= self.steps:
-            raise ValueError("need 0 <= burn_in <= steps")
+        if not 0 <= self.burn_in < self.steps:
+            raise ValueError("need 0 <= burn_in < steps")
 
 
 @dataclass

@@ -2,10 +2,10 @@
 named interacting systems, and the synchronous-coupling harness that
 measures the distance to the nonlinear limit empirically.
 
-Drift and diffusion callables are vectorized over particles: they receive
-the full (n, d) state array together with the empirical measure and return
-per-particle values. Within one explicit step every particle sees the same
-pre-step measure.
+Drift and diffusion callables are vectorized over particles and replicas:
+they receive a (..., n, d) state array together with the matching empirical
+measure and return per-particle values. Within one explicit step every
+particle sees the same pre-step measure of its own replica.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ensemble, RngStream, TimeGrid
+from .core import Ensemble, EnsembleBatch, RngStream, TimeGrid
 from .errors import ModelSpecError, StepError, UnsupportedReference
 
 
@@ -23,12 +23,15 @@ from .errors import ModelSpecError, StepError, UnsupportedReference
 class McKeanModel:
     """Drift/diffusion specification b(x, mu), sigma(x, mu).
 
-    ``drift(states, mu)`` returns an (n, d) array. ``diffusion(states, mu)``
-    may return a scalar (isotropic), an (n,) array (per-particle scalar),
-    an (n, d) array (per-particle diagonal) or an (n, d, d) array of full
-    matrices. ``kernel_drift`` optionally records the factored form
-    (K1, b_tilde) with b(x, mu) = b_tilde(x, K1*mu(x)); factories that have
-    one attach it so it can be spot-checked against ``drift``.
+    Both callables take states of shape (..., n, d): one (n, d) ensemble,
+    or an (R, n, d) batch of R replicas advanced together. ``mu`` is the
+    matching ``EmpiricalMeasure`` with points (..., m, d), where m may
+    differ from n (a nonlinear process reads a larger surrogate's measure).
+    Reductions over the measure run over axis -2, so each replica sees its
+    own measure only. ``drift(states, mu)`` returns a (..., n, d) array.
+    ``diffusion(states, mu)`` may return a scalar (isotropic), a (..., n)
+    array (per-particle scalar), a (..., n, d) array (per-particle
+    diagonal) or a (..., n, d, d) array of full matrices.
     """
 
     drift: callable
@@ -36,35 +39,48 @@ class McKeanModel:
     dim: int
     family: str = ""
     params: dict = field(default_factory=dict)
-    kernel_drift: tuple | None = None
-    kernel_diffusion: tuple | None = None
 
 
 def _apply_diffusion(sigma, xi):
-    """Map noise increments xi (n, d) through a diffusion coefficient."""
+    """Map noise increments xi (..., n, d) through a diffusion coefficient."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim == 0:
+    if sigma.ndim == 0 or sigma.ndim == xi.ndim:
         return sigma * xi
-    if sigma.ndim == 1:
-        return sigma[:, None] * xi
-    if sigma.ndim == 2:
-        return sigma * xi
-    if sigma.ndim == 3:
-        return np.einsum("nij,nj->ni", sigma, xi)
+    if sigma.ndim == xi.ndim - 1:
+        return sigma[..., None] * xi
+    if sigma.ndim == xi.ndim + 1:
+        return np.einsum("...ij,...j->...i", sigma, xi)
     raise ValueError(f"unsupported diffusion shape {sigma.shape}")
 
 
-def _em_update(model, states, mu, dt, xi, time):
-    """One explicit Euler-Maruyama update against a frozen measure."""
+def _raise_non_finite(what, arr, batched, first_replica, step, time):
+    """Raise a StepError naming the replica and particle of the first
+    non-finite entry of a per-particle array. A replica axis exists only in
+    a batch, a particle axis only in a non-scalar array."""
+    idx = [int(i) for i in np.argwhere(~np.isfinite(arr))[0]]
+    replica = idx.pop(0) + first_replica if batched and idx else None
+    raise StepError(f"non-finite {what}", replica=replica, particle=idx[0] if idx else None,
+                    step=step, time=time)
+
+
+def _em_update(model, states, mu, dt, xi, time, step=None, first_replica=0, system=""):
+    """One explicit Euler-Maruyama update against a frozen measure, for an
+    (n, d) ensemble or an (R, n, d) batch whose first replica has index
+    ``first_replica``.
+
+    Finiteness is checked once, on the updated states: a non-finite drift
+    or diffusion always makes them non-finite, and only then are the
+    coefficients searched for the cause.
+    """
     b = np.asarray(model.drift(states, mu), dtype=float)
-    if not np.all(np.isfinite(b)):
-        bad = int(np.argwhere(~np.isfinite(b))[0][0])
-        raise StepError("non-finite drift", particle=bad, time=time)
     sigma = np.asarray(model.diffusion(states, mu), dtype=float)
-    if not np.all(np.isfinite(sigma)):
-        flat = np.argwhere(~np.isfinite(sigma))[0]
-        raise StepError("non-finite diffusion", particle=int(flat[0]) if sigma.ndim else None, time=time)
-    return states + b * dt + _apply_diffusion(sigma, xi) * math.sqrt(dt)
+    new = states + b * dt + _apply_diffusion(sigma, xi) * math.sqrt(dt)
+    if not np.isfinite(new).all():
+        batched = states.ndim == 3
+        for what, arr in (("drift", b), ("diffusion", sigma), ("state", new)):
+            if not np.isfinite(arr).all():
+                _raise_non_finite(system + what, arr, batched, first_replica, step, time)
+    return new
 
 
 def step_em(model: McKeanModel, ensemble: Ensemble, dt: float, rng: RngStream) -> Ensemble:
@@ -98,8 +114,8 @@ def simulate(model: McKeanModel, e0: Ensemble, grid: TimeGrid, rng: RngStream, o
         try:
             ensemble = step_em(model, ensemble, h, rng)
         except StepError as err:
-            raise StepError(str(err.args[0]).split(" | ")[0], particle=err.particle,
-                            step=k, time=err.time) from err
+            raise StepError(str(err.args[0]).split(" | ")[0], replica=err.replica,
+                            particle=err.particle, step=k, time=err.time) from err
         for obs in observers:
             obs(ensemble, k + 1)
     return ensemble
@@ -261,50 +277,92 @@ def mean_field_ou_model(lam: float, kappa: float) -> McKeanModel:
         dim=1,
         family="mean-field-ou",
         params={"lam": lam, "kappa": kappa},
-        kernel_drift=(lambda x, y: y, lambda x, k: -lam * x - kappa * (x - k)),
     )
 
 
-def coupling_replica_mse(model: McKeanModel, ref, n: int, grid: TimeGrid, stream: RngStream) -> np.ndarray:
-    """Squared coupling error per grid time for one replica.
+# Every (Rb, n, d) array of the coupling engine holds at most this many
+# floats (64 KB), so a batch stays in cache and peak memory does not grow
+# with the replica count.
+_BATCH_FLOATS = 8192
 
-    The interacting system and the nonlinear system share initial states
-    and reuse the identical gaussian increments per particle per step; only
-    the measure their coefficients see differs (empirical vs reference).
+
+def _batch_width(particles: int, dim: int) -> int:
+    """Replicas per batch for ensembles of ``particles`` points in R^dim."""
+    return max(1, _BATCH_FLOATS // (particles * dim))
+
+
+def _draw_batch(streams, shape) -> np.ndarray:
+    """One normal block of ``shape`` from each stream, stacked in stream order."""
+    return np.concatenate([s.normal(shape) for s in streams]).reshape(len(streams), *shape)
+
+
+def _coupling_batch(model, ref, n, grid, streams, first, out):
+    """Advance the coupled systems of ``len(streams)`` replicas together as
+    (Rb, n, d) arrays and write their squared coupling errors into the
+    (Rb, steps + 1) array ``out``. ``first`` is the index of the batch's
+    first replica, used in error reports.
+
+    Replica r draws from ``streams[r]`` exactly as a lone replica would:
+    initial states from substream 0, the shared increments from
+    substream 1, and for a surrogate reference its initial states and
+    increments from substreams 2 and 3.
     """
-    init_stream = stream.substream(0)
-    noise_stream = stream.substream(1)
-    x = ref.initial(n, init_stream)
+    d = model.dim
+    noise = [s.substream(1) for s in streams]
+    x = np.stack([ref.initial(n, s.substream(0)) for s in streams])
+    if not np.isfinite(x).all():
+        _raise_non_finite("initial state", x, True, first, 0, grid.t0)
     x_bar = x.copy()
-    surrogate = None
     if not ref.exact:
         m = ref.factor * n
-        surrogate = ref.initial(m, stream.substream(2))
-        surrogate_noise = stream.substream(3)
+        surrogate = np.stack([ref.initial(m, s.substream(2)) for s in streams])
+        if not np.isfinite(surrogate).all():
+            _raise_non_finite("initial surrogate state", surrogate, True, first, 0, grid.t0)
+        surrogate_noise = [s.substream(3) for s in streams]
 
-    mse = np.zeros(grid.steps + 1)
+    out[:, 0] = 0.0
     t = grid.t0
     for k, h in enumerate(grid.step_durations()):
-        xi = noise_stream.normal((n, model.dim))
-        mu_x = Ensemble(x, t).measure()
+        xi = _draw_batch(noise, (n, d))
         if ref.exact:
             b_bar = ref.drift(x_bar, t)
             sig_bar = ref.diffusion(x_bar, t)
         else:
-            mu_s = Ensemble(surrogate, t).measure()
+            mu_s = EnsembleBatch(surrogate, t).measure()
             b_bar = model.drift(x_bar, mu_s)
             sig_bar = model.diffusion(x_bar, mu_s)
-            xi_s = surrogate_noise.normal(surrogate.shape)
-            surrogate = (
-                surrogate
-                + np.asarray(model.drift(surrogate, mu_s), dtype=float) * h
-                + _apply_diffusion(model.diffusion(surrogate, mu_s), xi_s) * math.sqrt(h)
-            )
-        x = _em_update(model, x, mu_x, h, xi, t)
+            surrogate = _em_update(model, surrogate, mu_s, h, _draw_batch(surrogate_noise, (m, d)),
+                                   t, step=k, first_replica=first, system="surrogate ")
+        x = _em_update(model, x, EnsembleBatch(x, t).measure(), h, xi, t, step=k, first_replica=first)
         x_bar = x_bar + np.asarray(b_bar, dtype=float) * h + _apply_diffusion(sig_bar, xi) * math.sqrt(h)
         t += h
-        mse[k + 1] = np.mean(np.sum((x - x_bar) ** 2, axis=1))
-    return mse
+        out[:, k + 1] = np.mean(np.sum((x - x_bar) ** 2, axis=-1), axis=-1)
+
+
+def coupling_mse_rows(
+    model: McKeanModel, ref, n: int, grid: TimeGrid, streams: list[RngStream]
+) -> np.ndarray:
+    """Squared coupling error per grid time for each replica stream, as an
+    (R, steps + 1) array with one row per stream.
+
+    The interacting system and the nonlinear system share initial states
+    and reuse the identical gaussian increments per particle per step; only
+    the measure their coefficients see differs (empirical vs reference).
+    Replicas advance in batches of at most ``_BATCH_FLOATS`` floats per
+    array (a surrogate reference sizes them by its ``factor * n``
+    particles); a row depends on its own stream only, never on the batch.
+    """
+    rows = np.empty((len(streams), grid.steps + 1))
+    width = _batch_width(n if ref.exact else ref.factor * n, model.dim)
+    for first in range(0, len(streams), width):
+        _coupling_batch(model, ref, n, grid, streams[first:first + width], first,
+                        rows[first:first + width])
+    return rows
+
+
+def coupling_replica_mse(model: McKeanModel, ref, n: int, grid: TimeGrid, stream: RngStream) -> np.ndarray:
+    """Squared coupling error per grid time for one replica stream."""
+    return coupling_mse_rows(model, ref, n, grid, [stream])[0]
 
 
 def simulate_synchronous_coupling(
@@ -314,19 +372,29 @@ def simulate_synchronous_coupling(
 
     Evolves the N-particle system and N nonlinear processes driven by the
     reference law with the same noise, and returns the per-time value of
-    (1/N) sum_i E|X^i_t - Xbar^i_t|^2 averaged over replicas.
+    (1/N) sum_i E|X^i_t - Xbar^i_t|^2 averaged over replicas. Replica r
+    uses ``rng.substream(r)``; the average sums the rows in replica order.
     """
     if n < 2:
         raise ValueError("need at least two particles")
     ref.check_model(model)
+    rows = coupling_mse_rows(model, ref, n, grid, [rng.substream(r) for r in range(replicas)])
     total = np.zeros(grid.steps + 1)
-    for r in range(replicas):
-        total += coupling_replica_mse(model, ref, n, grid, rng.substream(r))
+    for row in rows:
+        total += row
     return CouplingReport(times=grid.times(), mse=total / replicas, n=n, replicas=replicas)
 
 
 # ---------------------------------------------------------------------------
 # Model factories
+
+
+def _per_ensemble(fn, states, points) -> np.ndarray:
+    """Apply ``fn(states, points)``, written for one (n, d) ensemble, to each
+    ensemble of a (..., n, d) batch and stack the results."""
+    if states.ndim == 2:
+        return np.asarray(fn(states, points), dtype=float)
+    return np.stack([_per_ensemble(fn, s, p) for s, p in zip(states, points)])
 
 
 def gradient_system_model(
@@ -338,9 +406,10 @@ def gradient_system_model(
     interaction gradient must be odd; this is probed on random points at
     construction. ``grad_W_conv(states, mu_points)``, when supplied, is a
     closed form for the convolution grad W * mu evaluated at each state
-    (e.g. x - mean for quadratic W), replacing the O(N^2) pairwise sum.
-    The pairwise sum includes the self term, which vanishes for odd
-    gradients.
+    (e.g. x - mean for quadratic W), replacing the O(N^2) pairwise sum. It
+    takes one (n, d) ensemble and its (m, d) support points; a batch of
+    replicas is passed to it one replica at a time. The pairwise sum
+    includes the self term, which vanishes for odd gradients.
     """
     gen = (probe_rng or RngStream(2024, 777)).gen
     probes = gen.standard_normal((8, dim)) * 3.0
@@ -350,11 +419,11 @@ def gradient_system_model(
 
     if grad_W_conv is not None:
         def interaction(states, mu):
-            return np.asarray(grad_W_conv(states, mu.points), dtype=float)
+            return _per_ensemble(grad_W_conv, states, mu.points)
     else:
         def interaction(states, mu):
-            diffs = states[:, None, :] - mu.points[None, :, :]
-            return np.asarray(grad_W(diffs), dtype=float).mean(axis=1)
+            diffs = states[..., :, None, :] - mu.points[..., None, :, :]
+            return np.asarray(grad_W(diffs), dtype=float).mean(axis=-2)
 
     def drift(states, mu):
         return -np.asarray(grad_V(states), dtype=float) - interaction(states, mu)
@@ -364,7 +433,6 @@ def gradient_system_model(
         diffusion=lambda states, mu: float(sigma_const),
         dim=dim,
         family="gradient-system",
-        kernel_drift=(lambda x, y: -np.asarray(grad_W(x - y)), lambda x, k: -np.asarray(grad_V(x)) + k),
     )
 
 
@@ -384,14 +452,14 @@ def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None,
         disorder = None
 
     def drift(states, mu):
-        theta = states[:, 0]
-        if disorder is not None and theta.shape[0] != disorder.shape[0]:
+        theta = states[..., 0]
+        if disorder is not None and theta.shape[-1] != disorder.shape[0]:
             raise ValueError("ensemble size differs from the quenched disorder draw")
-        z = np.mean(np.exp(1j * theta))
+        z = np.mean(np.exp(1j * theta), axis=-1, keepdims=True)
         align = -coupling * np.imag(np.exp(1j * theta) * np.conj(z))
         if disorder is not None:
             align = align + disorder
-        return align[:, None]
+        return align[..., None]
 
     return McKeanModel(drift=drift, diffusion=lambda states, mu: 1.0, dim=1, family="kuramoto",
                        params={"coupling": coupling})
@@ -411,16 +479,16 @@ def cucker_smale_model(gamma: float, sigma_const: float, d: int = 1) -> McKeanMo
         raise ModelSpecError("d must be >= 1")
 
     def drift(states, mu):
-        pos, vel = states[:, :d], states[:, d:]
-        mpos, mvel = mu.points[:, :d], mu.points[:, d:]
-        r2 = np.sum((mpos[None, :, :] - pos[:, None, :]) ** 2, axis=2)
+        pos, vel = states[..., :d], states[..., d:]
+        mpos, mvel = mu.points[..., :d], mu.points[..., d:]
+        r2 = np.sum((mpos[..., None, :, :] - pos[..., :, None, :]) ** 2, axis=-1)
         k = (1.0 + r2) ** (-gamma / 2.0)
-        dv = (k[:, :, None] * (mvel[None, :, :] - vel[:, None, :])).mean(axis=1)
-        return np.concatenate([vel, dv], axis=1)
+        dv = (k[..., None] * (mvel[..., None, :, :] - vel[..., :, None, :])).mean(axis=-2)
+        return np.concatenate([vel, dv], axis=-1)
 
     def diffusion(states, mu):
-        sig = np.zeros((states.shape[0], 2 * d))
-        sig[:, d:] = sigma_const
+        sig = np.zeros(states.shape)
+        sig[..., d:] = sigma_const
         return sig
 
     return McKeanModel(drift=drift, diffusion=diffusion, dim=2 * d, family="cucker-smale",
@@ -444,8 +512,8 @@ def regularized_coulomb_model(xi_strength: float, eps: float, sigma_const: float
         return xi_strength * diffs / np.maximum(norms, eps)[..., None] ** d
 
     def drift(states, mu):
-        diffs = states[:, None, :] - mu.points[None, :, :]
-        return force(diffs).mean(axis=1)
+        diffs = states[..., :, None, :] - mu.points[..., None, :, :]
+        return force(diffs).mean(axis=-2)
 
     return McKeanModel(drift=drift, diffusion=lambda states, mu: float(sigma_const), dim=d,
                        family="regularized-coulomb", params={"xi": xi_strength, "eps": eps})

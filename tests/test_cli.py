@@ -60,6 +60,16 @@ class TestValidate:
         violations = validate(coupling_config(n_list=[10, 20]))
         assert any("at least 3" in v for v in violations)
 
+    def test_coupling_needs_two_particles(self):
+        violations = validate(coupling_config(n_list=[1, 20, 40]))
+        assert any(v.startswith("n_list") for v in violations)
+
+    def test_cmc_burn_in_must_leave_samples(self):
+        cfg = {"kind": "cmc", "seed": 8, "n_list": [20], "params": {"steps": 30, "burn_in": 30}}
+        assert any(v.startswith("params.burn_in") for v in validate(cfg))
+        cfg["params"]["burn_in"] = 29
+        assert validate(cfg) == []
+
     def test_kuramoto_case_init_checked(self):
         cfg = {
             "kind": "kuramoto_sweep", "seed": 1, "n_list": [20],
@@ -108,6 +118,16 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pass"] is False
         assert summary["checks"]["slope"]["pass"] is False
+
+    def test_cmc_burn_in_at_steps_exit_2(self, tmp_path, capsys):
+        # burn_in == steps used to run, keep no samples and fail on NaN moments
+        cfg = write_config(tmp_path / "cfg.json", {
+            "kind": "cmc", "seed": 8, "n_list": [20], "params": {"steps": 30, "burn_in": 30},
+        })
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == 2
+        assert "params.burn_in" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_failure_exit_3(self, tmp_path, capsys):
         # schema-valid eks config whose forward map shape clashes with y

@@ -6,6 +6,7 @@ import pytest
 from meanfield.core import (
     EmpiricalMeasure,
     Ensemble,
+    EnsembleBatch,
     RngStream,
     TimeGrid,
     empirical_moments,
@@ -68,6 +69,14 @@ class TestEnsemble:
         assert mu.n == 3
         assert np.allclose(mu.mean(), [2.0, 3.0])
 
+    def test_batch_measure_reduces_per_replica(self):
+        states = np.arange(12.0).reshape(2, 3, 2)
+        mu = EnsembleBatch(states, time=0.5).measure()
+        assert mu.n == 3
+        assert mu.mean().shape == (2, 1, 2)
+        for r in range(2):
+            assert np.array_equal(mu.mean()[r, 0], Ensemble(states[r]).measure().mean())
+
 
 class TestKernelConvolve:
     def test_zero_kernel(self):
@@ -126,6 +135,13 @@ class TestWeightedMean:
             weighted_mean(e, w=lambda p: np.zeros(p.shape[0]))
         with pytest.raises(DegenerateWeights):
             weighted_mean(e, log_w=lambda p: np.full(p.shape[0], -np.inf))
+
+    def test_plus_inf_log_weight_named(self):
+        e = Ensemble(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DegenerateWeights, match=r"\+inf at particle 1"):
+            weighted_mean(e, log_w=lambda p: np.array([0.0, np.inf, -1.0]))
+        with pytest.raises(DegenerateWeights, match="-inf or nan"):
+            weighted_mean(e, log_w=lambda p: np.array([np.nan, -np.inf, np.nan]))
 
     def test_scale_invariance(self):
         rng = make_rng(11)

@@ -88,6 +88,11 @@ class TestCmc:
         result = cmc_run(cfg, Ensemble(np.array([0.3])), RngStream(70))
         assert np.all(np.isfinite(result.ensemble.states))
 
+    def test_burn_in_must_leave_a_sweep(self):
+        with pytest.raises(ValueError, match="burn_in < steps"):
+            CmcConfig(target_log_density=lambda x: 0.0, h=0.5, n=3, steps=5, burn_in=5)
+        CmcConfig(target_log_density=lambda x: 0.0, h=0.5, n=3, steps=5, burn_in=4)
+
     def test_infinite_density_at_start_rejected(self):
         cfg = CmcConfig(target_log_density=lambda x: -np.inf, h=0.5, n=3, steps=5, dim=1)
         with pytest.raises(ValueError, match="finite"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meanfield.core import Ensemble, RngStream, TimeGrid
+from meanfield.core import Ensemble, EnsembleBatch, RngStream, TimeGrid
 from meanfield.errors import ModelSpecError, StepError, UnsupportedReference
 from meanfield.mckean import (
     GaussianReference,
@@ -11,6 +11,8 @@ from meanfield.mckean import (
     MomentTracker,
     SnapshotWriter,
     SurrogateReference,
+    coupling_mse_rows,
+    coupling_replica_mse,
     cucker_smale_model,
     gradient_system_model,
     kuramoto_model,
@@ -190,6 +192,87 @@ class TestSynchronousCoupling:
         lines = path.read_text().splitlines()
         assert lines[0] == "time,n,replicas,mse"
         assert len(lines) == 1 + len(report.times)
+
+
+class TestReplicaBatching:
+    """The coupling engine advances replicas together as (R, n, d) arrays;
+    every replica must still see only its own measure and its own noise."""
+
+    @staticmethod
+    def _prefix_rows_match(model, ref, n, grid, total, k):
+        streams = [RngStream(21).substream(r) for r in range(total)]
+        full = coupling_mse_rows(model, ref, n, grid, streams)
+        assert full.shape == (total, grid.steps + 1)
+        assert np.array_equal(coupling_mse_rows(model, ref, n, grid, streams[:k]), full[:k])
+        # a lone replica from a later batch equals its row in the full run
+        assert np.array_equal(coupling_replica_mse(model, ref, n, grid, streams[-1]), full[-1])
+        assert np.all(full[:, 1:] > 0)
+
+    def test_gaussian_reference_rows_do_not_depend_on_the_batch(self):
+        # n = 300: 27 replicas per batch, so 30 streams span two batches
+        model = mean_field_ou_model(1.0, 1.0)
+        ref = ou_reference(1.0, 1.0, m0=1.0, v0=1.0)
+        self._prefix_rows_match(model, ref, 300, TimeGrid(0, 0.2, 0.02), total=30, k=5)
+
+    def test_surrogate_reference_rows_do_not_depend_on_the_batch(self):
+        # 4 * 64 surrogate particles: 32 replicas per batch, 34 streams span two
+        model = mean_field_ou_model(1.0, 1.0)
+        ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=4)
+        self._prefix_rows_match(model, ref, 64, TimeGrid(0, 0.2, 0.02), total=34, k=3)
+
+    def test_factory_drifts_act_per_replica(self):
+        rng = RngStream(22)
+        cases = [
+            (mean_field_ou_model(1.0, 2.0), rng.normal((3, 7, 1))),
+            (gradient_system_model(lambda x: x, lambda z: z ** 3, 1.0), rng.normal((3, 7, 1))),
+            (gradient_system_model(lambda x: x, lambda z: z, 1.0,
+                                   grad_W_conv=lambda s, pts: s - pts.mean(axis=0)),
+             rng.normal((3, 7, 1))),
+            (kuramoto_model(1.5), rng.normal((3, 7, 1))),
+            (cucker_smale_model(1.0, 0.5, d=2), rng.normal((3, 7, 4))),
+            (regularized_coulomb_model(1.0, 0.1, 0.5, d=2), rng.normal((3, 7, 2))),
+        ]
+        for model, states in cases:
+            batch = EnsembleBatch(states).measure()
+            drift = model.drift(states, batch)
+            sigma = np.broadcast_to(model.diffusion(states, batch), states.shape)
+            for r in range(states.shape[0]):
+                mu = Ensemble(states[r]).measure()
+                assert np.array_equal(drift[r], model.drift(states[r], mu)), model.family
+                assert np.array_equal(sigma[r], np.broadcast_to(model.diffusion(states[r], mu),
+                                                                states[r].shape))
+
+    def test_non_finite_drift_names_replica_and_particle(self):
+        # only particle 3 of replica 6 starts at 1; the drift is nan there.
+        # 4 * 512 surrogate particles give 4 replicas per batch, so replica 6
+        # sits at position 2 of the second batch.
+        root = RngStream(23)
+        marked = root.substream(6).substream(0).stream_id
+
+        def sampler(n, rng):
+            x = np.zeros((n, 1))
+            if rng.stream_id == marked:
+                x[3] = 1.0
+            return x
+
+        model = McKeanModel(drift=lambda s, mu: np.where(s > 0.5, np.nan, -s),
+                            diffusion=lambda s, mu: 0.0, dim=1)
+        ref = SurrogateReference(model, initial_sampler=sampler, factor=4)
+        with pytest.raises(StepError, match="non-finite drift") as err:
+            simulate_synchronous_coupling(model, ref, n=512, grid=TimeGrid(0, 0.3, 0.1),
+                                          rng=root, replicas=8)
+        assert (err.value.replica, err.value.particle, err.value.step) == (6, 3, 0)
+        assert "replica=6" in str(err.value)
+
+    def test_non_finite_state_is_reported_at_its_step(self):
+        # drift and diffusion stay finite, but every state overflows in step 1;
+        # the surrogate is advanced first, so it is the one reported
+        model = McKeanModel(drift=lambda s, mu: 1e308 * np.sign(s), diffusion=lambda s, mu: 0.0, dim=1)
+        ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=2)
+        with np.errstate(over="ignore"), pytest.raises(StepError, match="non-finite surrogate state") as err:
+            simulate_synchronous_coupling(model, ref, n=4, grid=TimeGrid(0, 4, 1.0),
+                                          rng=RngStream(24), replicas=3)
+        assert (err.value.replica, err.value.particle, err.value.step) == (0, 0, 1)
 
 
 class TestGradientSystem:
