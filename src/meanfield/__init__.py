@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .core import (
     EmpiricalMeasure,
     Ensemble,
-    EnsembleBatch,
     RngStream,
     TimeGrid,
     empirical_moments,
@@ -31,7 +30,6 @@ __all__ = [
     "DegenerateWeights",
     "EmpiricalMeasure",
     "Ensemble",
-    "EnsembleBatch",
     "MeanFieldError",
     "ModelSpecError",
     "RngStream",

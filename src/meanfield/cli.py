@@ -24,14 +24,12 @@ from . import __version__
 from .core import Ensemble, RngStream, TimeGrid
 from .jump import CmcConfig, cmc_run
 from .mckean import (
-    # not called here: perfbench/tracer.py wraps cli.coupling_replica_mse by
-    # name and fails to install without it
-    coupling_replica_mse,  # noqa: F401
+    CouplingReport,
+    coupling_replica_mse,
     kuramoto_model,
     mean_field_ou_model,
     ou_reference,
     simulate,
-    simulate_synchronous_coupling,
 )
 from .metrics import fit_rate, kuramoto_order_parameter, wasserstein_1d
 from .boltzmann import CellGrid, bird_simulate, exact_simulate, maxwell_cutoff_model
@@ -66,8 +64,6 @@ def validate(config: dict) -> list[str]:
             v.append("n_list: must be strictly ascending")
         elif kind in _SWEEP_KINDS and len(n_list) < 3:
             v.append("n_list: rate-fitting experiments need at least 3 sizes")
-        elif kind == "coupling_rate" and n_list[0] < 2:
-            v.append("n_list: coupling_rate needs at least 2 particles")
     replicas = config.get("replicas", 1)
     if not isinstance(replicas, int) or replicas < 1:
         v.append("replicas: must be a positive integer")
@@ -183,19 +179,25 @@ def _check_thresholds(summary: dict, thresholds: dict) -> bool:
 
 
 def _run_coupling_rate(config, out: Path, threads: int) -> dict:
-    # simulate_synchronous_coupling batches the replicas in this thread, so
-    # ``threads`` is not used.
     p = config.get("params", {})
     lam, kappa = p.get("lambda", 1.0), p.get("kappa", 1.0)
     m0, v0 = p.get("m0", 1.0), p.get("v0", 1.0)
     grid = TimeGrid(config["time"].get("t0", 0.0), config["time"]["t_end"], config["time"]["dt"])
     model = mean_field_ou_model(lam, kappa)
     ref = ou_reference(lam, kappa, m0, v0)
+    ref.check_model(model)
     replicas = config.get("replicas", 1)
     base = RngStream(config["seed"])
     sup_mse = {}
     for idx, n in enumerate(config["n_list"]):
-        report = simulate_synchronous_coupling(model, ref, n, grid, base.substream(idx), replicas)
+        n_stream = base.substream(idx)
+        # one call per replica, not simulate_synchronous_coupling's batches:
+        # perfbench/tracer.py counts the McKean layer per coupling_replica_mse call
+        rows = _map_replicas(
+            lambda r: coupling_replica_mse(model, ref, n, grid, n_stream.substream(r)),
+            replicas, threads,
+        )
+        report = CouplingReport(times=grid.times(), mse=np.mean(rows, axis=0), n=n, replicas=replicas)
         sup_mse[n] = report.sup_mse
         report.write_csv(out / f"coupling_N{n}.csv")
     fit = fit_rate(sup_mse)

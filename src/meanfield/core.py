@@ -110,38 +110,24 @@ class Ensemble:
         return EmpiricalMeasure(self)
 
 
-@dataclass
-class EnsembleBatch:
-    """States of R ensembles of equal size at one time instant.
-
-    ``states`` is an (R, n, dim) array, one (n, dim) ensemble per replica.
-    Unlike ``Ensemble`` it neither copies nor validates its states: the
-    batched coupling engine checks finiteness once per step over the whole
-    batch and names the offending replica itself.
-    """
-
-    states: np.ndarray
-    time: float = 0.0
-
-    def measure(self) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(self)
-
-
 class EmpiricalMeasure:
     """Non-owning view of an ensemble as the measure (1/N) sum of delta_{x^i}.
 
     Weights are uniform by construction, so the total mass is exactly 1.
-    The view also wraps an ``EnsembleBatch``; ``points`` is then (R, n, d)
-    and every reduction over particles runs over axis -2, one measure per
-    replica.
+    The view may also wrap the (R, n, d) points of R replicas, unvalidated;
+    ``ensemble`` is then None and every reduction over particles runs over
+    axis -2, one measure per replica.
     """
 
-    def __init__(self, ensemble: Ensemble | EnsembleBatch):
-        self.ensemble = ensemble
+    def __init__(self, ensemble: Ensemble | np.ndarray):
+        if isinstance(ensemble, np.ndarray):
+            self.ensemble, self._points = None, ensemble
+        else:
+            self.ensemble, self._points = ensemble, None
 
     @property
     def points(self) -> np.ndarray:
-        return self.ensemble.states
+        return self._points if self.ensemble is None else self.ensemble.states
 
     @property
     def n(self) -> int:
@@ -151,9 +137,8 @@ class EmpiricalMeasure:
         """The (d,) mean of one ensemble, or the (R, 1, d) per-replica means
         of a batch, shaped to broadcast against its (R, n, d) states."""
         pts = self.points
-        if pts.ndim == 2:
-            return pts.mean(axis=0)
-        return pts.mean(axis=-2, keepdims=True)
+        # the particle sum divided by n is np.mean's result, bit for bit
+        return np.add.reduce(pts, axis=-2, keepdims=pts.ndim > 2) / pts.shape[-2]
 
 
 def kernel_convolve(mu: EmpiricalMeasure, kernel, x) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ensemble, EnsembleBatch, RngStream, TimeGrid
+from .core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid
 from .errors import ModelSpecError, StepError, UnsupportedReference
 
 
@@ -31,7 +31,9 @@ class McKeanModel:
     own measure only. ``drift(states, mu)`` returns a (..., n, d) array.
     ``diffusion(states, mu)`` may return a scalar (isotropic), a (..., n)
     array (per-particle scalar), a (..., n, d) array (per-particle
-    diagonal) or a (..., n, d, d) array of full matrices.
+    diagonal) or a (..., n, d, d) array of full matrices. ``pairwise``
+    marks coefficients that build (..., n, m, d) arrays of pairwise
+    differences; the coupling engine then batches fewer replicas.
     """
 
     drift: callable
@@ -39,6 +41,7 @@ class McKeanModel:
     dim: int
     family: str = ""
     params: dict = field(default_factory=dict)
+    pairwise: bool = False
 
 
 def _apply_diffusion(sigma, xi):
@@ -280,20 +283,38 @@ def mean_field_ou_model(lam: float, kappa: float) -> McKeanModel:
     )
 
 
-# Every (Rb, n, d) array of the coupling engine holds at most this many
-# floats (64 KB), so a batch stays in cache and peak memory does not grow
-# with the replica count.
+# The coupling engine advances replicas in batches whose per-step arrays
+# hold at most _BATCH_FLOATS floats (64 KB): (Rb, n, d) states, or the
+# (Rb, n, m, d) temporaries of a pairwise model. A replica too large for
+# that runs alone, as it would without batching. Noise is drawn for several
+# steps at once, in blocks of at most _NOISE_FLOATS floats (256 KB).
 _BATCH_FLOATS = 8192
+_NOISE_FLOATS = 32768
 
 
-def _batch_width(particles: int, dim: int) -> int:
+def _batch_width(particles: int, dim: int, pairwise: bool) -> int:
     """Replicas per batch for ensembles of ``particles`` points in R^dim."""
-    return max(1, _BATCH_FLOATS // (particles * dim))
+    per_replica = particles * dim * (particles if pairwise else 1)
+    return max(1, _BATCH_FLOATS // per_replica)
 
 
-def _draw_batch(streams, shape) -> np.ndarray:
-    """One normal block of ``shape`` from each stream, stacked in stream order."""
-    return np.concatenate([s.normal(shape) for s in streams]).reshape(len(streams), *shape)
+def _noise_steps(streams, shape, steps):
+    """Yield the (R, *shape) normal increments of each of ``steps`` steps,
+    row r from ``streams[r]``. A stream draws several steps per call, which
+    gives the same variates in the same order as one draw per step."""
+    per_step = len(streams) * math.prod(shape)
+    block = max(1, _NOISE_FLOATS // per_step)
+    for start in range(0, steps, block):
+        k = min(block, steps - start)
+        yield from np.stack([s.normal((k, *shape)) for s in streams], axis=1)
+
+
+def _mean_square(diff: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i |diff^i|^2 of each (n, d) ensemble of an (R, n, d) batch,
+    bit for bit equal to ``np.mean(np.sum(diff[r] ** 2, axis=1))``."""
+    sq = diff * diff
+    per_particle = sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
+    return np.add.reduce(per_particle, axis=-1) / diff.shape[-2]
 
 
 def _coupling_batch(model, ref, n, grid, streams, first, out):
@@ -308,35 +329,34 @@ def _coupling_batch(model, ref, n, grid, streams, first, out):
     increments from substreams 2 and 3.
     """
     d = model.dim
-    noise = [s.substream(1) for s in streams]
     x = np.stack([ref.initial(n, s.substream(0)) for s in streams])
     if not np.isfinite(x).all():
         _raise_non_finite("initial state", x, True, first, 0, grid.t0)
+    noise = _noise_steps([s.substream(1) for s in streams], (n, d), grid.steps)
     x_bar = x.copy()
     if not ref.exact:
         m = ref.factor * n
         surrogate = np.stack([ref.initial(m, s.substream(2)) for s in streams])
         if not np.isfinite(surrogate).all():
             _raise_non_finite("initial surrogate state", surrogate, True, first, 0, grid.t0)
-        surrogate_noise = [s.substream(3) for s in streams]
+        surrogate_noise = _noise_steps([s.substream(3) for s in streams], (m, d), grid.steps)
 
     out[:, 0] = 0.0
     t = grid.t0
-    for k, h in enumerate(grid.step_durations()):
-        xi = _draw_batch(noise, (n, d))
+    for k, (h, xi) in enumerate(zip(grid.step_durations(), noise)):
         if ref.exact:
             b_bar = ref.drift(x_bar, t)
             sig_bar = ref.diffusion(x_bar, t)
         else:
-            mu_s = EnsembleBatch(surrogate, t).measure()
+            mu_s = EmpiricalMeasure(surrogate)
             b_bar = model.drift(x_bar, mu_s)
             sig_bar = model.diffusion(x_bar, mu_s)
-            surrogate = _em_update(model, surrogate, mu_s, h, _draw_batch(surrogate_noise, (m, d)),
+            surrogate = _em_update(model, surrogate, mu_s, h, next(surrogate_noise),
                                    t, step=k, first_replica=first, system="surrogate ")
-        x = _em_update(model, x, EnsembleBatch(x, t).measure(), h, xi, t, step=k, first_replica=first)
+        x = _em_update(model, x, EmpiricalMeasure(x), h, xi, t, step=k, first_replica=first)
         x_bar = x_bar + np.asarray(b_bar, dtype=float) * h + _apply_diffusion(sig_bar, xi) * math.sqrt(h)
         t += h
-        out[:, k + 1] = np.mean(np.sum((x - x_bar) ** 2, axis=-1), axis=-1)
+        out[:, k + 1] = _mean_square(x - x_bar)
 
 
 def coupling_mse_rows(
@@ -348,12 +368,13 @@ def coupling_mse_rows(
     The interacting system and the nonlinear system share initial states
     and reuse the identical gaussian increments per particle per step; only
     the measure their coefficients see differs (empirical vs reference).
-    Replicas advance in batches of at most ``_BATCH_FLOATS`` floats per
-    array (a surrogate reference sizes them by its ``factor * n``
-    particles); a row depends on its own stream only, never on the batch.
+    Replicas advance in batches whose per-step arrays hold at most
+    ``_BATCH_FLOATS`` floats (a surrogate reference sizes them by its
+    ``factor * n`` particles, a pairwise model by its pairwise arrays); a
+    row depends on its own stream only, never on the batch.
     """
     rows = np.empty((len(streams), grid.steps + 1))
-    width = _batch_width(n if ref.exact else ref.factor * n, model.dim)
+    width = _batch_width(n if ref.exact else ref.factor * n, model.dim, model.pairwise)
     for first in range(0, len(streams), width):
         _coupling_batch(model, ref, n, grid, streams[first:first + width], first,
                         rows[first:first + width])
@@ -433,6 +454,7 @@ def gradient_system_model(
         diffusion=lambda states, mu: float(sigma_const),
         dim=dim,
         family="gradient-system",
+        pairwise=grad_W_conv is None,
     )
 
 
@@ -492,7 +514,7 @@ def cucker_smale_model(gamma: float, sigma_const: float, d: int = 1) -> McKeanMo
         return sig
 
     return McKeanModel(drift=drift, diffusion=diffusion, dim=2 * d, family="cucker-smale",
-                       params={"gamma": gamma, "sigma": sigma_const, "d": d})
+                       params={"gamma": gamma, "sigma": sigma_const, "d": d}, pairwise=True)
 
 
 def regularized_coulomb_model(xi_strength: float, eps: float, sigma_const: float, d: int = 2) -> McKeanModel:
@@ -516,4 +538,5 @@ def regularized_coulomb_model(xi_strength: float, eps: float, sigma_const: float
         return force(diffs).mean(axis=-2)
 
     return McKeanModel(drift=drift, diffusion=lambda states, mu: float(sigma_const), dim=d,
-                       family="regularized-coulomb", params={"xi": xi_strength, "eps": eps})
+                       family="regularized-coulomb", params={"xi": xi_strength, "eps": eps},
+                       pairwise=True)

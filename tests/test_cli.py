@@ -60,10 +60,6 @@ class TestValidate:
         violations = validate(coupling_config(n_list=[10, 20]))
         assert any("at least 3" in v for v in violations)
 
-    def test_coupling_needs_two_particles(self):
-        violations = validate(coupling_config(n_list=[1, 20, 40]))
-        assert any(v.startswith("n_list") for v in violations)
-
     def test_cmc_burn_in_must_leave_samples(self):
         cfg = {"kind": "cmc", "seed": 8, "n_list": [20], "params": {"steps": 30, "burn_in": 30}}
         assert any(v.startswith("params.burn_in") for v in validate(cfg))

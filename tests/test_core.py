@@ -6,7 +6,6 @@ import pytest
 from meanfield.core import (
     EmpiricalMeasure,
     Ensemble,
-    EnsembleBatch,
     RngStream,
     TimeGrid,
     empirical_moments,
@@ -71,7 +70,7 @@ class TestEnsemble:
 
     def test_batch_measure_reduces_per_replica(self):
         states = np.arange(12.0).reshape(2, 3, 2)
-        mu = EnsembleBatch(states, time=0.5).measure()
+        mu = EmpiricalMeasure(states)
         assert mu.n == 3
         assert mu.mean().shape == (2, 1, 2)
         for r in range(2):

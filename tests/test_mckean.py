@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meanfield.core import Ensemble, EnsembleBatch, RngStream, TimeGrid
+from meanfield.core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid
 from meanfield.errors import ModelSpecError, StepError, UnsupportedReference
 from meanfield.mckean import (
     GaussianReference,
@@ -233,7 +233,7 @@ class TestReplicaBatching:
             (regularized_coulomb_model(1.0, 0.1, 0.5, d=2), rng.normal((3, 7, 2))),
         ]
         for model, states in cases:
-            batch = EnsembleBatch(states).measure()
+            batch = EmpiricalMeasure(states)
             drift = model.drift(states, batch)
             sigma = np.broadcast_to(model.diffusion(states, batch), states.shape)
             for r in range(states.shape[0]):
@@ -273,6 +273,29 @@ class TestReplicaBatching:
             simulate_synchronous_coupling(model, ref, n=4, grid=TimeGrid(0, 4, 1.0),
                                           rng=RngStream(24), replicas=3)
         assert (err.value.replica, err.value.particle, err.value.step) == (0, 0, 1)
+
+    def test_pairwise_models_run_one_replica_at_a_time(self):
+        # 4 * 20 surrogate particles: 80 x 80 pairwise differences fill a
+        # batch on their own, while the (R, 80, 1) states alone fit 102
+        def batch_sizes(pairwise):
+            sizes = set()
+
+            def drift(states, mu):
+                sizes.add(states.shape[0])
+                return -states
+
+            model = McKeanModel(drift=drift, diffusion=lambda s, mu: 1.0, dim=1, pairwise=pairwise)
+            ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=4)
+            simulate_synchronous_coupling(model, ref, 20, TimeGrid(0, 0.1, 0.05), RngStream(25), replicas=5)
+            return sizes
+
+        assert batch_sizes(pairwise=True) == {1}
+        assert batch_sizes(pairwise=False) == {5}
+        assert gradient_system_model(lambda x: x, lambda z: z ** 3, 1.0).pairwise
+        assert not gradient_system_model(lambda x: x, lambda z: z, 1.0,
+                                         grad_W_conv=lambda s, pts: s - pts.mean(axis=0)).pairwise
+        assert cucker_smale_model(1.0, 0.5).pairwise and regularized_coulomb_model(1.0, 0.1, 0.5).pairwise
+        assert not mean_field_ou_model(1.0, 1.0).pairwise and not kuramoto_model(1.5).pairwise
 
 
 class TestGradientSystem:
