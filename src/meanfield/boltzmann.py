@@ -213,7 +213,7 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
         eta = rng.uniform()
         ratio = model.accept_ratio(states[i], states[j], theta)
         _check_ratio(ratio)
-        accepted = eta <= ratio and not _vetoed(model, states[i], states[j], theta)
+        accepted = eta < ratio and not _vetoed(model, states[i], states[j], theta)
         if accepted:
             z1p, z2p = model.psi_pair(states[i], states[j], theta)
             dp, de = _pair_deltas(states[i], states[j], z1p, z2p)
@@ -269,7 +269,7 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
                 lam_val = model.lam(states[i], states[j])
                 ratio = model.accept_ratio(states[i], states[j], theta)
                 _check_ratio(ratio)
-                accepted = eta <= ratio and not _vetoed(model, states[i], states[j], theta)
+                accepted = eta < ratio and not _vetoed(model, states[i], states[j], theta)
                 if accepted:
                     z1p, z2p = model.psi_pair(states[i], states[j], theta)
                     dp, de = _pair_deltas(states[i], states[j], z1p, z2p)
@@ -322,7 +322,7 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
             theta = model.theta_sampler(rng)
             ratio = model.accept_ratio(states[i], states[j], theta)
             _check_ratio(ratio)
-            if rng.uniform() <= ratio and not _vetoed(model, states[i], states[j], theta):
+            if rng.uniform() < ratio and not _vetoed(model, states[i], states[j], theta):
                 new_states[i] = model.psi1(states[i], states[j], theta)
         states = new_states
     return Ensemble(states, t)

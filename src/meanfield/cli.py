@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import traceback
 from pathlib import Path
@@ -152,13 +153,24 @@ def _write_csv(path: Path, header: str, rows):
 def _check_thresholds(summary: dict, thresholds: dict) -> bool:
     """Compare summary entries against declared bounds. Supported forms:
     {"name": {"min": a}}, {"name": {"max": b}} and {"name": {"range": [a, b]}}
-    where name is a dotted path into the summary."""
+    where name is a dotted path into the summary. A name with no summary
+    entry, or whose entry is not a number (a per-N table, say), fails its
+    check, with an error naming ``thresholds.<name>``."""
     checks = {}
     ok = True
     for name, bound in thresholds.items():
         value = summary
-        for part in name.split("."):
-            value = value[part]
+        try:
+            for part in name.split("."):
+                value = value[part]
+        except (KeyError, TypeError):
+            value = None
+        if not isinstance(value, numbers.Real):
+            error = f"thresholds.{name}: the summary has no number at {name!r}"
+            print(error, file=sys.stderr)
+            checks[name] = {"value": None, "bound": bound, "pass": False, "error": error}
+            ok = False
+            continue
         passed = True
         if "min" in bound:
             passed = passed and value >= bound["min"]

@@ -63,7 +63,7 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
         r = float(model.rate(states[i], mu))
         if r > model.rate_bound * (1 + 1e-12):
             raise BoundViolation(f"rate {r:g} exceeds the declared bound {model.rate_bound:g}")
-        if rng.uniform() <= r / model.rate_bound:
+        if rng.uniform() < r / model.rate_bound:
             states[i] = np.asarray(model.jump_law(states[i], mu, rng), dtype=float)
             jumps += 1
         heapq.heappush(queue, (t + rng.exponential(scale), i))
@@ -109,14 +109,50 @@ class CmcResult:
                 fh.write(f"{k},{float(a)!r}\n")
 
 
+# _log_mixture keeps each of its (rows, N) temporaries at or below
+# _BLOCK_FLOATS floats (512 KB), with at least one row per block.
+_BLOCK_FLOATS = 65536
+
+
 def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
-    """log of the kernel mixture (1/N) sum_j phi_h(at_i - x_j), row-wise."""
-    d = points.shape[1]
-    sq = ((at[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    log_terms = -sq / (2.0 * h * h)
-    m = log_terms.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(log_terms - m).sum(axis=1))
-    norm = math.log(points.shape[0]) + d * math.log(h) + 0.5 * d * math.log(2.0 * math.pi)
+    """log of the kernel mixture (1/N) sum_j phi_h(at_i - x_j), row-wise.
+
+    Rows of ``at`` go through in blocks of ``_BLOCK_FLOATS // (N * d)``
+    rows, in buffers allocated once per call, so memory is O(block * N * d)
+    rather than len(at) * N * d. Every element and every row reduction is the one
+    of the dense formula ``((at[:, None] - points[None]) ** 2).sum(axis=2)``
+    and so on, so the result equals it bit for bit.
+    """
+    n, d = points.shape
+    rows = max(1, min(_BLOCK_FLOATS // max(1, n * d), len(at)))
+    work = np.empty((rows, n))
+    scratch = np.empty((rows, n, d) if d >= 8 else (rows, n)) if d > 1 else None
+    neg_two_h2 = -(2.0 * h * h)
+    lse = np.empty(len(at))
+    for lo in range(0, len(at), rows):
+        block = at[lo:lo + rows]
+        sq = work[:len(block)]
+        diff = None if scratch is None else scratch[:len(block)]
+        if d >= 8:
+            # numpy sums 8 or more contiguous terms pairwise; np.sum repeats it
+            np.subtract(block[:, None, :], points, out=diff)
+            np.square(diff, out=diff)
+            np.sum(diff, axis=2, out=sq)
+        else:
+            # and fewer than 8 in order, as this loop over the coordinates
+            # does, several times faster than np.sum over so short an axis
+            np.subtract(block[:, :1], points[:, 0], out=sq)
+            np.square(sq, out=sq)
+            for k in range(1, d):
+                np.subtract(block[:, k:k + 1], points[:, k], out=diff)
+                np.square(diff, out=diff)
+                sq += diff
+        np.divide(sq, neg_two_h2, out=sq)  # the log terms; -sq / c == sq / -c
+        m = sq.max(axis=1)
+        np.subtract(sq, m[:, None], out=sq)
+        np.exp(sq, out=sq)
+        np.add(m, np.log(sq.sum(axis=1)), out=lse[lo:lo + len(block)])
+    norm = math.log(n) + d * math.log(h) + 0.5 * d * math.log(2.0 * math.pi)
     return lse - norm
 
 
@@ -150,8 +186,8 @@ def cmc_run(cfg: CmcConfig, e0: Ensemble, rng: RngStream) -> CmcResult:
         proposals = states[partners] + cfg.h * xi
         logpi_prop = np.where(np.isnan(lp := log_target(proposals)), -np.inf, lp)
         # both mixture densities use the pre-sweep ensemble
-        log_theta_prop = _log_mixture(states, proposals, cfg.h)
-        log_theta_curr = _log_mixture(states, states, cfg.h)
+        log_theta = _log_mixture(states, np.concatenate([proposals, states]), cfg.h)
+        log_theta_prop, log_theta_curr = log_theta[:n], log_theta[n:]
         log_alpha = logpi_prop - logpi + log_theta_curr - log_theta_prop
         with np.errstate(divide="ignore"):
             accept = np.log(u) < log_alpha  # strict: -inf log density auto-rejects

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from meanfield import boltzmann
 from meanfield.core import Ensemble, RngStream, TimeGrid
 from meanfield.errors import BoundViolation
 from meanfield.boltzmann import (
@@ -23,6 +24,14 @@ from meanfield.metrics import wasserstein_1d
 
 def uniform_deflection(total=1.0):
     return lambda th: np.full_like(np.asarray(th, dtype=float), total / math.pi)
+
+
+def zero_rate_counting_model():
+    """Lambda = 1 proposes events, lam = 0 must reject every one of them;
+    an accepted collision would add 1 to both states."""
+    return CollisionModel(lam=lambda a, b: 0.0, Lambda=1.0,
+                          psi1=lambda a, b, t: a + 1.0, psi2=lambda a, b, t: b + 1.0,
+                          theta_sampler=lambda rng: None)
 
 
 def transport_only_model():
@@ -196,7 +205,24 @@ class TestExactSimulate:
         assert times == sorted(times)
 
 
+    def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream):
+        e0 = Ensemble(np.array([[0.0], [1.0], [2.0]]))
+        final, log = exact_simulate(zero_rate_counting_model(), e0, 2.0, zero_uniform_stream(39))
+        assert log.proposed > 0 and log.accepted == 0
+        assert np.array_equal(final.states, e0.states)
+
+
 class TestBirdSimulate:
+    def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream, monkeypatch):
+        # an accepted zero-rate event would divide by lam = 0 in the counter
+        monkeypatch.setattr(boltzmann, "_REJECTION_STALL_FACTOR", 20)
+        e0 = Ensemble(np.array([[0.0], [1.0], [2.0]]))
+        with pytest.warns(UserWarning, match="consecutive fictitious"):
+            final, log = bird_simulate(zero_rate_counting_model(), CellGrid.single_cell(), e0,
+                                       TimeGrid(0, 1, 0.5), zero_uniform_stream(40))
+        assert log.proposed == 40 and log.accepted == 0
+        assert np.array_equal(final.states, e0.states)
+
     def test_zero_rate_pure_transport(self):
         model = transport_only_model()
         e0 = Ensemble(np.array([[0.0, 1.0], [2.0, 0.5]]))
@@ -271,6 +297,12 @@ class TestNanbu:
                                theta_sampler=lambda rng: None)
         e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
         final = nanbu_simulate(model, e0, 0.1, 10, RngStream(43))
+        assert np.array_equal(final.states, e0.states)
+
+    def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream):
+        # a zero uniform also makes every particle a collision candidate
+        e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
+        final = nanbu_simulate(zero_rate_counting_model(), e0, 0.1, 10, zero_uniform_stream(43))
         assert np.array_equal(final.states, e0.states)
 
     def test_collision_rate_per_particle(self):

@@ -115,6 +115,19 @@ class TestRun:
         assert summary["pass"] is False
         assert summary["checks"]["slope"]["pass"] is False
 
+    @pytest.mark.parametrize("name", ["slopee", "sup_mse"])
+    def test_unusable_threshold_exit_4(self, tmp_path, capsys, name):
+        # "slopee" has no summary entry; "sup_mse" is a per-N table, not a number
+        cfg = write_config(tmp_path / "cfg.json", coupling_config(thresholds={name: {"max": 0.1}}))
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == 4
+        assert f"thresholds.{name}" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["pass"] is False
+        check = summary["checks"][name]
+        assert check["pass"] is False and check["value"] is None
+        assert f"thresholds.{name}" in check["error"]
+
     def test_cmc_burn_in_at_steps_exit_2(self, tmp_path, capsys):
         # burn_in == steps used to run, keep no samples and fail on NaN moments
         cfg = write_config(tmp_path / "cfg.json", {

@@ -8,6 +8,17 @@ from meanfield.errors import BoundViolation
 from meanfield.jump import CmcConfig, JumpModel, cmc_run, simulate_jump, _log_mixture
 
 
+def dense_log_mixture(points, at, h):
+    """The N x N(x d) broadcast formula that the blocked mixture reproduces."""
+    d = points.shape[1]
+    sq = ((at[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    log_terms = -sq / (2.0 * h * h)
+    m = log_terms.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(log_terms - m).sum(axis=1))
+    norm = math.log(points.shape[0]) + d * math.log(h) + 0.5 * d * math.log(2.0 * math.pi)
+    return lse - norm
+
+
 class TestSimulateJump:
     def test_zero_rate_identity(self):
         model = JumpModel(rate=lambda x, mu: 0.0, rate_bound=5.0,
@@ -44,6 +55,15 @@ class TestSimulateJump:
         result = simulate_jump(model, Ensemble(np.zeros(n)), t, RngStream(63))
         mean = r * n * t
         assert abs(result.jumps - mean) <= 3 * math.sqrt(mean)
+
+    def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream):
+        # acceptance is strict: u = 0.0 never accepts a zero-rate ring
+        model = JumpModel(rate=lambda x, mu: 0.0, rate_bound=5.0,
+                          jump_law=lambda x, mu, rng: np.zeros_like(x))
+        e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
+        result = simulate_jump(model, e0, 10.0, zero_uniform_stream(60))
+        assert result.rings > 0 and result.jumps == 0
+        assert np.array_equal(result.ensemble.states, e0.states)
 
     def test_rate_above_bound_aborts(self):
         model = JumpModel(rate=lambda x, mu: 3.0, rate_bound=1.0,
@@ -135,6 +155,32 @@ class TestCmc:
         val = _log_mixture(np.array([[0.0]]), np.array([[0.7]]), 1.0)
         expected = -0.5 * 0.7**2 - 0.5 * math.log(2 * math.pi)
         assert val[0] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n, m, d", [(1000, 2000, 1), (1000, 2000, 2), (500, 777, 3),
+                                         (300, 601, 9), (8000, 5, 9), (70000, 3, 1)])
+    def test_blocked_mixture_equals_dense(self, n, m, d):
+        # rows of 65, 32, 43 and 24 leave a partial last block; N * d above
+        # the block leaves one row per block
+        rng = RngStream(79)
+        points = rng.normal((n, d))
+        at = rng.normal((m, d))
+        # 2 h^2 = 0.18 is no power of 2, so a product by its reciprocal would differ
+        assert np.array_equal(_log_mixture(points, at, 0.3), dense_log_mixture(points, at, 0.3))
+
+    def test_blocked_mixture_far_points(self):
+        # 40 bandwidths out every exp underflows unless the row max is shifted
+        rng = RngStream(80)
+        points = rng.normal((300, 2))
+        at = 20.0 + rng.normal((150, 2))
+        val = _log_mixture(points, at, 0.5)
+        assert np.all(np.isfinite(val))
+        assert np.array_equal(val, dense_log_mixture(points, at, 0.5))
+
+    def test_blocked_mixture_empty_at(self):
+        points = RngStream(81).normal((50, 3))
+        val = _log_mixture(points, np.empty((0, 3)), 0.5)
+        assert val.shape == (0,)
+        assert np.array_equal(val, dense_log_mixture(points, np.empty((0, 3)), 0.5))
 
     def test_acceptance_trace_csv(self, tmp_path):
         cfg = CmcConfig(target_log_density=lambda x: 0.0, h=1.0, n=10, steps=5, dim=1)
