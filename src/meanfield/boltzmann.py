@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ensemble, RngStream, TimeGrid
+from .core import Ensemble, RngStream, TimeGrid, write_csv
 from .errors import BoundViolation
 
 _REJECTION_STALL_FACTOR = 50_000  # consecutive fictitious proposals tolerated per cell pass
@@ -94,17 +94,11 @@ class EventLog:
         else:
             self.truncated = True
 
-    def accepted_events(self):
-        return [e for e in self.events if e.accepted]
-
     def write_csv(self, path):
         dim = len(self.events[0].dp) if self.events else 1
         cols = ",".join(f"dP{k}" for k in range(dim))
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"time,i,j,accepted,dE,{cols}\n")
-            for e in self.events:
-                dp = ",".join(repr(float(v)) for v in e.dp)
-                fh.write(f"{e.time!r},{e.i},{e.j},{int(e.accepted)},{e.de!r},{dp}\n")
+        write_csv(path, f"time,i,j,accepted,dE,{cols}",
+                  ((e.time, e.i, e.j, int(e.accepted), e.de, *e.dp) for e in self.events))
 
 
 @dataclass

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Ensemble, RngStream, TimeGrid
+from .core import Ensemble, RngStream, TimeGrid, write_csv
 from .jump import CmcConfig, cmc_run
 from .mckean import (
     CouplingReport,
@@ -34,12 +34,12 @@ from .mckean import (
 )
 from .metrics import fit_rate, kuramoto_order_parameter, wasserstein_1d
 from .boltzmann import CellGrid, bird_simulate, exact_simulate, maxwell_cutoff_model
-from .optimizer import CboConfig, EksConfig, cbo_minimize, eks_sample, posterior_gaussian_oracle
+from .optimizer import CboConfig, EksConfig, cbo_minimize, eks_sample, posterior_gaussian_oracle, spd_matrix
 from .schemes1d import CdfScheme, bossy_talay_run, l1_cdf_error, write_cdf_checkpoints_csv
 
 KINDS = ("coupling_rate", "dsmc_compare", "cbo", "eks", "cmc", "bossy_talay", "kuramoto_sweep")
 
-_SWEEP_KINDS = {"coupling_rate", "bossy_talay"}  # fit a rate over n_list
+_SWEEP_KINDS = ("coupling_rate", "bossy_talay")  # fit a rate over n_list
 
 _CMC_STEPS, _CMC_BURN_IN = 2000, 500  # cmc defaults for params.steps and params.burn_in
 
@@ -47,6 +47,8 @@ _CMC_STEPS, _CMC_BURN_IN = 2000, 500  # cmc defaults for params.steps and params
 def validate(config: dict) -> list[str]:
     """Schema checks only; runs no simulation. Returns violation strings
     naming the offending field."""
+    if not isinstance(config, dict):
+        return [f"config: must be a JSON object, got {type(config).__name__}"]
     v = []
     kind = config.get("kind")
     if kind not in KINDS:
@@ -87,13 +89,10 @@ def validate(config: dict) -> list[str]:
             if mat is None:
                 v.append(f"params.{name}: required")
                 continue
-            arr = np.atleast_2d(np.asarray(mat, dtype=float))
             try:
-                if not np.allclose(arr, arr.T):
-                    raise np.linalg.LinAlgError("not symmetric")
-                np.linalg.cholesky(arr)
-            except (np.linalg.LinAlgError, ValueError):
-                v.append(f"params.{name}: must be symmetric positive definite")
+                spd_matrix(name, mat)
+            except ValueError as err:
+                v.append(f"params.{name}: {err}")
         if "G" not in params or "y" not in params:
             v.append("params: eks needs G and y")
     if kind == "cmc":
@@ -103,8 +102,14 @@ def validate(config: dict) -> list[str]:
     if kind == "cbo" and params.get("objective") not in ("quadratic", "rastrigin", None):
         v.append("params.objective: must be 'quadratic' or 'rastrigin'")
     if kind == "kuramoto_sweep":
-        for i, case in enumerate(params.get("cases", [])):
-            if case.get("init") not in ("concentrated", "uniform"):
+        cases = params.get("cases", [])
+        if not isinstance(cases, list):
+            v.append("params.cases: must be a list")
+            cases = []
+        for i, case in enumerate(cases):
+            if not isinstance(case, dict):
+                v.append(f"params.cases[{i}]: must be an object, got {case!r}")
+            elif case.get("init") not in ("concentrated", "uniform"):
                 v.append(f"params.cases[{i}].init: must be 'concentrated' or 'uniform'")
     return v
 
@@ -141,13 +146,6 @@ def _write_json(path: Path, payload: dict):
     with open(path, "w", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_csv(path: Path, header: str, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def _check_thresholds(summary: dict, thresholds: dict) -> bool:
@@ -248,8 +246,8 @@ def _run_dsmc_compare(config, out: Path, threads: int) -> dict:
     results = _map_replicas(run_pair, pairs, threads)
     cross = [c for c, _ in results]
     self_d = [s for _, s in results]
-    _write_csv(out / "dsmc_pairs.csv", "pair,w1_cross,w1_self",
-               [(k, float(c), float(s)) for k, (c, s) in enumerate(results)])
+    write_csv(out / "dsmc_pairs.csv", "pair,w1_cross,w1_self",
+              ((k, c, s) for k, (c, s) in enumerate(results)))
     mean_cross = float(np.mean(cross))
     mean_self = float(np.mean(self_d))
     return {
@@ -303,8 +301,8 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
     results = _map_replicas(run_seed, seeds, threads)
     dists = [d for d, _ in results]
     successes = int(sum(d <= tol for d in dists))
-    _write_csv(out / "cbo_seeds.csv", "seed,distance,success",
-               [(k, float(d), int(d <= tol)) for k, (d, _) in enumerate(results)])
+    write_csv(out / "cbo_seeds.csv", "seed,distance,success",
+              ((k, d, int(d <= tol)) for k, d in enumerate(dists)))
     trajectory_csv = out / "cbo_trajectory.csv"
     results[0][1].write_trajectory_csv(trajectory_csv)
     return {
@@ -325,9 +323,9 @@ def _run_eks(config, out: Path, threads: int) -> dict:
     G = np.atleast_2d(np.asarray(p["G"], dtype=float))
     cfg = EksConfig(
         forward=G,
-        Gamma=np.asarray(p["Gamma"], dtype=float),
-        Gamma0=np.asarray(p["Gamma0"], dtype=float),
-        y=np.asarray(p["y"], dtype=float),
+        Gamma=p["Gamma"],
+        Gamma0=p["Gamma0"],
+        y=p["y"],
         n=config["n_list"][-1],
         dt=p.get("dt", 0.02),
         steps=p.get("steps", 500),
@@ -343,9 +341,7 @@ def _run_eks(config, out: Path, threads: int) -> dict:
     std_scale = float(np.sqrt(np.max(np.diag(cov_oracle))))
     mean_err = float(np.linalg.norm(mean_hat - mean_oracle))
     cov_err = float(np.linalg.norm(cov_hat - cov_oracle) / np.linalg.norm(cov_oracle))
-    _write_csv(out / "eks_final.csv",
-               ",".join(f"coord{k}" for k in range(final.dim)),
-               [tuple(float(v) for v in row) for row in final.states])
+    write_csv(out / "eks_final.csv", ",".join(f"coord{k}" for k in range(final.dim)), final.states)
     return {
         "kind": "eks",
         "mean_error": mean_err,
@@ -404,7 +400,7 @@ def _run_bossy_talay(config, out: Path, threads: int) -> dict:
         )
         errors[n] = float(np.mean(errs))
         rows.append((n, errors[n]))
-    _write_csv(out / "bossy_rate.csv", "n,mean_l1_error", rows)
+    write_csv(out / "bossy_rate.csv", "n,mean_l1_error", rows)
     # checkpoint CDFs for one representative replica at the largest size
     largest = CdfScheme(k1=0.0, k2=sigma, n=config["n_list"][-1], dt=dt, T=t_end,
                         initial=lambda m, rng: np.zeros(m))
@@ -453,7 +449,7 @@ def _run_kuramoto_sweep(config, out: Path, threads: int) -> dict:
             "count_ge_0.8": int(sum(r >= 0.8 for r in r_vals)),
             "count_le_0.3": int(sum(r <= 0.3 for r in r_vals)),
         })
-    _write_csv(out / "kuramoto_r.csv", "case,coupling,init,seed,r", rows)
+    write_csv(out / "kuramoto_r.csv", "case,coupling,init,seed,r", rows)
     return {"kind": "kuramoto_sweep", "cases": cases_out}
 
 

@@ -235,3 +235,18 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """The steps+1 grid times from t0 to t_end inclusive."""
         return np.concatenate([[self.t0], self.t0 + np.cumsum(self.step_durations())])
+
+
+def csv_row(values) -> str:
+    """One CSV line, newline included. A Python or numpy float is written as
+    the shortest round-trip ``repr`` of ``float(x)``; anything else as
+    ``str(x)``. Every table the package writes formats its rows here."""
+    return ",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+                    for x in values) + "\n"
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the ``header`` line, then one ``csv_row`` line per row."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(csv_row, rows))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ensemble, RngStream
+from .core import Ensemble, RngStream, write_csv
 from .errors import BoundViolation
 
 
@@ -103,10 +103,7 @@ class CmcResult:
     samples: np.ndarray  # pooled post-burn-in states, shape (kept * n, dim)
 
     def write_trace_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("sweep,accept_fraction\n")
-            for k, a in enumerate(self.accept_trace):
-                fh.write(f"{k},{float(a)!r}\n")
+        write_csv(path, "sweep,accept_fraction", enumerate(self.accept_trace))
 
 
 # _log_mixture keeps each of its (rows, N) temporaries at or below

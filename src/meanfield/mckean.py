@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid
+from .core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid, csv_row, write_csv
 from .errors import ModelSpecError, StepError, UnsupportedReference
 
 
@@ -139,7 +139,8 @@ class MomentTracker:
 
 class SnapshotWriter:
     """Observer appending particle states as CSV rows
-    ``time, replica, particle, coord0..coordD``."""
+    ``time, replica, particle, coord0..coordD``. Use it as a context
+    manager, or call ``close``; the file is open from construction on."""
 
     def __init__(self, path, replica: int = 0, every: int = 1):
         self.path = path
@@ -148,6 +149,12 @@ class SnapshotWriter:
         self._file = open(path, "w", newline="\n")
         self._header_written = False
 
+    def __enter__(self) -> "SnapshotWriter":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
     def __call__(self, ensemble: Ensemble, step: int):
         if not self._header_written:
             coords = ",".join(f"coord{k}" for k in range(ensemble.dim))
@@ -155,9 +162,8 @@ class SnapshotWriter:
             self._header_written = True
         if step % self.every:
             return
-        for i, row in enumerate(ensemble.states):
-            vals = ",".join(repr(float(v)) for v in row)
-            self._file.write(f"{ensemble.time!r},{self.replica},{i},{vals}\n")
+        self._file.writelines(csv_row((ensemble.time, self.replica, i, *row))
+                              for i, row in enumerate(ensemble.states))
 
     def close(self):
         self._file.close()
@@ -254,10 +260,8 @@ class CouplingReport:
         return float(self.mse[int(np.argmin(np.abs(self.times - t)))])
 
     def write_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("time,n,replicas,mse\n")
-            for t, m in zip(self.times, self.mse):
-                fh.write(f"{float(t)!r},{self.n},{self.replicas},{float(m)!r}\n")
+        write_csv(path, "time,n,replicas,mse",
+                  ((t, self.n, self.replicas, m) for t, m in zip(self.times, self.mse)))
 
 
 def ou_reference(lam: float, kappa: float, m0: float, v0: float) -> GaussianReference:

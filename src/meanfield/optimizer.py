@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ensemble, RngStream, weighted_mean
+from .core import Ensemble, RngStream, weighted_mean, write_csv
 from .errors import StepError
 
 
@@ -52,10 +52,7 @@ class CboResult:
     def write_trajectory_csv(self, path):
         dim = self.consensus_trajectory.shape[1]
         cols = ",".join(f"v{k}" for k in range(dim))
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"step,{cols}\n")
-            for k, row in enumerate(self.consensus_trajectory):
-                fh.write(f"{k}," + ",".join(repr(float(x)) for x in row) + "\n")
+        write_csv(path, f"step,{cols}", ((k, *row) for k, row in enumerate(self.consensus_trajectory)))
 
 
 def _cbo_init(cfg: CboConfig, rng: RngStream) -> np.ndarray:
@@ -111,6 +108,24 @@ def cbo_minimize(cfg: CboConfig, rng: RngStream) -> CboResult:
                      objective_at_consensus=g_cons, consensus_trajectory=trajectory)
 
 
+def spd_matrix(name: str, mat) -> np.ndarray:
+    """``mat`` as a 2-D float array. Raises ValueError naming ``name`` unless
+    it is a numeric, symmetric, positive definite (Cholesky) matrix."""
+    try:
+        arr = np.atleast_2d(np.asarray(mat, dtype=float))
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must be a numeric matrix: {err}") from err
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if not np.allclose(arr, arr.T):
+        raise ValueError(f"{name} must be symmetric")
+    try:
+        np.linalg.cholesky(arr)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"{name} must be positive definite") from err
+    return arr
+
+
 @dataclass
 class EksConfig:
     """Ensemble Kalman sampler configuration for y = G(x) + noise.
@@ -132,16 +147,9 @@ class EksConfig:
     forward_jacobian: callable | None = None
 
     def __post_init__(self):
-        self.Gamma = np.atleast_2d(np.asarray(self.Gamma, dtype=float))
-        self.Gamma0 = np.atleast_2d(np.asarray(self.Gamma0, dtype=float))
+        self.Gamma = spd_matrix("Gamma", self.Gamma)
+        self.Gamma0 = spd_matrix("Gamma0", self.Gamma0)
         self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        for name, mat in (("Gamma", self.Gamma), ("Gamma0", self.Gamma0)):
-            if not np.allclose(mat, mat.T):
-                raise ValueError(f"{name} must be symmetric")
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError as err:
-                raise ValueError(f"{name} must be positive definite") from err
 
     def apply_forward(self, states: np.ndarray) -> np.ndarray:
         if callable(self.forward):

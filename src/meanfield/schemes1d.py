@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, write_csv
 
 
 def heaviside(z):
@@ -132,10 +132,7 @@ def write_cdf_checkpoints_csv(cdfs, path):
         raise ValueError("no checkpoints to write")
     n = cdfs[0].n
     header = "time," + ",".join(f"sorted_sample_{k}" for k in range(n))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for cdf in cdfs:
-            fh.write(f"{cdf.time!r}," + ",".join(repr(float(y)) for y in cdf.samples) + "\n")
+    write_csv(path, header, ((cdf.time, *cdf.samples) for cdf in cdfs))
 
 
 def l1_cdf_error(v: StepCdf, v_exact, grid) -> float:

@@ -289,6 +289,18 @@ class TestBirdSimulate:
         _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 1, 0.5), RngStream(42))
         assert log.proposed == 0
 
+    def test_event_log_csv_times_parse(self, tmp_path):
+        # Bird's event times come off the numpy time grid; the CSV must
+        # still hold plain numbers, not np.float64(...)
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        e0 = Ensemble(RngStream(43).normal((20, 2)))
+        _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 0.3, 0.1), RngStream(44))
+        path = tmp_path / "events.csv"
+        log.write_csv(path)
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == len(log.events) > 0
+        assert [float(row.split(",")[0]) for row in rows] == [e.time for e in log.events]
+
 
 class TestNanbu:
     def test_zero_rate_identity(self):

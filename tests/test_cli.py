@@ -74,6 +74,39 @@ class TestValidate:
         }
         assert any("init" in v for v in validate(cfg))
 
+    def test_eks_non_numeric_covariance_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            "kind": "eks", "seed": 1, "n_list": [50],
+            "params": {"G": [[1.0, 0.0], [0.0, 1.0]], "y": [0.0, 0.0],
+                       "Gamma": "abc", "Gamma0": [[1.0, 0.0], [1.0]]},
+        })
+        violations = validate(json.loads(cfg.read_text()))
+        assert any(v.startswith("params.Gamma: Gamma must be a numeric matrix") for v in violations)
+        assert any(v.startswith("params.Gamma0: Gamma0 must be a numeric matrix") for v in violations)
+        assert main(["validate", str(cfg)]) == 2
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+
+    def test_kuramoto_non_object_case_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            "kind": "kuramoto_sweep", "seed": 1, "n_list": [20],
+            "time": {"t0": 0.0, "t_end": 1.0, "dt": 0.1},
+            "params": {"cases": [{"coupling": 2.0, "init": "uniform"}, 3]},
+        })
+        assert validate(json.loads(cfg.read_text())) == ["params.cases[1]: must be an object, got 3"]
+        assert main(["validate", str(cfg)]) == 2
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"kind": ["eks"], "seed": 1, "n_list": [10]},
+        {"kind": "kuramoto_sweep", "seed": 1, "n_list": [20],
+         "time": {"t0": 0.0, "t_end": 1.0, "dt": 0.1}, "params": {"cases": 3}},
+    ])
+    def test_malformed_structure_is_a_violation(self, tmp_path, payload):
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert validate(payload)
+        assert main(["validate", str(cfg)]) == 2
+
 
 class TestRun:
     def test_malformed_config_exit_2_no_artifacts(self, tmp_path):

@@ -124,6 +124,22 @@ class TestSimulate:
             simulate(bad, Ensemble(np.array([0.0])), grid, RngStream(0))
         assert err.value.step == 3
 
+    def test_snapshot_writer_closes_when_simulate_raises(self, tmp_path):
+        def explodes_after_half(states, mu):
+            return np.full_like(states, np.nan) if mu.ensemble.time > 0.5 else np.zeros_like(states)
+
+        bad = McKeanModel(drift=explodes_after_half, diffusion=lambda s, mu: 0.0, dim=1)
+        path = tmp_path / "snap.csv"
+        with pytest.raises(StepError):
+            with SnapshotWriter(path) as writer:
+                simulate(bad, Ensemble(np.array([0.0, 1.0])), TimeGrid(0, 1, 0.25), RngStream(0),
+                         observers=[writer])
+        assert writer._file.closed
+        # the header and the rows observed before the failure reached the file
+        lines = path.read_text().splitlines()
+        assert lines[0] == "time,replica,particle,coord0"
+        assert lines[1:] == [f"{t},0,{i},{x}" for t in (0.0, 0.25, 0.5, 0.75) for i, x in enumerate((0.0, 1.0))]
+
 
 class TestOuReference:
     def test_mean_decay(self):

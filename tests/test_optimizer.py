@@ -203,6 +203,8 @@ class TestEks:
             self._config(Gamma=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             self._config(Gamma0=np.array([[1.0, 0.3], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="square"):
+            self._config(Gamma=np.ones((2, 3)))
 
 
 class TestMatrixSqrt:
