@@ -26,34 +26,31 @@ class CollisionModel:
     """Semi-parametric collision specification.
 
     ``lam(z1, z2)`` is the symmetric pair collision rate, bounded by
-    ``Lambda``; ``psi1/psi2`` map (z1, z2, theta) to the post-collisional
-    states; ``theta_sampler(rng)`` draws theta from the reference law
-    q0 * nu. For semi-parametric models ``q(z1, z2, theta)`` reweights the
-    parameter draw and must satisfy q <= M q0. Leaving ``q`` as None means
-    q == q0 identically (plain parametric model). ``free_flow(states, dt)``
-    is the optional per-particle flow applied between collisions.
+    ``Lambda``; ``psi_pair(z1, z2, theta)`` returns the post-collisional
+    pair (z1', z2'); ``theta_sampler(rng)`` draws theta from the reference
+    law q0 * nu. For semi-parametric models ``q(z1, z2, theta)`` reweights
+    the parameter draw and must satisfy q <= M q0. Leaving ``q`` as None
+    means q == q0 identically (plain parametric model). ``free_flow(states,
+    dt)`` is the optional per-particle flow applied between collisions.
     """
 
     lam: callable
     Lambda: float
-    psi1: callable
-    psi2: callable
+    psi_pair: callable
     theta_sampler: callable
     q: callable | None = None
     q0: callable | None = None
     M: float = 1.0
     free_flow: callable | None = None
-    psi_pair: callable | None = None
     event_filter: callable | None = None
     name: str = ""
 
-    def __post_init__(self):
-        if self.psi_pair is None:
-            p1, p2 = self.psi1, self.psi2
-            self.psi_pair = lambda z1, z2, theta: (p1(z1, z2, theta), p2(z1, z2, theta))
-
     def accept_ratio(self, z1, z2, theta) -> float:
-        ratio = self.lam(z1, z2) / self.Lambda
+        return self._ratio(self.lam(z1, z2), z1, z2, theta)
+
+    def _ratio(self, lam, z1, z2, theta) -> float:
+        """accept_ratio for an already evaluated rate lam = lam(z1, z2)."""
+        ratio = lam / self.Lambda
         if self.q is not None:
             ratio *= self.q(z1, z2, theta) / (self.M * self.q0(theta))
         elif self.M != 1.0:
@@ -143,32 +140,56 @@ class CellGrid:
         return np.ravel_multi_index(idx.T, self._shape)
 
 
-def _pair_deltas(z1, z2, z1p, z2p):
-    dp = (z1p + z2p) - (z1 + z2)
-    de = float(z1p @ z1p + z2p @ z2p - z1 @ z1 - z2 @ z2)
-    return dp, de
-
-
 def _apply_free_flow(model, states, dt):
     if model.free_flow is None or dt == 0.0:
         return states
     return np.asarray(model.free_flow(states, dt), dtype=float)
 
 
-def _check_ratio(ratio):
+def _other_index(rng: RngStream, n: int, i) -> int:
+    """Uniform index in range(n) other than i."""
+    j = int(rng.integers(n - 1))
+    return j + 1 if j >= i else j
+
+
+def _draw_pair(rng: RngStream, n: int) -> tuple[int, int]:
+    """Uniform unordered pair of distinct indices in range(n), smaller first."""
+    i = int(rng.integers(n))
+    j = _other_index(rng, n, i)
+    return (i, j) if i < j else (j, i)
+
+
+def _accept(model: CollisionModel, rng: RngStream, z1, z2):
+    """Draw theta ~ q0 nu, then u, and accept on u < lam q / (Lambda M q0)
+    unless the event filter vetoes it. Returns (accepted, theta, lam(z1, z2))."""
+    theta = model.theta_sampler(rng)
+    u = rng.uniform()
+    lam = model.lam(z1, z2)
+    ratio = model._ratio(lam, z1, z2, theta)
     if ratio > 1.0 + 1e-9:
         raise BoundViolation(
             f"acceptance ratio {ratio:g} > 1: the declared Lambda or M does not bound the model"
         )
+    if not u < ratio:
+        return False, theta, lam
+    if model.event_filter is not None and not model.event_filter(z1, z2, theta):
+        warnings.warn("collision rejected by the model's event filter", stacklevel=3)
+        return False, theta, lam
+    return True, theta, lam
 
 
-def _vetoed(model, z1, z2, theta) -> bool:
-    if model.event_filter is None:
-        return False
-    if model.event_filter(z1, z2, theta):
-        return False
-    warnings.warn("collision rejected by the model's event filter", stacklevel=3)
-    return True
+def _collide(model: CollisionModel, states, i: int, j: int, theta, accepted: bool, t) -> CollisionEvent:
+    """Apply an accepted collision to rows i, j of ``states`` in place; return
+    the event with the pair's state-sum and squared-norm-sum deltas."""
+    if accepted:
+        z1, z2 = states[i], states[j]
+        z1p, z2p = model.psi_pair(z1, z2, theta)
+        dp = (z1p + z2p) - (z1 + z2)
+        de = float(z1p @ z1p + z2p @ z2p - z1 @ z1 - z2 @ z2)
+        states[i], states[j] = z1p, z2p
+    else:
+        dp, de = np.zeros(states.shape[1]), 0.0
+    return CollisionEvent(t, i, j, accepted, theta, dp, de)
 
 
 def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream,
@@ -198,23 +219,9 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
             break
         states = _apply_free_flow(model, states, tau)
         t += tau
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        i, j = (i, j) if i < j else (j, i)
-        theta = model.theta_sampler(rng)
-        eta = rng.uniform()
-        ratio = model.accept_ratio(states[i], states[j], theta)
-        _check_ratio(ratio)
-        accepted = eta < ratio and not _vetoed(model, states[i], states[j], theta)
-        if accepted:
-            z1p, z2p = model.psi_pair(states[i], states[j], theta)
-            dp, de = _pair_deltas(states[i], states[j], z1p, z2p)
-            states[i], states[j] = z1p, z2p
-        else:
-            dp, de = np.zeros(states.shape[1]), 0.0
-        log.record(CollisionEvent(t, i, j, accepted, theta, dp, de))
+        i, j = _draw_pair(rng, n)
+        accepted, theta, _ = _accept(model, rng, states[i], states[j])
+        log.record(_collide(model, states, i, j, theta, accepted, t))
     return Ensemble(states, horizon), log
 
 
@@ -253,29 +260,13 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
             t_c = t_k
             stall = 0
             while t_c <= t_k1:
-                a = int(cell_stream.integers(n_g))
-                b = int(cell_stream.integers(n_g - 1))
-                if b >= a:
-                    b += 1
-                i, j = int(members[min(a, b)]), int(members[max(a, b)])
-                theta = model.theta_sampler(cell_stream)
-                eta = cell_stream.uniform()
-                lam_val = model.lam(states[i], states[j])
-                ratio = model.accept_ratio(states[i], states[j], theta)
-                _check_ratio(ratio)
-                accepted = eta < ratio and not _vetoed(model, states[i], states[j], theta)
+                a, b = _draw_pair(cell_stream, n_g)
+                i, j = int(members[a]), int(members[b])
+                accepted, theta, lam = _accept(model, cell_stream, states[i], states[j])
+                step_events.append(_collide(model, states, i, j, theta, accepted, t_c))
                 if accepted:
-                    z1p, z2p = model.psi_pair(states[i], states[j], theta)
-                    dp, de = _pair_deltas(states[i], states[j], z1p, z2p)
-                    states[i], states[j] = z1p, z2p
-                    step_events.append(CollisionEvent(t_c, i, j, True, theta, dp, de))
-                    t_c += 1.0 / (n_g * (n_g - 1) / 2.0 * lam_val / n * inv_volume)
-                    stall = 0
-                else:
-                    step_events.append(
-                        CollisionEvent(t_c, i, j, False, theta, np.zeros(states.shape[1]), 0.0)
-                    )
-                    stall += 1
+                    t_c += 1.0 / (n_g * (n_g - 1) / 2.0 * lam / n * inv_volume)
+                stall = 0 if accepted else stall + 1
                 if stall >= _REJECTION_STALL_FACTOR:
                     warnings.warn(
                         f"cell {cell_id}: {stall} consecutive fictitious collisions, "
@@ -292,9 +283,13 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
 def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, rng: RngStream) -> Ensemble:
     """One-sided collisions: per step each particle independently collides
     with probability min(1, Lambda M dt) against a uniform partner, runs
-    the usual accept-reject, and updates only itself through psi1."""
+    the usual accept-reject, and updates only itself, to the first state
+    of psi_pair."""
     if dt <= 0 or steps < 1:
         raise ValueError("need dt > 0 and steps >= 1")
+    n = e0.n
+    if n < 2:
+        raise ValueError("need at least two particles")
     p_collide = model.Lambda * model.M * dt
     if p_collide > 1.0:
         warnings.warn(
@@ -302,7 +297,6 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
         )
         p_collide = 1.0
     states = e0.states.copy()
-    n = states.shape[0]
     t = e0.time
     for _ in range(steps):
         states = _apply_free_flow(model, states, dt)
@@ -310,14 +304,10 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
         hits = rng.uniform(n) < p_collide
         new_states = states.copy()
         for i in np.flatnonzero(hits):
-            j = int(rng.integers(n - 1))
-            if j >= i:
-                j += 1
-            theta = model.theta_sampler(rng)
-            ratio = model.accept_ratio(states[i], states[j], theta)
-            _check_ratio(ratio)
-            if rng.uniform() < ratio and not _vetoed(model, states[i], states[j], theta):
-                new_states[i] = model.psi1(states[i], states[j], theta)
+            j = _other_index(rng, n, i)
+            accepted, theta, _ = _accept(model, rng, states[i], states[j])
+            if accepted:
+                new_states[i] = model.psi_pair(states[i], states[j], theta)[0]
         states = new_states
     return Ensemble(states, t)
 
@@ -411,10 +401,7 @@ def maxwell_cutoff_model(sigma_density, d: int = 3, table_size: int = 4096) -> C
         return _elastic_pair(z1, z2, sigma_dir)
 
     return CollisionModel(
-        lam=lam, Lambda=total,
-        psi1=lambda z1, z2, th: psi_pair(z1, z2, th)[0],
-        psi2=lambda z1, z2, th: psi_pair(z1, z2, th)[1],
-        theta_sampler=theta_sampler, psi_pair=psi_pair, name="maxwell-cutoff",
+        lam=lam, Lambda=total, psi_pair=psi_pair, theta_sampler=theta_sampler, name="maxwell-cutoff",
     )
 
 
@@ -431,13 +418,8 @@ def hard_sphere_model(Lambda_cap: float, d: int = 3) -> CollisionModel:
     def lam(z1, z2):
         return min(float(np.linalg.norm(z1 - z2)), Lambda_cap)
 
-    def psi_pair(z1, z2, theta):
-        return _elastic_pair(z1, z2, theta)
-
     return CollisionModel(
-        lam=lam, Lambda=Lambda_cap,
-        psi1=lambda z1, z2, th: psi_pair(z1, z2, th)[0],
-        psi2=lambda z1, z2, th: psi_pair(z1, z2, th)[1],
+        lam=lam, Lambda=Lambda_cap, psi_pair=_elastic_pair,
         theta_sampler=lambda rng: _uniform_direction(d, rng),
         name="hard-sphere-cutoff",
     )
@@ -455,16 +437,12 @@ def wealth_model(coef_sampler) -> CollisionModel:
     def lam(z1, z2):
         return 0.0 if np.array_equal(z1, z2) else 1.0
 
-    def psi1(z1, z2, theta):
-        L, R, _, _ = theta
-        return L * z1 + R * z2
-
-    def psi2(z1, z2, theta):
-        _, _, Lt, Rt = theta
-        return Lt * z2 + Rt * z1
+    def psi_pair(z1, z2, theta):
+        L, R, Lt, Rt = theta
+        return L * z1 + R * z2, Lt * z2 + Rt * z1
 
     return CollisionModel(
-        lam=lam, Lambda=1.0, psi1=psi1, psi2=psi2,
+        lam=lam, Lambda=1.0, psi_pair=psi_pair,
         theta_sampler=lambda rng: tuple(float(c) for c in coef_sampler(rng)),
         event_filter=lambda z1, z2, theta: min(theta) >= 0.0,
         name="wealth-exchange",
@@ -540,7 +518,8 @@ def probe_model_symmetry(model: CollisionModel, state_sampler, rng: RngStream,
                         for _ in range(draws)])
         rev = np.array([np.concatenate(model.psi_pair(z2, z1, model.theta_sampler(rng))[::-1])
                         for _ in range(draws)])
-        # per-coordinate two-sample CDF distance between (psi1, psi2) and swapped (psi2, psi1)
+        # per-coordinate two-sample CDF distance between psi_pair(z1, z2) and the
+        # swapped psi_pair(z2, z1) with its two outputs exchanged
         for k in range(fwd.shape[1]):
             a, b = np.sort(fwd[:, k]), np.sort(rev[:, k])
             pooled = np.concatenate([a, b])

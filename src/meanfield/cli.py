@@ -84,17 +84,17 @@ def validate(config: dict) -> list[str]:
         v.append("params: must be an object")
         params = {}
     if kind == "eks":
-        for name in ("Gamma", "Gamma0"):
-            mat = params.get(name)
-            if mat is None:
+        for name in ("Gamma", "Gamma0", "G", "y"):
+            if params.get(name) is None:
                 v.append(f"params.{name}: required")
                 continue
             try:
-                spd_matrix(name, mat)
-            except ValueError as err:
+                if name in ("G", "y"):
+                    np.asarray(params[name], dtype=float)
+                else:
+                    spd_matrix(name, params[name])
+            except (TypeError, ValueError) as err:
                 v.append(f"params.{name}: {err}")
-        if "G" not in params or "y" not in params:
-            v.append("params: eks needs G and y")
     if kind == "cmc":
         steps, burn_in = params.get("steps", _CMC_STEPS), params.get("burn_in", _CMC_BURN_IN)
         if isinstance(steps, int) and isinstance(burn_in, int) and not 0 <= burn_in < steps:
@@ -109,21 +109,40 @@ def validate(config: dict) -> list[str]:
         for i, case in enumerate(cases):
             if not isinstance(case, dict):
                 v.append(f"params.cases[{i}]: must be an object, got {case!r}")
-            elif case.get("init") not in ("concentrated", "uniform"):
+                continue
+            if not _is_real(case.get("coupling")):
+                v.append(f"params.cases[{i}].coupling: must be a number, got {case.get('coupling')!r}")
+            if case.get("init") not in ("concentrated", "uniform"):
                 v.append(f"params.cases[{i}].init: must be 'concentrated' or 'uniform'")
+    # a threshold name with no summary entry is left to the run, which fails that check
+    thresholds = config.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        v.append(f"thresholds: must be an object, got {type(thresholds).__name__}")
+    else:
+        v.extend(f"thresholds.{name}: must be an object with any of min, max (numbers) and "
+                 f"range (two numbers), got {bound!r}"
+                 for name, bound in thresholds.items() if not _is_bound(bound))
     return v
 
 
-def _map_replicas(fn, count: int, threads: int) -> list:
-    """Evaluate fn(0..count-1), optionally on a thread pool. Each replica
-    derives its own substream from its index, so results do not depend on
-    scheduling and are reduced in index order."""
-    if threads <= 1:
-        return [fn(r) for r in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+
+def _is_bound(bound) -> bool:
+    if not isinstance(bound, dict) or not set(bound) <= {"min", "max", "range"}:
+        return False
+    span = bound.get("range", [0.0, 0.0])
+    return (isinstance(span, list) and len(span) == 2
+            and all(_is_real(x) for x in (*span, bound.get("min", 0.0), bound.get("max", 0.0))))
+
+
+def _map_replicas(fn, count: int, threads: int) -> list:
+    """Evaluate fn(0..count-1) one after another, in index order. Each
+    replica derives its own substream from its index. The replica loops
+    hold the GIL, so a thread pool only added time; ``threads`` is unused."""
+    # threads stays in the signature: perfbench/tracer.py wraps this function by it
+    return [fn(r) for r in range(count)]
 
 
 def _jsonable(obj):
@@ -499,7 +518,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="validate and execute a config")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=1, help="replica-level parallelism cap")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; replicas run one after another in index order")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_val = sub.add_parser("validate", help="schema-check a config without running it")
     p_val.add_argument("config")

@@ -30,7 +30,7 @@ def zero_rate_counting_model():
     """Lambda = 1 proposes events, lam = 0 must reject every one of them;
     an accepted collision would add 1 to both states."""
     return CollisionModel(lam=lambda a, b: 0.0, Lambda=1.0,
-                          psi1=lambda a, b, t: a + 1.0, psi2=lambda a, b, t: b + 1.0,
+                          psi_pair=lambda a, b, t: (a + 1.0, b + 1.0),
                           theta_sampler=lambda rng: None)
 
 
@@ -42,7 +42,7 @@ def transport_only_model():
         return out
 
     return CollisionModel(lam=lambda a, b: 0.0, Lambda=0.0,
-                          psi1=lambda a, b, t: a, psi2=lambda a, b, t: b,
+                          psi_pair=lambda a, b, t: (a, b),
                           theta_sampler=lambda rng: None, free_flow=flow)
 
 
@@ -174,7 +174,7 @@ class TestExactSimulate:
 
     def test_bound_violation_detected(self):
         lying = CollisionModel(lam=lambda a, b: 2.0, Lambda=1.0,
-                               psi1=lambda a, b, t: a, psi2=lambda a, b, t: b,
+                               psi_pair=lambda a, b, t: (a, b),
                                theta_sampler=lambda rng: None)
         with pytest.raises(BoundViolation):
             exact_simulate(lying, Ensemble(np.zeros((4, 1))), 5.0, RngStream(31))
@@ -235,7 +235,7 @@ class TestBirdSimulate:
         # N_G = 2, lam = 1, N = 2, delta = 1, one step of length 10:
         # counter rate is 1/2 per unit time, so about 5 accepted events
         flat = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0,
-                              psi1=lambda a, b, t: a, psi2=lambda a, b, t: b,
+                              psi_pair=lambda a, b, t: (a, b),
                               theta_sampler=lambda rng: None)
         e0 = Ensemble(np.array([[0.0], [1.0]]))
         _, log = bird_simulate(flat, CellGrid.single_cell(), e0, TimeGrid(0, 10, 10), RngStream(38))
@@ -272,7 +272,8 @@ class TestBirdSimulate:
             out[1] += 1.0
             return out
 
-        model = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0, psi1=psi1, psi2=psi2,
+        model = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0,
+                               psi_pair=lambda a, b, t: (psi1(a, b, t), psi2(a, b, t)),
                                theta_sampler=lambda rng: None, free_flow=flow)
         grid = CellGrid(lo=np.array([0.0]), hi=np.array([2.0]), delta=1.0,
                         position=lambda states: states[:, :1])
@@ -305,7 +306,7 @@ class TestBirdSimulate:
 class TestNanbu:
     def test_zero_rate_identity(self):
         model = CollisionModel(lam=lambda a, b: 0.0, Lambda=0.0,
-                               psi1=lambda a, b, t: a, psi2=lambda a, b, t: b,
+                               psi_pair=lambda a, b, t: (a, b),
                                theta_sampler=lambda rng: None)
         e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
         final = nanbu_simulate(model, e0, 0.1, 10, RngStream(43))
@@ -318,10 +319,11 @@ class TestNanbu:
         assert np.array_equal(final.states, e0.states)
 
     def test_collision_rate_per_particle(self):
-        # psi1 increments a counter coordinate: after T = 1 at unit rate the
-        # mean count per particle approaches Lambda = 1 (Bernoulli -> Poisson)
+        # psi_pair's first state increments a counter coordinate: after T = 1
+        # at unit rate the mean count per particle approaches Lambda = 1
+        # (Bernoulli -> Poisson)
         model = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0,
-                               psi1=lambda a, b, t: a + 1.0, psi2=lambda a, b, t: b,
+                               psi_pair=lambda a, b, t: (a + 1.0, b),
                                theta_sampler=lambda rng: None)
         n = 2000
         final = nanbu_simulate(model, Ensemble(np.zeros(n)), 0.01, 100, RngStream(44))
@@ -345,6 +347,61 @@ class TestNanbu:
         e0 = Ensemble(RngStream(46).normal((10, 2)))
         with pytest.warns(UserWarning, match="clipped"):
             nanbu_simulate(model, e0, 1.5, 1, RngStream(47))
+
+
+class TestSemiParametric:
+    def test_accept_ratio_applies_q_over_m_q0(self):
+        model = CollisionModel(lam=lambda a, b: 0.5, Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=lambda rng: 0.25,
+                               q=lambda a, b, t: 4.0 * t, q0=lambda t: 0.8, M=1.25)
+        # 0.5 * (4 * 0.25) / (1.25 * 0.8) = 0.5
+        assert model.accept_ratio(np.zeros(1), np.ones(1), 0.25) == pytest.approx(0.5)
+        assert model.accept_ratio(np.zeros(1), np.ones(1), 0.125) == pytest.approx(0.25)
+
+    def test_accept_ratio_without_q_divides_by_m(self):
+        model = CollisionModel(lam=lambda a, b: 0.6, Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=lambda rng: None, M=2.0)
+        assert model.accept_ratio(np.zeros(1), np.ones(1), None) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("simulate", [
+        lambda m, e0, rng: exact_simulate(m, e0, 5.0, rng),
+        lambda m, e0, rng: bird_simulate(m, CellGrid.single_cell(), e0, TimeGrid(0, 1, 0.5), rng),
+        lambda m, e0, rng: nanbu_simulate(m, e0, 0.5, 2, rng),
+    ], ids=["exact", "bird", "nanbu"])
+    def test_q_above_m_q0_is_a_bound_violation(self, simulate):
+        # q = 3 > M q0 = 2: the acceptance ratio is 1.5
+        model = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=lambda rng: None,
+                               q=lambda a, b, t: 3.0, q0=lambda t: 1.0, M=2.0)
+        with pytest.raises(BoundViolation, match="does not bound"):
+            simulate(model, Ensemble(np.arange(4.0)), RngStream(53))
+
+
+class TestProposalStep:
+    def counting_model(self):
+        calls = []
+
+        def lam(a, b):
+            calls.append(1)
+            return 0.5
+
+        model = CollisionModel(lam=lam, Lambda=1.0, psi_pair=lambda a, b, t: (a + 1.0, b + 1.0),
+                               theta_sampler=lambda rng: None)
+        return model, calls
+
+    def test_one_rate_evaluation_per_proposal(self):
+        e0 = Ensemble(np.arange(6.0))
+        model, calls = self.counting_model()
+        _, log = exact_simulate(model, e0, 2.0, RngStream(54))
+        assert len(calls) == log.proposed > 0
+        model, calls = self.counting_model()
+        _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 1, 0.5), RngStream(55))
+        assert len(calls) == log.proposed > log.accepted > 0
+
+    def test_nanbu_needs_two_particles(self):
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        with pytest.raises(ValueError, match="need at least two particles"):
+            nanbu_simulate(model, Ensemble(np.zeros((1, 2))), 0.5, 1, RngStream(56))
 
 
 class TestWealthModel:

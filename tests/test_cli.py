@@ -108,6 +108,42 @@ class TestValidate:
         assert main(["validate", str(cfg)]) == 2
 
 
+    @pytest.mark.parametrize("thresholds, field", [
+        ({"slope": 0.5}, "thresholds.slope:"),
+        (["slope"], "thresholds:"),
+        ({"slope": {"range": [1]}}, "thresholds.slope:"),
+        ({"slope": {"min": "a"}}, "thresholds.slope:"),
+        ({"slope": {"maximum": 1.0}}, "thresholds.slope:"),
+    ])
+    def test_threshold_shape_exit_2(self, tmp_path, thresholds, field):
+        payload = coupling_config(thresholds=thresholds)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert [v for v in validate(payload) if v.startswith("thresholds")][0].startswith(field)
+        assert main(["validate", str(cfg)]) == 2
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"kind": "kuramoto_sweep", "seed": 1, "n_list": [20],
+          "time": {"t0": 0.0, "t_end": 1.0, "dt": 0.1},
+          "params": {"cases": [{"init": "uniform"}]}}, "params.cases[0].coupling:"),
+        ({"kind": "eks", "seed": 1, "n_list": [50],
+          "params": {"G": "abc", "y": [0.0, 0.0],
+                     "Gamma": [[1.0, 0.0], [0.0, 1.0]], "Gamma0": [[1.0, 0.0], [0.0, 1.0]]}},
+         "params.G:"),
+        ({"kind": "eks", "seed": 1, "n_list": [50],
+          "params": {"G": [[1.0, 0.0], [0.0, 1.0]], "y": [0.0, [1.0]],
+                     "Gamma": [[1.0, 0.0], [0.0, 1.0]], "Gamma0": [[1.0, 0.0], [0.0, 1.0]]}},
+         "params.y:"),
+    ])
+    def test_runner_fields_exit_2(self, tmp_path, payload, field):
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith(field)
+        assert main(["validate", str(cfg)]) == 2
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+
+
 class TestRun:
     def test_malformed_config_exit_2_no_artifacts(self, tmp_path):
         bad = tmp_path / "bad.json"
