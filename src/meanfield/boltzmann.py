@@ -67,7 +67,6 @@ class CollisionEvent:
     i: int
     j: int
     accepted: bool
-    theta: object
     dp: np.ndarray
     de: float
 
@@ -189,7 +188,7 @@ def _collide(model: CollisionModel, states, i: int, j: int, theta, accepted: boo
         states[i], states[j] = z1p, z2p
     else:
         dp, de = np.zeros(states.shape[1]), 0.0
-    return CollisionEvent(t, i, j, accepted, theta, dp, de)
+    return CollisionEvent(t, i, j, accepted, dp, de)
 
 
 def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream,

@@ -444,19 +444,13 @@ def _run_kuramoto_sweep(config, out: Path, threads: int) -> dict:
     cases_out = []
     rows = []
     for c_idx, case in enumerate(p.get("cases", [])):
-        model = kuramoto_model(case["coupling"])
-        case_stream = base.substream(c_idx)
-
-        def run_seed(k):
-            s = case_stream.substream(k)
-            if case["init"] == "concentrated":
-                theta0 = np.zeros((n, 1))
-            else:
-                theta0 = s.substream(0).uniform((n, 1)) * 2.0 * math.pi
-            final = simulate(model, Ensemble(theta0), grid, s.substream(1))
-            return kuramoto_order_parameter(final.states[:, 0])
-
-        r_vals = _map_replicas(run_seed, seeds, threads)
+        streams = [base.substream(c_idx).substream(k) for k in range(seeds)]
+        if case["init"] == "concentrated":
+            theta0 = np.zeros((seeds, n, 1))
+        else:
+            theta0 = np.stack([s.substream(0).uniform((n, 1)) * 2.0 * math.pi for s in streams])
+        final = simulate(kuramoto_model(case["coupling"]), theta0, grid, [s.substream(1) for s in streams])
+        r_vals = [kuramoto_order_parameter(theta[:, 0]) for theta in final]
         for k, r in enumerate(r_vals):
             rows.append((c_idx, float(case["coupling"]), case["init"], k, float(r)))
         cases_out.append({

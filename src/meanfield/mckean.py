@@ -66,7 +66,7 @@ def _raise_non_finite(what, arr, batched, first_replica, step, time):
                     step=step, time=time)
 
 
-def _em_update(model, states, mu, dt, xi, time, step=None, first_replica=0, system=""):
+def _em_update(model, states, mu, dt, xi, time, step, first_replica=0, system=""):
     """One explicit Euler-Maruyama update against a frozen measure, for an
     (n, d) ensemble or an (R, n, d) batch whose first replica has index
     ``first_replica``.
@@ -86,42 +86,53 @@ def _em_update(model, states, mu, dt, xi, time, step=None, first_replica=0, syst
     return new
 
 
+def _em_loop(model, x, t, grid, streams, first=0, observers=()):
+    """The one Euler-Maruyama loop, from states ``x`` at time ``t`` over
+    ``grid``: one (n, d) ensemble seen through ``Ensemble.measure()``, or an
+    (R, n, d) batch with first replica ``first``; row r draws from ``streams[r]``."""
+    noise = _noise_steps(streams, x.shape[-2:], grid.steps)
+    for k, (h, xi) in enumerate(zip(grid.step_durations(), noise)):
+        mu = EmpiricalMeasure(x) if x.ndim == 3 else Ensemble(x, t).measure()
+        x = _em_update(model, x, mu, h, xi.reshape(x.shape), t, step=k, first_replica=first)
+        t += h
+        for obs in observers:
+            obs(Ensemble(x, t), k + 1)
+    return x, t
+
+
 def step_em(model: McKeanModel, ensemble: Ensemble, dt: float, rng: RngStream) -> Ensemble:
     """Advance an ensemble by one explicit Euler-Maruyama step.
 
     x^i <- x^i + b(x^i, mu) dt + sigma(x^i, mu) sqrt(dt) xi^i with iid
     standard gaussian xi^i; mu is the pre-step empirical measure for every
-    particle.
+    particle. This is ``simulate`` over the one-step grid [0, dt].
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if model.dim != ensemble.dim:
-        raise ValueError(f"model dim {model.dim} != ensemble dim {ensemble.dim}")
-    mu = ensemble.measure()
-    xi = rng.normal((ensemble.n, ensemble.dim))
-    new_states = _em_update(model, ensemble.states, mu, dt, xi, ensemble.time)
-    return Ensemble(new_states, ensemble.time + dt)
+    return simulate(model, ensemble, TimeGrid(0.0, dt, dt), rng)
 
 
-def simulate(model: McKeanModel, e0: Ensemble, grid: TimeGrid, rng: RngStream, observers=()) -> Ensemble:
-    """Run step_em over a time grid, invoking observers after every step.
-
-    Observers are callables ``obs(ensemble, step_index)``; they also see the
-    initial state with step_index 0. A StepError from any step is re-raised
-    with the step index attached.
-    """
-    ensemble = e0.copy()
-    for obs in observers:
-        obs(ensemble, 0)
-    for k, h in enumerate(grid.step_durations()):
-        try:
-            ensemble = step_em(model, ensemble, h, rng)
-        except StepError as err:
-            raise StepError(str(err.args[0]).split(" | ")[0], replica=err.replica,
-                            particle=err.particle, step=k, time=err.time) from err
+def simulate(model: McKeanModel, e0: Ensemble | np.ndarray, grid: TimeGrid, rng, observers=()):
+    """Advance one Ensemble, run from ``e0.time`` with its stream ``rng`` and
+    seen by observers ``obs(ensemble, step_index)`` at step 0 and after each
+    step; or an (R, n, d) array with a list of R streams, run from ``grid.t0``
+    in batches of ``_batch_width`` replicas, row r depending on ``rng[r]``
+    only. A StepError names its step, particle and, in a batch, replica."""
+    if isinstance(e0, Ensemble):
+        if model.dim != e0.dim:
+            raise ValueError(f"model dim {model.dim} != ensemble dim {e0.dim}")
         for obs in observers:
-            obs(ensemble, k + 1)
-    return ensemble
+            obs(e0.copy(), 0)
+        return Ensemble(*_em_loop(model, e0.states, e0.time, grid, [rng], observers=observers))
+    states = np.asarray(e0, dtype=float)
+    if states.ndim != 3 or states.shape[2] != model.dim or len(rng) != len(states) or observers:
+        raise ValueError(f"need (R, n, {model.dim}) states, one stream per replica and no observers")
+    final = np.empty_like(states)
+    width = _batch_width(states.shape[1], model.dim, model.pairwise)
+    for first in range(0, len(states), width):
+        batch = slice(first, first + width)
+        final[batch], _ = _em_loop(model, states[batch], grid.t0, grid, rng[batch], first)
+    return final
 
 
 class MomentTracker:
@@ -287,8 +298,8 @@ def mean_field_ou_model(lam: float, kappa: float) -> McKeanModel:
     )
 
 
-# The coupling engine advances replicas in batches whose per-step arrays
-# hold at most _BATCH_FLOATS floats (64 KB): (Rb, n, d) states, or the
+# simulate and the coupling engine advance replicas in batches whose per-step
+# arrays hold at most _BATCH_FLOATS floats (64 KB): (Rb, n, d) states, or the
 # (Rb, n, m, d) temporaries of a pairwise model. A replica too large for
 # that runs alone, as it would without batching. Noise is drawn for several
 # steps at once, in blocks of at most _NOISE_FLOATS floats (256 KB).
@@ -481,8 +492,9 @@ def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None,
         theta = states[..., 0]
         if disorder is not None and theta.shape[-1] != disorder.shape[0]:
             raise ValueError("ensemble size differs from the quenched disorder draw")
-        z = np.mean(np.exp(1j * theta), axis=-1, keepdims=True)
-        align = -coupling * np.imag(np.exp(1j * theta) * np.conj(z))
+        phase = np.exp(1j * theta)
+        z = np.mean(phase, axis=-1, keepdims=True)
+        align = -coupling * np.imag(phase * np.conj(z))
         if disorder is not None:
             align = align + disorder
         return align[..., None]

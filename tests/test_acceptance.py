@@ -233,21 +233,14 @@ def test_criterion_09_kuramoto_phase_transition():
     """Order parameter: high above the critical coupling, low below."""
     n = 500
     grid = TimeGrid(0.0, 20.0, 0.01)
-    hi = lo = 0
-    r_hi, r_lo = [], []
-    for k in range(20):
-        s = RngStream(2718, k)
-        strong = kuramoto_model(2.0)
-        final = simulate(strong, Ensemble(np.zeros((n, 1))), grid, s.substream(1))
-        r = kuramoto_order_parameter(final.states[:, 0])
-        r_hi.append(r)
-        hi += r >= 0.8
-        weak = kuramoto_model(0.2)
-        theta0 = s.substream(2).uniform((n, 1)) * 2.0 * math.pi
-        final2 = simulate(weak, Ensemble(theta0), grid, s.substream(3))
-        r2 = kuramoto_order_parameter(final2.states[:, 0])
-        r_lo.append(r2)
-        lo += r2 <= 0.3
+    streams = [RngStream(2718, k) for k in range(20)]
+    final = simulate(kuramoto_model(2.0), np.zeros((20, n, 1)), grid, [s.substream(1) for s in streams])
+    r_hi = [kuramoto_order_parameter(theta[:, 0]) for theta in final]
+    theta0 = np.stack([s.substream(2).uniform((n, 1)) * 2.0 * math.pi for s in streams])
+    final2 = simulate(kuramoto_model(0.2), theta0, grid, [s.substream(3) for s in streams])
+    r_lo = [kuramoto_order_parameter(theta[:, 0]) for theta in final2]
+    hi = sum(r >= 0.8 for r in r_hi)
+    lo = sum(r <= 0.3 for r in r_lo)
     ok = hi >= 18 and lo >= 18
     assert report(9, ok, f"r >= 0.8 at K=2 in {hi}/20 (median {np.median(r_hi):.3f}); "
                          f"r <= 0.3 at K=0.2 in {lo}/20 (median {np.median(r_lo):.3f})")

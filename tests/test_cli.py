@@ -1,10 +1,14 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meanfield.cli import main, run, validate
+from meanfield.core import Ensemble, RngStream, TimeGrid
+from meanfield.mckean import kuramoto_model, simulate
+from meanfield.metrics import kuramoto_order_parameter
 
 
 def write_config(path: Path, payload: dict) -> Path:
@@ -307,6 +311,29 @@ class TestExperimentKinds:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cases"][0]["r_median"] > summary["cases"][1]["r_median"]
         assert (out / "kuramoto_r.csv").exists()
+
+    def test_kuramoto_r_column_equals_lone_per_seed_runs(self, tmp_path):
+        # the sweep runs each case's seeds as one batch; seed k of case c
+        # must still give the r of a lone run on substream k of substream c
+        cases = [{"coupling": 2.0, "init": "concentrated"}, {"coupling": 0.5, "init": "uniform"}]
+        cfg = write_config(tmp_path / "c.json", {
+            "kind": "kuramoto_sweep", "seed": 19, "n_list": [30],
+            "time": {"t0": 0.0, "t_end": 0.5, "dt": 0.05},
+            "params": {"seeds": 3, "cases": cases},
+        })
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == 0
+        lines = (out / "kuramoto_r.csv").read_text().splitlines()
+        grid = TimeGrid(0.0, 0.5, 0.05)
+        expected = []
+        for c, case in enumerate(cases):
+            for k in range(3):
+                s = RngStream(19).substream(c).substream(k)
+                theta0 = (np.zeros((30, 1)) if case["init"] == "concentrated"
+                          else s.substream(0).uniform((30, 1)) * 2.0 * math.pi)
+                final = simulate(kuramoto_model(case["coupling"]), Ensemble(theta0), grid, s.substream(1))
+                expected.append(repr(kuramoto_order_parameter(final.states[:, 0])))
+        assert [line.split(",")[-1] for line in lines[1:]] == expected
 
 
 class TestMain:

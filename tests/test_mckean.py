@@ -11,6 +11,7 @@ from meanfield.mckean import (
     MomentTracker,
     SnapshotWriter,
     SurrogateReference,
+    _batch_width,
     coupling_mse_rows,
     coupling_replica_mse,
     cucker_smale_model,
@@ -139,6 +140,69 @@ class TestSimulate:
         lines = path.read_text().splitlines()
         assert lines[0] == "time,replica,particle,coord0"
         assert lines[1:] == [f"{t},0,{i},{x}" for t in (0.0, 0.25, 0.5, 0.75) for i, x in enumerate((0.0, 1.0))]
+
+
+class TestSimulateBatch:
+    """simulate on an (R, n, d) batch advances ``_batch_width`` replicas at a
+    time; each row must equal a lone run of its replica on its own stream."""
+
+    @staticmethod
+    def _rows_equal_lone_runs(model, states, grid, stream):
+        # stream(r) builds a fresh stream for replica r, so the lone run of a
+        # replica draws the same increments as its row of the batch
+        final = simulate(model, states, grid, [stream(r) for r in range(len(states))])
+        assert final.shape == states.shape
+        for r in range(len(states)):
+            lone = simulate(model, Ensemble(states[r]), grid, stream(r))
+            assert np.array_equal(final[r], lone.states), r
+
+    def test_kuramoto_rows_equal_lone_runs_across_a_batch_boundary(self):
+        # n = 700: 11 replicas per batch, so 15 replicas span two batches
+        assert _batch_width(700, 1, False) == 11
+        root = RngStream(31)
+        states = np.stack([root.substream(r).uniform((700, 1)) * 2.0 * math.pi for r in range(15)])
+        self._rows_equal_lone_runs(kuramoto_model(1.5), states, TimeGrid(0, 0.2, 0.01),
+                                   lambda r: root.substream(100 + r))
+
+    def test_pairwise_rows_equal_lone_runs_across_a_batch_boundary(self):
+        # 20 particles in R^2 with 20 x 20 pairwise differences: 10 per batch
+        model = cucker_smale_model(1.0, 0.5, d=1)
+        assert _batch_width(20, model.dim, model.pairwise) == 10
+        root = RngStream(32)
+        self._rows_equal_lone_runs(model, root.substream(0).normal((12, 20, 2)), TimeGrid(0, 0.1, 0.01),
+                                   lambda r: root.substream(1 + r))
+
+    def test_non_finite_drift_in_the_second_batch_names_replica_particle_and_step(self):
+        # every particle moves up by 0.25 per step; only particle 4 of replica
+        # 13 starts at 0.3 and passes 1 at step 3, where the drift is nan.
+        # With 11 replicas per batch, replica 13 sits in the second batch.
+        states = np.zeros((15, 700, 1))
+        states[13, 4] = 0.3
+        model = McKeanModel(drift=lambda s, mu: np.where(s > 1.0, np.nan, 1.0),
+                            diffusion=lambda s, mu: 0.0, dim=1)
+        streams = [RngStream(33, r) for r in range(15)]
+        with pytest.raises(StepError, match="non-finite drift") as err:
+            simulate(model, states, TimeGrid(0, 1, 0.25), streams)
+        assert (err.value.replica, err.value.particle, err.value.step) == (13, 4, 3)
+        assert "replica=13 | particle=4 | step=3" in str(err.value)
+
+    def test_step_em_equals_the_one_step_simulate(self):
+        model = mean_field_ou_model(1.0, 2.0)
+        e0 = Ensemble(RngStream(34).normal((50, 1)), time=0.7)
+        for dt in (0.01, 0.37):
+            one = step_em(model, e0, dt, RngStream(35))
+            ref = simulate(model, e0, TimeGrid(0.0, dt, dt), RngStream(35))
+            # the explicit update with unit diffusion, written out
+            drift = model.drift(e0.states, e0.measure())
+            by_hand = e0.states + drift * dt + RngStream(35).normal((50, 1)) * math.sqrt(dt)
+            assert np.array_equal(one.states, ref.states)
+            assert np.array_equal(one.states, by_hand)
+            assert one.time == ref.time == 0.7 + dt
+
+    def test_a_batch_needs_one_stream_per_replica(self):
+        states = np.zeros((3, 5, 1))
+        with pytest.raises(ValueError, match="one stream per replica"):
+            simulate(_still(), states, TimeGrid(0, 1, 0.5), [RngStream(36)])
 
 
 class TestOuReference:
