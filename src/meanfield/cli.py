@@ -67,9 +67,6 @@ def validate(config: dict) -> list[str]:
             v.append("n_list: must be strictly ascending")
         elif kind in _SWEEP_KINDS and len(n_list) < 3:
             v.append("n_list: rate-fitting experiments need at least 3 sizes")
-    replicas = config.get("replicas", 1)
-    if not isinstance(replicas, int) or replicas < 1:
-        v.append("replicas: must be a positive integer")
     time = config.get("time")
     if kind in ("coupling_rate", "dsmc_compare", "bossy_talay", "kuramoto_sweep"):
         if not isinstance(time, dict):
@@ -83,6 +80,10 @@ def validate(config: dict) -> list[str]:
     if not isinstance(params, dict):
         v.append("params: must be an object")
         params = {}
+    seeds = params.get("seeds", 1) if kind in ("cbo", "kuramoto_sweep") else 1
+    for name, count in (("replicas", config.get("replicas", 1)), ("params.seeds", seeds)):
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            v.append(f"{name}: must be a positive integer, got {count!r}")
     if kind == "eks":
         for name in ("Gamma", "Gamma0", "G", "y"):
             if params.get(name) is None:

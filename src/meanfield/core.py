@@ -162,6 +162,21 @@ def kernel_convolve(mu: EmpiricalMeasure, kernel, x) -> np.ndarray:
     return values.mean(axis=0)
 
 
+# pair_mean keeps each block of (..., rows, m, d) pairs at or below
+# _PAIR_FLOATS floats (128 KB), with at least one row per block.
+_PAIR_FLOATS = 16384
+
+
+def pair_mean(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(1/m) sum_j fn(x^i, y^j) for each row of x (..., n, d) against the
+    y (..., m, d) of its replica; ``fn`` takes broadcast (..., rows, 1, d)
+    and (..., 1, m, d) blocks. Each row's mean is the one of the dense
+    (..., n, m, d) formula, bit for bit."""
+    rows = max(1, _PAIR_FLOATS // (x.size // x.shape[-2] * y.shape[-2]))
+    blocks = (fn(x[..., lo:lo + rows, None, :], y[..., None, :, :]) for lo in range(0, x.shape[-2], rows))
+    return np.concatenate([np.asarray(b, dtype=float).mean(axis=-2) for b in blocks], axis=-2)
+
+
 def weighted_mean(ensemble: Ensemble, w=None, log_w=None) -> np.ndarray:
     """Weighted average of particle positions.
 

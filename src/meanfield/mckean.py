@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid, csv_row, write_csv
+from .core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid, csv_row, pair_mean, write_csv
 from .errors import ModelSpecError, StepError, UnsupportedReference
 
 
@@ -31,9 +31,9 @@ class McKeanModel:
     own measure only. ``drift(states, mu)`` returns a (..., n, d) array.
     ``diffusion(states, mu)`` may return a scalar (isotropic), a (..., n)
     array (per-particle scalar), a (..., n, d) array (per-particle
-    diagonal) or a (..., n, d, d) array of full matrices. ``pairwise``
-    marks coefficients that build (..., n, m, d) arrays of pairwise
-    differences; the coupling engine then batches fewer replicas.
+    diagonal) or a (..., n, d, d) array of full matrices. A pairwise
+    interaction reduces through ``core.pair_mean``, whose blocks bound its
+    memory whatever the batch.
     """
 
     drift: callable
@@ -41,7 +41,6 @@ class McKeanModel:
     dim: int
     family: str = ""
     params: dict = field(default_factory=dict)
-    pairwise: bool = False
 
 
 def _apply_diffusion(sigma, xi):
@@ -128,7 +127,7 @@ def simulate(model: McKeanModel, e0: Ensemble | np.ndarray, grid: TimeGrid, rng,
     if states.ndim != 3 or states.shape[2] != model.dim or len(rng) != len(states) or observers:
         raise ValueError(f"need (R, n, {model.dim}) states, one stream per replica and no observers")
     final = np.empty_like(states)
-    width = _batch_width(states.shape[1], model.dim, model.pairwise)
+    width = _batch_width(states.shape[1], model.dim)
     for first in range(0, len(states), width):
         batch = slice(first, first + width)
         final[batch], _ = _em_loop(model, states[batch], grid.t0, grid, rng[batch], first)
@@ -298,19 +297,18 @@ def mean_field_ou_model(lam: float, kappa: float) -> McKeanModel:
     )
 
 
-# simulate and the coupling engine advance replicas in batches whose per-step
-# arrays hold at most _BATCH_FLOATS floats (64 KB): (Rb, n, d) states, or the
-# (Rb, n, m, d) temporaries of a pairwise model. A replica too large for
+# simulate and the coupling engine advance replicas in batches whose (Rb, n, d)
+# states hold at most _BATCH_FLOATS floats (64 KB); pairwise temporaries are
+# bounded by core.pair_mean's blocks instead. A replica too large for
 # that runs alone, as it would without batching. Noise is drawn for several
 # steps at once, in blocks of at most _NOISE_FLOATS floats (256 KB).
 _BATCH_FLOATS = 8192
 _NOISE_FLOATS = 32768
 
 
-def _batch_width(particles: int, dim: int, pairwise: bool) -> int:
+def _batch_width(particles: int, dim: int) -> int:
     """Replicas per batch for ensembles of ``particles`` points in R^dim."""
-    per_replica = particles * dim * (particles if pairwise else 1)
-    return max(1, _BATCH_FLOATS // per_replica)
+    return max(1, _BATCH_FLOATS // (particles * dim))
 
 
 def _noise_steps(streams, shape, steps):
@@ -385,11 +383,11 @@ def coupling_mse_rows(
     the measure their coefficients see differs (empirical vs reference).
     Replicas advance in batches whose per-step arrays hold at most
     ``_BATCH_FLOATS`` floats (a surrogate reference sizes them by its
-    ``factor * n`` particles, a pairwise model by its pairwise arrays); a
-    row depends on its own stream only, never on the batch.
+    ``factor * n`` particles); a row depends on its own stream only, never
+    on the batch.
     """
     rows = np.empty((len(streams), grid.steps + 1))
-    width = _batch_width(n if ref.exact else ref.factor * n, model.dim, model.pairwise)
+    width = _batch_width(n if ref.exact else ref.factor * n, model.dim)
     for first in range(0, len(streams), width):
         _coupling_batch(model, ref, n, grid, streams[first:first + width], first,
                         rows[first:first + width])
@@ -458,8 +456,7 @@ def gradient_system_model(
             return _per_ensemble(grad_W_conv, states, mu.points)
     else:
         def interaction(states, mu):
-            diffs = states[..., :, None, :] - mu.points[..., None, :, :]
-            return np.asarray(grad_W(diffs), dtype=float).mean(axis=-2)
+            return pair_mean(lambda x, y: grad_W(x - y), states, mu.points)
 
     def drift(states, mu):
         return -np.asarray(grad_V(states), dtype=float) - interaction(states, mu)
@@ -469,7 +466,6 @@ def gradient_system_model(
         diffusion=lambda states, mu: float(sigma_const),
         dim=dim,
         family="gradient-system",
-        pairwise=grad_W_conv is None,
     )
 
 
@@ -516,13 +512,12 @@ def cucker_smale_model(gamma: float, sigma_const: float, d: int = 1) -> McKeanMo
     if d < 1:
         raise ModelSpecError("d must be >= 1")
 
+    def align(x, y):
+        k = (1.0 + np.sum((y[..., :d] - x[..., :d]) ** 2, axis=-1)) ** (-gamma / 2.0)
+        return k[..., None] * (y[..., d:] - x[..., d:])
+
     def drift(states, mu):
-        pos, vel = states[..., :d], states[..., d:]
-        mpos, mvel = mu.points[..., :d], mu.points[..., d:]
-        r2 = np.sum((mpos[..., None, :, :] - pos[..., :, None, :]) ** 2, axis=-1)
-        k = (1.0 + r2) ** (-gamma / 2.0)
-        dv = (k[..., None] * (mvel[..., None, :, :] - vel[..., :, None, :])).mean(axis=-2)
-        return np.concatenate([vel, dv], axis=-1)
+        return np.concatenate([states[..., d:], pair_mean(align, states, mu.points)], axis=-1)
 
     def diffusion(states, mu):
         sig = np.zeros(states.shape)
@@ -530,7 +525,7 @@ def cucker_smale_model(gamma: float, sigma_const: float, d: int = 1) -> McKeanMo
         return sig
 
     return McKeanModel(drift=drift, diffusion=diffusion, dim=2 * d, family="cucker-smale",
-                       params={"gamma": gamma, "sigma": sigma_const, "d": d}, pairwise=True)
+                       params={"gamma": gamma, "sigma": sigma_const, "d": d})
 
 
 def regularized_coulomb_model(xi_strength: float, eps: float, sigma_const: float, d: int = 2) -> McKeanModel:
@@ -550,9 +545,7 @@ def regularized_coulomb_model(xi_strength: float, eps: float, sigma_const: float
         return xi_strength * diffs / np.maximum(norms, eps)[..., None] ** d
 
     def drift(states, mu):
-        diffs = states[..., :, None, :] - mu.points[..., None, :, :]
-        return force(diffs).mean(axis=-2)
+        return pair_mean(lambda x, y: force(x - y), states, mu.points)
 
     return McKeanModel(drift=drift, diffusion=lambda states, mu: float(sigma_const), dim=d,
-                       family="regularized-coulomb", params={"xi": xi_strength, "eps": eps},
-                       pairwise=True)
+                       family="regularized-coulomb", params={"xi": xi_strength, "eps": eps})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, write_csv
+from .core import RngStream, pair_mean, write_csv
 
 
 def heaviside(z):
@@ -30,7 +30,7 @@ class CdfScheme:
 
     ``k1`` and ``k2`` are pairwise kernels K(x, y) vectorized over numpy
     broadcasting, or plain floats for constant kernels (the constant short
-    circuits the O(N^2) pairwise average; the value is identical).
+    circuits the N^2 kernel calls of the average; the value is identical).
     ``initial(n, rng)`` samples the starting points.
     """
 
@@ -68,10 +68,10 @@ class StepCdf:
 
 
 def _kernel_mean(kernel, ys) -> np.ndarray:
-    """mean_j kernel(Y^i, Y^j) for every i, O(N^2) unless constant."""
+    """mean_j kernel(Y^i, Y^j) for every i, in bounded blocks unless constant."""
     if not callable(kernel):
         return np.full(ys.shape, float(kernel))
-    return np.asarray(kernel(ys[:, None], ys[None, :]), dtype=float).mean(axis=1)
+    return pair_mean(kernel, ys[:, None], ys[:, None])[:, 0]
 
 
 def bossy_talay_run(scheme: CdfScheme, rng: RngStream, checkpoints=None) -> list[StepCdf]:

@@ -147,6 +147,27 @@ class TestValidate:
         assert main(["validate", str(cfg)]) == 2
         assert run(cfg, out_dir=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("count", [0, "x", 2.5, True])
+    @pytest.mark.parametrize("kind", ["kuramoto_sweep", "cbo"])
+    def test_seed_count_exit_2(self, tmp_path, kind, count):
+        payload = {"kind": kind, "seed": 1, "n_list": [20], "params": {"seeds": count}}
+        if kind == "kuramoto_sweep":
+            payload["time"] = {"t0": 0.0, "t_end": 0.1, "dt": 0.05}
+            payload["params"]["cases"] = [{"coupling": 1.0, "init": "uniform"}]
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith("params.seeds:")
+        assert main(["validate", str(cfg)]) == 2
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("count", [0, "x", 2.5, True])
+    def test_replica_count_exit_2(self, tmp_path, count):
+        payload = coupling_config(replicas=count)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert [v for v in validate(payload) if v.startswith("replicas:")]
+        assert main(["validate", str(cfg)]) == 2
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+
 
 class TestRun:
     def test_malformed_config_exit_2_no_artifacts(self, tmp_path):

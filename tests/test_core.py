@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from meanfield import core
 from meanfield.core import (
     EmpiricalMeasure,
     Ensemble,
@@ -11,6 +12,7 @@ from meanfield.core import (
     empirical_moments,
     kernel_convolve,
     make_rng,
+    pair_mean,
     weighted_mean,
 )
 from meanfield.errors import DegenerateWeights
@@ -111,6 +113,34 @@ class TestKernelConvolve:
 
         with pytest.raises(ValueError, match="index 1"):
             kernel_convolve(mu, bad, np.array([0.0]))
+
+
+class TestPairMean:
+    @pytest.mark.parametrize("x_shape, m", [
+        ((1001, 2), 1001),   # one ensemble against its own points
+        ((3, 251, 2), 400),  # a batch against a larger measure per replica
+        ((2, 40, 3), 4000),  # one row alone is over the budget
+        ((5, 7, 1), 9),      # everything fits one block
+    ])
+    def test_blocks_stay_within_the_float_budget(self, x_shape, m):
+        rng = RngStream(41)
+        x = rng.normal(x_shape)
+        y = rng.normal((*x_shape[:-2], m, x_shape[-1]))
+        blocks = []
+
+        def fn(a, b):
+            blocks.append(np.broadcast_shapes(a.shape, b.shape))
+            return np.sin(a - b)
+
+        out = pair_mean(fn, x, y)
+        n, per_row = x_shape[-2], math.prod(x_shape[:-2]) * m * x_shape[-1]
+        assert [b[:-3] + b[-2:] for b in blocks] == [(*x_shape[:-2], m, x_shape[-1])] * len(blocks)
+        assert sum(b[-3] for b in blocks) == n
+        # a block over the budget has one row; the first one is as large as
+        # the budget allows, so the reducer makes no more calls than needed
+        assert all(math.prod(b) <= core._PAIR_FLOATS or b[-3] == 1 for b in blocks)
+        assert blocks[0][-3] == n or math.prod(blocks[0]) + per_row > core._PAIR_FLOATS
+        assert np.array_equal(out, np.sin(x[..., :, None, :] - y[..., None, :, :]).mean(axis=-2))
 
 
 class TestWeightedMean:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from meanfield import core
 from meanfield.core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid
 from meanfield.errors import ModelSpecError, StepError, UnsupportedReference
 from meanfield.mckean import (
@@ -158,18 +159,18 @@ class TestSimulateBatch:
 
     def test_kuramoto_rows_equal_lone_runs_across_a_batch_boundary(self):
         # n = 700: 11 replicas per batch, so 15 replicas span two batches
-        assert _batch_width(700, 1, False) == 11
+        assert _batch_width(700, 1) == 11
         root = RngStream(31)
         states = np.stack([root.substream(r).uniform((700, 1)) * 2.0 * math.pi for r in range(15)])
         self._rows_equal_lone_runs(kuramoto_model(1.5), states, TimeGrid(0, 0.2, 0.01),
                                    lambda r: root.substream(100 + r))
 
     def test_pairwise_rows_equal_lone_runs_across_a_batch_boundary(self):
-        # 20 particles in R^2 with 20 x 20 pairwise differences: 10 per batch
+        # 300 particles in R^2: 13 replicas per batch, so 15 span two batches
         model = cucker_smale_model(1.0, 0.5, d=1)
-        assert _batch_width(20, model.dim, model.pairwise) == 10
+        assert _batch_width(300, model.dim) == 13
         root = RngStream(32)
-        self._rows_equal_lone_runs(model, root.substream(0).normal((12, 20, 2)), TimeGrid(0, 0.1, 0.01),
+        self._rows_equal_lone_runs(model, root.substream(0).normal((15, 300, 2)), TimeGrid(0, 0.1, 0.01),
                                    lambda r: root.substream(1 + r))
 
     def test_non_finite_drift_in_the_second_batch_names_replica_particle_and_step(self):
@@ -354,28 +355,52 @@ class TestReplicaBatching:
                                           rng=RngStream(24), replicas=3)
         assert (err.value.replica, err.value.particle, err.value.step) == (0, 0, 1)
 
-    def test_pairwise_models_run_one_replica_at_a_time(self):
-        # 4 * 20 surrogate particles: 80 x 80 pairwise differences fill a
-        # batch on their own, while the (R, 80, 1) states alone fit 102
-        def batch_sizes(pairwise):
-            sizes = set()
 
-            def drift(states, mu):
-                sizes.add(states.shape[0])
-                return -states
+# the (..., n, m, d) formulas the blocked pairwise drifts must reproduce
+def _dense_gradient(states, pts):
+    diffs = states[..., :, None, :] - pts[..., None, :, :]
+    return -(0.5 * states) - (diffs ** 3 - diffs).mean(axis=-2)
 
-            model = McKeanModel(drift=drift, diffusion=lambda s, mu: 1.0, dim=1, pairwise=pairwise)
-            ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=4)
-            simulate_synchronous_coupling(model, ref, 20, TimeGrid(0, 0.1, 0.05), RngStream(25), replicas=5)
-            return sizes
 
-        assert batch_sizes(pairwise=True) == {1}
-        assert batch_sizes(pairwise=False) == {5}
-        assert gradient_system_model(lambda x: x, lambda z: z ** 3, 1.0).pairwise
-        assert not gradient_system_model(lambda x: x, lambda z: z, 1.0,
-                                         grad_W_conv=lambda s, pts: s - pts.mean(axis=0)).pairwise
-        assert cucker_smale_model(1.0, 0.5).pairwise and regularized_coulomb_model(1.0, 0.1, 0.5).pairwise
-        assert not mean_field_ou_model(1.0, 1.0).pairwise and not kuramoto_model(1.5).pairwise
+def _dense_cucker_smale(states, pts, gamma=0.8, d=2):
+    pos, vel = states[..., :d], states[..., d:]
+    mpos, mvel = pts[..., :d], pts[..., d:]
+    r2 = np.sum((mpos[..., None, :, :] - pos[..., :, None, :]) ** 2, axis=-1)
+    k = (1.0 + r2) ** (-gamma / 2.0)
+    dv = (k[..., None] * (mvel[..., None, :, :] - vel[..., :, None, :])).mean(axis=-2)
+    return np.concatenate([vel, dv], axis=-1)
+
+
+def _dense_coulomb(states, pts, xi=1.5, eps=0.05, d=2):
+    diffs = states[..., :, None, :] - pts[..., None, :, :]
+    return (xi * diffs / np.maximum(np.linalg.norm(diffs, axis=-1), eps)[..., None] ** d).mean(axis=-2)
+
+
+class TestPairwiseDrifts:
+    """Each pairwise factory reduces through core.pair_mean in row blocks;
+    its drift must equal the dense (..., n, m, d) formula bit for bit."""
+
+    CASES = {
+        "gradient": (gradient_system_model(lambda x: 0.5 * x, lambda z: z ** 3 - z, 1.0, dim=2),
+                     _dense_gradient),
+        "cucker-smale": (cucker_smale_model(0.8, 0.5, d=2), _dense_cucker_smale),
+        "coulomb": (regularized_coulomb_model(1.5, 0.05, 0.5, d=2), _dense_coulomb),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_blocked_drift_equals_the_dense_formula(self, name):
+        model, dense = self.CASES[name]
+        root = RngStream(42)
+        # one ensemble against its own measure, and a batch against a larger
+        # measure per replica; both run in several blocks, the last partial
+        single = root.substream(0).normal((1001, model.dim))
+        batch, pts = root.substream(1).normal((3, 251, model.dim)), root.substream(2).normal((3, 400, model.dim))
+        for states, m in ((single, 1001), (batch, 400)):
+            n = states.shape[-2]
+            rows = core._PAIR_FLOATS // (states.size // n * m)
+            assert 1 < rows < n and n % rows
+        assert np.array_equal(model.drift(single, Ensemble(single).measure()), dense(single, single))
+        assert np.array_equal(model.drift(batch, EmpiricalMeasure(pts)), dense(batch, pts))
 
 
 class TestGradientSystem:

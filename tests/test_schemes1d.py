@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from meanfield import core
 from meanfield.core import RngStream
 from meanfield.metrics import fit_rate
 from meanfield.schemes1d import (
     CdfScheme,
     StepCdf,
+    _kernel_mean,
     bossy_talay_run,
     burgers_scheme,
     heaviside,
@@ -117,6 +119,17 @@ class TestBurgersScheme:
         drift = np.asarray([(heaviside(y - ys)).mean() for y in ys])
         assert np.allclose(drift, np.arange(1, 21) / 20.0)
         assert np.all(np.diff(drift) >= 0)
+
+
+    def test_blocked_kernel_mean_equals_the_dense_formula(self):
+        # rounded positions tie often, so H(0) = 1 is exercised; 1001 rows
+        # run in several row blocks, the last one partial
+        ys = np.round(RngStream(120).normal(1001), 1)
+        rows = core._PAIR_FLOATS // ys.size
+        assert 1 < rows < ys.size and ys.size % rows
+        k1 = burgers_scheme(0.0, initial=None, n=1, dt=0.1, T=0.1).k1
+        dense = np.asarray(k1(ys[:, None], ys[None, :]), dtype=float).mean(axis=1)
+        assert np.array_equal(_kernel_mean(k1, ys), dense)
 
 
 class TestSmoothedDensity:
