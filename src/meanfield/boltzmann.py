@@ -58,7 +58,7 @@ class CollisionModel:
         return ratio
 
 
-@dataclass
+@dataclass(slots=True)
 class CollisionEvent:
     """One proposed collision: accepted events carry the conserved-quantity
     deltas (state-sum and squared-norm-sum over the touched pair)."""
@@ -184,7 +184,7 @@ def _collide(model: CollisionModel, states, i: int, j: int, theta, accepted: boo
         z1, z2 = states[i], states[j]
         z1p, z2p = model.psi_pair(z1, z2, theta)
         dp = (z1p + z2p) - (z1 + z2)
-        de = float(z1p @ z1p + z2p @ z2p - z1 @ z1 - z2 @ z2)
+        de = float(z1p.dot(z1p) + z2p.dot(z2p) - z1.dot(z1) - z2.dot(z2))
         states[i], states[j] = z1p, z2p
     else:
         dp, de = np.zeros(states.shape[1]), 0.0
@@ -216,7 +216,8 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
         if t + tau > horizon:
             states = _apply_free_flow(model, states, horizon - t)
             break
-        states = _apply_free_flow(model, states, tau)
+        if model.free_flow is not None:
+            states = _apply_free_flow(model, states, tau)
         t += tau
         i, j = _draw_pair(rng, n)
         accepted, theta, _ = _accept(model, rng, states[i], states[j])
@@ -321,42 +322,43 @@ def _uniform_direction(k: int, rng: RngStream) -> np.ndarray:
         return np.array([1.0 if rng.uniform() < 0.5 else -1.0])
     while True:
         g = rng.normal(k)
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g.dot(g))
         if norm > 1e-12:
             return g / norm
-
-
-def _rotate_from_pole(pole_coords: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Apply the Householder map sending the first basis vector onto
-    ``axis`` (an orthonormal-frame construction; the identity is the
-    deterministic tie-break when the axis already sits at the pole)."""
-    d = axis.shape[0]
-    u = np.zeros(d)
-    u[0] = 1.0
-    u -= axis
-    nrm2 = u @ u
-    if nrm2 < 1e-24:
-        return pole_coords
-    return pole_coords - (2.0 * (u @ pole_coords) / nrm2) * u
 
 
 def scattering_direction(rel_velocity: np.ndarray, deflection: float, azimuth: np.ndarray) -> np.ndarray:
     """Unit vector at angle ``deflection`` from the relative-velocity axis,
     with the azimuthal part given by a uniform direction in the orthogonal
     complement."""
-    d = rel_velocity.shape[0]
-    norm = np.linalg.norm(rel_velocity)
-    axis = rel_velocity / norm if norm > 0 else np.eye(d)[0]
-    pole = np.empty(d)
+    return _scattering_direction(rel_velocity, math.sqrt(rel_velocity.dot(rel_velocity)), deflection, azimuth)
+
+
+def _scattering_direction(rel_velocity, speed, deflection, azimuth):
+    """scattering_direction for speed = |rel_velocity|: the Householder map sending e_1 onto the
+    axis, applied to the pole coordinates (the identity when the axis is e_1 or speed is 0)."""
+    pole = np.empty(rel_velocity.shape[0])
     pole[0] = math.cos(deflection)
     pole[1:] = math.sin(deflection) * azimuth
-    return _rotate_from_pole(pole, axis)
+    if not speed > 0:
+        return pole
+    axis = rel_velocity / speed
+    u = 0.0 - axis  # e_1 - axis element by element: -axis would give -0.0 for a zero
+    u[0] = 1.0 - axis[0]
+    nrm2 = u.dot(u)
+    if nrm2 < 1e-24:
+        return pole
+    return pole - (2.0 * u.dot(pole) / nrm2) * u
 
 
-def _elastic_pair(v, v_star, sigma_dir):
+def _elastic_pair(v, v_star, sigma_dir, speed=None):
+    """(v + v*)/2 +- (|v - v*|/2) sigma; ``speed`` is |v - v*| if already known."""
+    if speed is None:
+        rel = v - v_star
+        speed = math.sqrt(rel.dot(rel))
     mid = (v + v_star) / 2.0
-    half = np.linalg.norm(v - v_star) / 2.0
-    return mid + half * sigma_dir, mid - half * sigma_dir
+    step = speed / 2.0 * sigma_dir
+    return mid + step, mid - step
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +388,8 @@ def maxwell_cutoff_model(sigma_density, d: int = 3, table_size: int = 4096) -> C
     cdf /= cdf[-1]
 
     def lam(z1, z2):
-        return 0.0 if np.array_equal(z1, z2) else total
+        # exact equality of Python floats: np.array_equal's answer, NaN and -0.0 included
+        return 0.0 if z1.tolist() == z2.tolist() else total
 
     def theta_sampler(rng):
         deflection = float(np.interp(rng.uniform(), cdf, angles))
@@ -394,10 +397,11 @@ def maxwell_cutoff_model(sigma_density, d: int = 3, table_size: int = 4096) -> C
 
     def psi_pair(z1, z2, theta):
         deflection, azimuth = theta
-        if np.array_equal(z1, z2):
+        if z1.tolist() == z2.tolist():
             return z1.copy(), z2.copy()
-        sigma_dir = scattering_direction(z1 - z2, deflection, azimuth)
-        return _elastic_pair(z1, z2, sigma_dir)
+        rel = z1 - z2
+        speed = math.sqrt(rel.dot(rel))
+        return _elastic_pair(z1, z2, _scattering_direction(rel, speed, deflection, azimuth), speed)
 
     return CollisionModel(
         lam=lam, Lambda=total, psi_pair=psi_pair, theta_sampler=theta_sampler, name="maxwell-cutoff",
@@ -415,7 +419,8 @@ def hard_sphere_model(Lambda_cap: float, d: int = 3) -> CollisionModel:
         raise ValueError("d must be >= 1")
 
     def lam(z1, z2):
-        return min(float(np.linalg.norm(z1 - z2)), Lambda_cap)
+        rel = z1 - z2
+        return min(math.sqrt(rel.dot(rel)), Lambda_cap)
 
     return CollisionModel(
         lam=lam, Lambda=Lambda_cap, psi_pair=_elastic_pair,
@@ -434,7 +439,7 @@ def wealth_model(coef_sampler) -> CollisionModel:
     """
 
     def lam(z1, z2):
-        return 0.0 if np.array_equal(z1, z2) else 1.0
+        return 0.0 if z1.tolist() == z2.tolist() else 1.0
 
     def psi_pair(z1, z2, theta):
         L, R, Lt, Rt = theta

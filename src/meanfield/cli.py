@@ -37,8 +37,6 @@ from .boltzmann import CellGrid, bird_simulate, exact_simulate, maxwell_cutoff_m
 from .optimizer import CboConfig, EksConfig, cbo_minimize, eks_sample, posterior_gaussian_oracle, spd_matrix
 from .schemes1d import CdfScheme, bossy_talay_run, l1_cdf_error, write_cdf_checkpoints_csv
 
-KINDS = ("coupling_rate", "dsmc_compare", "cbo", "eks", "cmc", "bossy_talay", "kuramoto_sweep")
-
 _SWEEP_KINDS = ("coupling_rate", "bossy_talay")  # fit a rate over n_list
 
 _CMC_STEPS, _CMC_BURN_IN = 2000, 500  # cmc defaults for params.steps and params.burn_in
@@ -55,13 +53,13 @@ def validate(config: dict) -> list[str]:
         v.append(f"kind: must be one of {KINDS}, got {kind!r}")
     if "seed" not in config:
         v.append("seed: required, never auto-generated")
-    elif not isinstance(config["seed"], int):
+    elif not isinstance(config["seed"], int) or isinstance(config["seed"], bool):
         v.append("seed: must be an integer")
     n_list = config.get("n_list")
     if not isinstance(n_list, list) or not n_list:
         v.append("n_list: must be a non-empty list")
     else:
-        if any((not isinstance(n, int)) or n < 1 for n in n_list):
+        if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in n_list):
             v.append("n_list: entries must be positive integers")
         elif sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
             v.append("n_list: must be strictly ascending")
@@ -115,14 +113,17 @@ def validate(config: dict) -> list[str]:
                 v.append(f"params.cases[{i}].coupling: must be a number, got {case.get('coupling')!r}")
             if case.get("init") not in ("concentrated", "uniform"):
                 v.append(f"params.cases[{i}].init: must be 'concentrated' or 'uniform'")
-    # a threshold name with no summary entry is left to the run, which fails that check
     thresholds = config.get("thresholds", {})
     if not isinstance(thresholds, dict):
         v.append(f"thresholds: must be an object, got {type(thresholds).__name__}")
-    else:
-        v.extend(f"thresholds.{name}: must be an object with any of min, max (numbers) and "
-                 f"range (two numbers), got {bound!r}"
-                 for name, bound in thresholds.items() if not _is_bound(bound))
+        thresholds = {}
+    keys = _RUNNERS[kind][1] if kind in KINDS else None
+    for name, bound in thresholds.items():
+        if not _is_bound(bound):
+            v.append(f"thresholds.{name}: must be an object with any of min, max (numbers) and "
+                     f"range (two numbers), got {bound!r}")
+        elif keys is not None and name.split(".")[0] not in keys:
+            v.append(f"thresholds.{name}: must start with a key of the {kind} summary: {', '.join(keys)}")
     return v
 
 
@@ -467,15 +468,19 @@ def _run_kuramoto_sweep(config, out: Path, threads: int) -> dict:
     return {"kind": "kuramoto_sweep", "cases": cases_out}
 
 
+# each kind's runner and the keys of its summary, one of which starts every threshold name
 _RUNNERS = {
-    "coupling_rate": _run_coupling_rate,
-    "dsmc_compare": _run_dsmc_compare,
-    "cbo": _run_cbo,
-    "eks": _run_eks,
-    "cmc": _run_cmc,
-    "bossy_talay": _run_bossy_talay,
-    "kuramoto_sweep": _run_kuramoto_sweep,
+    "coupling_rate": (_run_coupling_rate, ("kind", "sup_mse", "slope", "intercept", "r2")),
+    "dsmc_compare": (_run_dsmc_compare, ("kind", "n", "w1_cross_mean", "w1_self_mean", "ratio")),
+    "cbo": (_run_cbo, ("kind", "objective", "seeds", "successes", "tolerance", "median_distance",
+                       "consensus", "objective_at_consensus", "trajectory_csv")),
+    "eks": (_run_eks, ("kind", "mean_error", "mean_error_in_posterior_std", "cov_frobenius_rel_error",
+                       "posterior_mean")),
+    "cmc": (_run_cmc, ("kind", "pooled_mean", "pooled_variance", "mean_accept_fraction")),
+    "bossy_talay": (_run_bossy_talay, ("kind", "errors", "slope", "r2")),
+    "kuramoto_sweep": (_run_kuramoto_sweep, ("kind", "cases")),
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run(config_path, threads: int = 1, out_dir=None) -> int:
@@ -497,7 +502,7 @@ def run(config_path, threads: int = 1, out_dir=None) -> int:
     _write_json(out / "manifest.json",
                 {"config": config, "seed": config["seed"], "tool_version": __version__})
     try:
-        summary = _RUNNERS[config["kind"]](config, out, threads)
+        summary = _RUNNERS[config["kind"]][0](config, out, threads)
     except Exception:
         traceback.print_exc()
         return 3

@@ -53,7 +53,7 @@ class RngStream:
         return self.gen.standard_normal(size)
 
     def uniform(self, size=None):
-        return self.gen.uniform(size=size)
+        return self.gen.random(size)  # Generator.uniform() is 0 + 1 * random(): the same bits
 
     def exponential(self, scale=1.0, size=None):
         return self.gen.exponential(scale, size=size)

@@ -19,7 +19,7 @@ from meanfield.boltzmann import (
     exact_simulate,
     maxwell_cutoff_model,
 )
-from meanfield.cli import run as cli_run
+from meanfield.cli import _RUNNERS, run as cli_run
 from meanfield.jump import CmcConfig, cmc_run
 from meanfield.mckean import (
     SurrogateReference,
@@ -262,46 +262,48 @@ def test_criterion_10_cmc_target_recovery():
                           f"variance {var:.4f} (within 10% of 1)")
 
 
+CRITERION_11_CONFIGS = {
+    "coupling_rate": {
+        "kind": "coupling_rate", "seed": 11, "n_list": [10, 20, 40], "replicas": 4,
+        "time": {"t0": 0.0, "t_end": 0.2, "dt": 0.01},
+        "params": {"lambda": 1.0, "kappa": 1.0, "m0": 1.0, "v0": 1.0},
+    },
+    "dsmc_compare": {
+        "kind": "dsmc_compare", "seed": 12, "n_list": [100], "replicas": 1,
+        "time": {"t0": 0.0, "t_end": 0.3, "dt": 0.1}, "params": {"pairs": 2, "d": 2},
+    },
+    "cbo": {
+        "kind": "cbo", "seed": 13, "n_list": [30],
+        "params": {"objective": "quadratic", "target": [0.5, 0.5], "dim": 2,
+                   "seeds": 2, "steps": 50, "dt": 0.02},
+    },
+    "eks": {
+        "kind": "eks", "seed": 14, "n_list": [100],
+        "params": {"G": [[1.0, 0.2], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]],
+                   "Gamma0": [[1.0, 0.0], [0.0, 1.0]], "y": [0.3, -0.2],
+                   "dt": 0.05, "steps": 50},
+    },
+    "cmc": {
+        "kind": "cmc", "seed": 15, "n_list": [50],
+        "params": {"h": 0.5, "steps": 40, "burn_in": 10},
+    },
+    "bossy_talay": {
+        "kind": "bossy_talay", "seed": 16, "n_list": [25, 50, 100], "replicas": 2,
+        "time": {"t0": 0.0, "t_end": 0.01, "dt": 1e-3}, "params": {"sigma": 1.0},
+    },
+    "kuramoto_sweep": {
+        "kind": "kuramoto_sweep", "seed": 17, "n_list": [50],
+        "time": {"t0": 0.0, "t_end": 1.0, "dt": 0.05},
+        "params": {"seeds": 2, "cases": [{"coupling": 2.0, "init": "concentrated"}]},
+    },
+}
+
+
 def test_criterion_11_determinism(tmp_path):
     """Identical config bytes and seed give byte-identical artifacts for
     every experiment kind, including with replica parallelism."""
-    configs = {
-        "coupling_rate": {
-            "kind": "coupling_rate", "seed": 11, "n_list": [10, 20, 40], "replicas": 4,
-            "time": {"t0": 0.0, "t_end": 0.2, "dt": 0.01},
-            "params": {"lambda": 1.0, "kappa": 1.0, "m0": 1.0, "v0": 1.0},
-        },
-        "dsmc_compare": {
-            "kind": "dsmc_compare", "seed": 12, "n_list": [100], "replicas": 1,
-            "time": {"t0": 0.0, "t_end": 0.3, "dt": 0.1}, "params": {"pairs": 2, "d": 2},
-        },
-        "cbo": {
-            "kind": "cbo", "seed": 13, "n_list": [30],
-            "params": {"objective": "quadratic", "target": [0.5, 0.5], "dim": 2,
-                       "seeds": 2, "steps": 50, "dt": 0.02},
-        },
-        "eks": {
-            "kind": "eks", "seed": 14, "n_list": [100],
-            "params": {"G": [[1.0, 0.2], [0.0, 1.0]], "Gamma": [[1.0, 0.0], [0.0, 1.0]],
-                       "Gamma0": [[1.0, 0.0], [0.0, 1.0]], "y": [0.3, -0.2],
-                       "dt": 0.05, "steps": 50},
-        },
-        "cmc": {
-            "kind": "cmc", "seed": 15, "n_list": [50],
-            "params": {"h": 0.5, "steps": 40, "burn_in": 10},
-        },
-        "bossy_talay": {
-            "kind": "bossy_talay", "seed": 16, "n_list": [25, 50, 100], "replicas": 2,
-            "time": {"t0": 0.0, "t_end": 0.01, "dt": 1e-3}, "params": {"sigma": 1.0},
-        },
-        "kuramoto_sweep": {
-            "kind": "kuramoto_sweep", "seed": 17, "n_list": [50],
-            "time": {"t0": 0.0, "t_end": 1.0, "dt": 0.05},
-            "params": {"seeds": 2, "cases": [{"coupling": 2.0, "init": "concentrated"}]},
-        },
-    }
     all_identical = True
-    for kind, cfg in configs.items():
+    for kind, cfg in CRITERION_11_CONFIGS.items():
         cfg_path = tmp_path / f"{kind}.json"
         cfg_path.write_text(json.dumps(cfg))
         out_a, out_b, out_c = (tmp_path / f"{kind}_{tag}" for tag in "abc")
@@ -314,3 +316,15 @@ def test_criterion_11_determinism(tmp_path):
             all_identical = all_identical and same
     assert report(11, all_identical,
                   "byte-identical artifacts across reruns and thread counts for all 7 kinds")
+
+
+def test_criterion_11_summary_keys_are_the_threshold_table(tmp_path):
+    """validate checks each threshold name against the summary keys that
+    cli._RUNNERS lists for the config's kind; the table must not drift from
+    what the runners write."""
+    for kind, cfg in CRITERION_11_CONFIGS.items():
+        cfg_path = tmp_path / f"{kind}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_run(cfg_path, out_dir=tmp_path / kind) == 0
+        summary = json.loads((tmp_path / kind / "summary.json").read_text())
+        assert sorted(set(summary) - {"checks", "pass"}) == sorted(_RUNNERS[kind][1]), kind

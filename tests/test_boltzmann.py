@@ -496,3 +496,117 @@ class TestCellGrid:
         grid = CellGrid.single_cell()
         assert np.all(grid.assign(np.ones((7, 3))) == 0)
         assert grid.cell_volume() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The dense formulas the collision geometry was first written as. The kernels
+# do the same floating-point operations with fewer temporaries and calls, so
+# seeded runs depend on them matching bit for bit.
+
+
+def dense_scattering_direction(rel_velocity, deflection, azimuth):
+    d = rel_velocity.shape[0]
+    norm = np.linalg.norm(rel_velocity)
+    axis = rel_velocity / norm if norm > 0 else np.eye(d)[0]
+    pole = np.empty(d)
+    pole[0] = math.cos(deflection)
+    pole[1:] = math.sin(deflection) * azimuth
+    u = np.zeros(d)
+    u[0] = 1.0
+    u -= axis
+    nrm2 = u @ u
+    if nrm2 < 1e-24:
+        return pole
+    return pole - (2.0 * (u @ pole) / nrm2) * u
+
+
+def dense_elastic_pair(v, v_star, sigma_dir):
+    mid = (v + v_star) / 2.0
+    half = np.linalg.norm(v - v_star) / 2.0
+    return mid + half * sigma_dir, mid - half * sigma_dir
+
+
+def dense_maxwell_psi_pair(z1, z2, theta):
+    if np.array_equal(z1, z2):
+        return z1.copy(), z2.copy()
+    return dense_elastic_pair(z1, z2, dense_scattering_direction(z1 - z2, *theta))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bit pattern; unlike np.array_equal, 0.0 and
+    -0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def edge_pairs(d, rng, count=300):
+    """Random pairs, then equal states (with both zero signs), a relative
+    velocity along the pole, a zero relative-velocity component, and
+    differences near 1e-170, whose squares underflow to zero."""
+    pairs = [(rng.normal(d), rng.normal(d)) for _ in range(count)]
+    z = rng.normal(d)
+    along = np.zeros(d)
+    along[0] = 1.5
+    zero_last = rng.normal(d)
+    zero_last[-1] = 0.0
+    pairs += [(z, z.copy()), (np.zeros(d), -np.zeros(d)), (z + along, z), (z - along, z),
+              (zero_last, np.zeros(d)), (np.zeros(d), zero_last),
+              (np.full(d, 3e-170), np.full(d, 1e-170)), (np.full(d, 1e-170), np.zeros(d))]
+    return pairs
+
+
+def fixed_thetas(d):
+    """Deflections 0, pi/2 and pi, with azimuths holding a negative and a
+    zero component."""
+    azimuths = [np.array([-1.0])] if d == 2 else [np.array([0.6, -0.8]), np.array([0.0, 1.0])]
+    return [(deflection, az) for deflection in (0.0, math.pi / 2, math.pi) for az in azimuths]
+
+
+class TestGeometryMatchesDenseFormulas:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_maxwell_lam_and_psi_pair(self, d):
+        model = maxwell_cutoff_model(uniform_deflection(2.0), d=d)
+        rng = RngStream(91, d)
+        for z1, z2 in edge_pairs(d, rng):
+            assert same_bits(model.lam(z1, z2), 0.0 if np.array_equal(z1, z2) else model.Lambda)
+            for theta in [model.theta_sampler(rng), *fixed_thetas(d)]:
+                for got, want in zip(model.psi_pair(z1, z2, theta), dense_maxwell_psi_pair(z1, z2, theta)):
+                    assert same_bits(got, want), (z1, z2, theta)
+                assert same_bits(boltzmann.scattering_direction(z1 - z2, *theta),
+                                 dense_scattering_direction(z1 - z2, *theta))
+
+    def test_hard_sphere_lam_and_psi_pair(self):
+        model = hard_sphere_model(2.0, d=3)
+        rng = RngStream(92)
+        for z1, z2 in edge_pairs(3, rng):
+            assert same_bits(model.lam(z1, z2), min(float(np.linalg.norm(z1 - z2)), 2.0))
+            sigma = model.theta_sampler(rng)
+            for got, want in zip(model.psi_pair(z1, z2, sigma), dense_elastic_pair(z1, z2, sigma)):
+                assert same_bits(got, want)
+
+    def test_wealth_lam_and_psi_pair(self):
+        model = wealth_model(lambda rng: rng.uniform(4))
+        rng = RngStream(93)
+        for z1, z2 in edge_pairs(1, rng):
+            assert same_bits(model.lam(z1, z2), 0.0 if np.array_equal(z1, z2) else 1.0)
+            L, R, Lt, Rt = theta = model.theta_sampler(rng)
+            for got, want in zip(model.psi_pair(z1, z2, theta), (L * z1 + R * z2, Lt * z2 + Rt * z1)):
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_uniform_direction(self, k):
+        for seed in range(50):
+            g = RngStream(94, seed).normal(k)
+            assert same_bits(boltzmann._uniform_direction(k, RngStream(94, seed)), g / np.linalg.norm(g))
+
+    def test_collide_deltas(self):
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        rng = RngStream(95)
+        states = rng.normal((40, 2))
+        for _ in range(300):
+            i, j = boltzmann._draw_pair(rng, 40)
+            z1, z2 = states[i].copy(), states[j].copy()
+            event = boltzmann._collide(model, states, i, j, model.theta_sampler(rng), True, 0.0)
+            z1p, z2p = states[i], states[j]
+            assert same_bits(event.de, float(z1p @ z1p + z2p @ z2p - z1 @ z1 - z2 @ z2))
+            assert same_bits(event.dp, (z1p + z2p) - (z1 + z2))

@@ -168,6 +168,41 @@ class TestValidate:
         assert main(["validate", str(cfg)]) == 2
         assert run(cfg, out_dir=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"seed": True}, "seed:"),
+        ({"seed": False}, "seed:"),
+        ({"n_list": [True, 20, 40]}, "n_list:"),
+    ])
+    def test_boolean_integer_exit_2(self, tmp_path, overrides, field):
+        # isinstance(True, int) holds: "seed": true used to run as seed 1
+        payload = coupling_config(**overrides)
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith(field)
+        assert main(["validate", str(cfg)]) == 2
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("payload, name", [
+        (coupling_config(thresholds={"slopee": {"max": 0.1}}), "slopee"),
+        (coupling_config(thresholds={"slopee.10": {"max": 0.1}}), "slopee.10"),
+        ({"kind": "cmc", "seed": 8, "n_list": [20], "params": {"steps": 30, "burn_in": 10},
+          "thresholds": {"slope": {"max": 0.1}}}, "slope"),
+    ], ids=["slopee", "dotted", "key-of-another-kind"])
+    def test_threshold_name_exit_2(self, tmp_path, capsys, payload, name):
+        # the first dotted component of a threshold name must be a key of the kind's summary
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith(f"thresholds.{name}:")
+        assert main(["validate", str(cfg)]) == 2
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert f"thresholds.{name}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threshold_names_of_summary_keys_pass(self):
+        thresholds = {"slope": {"max": 0.0}, "r2": {"min": 0.5}, "sup_mse.10": {"max": 1.0}}
+        assert validate(coupling_config(thresholds=thresholds)) == []
+
 
 class TestRun:
     def test_malformed_config_exit_2_no_artifacts(self, tmp_path):
@@ -209,9 +244,9 @@ class TestRun:
         assert summary["pass"] is False
         assert summary["checks"]["slope"]["pass"] is False
 
-    @pytest.mark.parametrize("name", ["slopee", "sup_mse"])
+    @pytest.mark.parametrize("name", ["sup_mse"])
     def test_unusable_threshold_exit_4(self, tmp_path, capsys, name):
-        # "slopee" has no summary entry; "sup_mse" is a per-N table, not a number
+        # "sup_mse" passes validate, a summary key, but it is a per-N table, not a number
         cfg = write_config(tmp_path / "cfg.json", coupling_config(thresholds={name: {"max": 0.1}}))
         out = tmp_path / "out"
         assert run(cfg, out_dir=out) == 4

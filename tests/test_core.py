@@ -51,6 +51,16 @@ class TestRngStream:
         assert np.array_equal(s5_first, r2.substream(5).normal(10))
 
 
+    @pytest.mark.parametrize("size", [None, 1, 7, (3, 4)])
+    def test_uniform_is_the_generator_uniform(self, size):
+        # Generator.uniform() is 0 + 1 * random(): same values, same words consumed
+        a, b = RngStream(31, 2), RngStream(31, 2)
+        for _ in range(3):
+            x, y = a.uniform(size), b.gen.uniform(size=size)
+            assert type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        np.testing.assert_equal(a.gen.bit_generator.state, b.gen.bit_generator.state)
+
+
 class TestEnsemble:
     def test_one_dimensional_input_reshaped(self):
         e = Ensemble(np.array([1.0, 2.0, 3.0]))
