@@ -43,7 +43,6 @@ class CollisionModel:
     M: float = 1.0
     free_flow: callable | None = None
     event_filter: callable | None = None
-    name: str = ""
 
     def accept_ratio(self, z1, z2, theta) -> float:
         return self._ratio(self.lam(z1, z2), z1, z2, theta)
@@ -365,19 +364,20 @@ def _elastic_pair(v, v_star, sigma_dir, speed=None):
 # Model factories
 
 
-def maxwell_cutoff_model(sigma_density, d: int = 3, table_size: int = 4096) -> CollisionModel:
+def maxwell_cutoff_model(sigma_density, d: int = 3) -> CollisionModel:
     """Maxwell molecules with an integrable deflection density on [0, pi].
 
     The pair rate is the constant lambda = integral of the density (zero on
     the diagonal z1 == z2, where the collision is a no-op anyway); theta is
     (deflection angle, azimuth direction) with the deflection drawn from
-    the normalized density by inverse transform and the azimuth uniform
-    around the relative-velocity axis. Post-collision velocities are
+    the normalized density by inverse transform (a trapezoid CDF on 4096
+    equally spaced angles) and the azimuth uniform around the
+    relative-velocity axis. Post-collision velocities are
     (v + v*)/2 +- (|v - v*|/2) sigma.
     """
     if d < 2:
         raise ValueError("the sphere parametrization needs d >= 2")
-    angles = np.linspace(0.0, math.pi, table_size)
+    angles = np.linspace(0.0, math.pi, 4096)
     dens = np.broadcast_to(np.asarray(sigma_density(angles), dtype=float), angles.shape)
     if np.any(dens < 0) or not np.all(np.isfinite(dens)):
         raise ValueError("deflection density must be finite and nonnegative")
@@ -403,9 +403,7 @@ def maxwell_cutoff_model(sigma_density, d: int = 3, table_size: int = 4096) -> C
         speed = math.sqrt(rel.dot(rel))
         return _elastic_pair(z1, z2, _scattering_direction(rel, speed, deflection, azimuth), speed)
 
-    return CollisionModel(
-        lam=lam, Lambda=total, psi_pair=psi_pair, theta_sampler=theta_sampler, name="maxwell-cutoff",
-    )
+    return CollisionModel(lam=lam, Lambda=total, psi_pair=psi_pair, theta_sampler=theta_sampler)
 
 
 def hard_sphere_model(Lambda_cap: float, d: int = 3) -> CollisionModel:
@@ -425,7 +423,6 @@ def hard_sphere_model(Lambda_cap: float, d: int = 3) -> CollisionModel:
     return CollisionModel(
         lam=lam, Lambda=Lambda_cap, psi_pair=_elastic_pair,
         theta_sampler=lambda rng: _uniform_direction(d, rng),
-        name="hard-sphere-cutoff",
     )
 
 
@@ -449,7 +446,6 @@ def wealth_model(coef_sampler) -> CollisionModel:
         lam=lam, Lambda=1.0, psi_pair=psi_pair,
         theta_sampler=lambda rng: tuple(float(c) for c in coef_sampler(rng)),
         event_filter=lambda z1, z2, theta: min(theta) >= 0.0,
-        name="wealth-exchange",
     )
 
 

@@ -41,6 +41,16 @@ _SWEEP_KINDS = ("coupling_rate", "bossy_talay")  # fit a rate over n_list
 
 _CMC_STEPS, _CMC_BURN_IN = 2000, 500  # cmc defaults for params.steps and params.burn_in
 
+# the integer params each kind's runner reads, with their least allowed values
+_COUNTS = {
+    "dsmc_compare": {"pairs": 1, "d": 2},
+    "cbo": {"seeds": 1, "dim": 1, "steps": 1},
+    "eks": {"steps": 1},
+    "cmc": {"steps": 1, "dim": 1, "burn_in": 0},
+    "bossy_talay": {"grid_points": 2},
+    "kuramoto_sweep": {"seeds": 1},
+}
+
 
 def validate(config: dict) -> list[str]:
     """Schema checks only; runs no simulation. Returns violation strings
@@ -59,7 +69,7 @@ def validate(config: dict) -> list[str]:
     if not isinstance(n_list, list) or not n_list:
         v.append("n_list: must be a non-empty list")
     else:
-        if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in n_list):
+        if not all(_is_count(n, 1) for n in n_list):
             v.append("n_list: entries must be positive integers")
         elif sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
             v.append("n_list: must be strictly ascending")
@@ -78,10 +88,12 @@ def validate(config: dict) -> list[str]:
     if not isinstance(params, dict):
         v.append("params: must be an object")
         params = {}
-    seeds = params.get("seeds", 1) if kind in ("cbo", "kuramoto_sweep") else 1
-    for name, count in (("replicas", config.get("replicas", 1)), ("params.seeds", seeds)):
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            v.append(f"{name}: must be a positive integer, got {count!r}")
+    lows = _COUNTS.get(kind, {}) if kind in KINDS else {}  # a list kind is unhashable
+    counts = [("replicas", config.get("replicas", 1), 1)]
+    counts += [(f"params.{name}", params[name], low) for name, low in lows.items() if name in params]
+    for name, count, low in counts:
+        if not _is_count(count, low):
+            v.append(f"{name}: must be an integer >= {low}, got {count!r}")
     if kind == "eks":
         for name in ("Gamma", "Gamma0", "G", "y"):
             if params.get(name) is None:
@@ -96,7 +108,7 @@ def validate(config: dict) -> list[str]:
                 v.append(f"params.{name}: {err}")
     if kind == "cmc":
         steps, burn_in = params.get("steps", _CMC_STEPS), params.get("burn_in", _CMC_BURN_IN)
-        if isinstance(steps, int) and isinstance(burn_in, int) and not 0 <= burn_in < steps:
+        if _is_count(steps, 1) and _is_count(burn_in, 0) and burn_in >= steps:
             v.append(f"params.burn_in: must satisfy 0 <= burn_in < steps, got {burn_in} with steps {steps}")
     if kind == "cbo" and params.get("objective") not in ("quadratic", "rastrigin", None):
         v.append("params.objective: must be 'quadratic' or 'rastrigin'")
@@ -127,6 +139,10 @@ def validate(config: dict) -> list[str]:
     return v
 
 
+def _is_count(x, low: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
@@ -147,26 +163,10 @@ def _map_replicas(fn, count: int, threads: int) -> list:
     return [fn(r) for r in range(count)]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(x) for k, x in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def _write_json(path: Path, payload: dict):
-    with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``payload``, which holds only JSON types; a value json cannot
+    encode raises before the file is created."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
 
 
 def _check_thresholds(summary: dict, thresholds: dict) -> bool:
@@ -300,7 +300,7 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
     seeds = p.get("seeds", 20)
     tol = p.get("tol", 1e-2)
     init_width = p.get("init_width", 1.0)
-    cfg_kwargs = dict(
+    cfg = CboConfig(
         objective=objective,
         alpha=p.get("alpha", 30.0),
         lambda_drift=p.get("lambda", 1.0),
@@ -315,7 +315,7 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
     base = RngStream(config["seed"])
 
     def run_seed(k):
-        result = cbo_minimize(CboConfig(**cfg_kwargs), base.substream(k))
+        result = cbo_minimize(cfg, base.substream(k))
         dist = float(np.linalg.norm(result.consensus - np.asarray(target)))
         return dist, result
 
@@ -422,10 +422,8 @@ def _run_bossy_talay(config, out: Path, threads: int) -> dict:
         errors[n] = float(np.mean(errs))
         rows.append((n, errors[n]))
     write_csv(out / "bossy_rate.csv", "n,mean_l1_error", rows)
-    # checkpoint CDFs for one representative replica at the largest size
-    largest = CdfScheme(k1=0.0, k2=sigma, n=config["n_list"][-1], dt=dt, T=t_end,
-                        initial=lambda m, rng: np.zeros(m))
-    checkpoints = bossy_talay_run(largest, base.substream(len(config["n_list"])),
+    # checkpoint CDFs for one representative replica of the last, largest scheme
+    checkpoints = bossy_talay_run(scheme, base.substream(len(config["n_list"])),
                                   checkpoints=[t_end / 2.0, t_end])
     write_cdf_checkpoints_csv(checkpoints, out / "bossy_checkpoints.csv")
     fit = fit_rate(errors)
@@ -483,31 +481,37 @@ _RUNNERS = {
 KINDS = tuple(_RUNNERS)
 
 
-def run(config_path, threads: int = 1, out_dir=None) -> int:
-    """Execute a config file; returns the process exit code."""
+def _valid_config(path, report):
+    """The config at ``path`` if it parses and validates; otherwise None,
+    after printing why it cannot be read or passing each violation to ``report``."""
     try:
-        with open(config_path) as fh:
+        with open(path) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return None
     violations = validate(config)
-    if violations:
-        for item in violations:
-            print(f"invalid config: {item}", file=sys.stderr)
-        return 2
+    for item in violations:
+        report(item)
+    return None if violations else config
 
+
+def run(config_path, threads: int = 1, out_dir=None) -> int:
+    """Execute a config file; returns the process exit code."""
+    config = _valid_config(config_path, lambda item: print(f"invalid config: {item}", file=sys.stderr))
+    if config is None:
+        return 2
     out = Path(out_dir or config.get("out_dir") or Path(config_path).with_suffix("")).absolute()
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json",
                 {"config": config, "seed": config["seed"], "tool_version": __version__})
     try:
         summary = _RUNNERS[config["kind"]][0](config, out, threads)
+        ok = _check_thresholds(summary, config.get("thresholds", {}))
+        _write_json(out / "summary.json", summary)
     except Exception:
         traceback.print_exc()
         return 3
-    ok = _check_thresholds(summary, config.get("thresholds", {}))
-    _write_json(out / "summary.json", summary)
     print(f"{config['kind']}: {'pass' if ok else 'THRESHOLD FAIL'} -> {out / 'summary.json'}")
     return 0 if ok else 4
 
@@ -526,16 +530,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-        violations = validate(config)
-        for item in violations:
-            print(item)
-        return 2 if violations else 0
+        return 0 if _valid_config(args.config, print) is not None else 2
     return run(args.config, threads=args.threads, out_dir=args.out)
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid, csv_row, pair_mean, write_csv
+from .core import (EmpiricalMeasure, Ensemble, RngStream, TimeGrid, csv_row, empirical_moments,
+                   pair_mean, write_csv)
 from .errors import ModelSpecError, StepError, UnsupportedReference
 
 
@@ -138,13 +139,15 @@ class MomentTracker:
     """Observer recording coordinate-wise p-th moments at every step."""
 
     def __init__(self, p: int = 2):
+        if p < 1:
+            raise ValueError("moment order p must be >= 1")
         self.p = p
         self.times = []
         self.values = []
 
     def __call__(self, ensemble: Ensemble, step: int):
         self.times.append(ensemble.time)
-        self.values.append(np.mean(ensemble.states ** self.p, axis=0))
+        self.values.append(empirical_moments(ensemble, self.p))
 
 
 class SnapshotWriter:
@@ -413,10 +416,7 @@ def simulate_synchronous_coupling(
         raise ValueError("need at least two particles")
     ref.check_model(model)
     rows = coupling_mse_rows(model, ref, n, grid, [rng.substream(r) for r in range(replicas)])
-    total = np.zeros(grid.steps + 1)
-    for row in rows:
-        total += row
-    return CouplingReport(times=grid.times(), mse=total / replicas, n=n, replicas=replicas)
+    return CouplingReport(times=grid.times(), mse=np.mean(rows, axis=0), n=n, replicas=replicas)
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +432,21 @@ def _per_ensemble(fn, states, points) -> np.ndarray:
 
 
 def gradient_system_model(
-    grad_V, grad_W, sigma_const: float, dim: int = 1, grad_W_conv=None, probe_rng=None
+    grad_V, grad_W, sigma_const: float, dim: int = 1, grad_W_conv=None
 ) -> McKeanModel:
     """Gradient system b(x, mu) = -grad V(x) - grad W * mu(x), sigma = const.
 
     ``grad_V`` and ``grad_W`` act row-wise on (..., d) arrays. The
-    interaction gradient must be odd; this is probed on random points at
-    construction. ``grad_W_conv(states, mu_points)``, when supplied, is a
-    closed form for the convolution grad W * mu evaluated at each state
+    interaction gradient must be odd; this is probed at construction on
+    eight points drawn from the fixed stream ``RngStream(2024, 777)``.
+    ``grad_W_conv(states, mu_points)``, when supplied, is a closed form
+    for the convolution grad W * mu evaluated at each state
     (e.g. x - mean for quadratic W), replacing the O(N^2) pairwise sum. It
     takes one (n, d) ensemble and its (m, d) support points; a batch of
     replicas is passed to it one replica at a time. The pairwise sum
     includes the self term, which vanishes for odd gradients.
     """
-    gen = (probe_rng or RngStream(2024, 777)).gen
-    probes = gen.standard_normal((8, dim)) * 3.0
+    probes = RngStream(2024, 777).gen.standard_normal((8, dim)) * 3.0
     odd_gap = np.abs(np.asarray(grad_W(probes)) + np.asarray(grad_W(-probes)))
     if np.any(odd_gap > 1e-8):
         raise ModelSpecError("grad_W fails the odd-symmetry probe; W must be symmetric")
@@ -475,7 +475,9 @@ def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None,
     The natural frequencies xi_i are quenched: drawn once at construction
     (``disorder_sampler(n, rng)``) and frozen for the model's lifetime.
     Phases live in R; reduce mod 2 pi only for reporting. The alignment sum
-    is evaluated through the complex order parameter, so each step is O(N).
+    runs over the points theta^j of the measure ``mu``, which may differ
+    from the states (a nonlinear copy reads a surrogate), and is evaluated
+    through the complex order parameter, so each step is O(N + M).
     """
     if disorder_sampler is not None:
         if n is None or rng is None:
@@ -489,7 +491,7 @@ def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None,
         if disorder is not None and theta.shape[-1] != disorder.shape[0]:
             raise ValueError("ensemble size differs from the quenched disorder draw")
         phase = np.exp(1j * theta)
-        z = np.mean(phase, axis=-1, keepdims=True)
+        z = np.mean(np.exp(1j * mu.points[..., 0]), axis=-1, keepdims=True)
         align = -coupling * np.imag(phase * np.conj(z))
         if disorder is not None:
             align = align + disorder

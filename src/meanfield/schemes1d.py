@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, pair_mean, write_csv
+from .jump import _log_mixture
 
 
 def heaviside(z):
@@ -111,17 +112,16 @@ def burgers_scheme(sigma_const: float, initial, n: int, dt: float, T: float) -> 
 
 def smoothed_density(samples, eps: float):
     """Gaussian-kernel density x -> (1/N) sum_i phi_eps(x - Y^i) with
-    phi_eps the N(0, eps^2) density. Returns a vectorized callable."""
+    phi_eps the N(0, eps^2) density. Returns a vectorized callable, which
+    evaluates the mixture in the row blocks of ``jump._log_mixture``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * eps * samples.size)
+    points = np.asarray(samples, dtype=float).reshape(-1, 1)
 
     def density(x):
         x = np.asarray(x, dtype=float)
-        sq = (np.atleast_1d(x)[:, None] - samples[None, :]) ** 2
-        vals = norm * np.exp(-sq / (2.0 * eps * eps)).sum(axis=1)
-        return vals if np.ndim(x) else float(vals[0])
+        vals = np.exp(_log_mixture(points, x.reshape(-1, 1), eps))
+        return vals.reshape(x.shape) if x.ndim else float(vals[0])
 
     return density
 

@@ -19,6 +19,7 @@ from meanfield.boltzmann import (
     exact_simulate,
     maxwell_cutoff_model,
 )
+from meanfield import cli
 from meanfield.cli import _RUNNERS, run as cli_run
 from meanfield.jump import CmcConfig, cmc_run
 from meanfield.mckean import (
@@ -318,13 +319,35 @@ def test_criterion_11_determinism(tmp_path):
                   "byte-identical artifacts across reruns and thread counts for all 7 kinds")
 
 
-def test_criterion_11_summary_keys_are_the_threshold_table(tmp_path):
+def _plain_json(value) -> bool:
+    """True if ``value`` is built of dict (str keys), list, str, int, float,
+    bool and None only, by exact type: a numpy scalar is a violation."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain_json(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+def test_criterion_11_summary_keys_are_the_threshold_table(tmp_path, monkeypatch):
     """validate checks each threshold name against the summary keys that
     cli._RUNNERS lists for the config's kind; the table must not drift from
-    what the runners write."""
+    what the runners write. manifest.json and summary.json are written as
+    given, with no conversion, so every payload, including the ``checks``
+    that a declared threshold adds, must already be plain JSON."""
+    written = []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json",
+                        lambda path, payload: (written.append((path, payload)), write_json(path, payload)))
     for kind, cfg in CRITERION_11_CONFIGS.items():
+        if kind == "coupling_rate":
+            cfg = {**cfg, "thresholds": {"slope": {"range": [-1e9, 1e9]}}}
         cfg_path = tmp_path / f"{kind}.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_run(cfg_path, out_dir=tmp_path / kind) == 0
         summary = json.loads((tmp_path / kind / "summary.json").read_text())
         assert sorted(set(summary) - {"checks", "pass"}) == sorted(_RUNNERS[kind][1]), kind
+    assert sorted(path.name for path, _ in written) == ["manifest.json"] * 7 + ["summary.json"] * 7
+    checked = [payload["checks"] for path, payload in written if payload.get("checks")]
+    assert len(checked) == 1 and checked[0]["slope"]["pass"] is True
+    assert [path for path, payload in written if not _plain_json(payload)] == []

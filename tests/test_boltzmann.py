@@ -211,6 +211,41 @@ class TestExactSimulate:
         assert log.proposed > 0 and log.accepted == 0
         assert np.array_equal(final.states, e0.states)
 
+    def test_free_flow_runs_between_proposals(self):
+        # lam = 0 rejects every proposal; the uniform translation still runs between them
+        model = CollisionModel(lam=lambda a, b: 0.0, Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=lambda rng: None, free_flow=lambda s, dt: s + dt)
+        e0 = Ensemble(RngStream(40).normal((5, 2)))
+        final, log = exact_simulate(model, e0, 3.0, RngStream(41))
+        assert log.proposed > 0 and log.accepted == 0
+        assert np.allclose(final.states, e0.states + 3.0)
+        assert final.time == pytest.approx(3.0)
+
+    def test_collisions_on_velocities_with_transport_of_positions(self):
+        # states (x, v) in R^2 x R^2: Maxwell collisions act on v, the flow moves x by v dt
+        maxwell = maxwell_cutoff_model(uniform_deflection(), d=2)
+
+        def psi_pair(z1, z2, theta):
+            v1, v2 = maxwell.psi_pair(z1[2:], z2[2:], theta)
+            return np.concatenate([z1[:2], v1]), np.concatenate([z2[:2], v2])
+
+        def flow(states, dt):
+            out = states.copy()
+            out[:, :2] += states[:, 2:] * dt
+            return out
+
+        model = CollisionModel(lam=lambda a, b: maxwell.lam(a[2:], b[2:]), Lambda=maxwell.Lambda,
+                               psi_pair=psi_pair, theta_sampler=maxwell.theta_sampler, free_flow=flow)
+        rng = RngStream(42)
+        e0 = Ensemble(rng.normal((50, 4)))
+        final, log = exact_simulate(model, e0, 1.0, rng.substream(1))
+        assert log.accepted > 0
+        report = conservation_report([(0.0, e0.states), (1.0, final.states)],
+                                     velocity=lambda s: s[:, 2:])
+        assert report.max_drift() <= 1e-8
+        assert not np.allclose(final.states[:, :2], e0.states[:, :2])
+        assert not np.allclose(final.states[:, 2:], e0.states[:, 2:])
+
 
 class TestBirdSimulate:
     def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream, monkeypatch):

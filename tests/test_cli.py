@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meanfield import cli
 from meanfield.cli import main, run, validate
 from meanfield.core import Ensemble, RngStream, TimeGrid
 from meanfield.mckean import kuramoto_model, simulate
@@ -28,6 +29,26 @@ def coupling_config(out_dir=None, **overrides):
     if out_dir is not None:
         cfg["out_dir"] = str(out_dir)
     cfg.update(overrides)
+    return cfg
+
+
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+SMALL_CONFIGS = {
+    "dsmc_compare": {"kind": "dsmc_compare", "seed": 5, "n_list": [20],
+                     "time": {"t0": 0.0, "t_end": 0.1, "dt": 0.1}, "params": {"pairs": 1, "d": 2}},
+    "cbo": {"kind": "cbo", "seed": 6, "n_list": [20], "params": {"dim": 2, "seeds": 1, "steps": 5}},
+    "eks": {"kind": "eks", "seed": 7, "n_list": [20],
+            "params": {"G": _EYE, "y": [0.0, 0.0], "Gamma": _EYE, "Gamma0": _EYE, "steps": 5}},
+    "cmc": {"kind": "cmc", "seed": 8, "n_list": [20], "params": {"steps": 20, "burn_in": 5, "dim": 1}},
+    "bossy_talay": {"kind": "bossy_talay", "seed": 9, "n_list": [10, 20, 40],
+                    "time": {"t0": 0.0, "t_end": 0.01, "dt": 1e-3}, "params": {"grid_points": 101}},
+}
+
+
+def small_config(kind, **params):
+    """A small valid config of ``kind`` with ``params`` merged into its params."""
+    cfg = json.loads(json.dumps(SMALL_CONFIGS[kind]))
+    cfg["params"].update(params)
     return cfg
 
 
@@ -199,6 +220,32 @@ class TestValidate:
         assert f"thresholds.{name}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind, name, value", [
+        ("dsmc_compare", "pairs", 0), ("dsmc_compare", "pairs", True), ("dsmc_compare", "d", 1),
+        ("cbo", "dim", 0), ("cbo", "steps", 2.5), ("eks", "steps", 0),
+        ("cmc", "steps", "x"), ("cmc", "dim", 0), ("cmc", "burn_in", "x"), ("cmc", "burn_in", -1),
+        ("bossy_talay", "grid_points", 1), ("bossy_talay", "grid_points", False),
+    ])
+    def test_integer_param_exit_2(self, tmp_path, capsys, kind, name, value):
+        # "pairs": 0 used to run and pass with NaN means; "burn_in": "x" and
+        # "grid_points": 1 reached the runners and exited 3
+        payload = small_config(kind, **{name: value})
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith(f"params.{name}:")
+        assert main(["validate", str(cfg)]) == 2
+        assert f"params.{name}:" in capsys.readouterr().out
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert f"params.{name}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("dsmc_compare", {"pairs": 1, "d": 2}), ("cbo", {"dim": 1, "steps": 1}),
+        ("eks", {"steps": 1}), ("cmc", {"dim": 1, "burn_in": 0}), ("bossy_talay", {"grid_points": 2}),
+    ])
+    def test_integer_params_at_their_least_values_pass(self, kind, params):
+        assert validate(small_config(kind, **params)) == []
+
     def test_threshold_names_of_summary_keys_pass(self):
         thresholds = {"slope": {"max": 0.0}, "r2": {"min": 0.5}, "sup_mse.10": {"max": 1.0}}
         assert validate(coupling_config(thresholds=thresholds)) == []
@@ -277,6 +324,18 @@ class TestRun:
         })
         out = tmp_path / "out"
         assert run(cfg, out_dir=out) == 3
+        assert (out / "manifest.json").exists()
+        assert not (out / "summary.json").exists()
+
+    def test_unencodable_summary_exit_3(self, tmp_path, monkeypatch, capsys):
+        # summaries hold built-in JSON types only; a runner that breaks this fails at run time
+        keys = cli._RUNNERS["cmc"][1]
+        monkeypatch.setitem(cli._RUNNERS, "cmc", (
+            lambda config, out, threads: {"kind": "cmc", "pooled_mean": np.int64(1)}, keys))
+        cfg = write_config(tmp_path / "cfg.json", small_config("cmc"))
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == 3
+        assert "not JSON serializable" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
         assert not (out / "summary.json").exists()
 

@@ -104,6 +104,10 @@ class TestSimulate:
         final = simulate(model, Ensemble(np.zeros(10_000)), TimeGrid(0, 1, 0.01), RngStream(3))
         assert final.states.var() == pytest.approx(1.0, rel=0.1)
 
+    def test_moment_tracker_rejects_order_below_one_at_construction(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            MomentTracker(p=0)
+
     def test_observers_and_step_error_index(self, tmp_path):
         tracker = MomentTracker(p=2)
         writer = SnapshotWriter(tmp_path / "snap.csv", replica=2, every=2)
@@ -479,6 +483,19 @@ class TestKuramoto:
         model = kuramoto_model(1.0)
         e = Ensemble(np.zeros(4))
         assert model.diffusion(e.states, e.measure()) == 1.0
+
+    @pytest.mark.parametrize("shape", [(7, 1), (3, 7, 1)])
+    def test_drift_reads_the_measure_it_is_given(self, shape):
+        # a nonlinear copy sees a surrogate's measure, of another size, not its own states
+        rng = RngStream(15)
+        states = rng.substream(0).normal(shape)
+        points = rng.substream(1).normal((*shape[:-2], 11, 1))
+        model = kuramoto_model(1.5)
+        drift = model.drift(states, EmpiricalMeasure(points))
+        dense = -1.5 * np.mean(np.sin(states[..., :, None, 0] - points[..., None, :, 0]), axis=-1)
+        assert drift.shape == shape
+        assert np.allclose(drift[..., 0], dense)
+        assert not np.allclose(drift, model.drift(states, EmpiricalMeasure(states)))
 
 
 class TestCuckerSmale:

@@ -192,6 +192,13 @@ class TestEks:
         with pytest.raises(ValueError, match="jacobian"):
             eks_sample(cfg, Ensemble(RngStream(100).normal((400, 2))), RngStream(101))
 
+    def test_callable_forward_with_jacobian_follows_the_matrix_run(self):
+        e0 = Ensemble(RngStream(104).normal((400, 2)))
+        matrix = eks_sample(self._config(steps=50), e0, RngStream(105))
+        cfg = self._config(forward=lambda x: x @ self.G.T, forward_jacobian=lambda x: self.G, steps=50)
+        mapped = eks_sample(cfg, e0, RngStream(105))
+        assert np.allclose(mapped.states, matrix.states)
+
     def test_nonlinear_forward_runs_in_derivative_free_mode(self):
         cfg = self._config(forward=lambda x: np.tanh(np.atleast_2d(x)), derivative_free=True,
                            steps=50)

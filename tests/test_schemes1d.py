@@ -153,6 +153,13 @@ class TestSmoothedDensity:
         with pytest.raises(ValueError):
             smoothed_density([0.0], eps=0.0)
 
+    def test_matches_the_dense_formula(self):
+        # the row-blocked log-sum-exp of jump._log_mixture against the dense N x M sum
+        samples = RngStream(122).normal(300)
+        x = np.linspace(-4, 4, 801)
+        dense = np.exp(-(x[:, None] - samples) ** 2 / 0.5).sum(axis=1) / (math.sqrt(2 * math.pi) * 0.5 * 300)
+        assert np.allclose(smoothed_density(samples, eps=0.5)(x), dense, rtol=1e-13, atol=0.0)
+
 
 class TestL1CdfError:
     def test_self_distance_zero(self):
