@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,8 +392,19 @@ def maxwell_cutoff_model(sigma_density, d: int = 3) -> CollisionModel:
         # exact equality of Python floats: np.array_equal's answer, NaN and -0.0 included
         return 0.0 if z1.tolist() == z2.tolist() else total
 
+    xp, fp = cdf.tolist(), angles.tolist()
+    last = len(xp) - 1
+
     def theta_sampler(rng):
-        deflection = float(np.interp(rng.uniform(), cdf, angles))
+        # np.interp(u, cdf, angles) on Python floats: the same knot search and
+        # the same operations in the same order, so the same bits, without the
+        # array call; xp[0] == 0.0 <= u, so j >= 0
+        u = rng.uniform()
+        j = bisect_right(xp, u) - 1
+        if j == last or xp[j] == u:
+            deflection = fp[j]
+        else:
+            deflection = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (u - xp[j]) + fp[j]
         return deflection, _uniform_direction(d - 1, rng)
 
     def psi_pair(z1, z2, theta):

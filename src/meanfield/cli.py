@@ -51,6 +51,17 @@ _COUNTS = {
     "kuramoto_sweep": {"seeds": 1},
 }
 
+# the real params each kind's runner reads that must be finite and above
+# (">") or at least (">=") zero
+_REALS = {
+    "coupling_rate": {"v0": ">="},
+    "dsmc_compare": {"bird_dt": ">"},
+    "cbo": {"dt": ">", "alpha": ">", "lambda": ">", "sigma": ">=", "eps_heaviside": ">="},
+    "eks": {"dt": ">"},
+    "cmc": {"h": ">"},
+    "bossy_talay": {"sigma": ">"},
+}
+
 
 def validate(config: dict) -> list[str]:
     """Schema checks only; runs no simulation. Returns violation strings
@@ -94,6 +105,11 @@ def validate(config: dict) -> list[str]:
     for name, count, low in counts:
         if not _is_count(count, low):
             v.append(f"{name}: must be an integer >= {low}, got {count!r}")
+    reals = _REALS.get(kind, {}) if kind in KINDS else {}
+    for name, op in reals.items():
+        x = params.get(name)
+        if name in params and not (_is_real(x) and (x > 0 if op == ">" else x >= 0) and x < math.inf):
+            v.append(f"params.{name}: must be a finite number {op} 0, got {x!r}")
     if kind == "eks":
         for name in ("Gamma", "Gamma0", "G", "y"):
             if params.get(name) is None:
@@ -372,11 +388,26 @@ def _run_eks(config, out: Path, threads: int) -> dict:
     }
 
 
+def _std_normal_log_density(x: np.ndarray) -> float:
+    """-|x|^2 / 2 for one state row, equal bit for bit to
+    ``-0.5 * float(np.sum(x ** 2))``. numpy adds fewer than 8 terms in
+    order, as the loop does on Python floats without the array calls that
+    cost most of the time on so short a row; from 8 terms up numpy sums
+    pairwise, so np.sum stays."""
+    if len(x) < 8:
+        s = 0.0
+        for v in x.tolist():
+            s += v * v
+        return -0.5 * s
+    return -0.5 * float(np.sum(x * x))
+
+
 def _run_cmc(config, out: Path, threads: int) -> dict:
     p = config.get("params", {})
     n = config["n_list"][-1]
     cfg = CmcConfig(
-        target_log_density=lambda x: -0.5 * float(np.sum(np.asarray(x) ** 2)),
+        # one call per particle: perfbench/tracer.py counts them
+        target_log_density=_std_normal_log_density,
         h=p.get("h", 0.5),
         n=n,
         steps=p.get("steps", _CMC_STEPS),

@@ -597,6 +597,28 @@ def fixed_thetas(d):
     return [(deflection, az) for deflection in (0.0, math.pi / 2, math.pi) for az in azimuths]
 
 
+class FixedUniforms:
+    """Stands in for an RngStream: ``uniform()`` returns the given values in
+    turn and ``normal(k)`` a fixed vector."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def uniform(self):
+        return next(self.values)
+
+    def normal(self, k):
+        return np.ones(k)
+
+
+def deflection_cdf(density):
+    """The trapezoid CDF table that maxwell_cutoff_model inverts."""
+    angles = np.linspace(0.0, math.pi, 4096)
+    dens = np.broadcast_to(np.asarray(density(angles), dtype=float), angles.shape)
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(angles))])
+    return cdf / cdf[-1], angles
+
+
 class TestGeometryMatchesDenseFormulas:
     @pytest.mark.parametrize("d", [2, 3])
     def test_maxwell_lam_and_psi_pair(self, d):
@@ -609,6 +631,19 @@ class TestGeometryMatchesDenseFormulas:
                     assert same_bits(got, want), (z1, z2, theta)
                 assert same_bits(boltzmann.scattering_direction(z1 - z2, *theta),
                                  dense_scattering_direction(z1 - z2, *theta))
+
+    @pytest.mark.parametrize("density", [
+        uniform_deflection(),
+        lambda th: np.where((th > 1.0) & (th < 2.0), 0.0, 1.0),
+        lambda th: np.exp(-50.0 * (th - 1.0) ** 2),
+    ], ids=["flat", "zero-interval", "peaked"])
+    def test_maxwell_deflection_is_np_interp(self, density):
+        # the sampler inverts the CDF on Python floats; np.interp is its dense formula
+        model = maxwell_cutoff_model(density, d=3)
+        cdf, angles = deflection_cdf(density)
+        us = np.concatenate([RngStream(96).uniform(100_000), cdf, [0.0, np.nextafter(1.0, 0.0)]])
+        got = [model.theta_sampler(rng)[0] for rng in map(FixedUniforms, zip(us.tolist()))]
+        assert same_bits(np.array(got), np.interp(us, cdf, angles))
 
     def test_hard_sphere_lam_and_psi_pair(self):
         model = hard_sphere_model(2.0, d=3)

@@ -8,6 +8,7 @@ import pytest
 from meanfield import cli
 from meanfield.cli import main, run, validate
 from meanfield.core import Ensemble, RngStream, TimeGrid
+from meanfield.jump import CmcConfig, cmc_run
 from meanfield.mckean import kuramoto_model, simulate
 from meanfield.metrics import kuramoto_order_parameter
 
@@ -246,6 +247,37 @@ class TestValidate:
     def test_integer_params_at_their_least_values_pass(self, kind, params):
         assert validate(small_config(kind, **params)) == []
 
+    @pytest.mark.parametrize("kind, name, value", [
+        ("cmc", "h", 0), ("cmc", "h", -0.5), ("cmc", "h", True), ("cmc", "h", "x"), ("cmc", "h", math.inf),
+        ("cbo", "dt", -0.1), ("cbo", "dt", 0.0), ("cbo", "alpha", 0), ("cbo", "lambda", None),
+        ("cbo", "sigma", -1.0), ("cbo", "eps_heaviside", "x"), ("eks", "dt", -0.1),
+        ("dsmc_compare", "bird_dt", 0), ("bossy_talay", "sigma", 0),
+        ("coupling_rate", "v0", -1), ("coupling_rate", "v0", False), ("coupling_rate", "v0", math.nan),
+    ])
+    def test_real_param_exit_2(self, tmp_path, capsys, kind, name, value):
+        # each of these used to pass validate; most then failed in the runner with
+        # exit 3, and a boolean or an infinite "h" ran to exit 0
+        payload = coupling_config() if kind == "coupling_rate" else small_config(kind)
+        payload["params"][name] = value
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith(f"params.{name}:")
+        assert main(["validate", str(cfg)]) == 2
+        assert f"params.{name}:" in capsys.readouterr().out
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert f"params.{name}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("cmc", {"h": 1e-3}), ("cbo", {"dt": 0.5, "alpha": 1, "lambda": 2.0, "sigma": 0, "eps_heaviside": 0.0}),
+        ("eks", {"dt": 1e-3}), ("dsmc_compare", {"bird_dt": 0.05}), ("bossy_talay", {"sigma": 0.1}),
+        ("coupling_rate", {"v0": 0}),
+    ])
+    def test_real_params_at_their_bounds_pass(self, kind, params):
+        payload = coupling_config() if kind == "coupling_rate" else small_config(kind)
+        payload["params"].update(params)
+        assert validate(payload) == []
+
     def test_threshold_names_of_summary_keys_pass(self):
         thresholds = {"slope": {"max": 0.0}, "r2": {"min": 0.5}, "sup_mse.10": {"max": 1.0}}
         assert validate(coupling_config(thresholds=thresholds)) == []
@@ -348,6 +380,37 @@ class TestRun:
         assert manifest["seed"] == 321
         assert manifest["config"] == cfg_dict
         assert "tool_version" in manifest
+
+
+def numpy_std_normal_log_density(x):
+    """The dense formula that the CLI's cmc target must equal bit for bit."""
+    return -0.5 * float(np.sum(np.asarray(x) ** 2))
+
+
+class TestStdNormalTarget:
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_equals_the_numpy_formula(self, dim):
+        # dims 1-7 take the Python-float loop, 8-10 the pairwise np.sum
+        rng = RngStream(97, dim)
+        rows = list(rng.normal((2000, dim)))
+        rows += list(rng.normal((2000, dim)) * 10.0 ** (300.0 * rng.uniform((2000, dim)) - 150.0))
+        edge = [0.0, -0.0, 5e-324, -2.5e-310, 1e-150, -3e-150, 2e150, -7e150, 1.5]
+        rows += [np.array([edge[(i + k) % len(edge)] for k in range(dim)]) for i in range(len(edge))]
+        rows += [np.zeros(dim), -np.zeros(dim)]
+        for row in rows:
+            got = cli._std_normal_log_density(row)
+            assert type(got) is float
+            assert got.hex() == numpy_std_normal_log_density(row).hex(), row
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_cmc_run_matches_the_numpy_formula(self, dim):
+        runs = []
+        for target in (numpy_std_normal_log_density, cli._std_normal_log_density):
+            cfg = CmcConfig(target_log_density=target, h=0.5, n=50, steps=10, dim=dim)
+            runs.append(cmc_run(cfg, Ensemble(RngStream(98, dim).normal((50, dim))), RngStream(99, dim)))
+        old, new = runs
+        assert old.accept_trace.tobytes() == new.accept_trace.tobytes()
+        assert old.samples.tobytes() == new.samples.tobytes()
 
 
 class TestExperimentKinds:
