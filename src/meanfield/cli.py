@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import Ensemble, RngStream, TimeGrid, write_csv
-from .jump import CmcConfig, cmc_run
+from .jump import MIN_BANDWIDTH, CmcConfig, cmc_run
 from .mckean import (
     CouplingReport,
     coupling_replica_mse,
@@ -39,28 +39,43 @@ from .schemes1d import CdfScheme, bossy_talay_run, l1_cdf_error, write_cdf_check
 
 _SWEEP_KINDS = ("coupling_rate", "bossy_talay")  # fit a rate over n_list
 
-_CMC_STEPS, _CMC_BURN_IN = 2000, 500  # cmc defaults for params.steps and params.burn_in
-
-# the integer params each kind's runner reads, with their least allowed values
-_COUNTS = {
-    "dsmc_compare": {"pairs": 1, "d": 2},
-    "cbo": {"seeds": 1, "dim": 1, "steps": 1},
-    "eks": {"steps": 1},
-    "cmc": {"steps": 1, "dim": 1, "burn_in": 0},
-    "bossy_talay": {"grid_points": 2},
-    "kuramoto_sweep": {"seeds": 1},
+_OBJECTIVES = {
+    "quadratic": lambda target: (
+        lambda x: np.sum((np.atleast_2d(x) - np.asarray(target)) ** 2, axis=1)
+    ),
+    "rastrigin": lambda target: (
+        lambda x: 10.0 * np.atleast_2d(x).shape[1]
+        + np.sum(np.atleast_2d(x) ** 2 - 10.0 * np.cos(2.0 * math.pi * np.atleast_2d(x)), axis=1)
+    ),
 }
 
-# the real params each kind's runner reads that must be finite and above
-# (">") or at least (">=") zero
-_REALS = {
-    "coupling_rate": {"v0": ">="},
-    "dsmc_compare": {"bird_dt": ">"},
-    "cbo": {"dt": ">", "alpha": ">", "lambda": ">", "sigma": ">=", "eps_heaviside": ">="},
-    "eks": {"dt": ">"},
-    "cmc": {"h": ">"},
-    "bossy_talay": {"sigma": ">"},
+# every param each kind's runner reads: name -> (check, bound, default), where a
+# default of None marks a required param. The checks: "count", an integer >=
+# bound; "real>" and "real>=", a finite number > or >= bound; "choice", one of
+# bound; "bool"; "spd", a symmetric positive definite matrix; "array", floats;
+# and "cases", a list of Kuramoto cases
+_PARAMS = {
+    "coupling_rate": {"lambda": ("real>=", -math.inf, 1.0), "kappa": ("real>=", -math.inf, 1.0),
+                      "m0": ("real>=", -math.inf, 1.0), "v0": ("real>=", 0, 1.0)},
+    "dsmc_compare": {"d": ("count", 2, 2), "pairs": ("count", 1, 5), "bird_dt": ("real>", 0, 0.1)},
+    "cbo": {"objective": ("choice", tuple(_OBJECTIVES), "quadratic"), "dim": ("count", 1, 2),
+            "target": ("array", None, 0.0),  # one number stands for every coordinate
+            "seeds": ("count", 1, 20), "tol": ("real>=", 0, 1e-2), "init_width": ("real>=", 0, 1.0),
+            "alpha": ("real>", 0, 30.0), "lambda": ("real>", 0, 1.0), "sigma": ("real>=", 0, 0.5),
+            "dt": ("real>", 0, 0.01), "steps": ("count", 1, 1000), "eps_heaviside": ("real>=", 0, 0.0)},
+    "eks": {"G": ("array", None, None), "y": ("array", None, None), "Gamma": ("spd", None, None),
+            "Gamma0": ("spd", None, None), "dt": ("real>", 0, 0.02), "steps": ("count", 1, 500),
+            "derivative_free": ("bool", None, False)},
+    "cmc": {"h": ("real>=", MIN_BANDWIDTH, 0.5), "steps": ("count", 1, 2000),
+            "burn_in": ("count", 0, 500), "dim": ("count", 1, 1)},
+    "bossy_talay": {"sigma": ("real>", 0, 1.0), "grid_points": ("count", 2, 2001)},
+    "kuramoto_sweep": {"seeds": ("count", 1, 20), "cases": ("cases", None, [])},
 }
+
+
+def _params(kind: str, given: dict) -> dict:
+    """Every param of ``kind``: its value in ``given``, else its _PARAMS default."""
+    return {name: given.get(name, default) for name, (_, _, default) in _PARAMS[kind].items()}
 
 
 def validate(config: dict) -> list[str]:
@@ -87,60 +102,37 @@ def validate(config: dict) -> list[str]:
         elif kind in _SWEEP_KINDS and len(n_list) < 3:
             v.append("n_list: rate-fitting experiments need at least 3 sizes")
     time = config.get("time")
+    grid = None
     if kind in ("coupling_rate", "dsmc_compare", "bossy_talay", "kuramoto_sweep"):
         if not isinstance(time, dict):
             v.append("time: required object {t0, t_end, dt}")
         else:
             try:
-                TimeGrid(time.get("t0", 0.0), time["t_end"], time["dt"])
+                grid = TimeGrid(time.get("t0", 0.0), time["t_end"], time["dt"])
             except (KeyError, ValueError, TypeError) as err:
                 v.append(f"time: {err}")
+    if grid is not None and kind in ("dsmc_compare", "bossy_talay") and grid.t0 != 0:
+        v.append(f"time.t0: the {kind} runner starts at 0 and would ignore t0, got {grid.t0!r}")
+    if not _is_count(config.get("replicas", 1), 1):
+        v.append(f"replicas: must be an integer >= 1, got {config['replicas']!r}")
     params = config.get("params", {})
     if not isinstance(params, dict):
         v.append("params: must be an object")
         params = {}
-    lows = _COUNTS.get(kind, {}) if kind in KINDS else {}  # a list kind is unhashable
-    counts = [("replicas", config.get("replicas", 1), 1)]
-    counts += [(f"params.{name}", params[name], low) for name, low in lows.items() if name in params]
-    for name, count, low in counts:
-        if not _is_count(count, low):
-            v.append(f"{name}: must be an integer >= {low}, got {count!r}")
-    reals = _REALS.get(kind, {}) if kind in KINDS else {}
-    for name, op in reals.items():
-        x = params.get(name)
-        if name in params and not (_is_real(x) and (x > 0 if op == ">" else x >= 0) and x < math.inf):
-            v.append(f"params.{name}: must be a finite number {op} 0, got {x!r}")
-    if kind == "eks":
-        for name in ("Gamma", "Gamma0", "G", "y"):
-            if params.get(name) is None:
+    if kind in KINDS:
+        table = _PARAMS[kind]
+        v += [f"params.{name}: not a {kind} param; those are {', '.join(table)}"
+              for name in params if name not in table]
+        for name, (check, bound, default) in table.items():
+            if default is None and params.get(name) is None:
                 v.append(f"params.{name}: required")
-                continue
-            try:
-                if name in ("G", "y"):
-                    np.asarray(params[name], dtype=float)
-                else:
-                    spd_matrix(name, params[name])
-            except (TypeError, ValueError) as err:
-                v.append(f"params.{name}: {err}")
-    if kind == "cmc":
-        steps, burn_in = params.get("steps", _CMC_STEPS), params.get("burn_in", _CMC_BURN_IN)
-        if _is_count(steps, 1) and _is_count(burn_in, 0) and burn_in >= steps:
-            v.append(f"params.burn_in: must satisfy 0 <= burn_in < steps, got {burn_in} with steps {steps}")
-    if kind == "cbo" and params.get("objective") not in ("quadratic", "rastrigin", None):
-        v.append("params.objective: must be 'quadratic' or 'rastrigin'")
-    if kind == "kuramoto_sweep":
-        cases = params.get("cases", [])
-        if not isinstance(cases, list):
-            v.append("params.cases: must be a list")
-            cases = []
-        for i, case in enumerate(cases):
-            if not isinstance(case, dict):
-                v.append(f"params.cases[{i}]: must be an object, got {case!r}")
-                continue
-            if not _is_real(case.get("coupling")):
-                v.append(f"params.cases[{i}].coupling: must be a number, got {case.get('coupling')!r}")
-            if case.get("init") not in ("concentrated", "uniform"):
-                v.append(f"params.cases[{i}].init: must be 'concentrated' or 'uniform'")
+            elif name in params:
+                v += _param_errors(name, params[name], check, bound)
+        p = _params(kind, params)
+        if kind == "cmc" and _is_count(p["steps"], 1) and _is_count(p["burn_in"], 0) and p["burn_in"] >= p["steps"]:
+            v.append(f"params.burn_in: must satisfy 0 <= burn_in < steps, got {p['burn_in']} with steps {p['steps']}")
+        if kind == "dsmc_compare" and grid is not None and _is_real(p["bird_dt"]) and p["bird_dt"] > grid.t_end:
+            v.append(f"params.bird_dt: must be at most time.t_end = {grid.t_end!r}, got {p['bird_dt']!r}")
     thresholds = config.get("thresholds", {})
     if not isinstance(thresholds, dict):
         v.append(f"thresholds: must be an object, got {type(thresholds).__name__}")
@@ -153,6 +145,38 @@ def validate(config: dict) -> list[str]:
         elif keys is not None and name.split(".")[0] not in keys:
             v.append(f"thresholds.{name}: must start with a key of the {kind} summary: {', '.join(keys)}")
     return v
+
+
+def _param_errors(name: str, value, check: str, bound) -> list[str]:
+    """The violations of ``params.<name>`` by ``value`` under its _PARAMS check."""
+    if check == "cases":
+        if not isinstance(value, list):
+            return ["params.cases: must be a list"]
+        errors = []
+        for i, case in enumerate(value):
+            if not isinstance(case, dict):
+                errors.append(f"params.cases[{i}]: must be an object, got {case!r}")
+                continue
+            errors += _param_errors(f"cases[{i}].coupling", case.get("coupling"), "real>=", -math.inf)
+            errors += _param_errors(f"cases[{i}].init", case.get("init"), "choice", ("concentrated", "uniform"))
+        return errors
+    if check in ("spd", "array"):
+        try:
+            spd_matrix(name, value) if check == "spd" else np.asarray(value, dtype=float)
+            return []
+        except (TypeError, ValueError) as err:
+            return [f"params.{name}: {err}"]
+    if check == "count":
+        ok, want = _is_count(value, bound), f"an integer >= {bound}"
+    elif check.startswith("real"):
+        op = check[len("real"):]
+        ok = _is_real(value) and -math.inf < value < math.inf and (value > bound if op == ">" else value >= bound)
+        want = f"a finite number {op} {bound}"
+    elif check == "choice":
+        ok, want = value in bound, " or ".join(map(repr, bound))
+    else:
+        ok, want = isinstance(value, bool), "true or false"
+    return [] if ok else [f"params.{name}: must be {want}, got {value!r}"]
 
 
 def _is_count(x, low: int) -> bool:
@@ -226,12 +250,10 @@ def _check_thresholds(summary: dict, thresholds: dict) -> bool:
 
 
 def _run_coupling_rate(config, out: Path, threads: int) -> dict:
-    p = config.get("params", {})
-    lam, kappa = p.get("lambda", 1.0), p.get("kappa", 1.0)
-    m0, v0 = p.get("m0", 1.0), p.get("v0", 1.0)
+    p = _params("coupling_rate", config.get("params", {}))
     grid = TimeGrid(config["time"].get("t0", 0.0), config["time"]["t_end"], config["time"]["dt"])
-    model = mean_field_ou_model(lam, kappa)
-    ref = ou_reference(lam, kappa, m0, v0)
+    model = mean_field_ou_model(p["lambda"], p["kappa"])
+    ref = ou_reference(p["lambda"], p["kappa"], p["m0"], p["v0"])
     ref.check_model(model)
     replicas = config.get("replicas", 1)
     base = RngStream(config["seed"])
@@ -258,20 +280,17 @@ def _run_coupling_rate(config, out: Path, threads: int) -> dict:
 
 
 def _run_dsmc_compare(config, out: Path, threads: int) -> dict:
-    p = config.get("params", {})
+    p = _params("dsmc_compare", config.get("params", {}))
     n = config["n_list"][-1]
-    d = p.get("d", 2)
-    pairs = p.get("pairs", 5)
-    bird_dt = p.get("bird_dt", 0.1)
     t_end = config["time"]["t_end"]
-    model = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=d)
+    model = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=p["d"])
     base = RngStream(config["seed"])
     grid = CellGrid.single_cell()
-    time_grid = TimeGrid(0.0, t_end, bird_dt)
+    time_grid = TimeGrid(0.0, t_end, p["bird_dt"])
 
     def run_pair(k):
         s = base.substream(k)
-        init = s.substream(0).normal((n, d))
+        init = s.substream(0).normal((n, p["d"]))
         exact_a, _ = exact_simulate(model, Ensemble(init), t_end, s.substream(1))
         bird_b, _ = bird_simulate(model, grid, Ensemble(init), time_grid, s.substream(2))
         exact_c, _ = exact_simulate(model, Ensemble(init), t_end, s.substream(3))
@@ -280,9 +299,8 @@ def _run_dsmc_compare(config, out: Path, threads: int) -> dict:
         self_dist = wasserstein_1d(exact_c.states[:, 0], exact_d.states[:, 0])
         return cross, self_dist
 
-    results = _map_replicas(run_pair, pairs, threads)
-    cross = [c for c, _ in results]
-    self_d = [s for _, s in results]
+    results = _map_replicas(run_pair, p["pairs"], threads)
+    cross, self_d = zip(*results)
     write_csv(out / "dsmc_pairs.csv", "pair,w1_cross,w1_self",
               ((k, c, s) for k, (c, s) in enumerate(results)))
     mean_cross = float(np.mean(cross))
@@ -296,58 +314,40 @@ def _run_dsmc_compare(config, out: Path, threads: int) -> dict:
     }
 
 
-_OBJECTIVES = {
-    "quadratic": lambda target: (
-        lambda x: np.sum((np.atleast_2d(x) - np.asarray(target)) ** 2, axis=1)
-    ),
-    "rastrigin": lambda target: (
-        lambda x: 10.0 * np.atleast_2d(x).shape[1]
-        + np.sum(np.atleast_2d(x) ** 2 - 10.0 * np.cos(2.0 * math.pi * np.atleast_2d(x)), axis=1)
-    ),
-}
-
-
 def _run_cbo(config, out: Path, threads: int) -> dict:
-    p = config.get("params", {})
-    name = p.get("objective", "quadratic")
-    dim = p.get("dim", 2)
-    target = p.get("target", [0.0] * dim)
-    objective = _OBJECTIVES[name](target)
-    seeds = p.get("seeds", 20)
-    tol = p.get("tol", 1e-2)
-    init_width = p.get("init_width", 1.0)
+    p = _params("cbo", config.get("params", {}))
     cfg = CboConfig(
-        objective=objective,
-        alpha=p.get("alpha", 30.0),
-        lambda_drift=p.get("lambda", 1.0),
-        sigma_noise=p.get("sigma", 0.5),
-        dt=p.get("dt", 0.01),
-        steps=p.get("steps", 1000),
+        objective=_OBJECTIVES[p["objective"]](p["target"]),
+        alpha=p["alpha"],
+        lambda_drift=p["lambda"],
+        sigma_noise=p["sigma"],
+        dt=p["dt"],
+        steps=p["steps"],
         n=config["n_list"][-1],
-        dim=dim,
-        eps_heaviside=p.get("eps_heaviside", 0.0),
-        init=lambda n, d, rng: init_width * rng.normal((n, d)),
+        dim=p["dim"],
+        eps_heaviside=p["eps_heaviside"],
+        init=lambda n, d, rng: p["init_width"] * rng.normal((n, d)),
     )
     base = RngStream(config["seed"])
 
     def run_seed(k):
         result = cbo_minimize(cfg, base.substream(k))
-        dist = float(np.linalg.norm(result.consensus - np.asarray(target)))
+        dist = float(np.linalg.norm(result.consensus - np.asarray(p["target"])))
         return dist, result
 
-    results = _map_replicas(run_seed, seeds, threads)
+    results = _map_replicas(run_seed, p["seeds"], threads)
     dists = [d for d, _ in results]
-    successes = int(sum(d <= tol for d in dists))
+    successes = int(sum(d <= p["tol"] for d in dists))
     write_csv(out / "cbo_seeds.csv", "seed,distance,success",
-              ((k, d, int(d <= tol)) for k, d in enumerate(dists)))
+              ((k, d, int(d <= p["tol"])) for k, d in enumerate(dists)))
     trajectory_csv = out / "cbo_trajectory.csv"
     results[0][1].write_trajectory_csv(trajectory_csv)
     return {
         "kind": "cbo",
-        "objective": name,
-        "seeds": seeds,
+        "objective": p["objective"],
+        "seeds": p["seeds"],
         "successes": successes,
-        "tolerance": tol,
+        "tolerance": p["tol"],
         "median_distance": float(np.median(dists)),
         "consensus": [float(x) for x in results[0][1].consensus],
         "objective_at_consensus": results[0][1].objective_at_consensus,
@@ -356,7 +356,7 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
 
 
 def _run_eks(config, out: Path, threads: int) -> dict:
-    p = config["params"]
+    p = _params("eks", config["params"])
     G = np.atleast_2d(np.asarray(p["G"], dtype=float))
     cfg = EksConfig(
         forward=G,
@@ -364,9 +364,9 @@ def _run_eks(config, out: Path, threads: int) -> dict:
         Gamma0=p["Gamma0"],
         y=p["y"],
         n=config["n_list"][-1],
-        dt=p.get("dt", 0.02),
-        steps=p.get("steps", 500),
-        derivative_free=p.get("derivative_free", False),
+        dt=p["dt"],
+        steps=p["steps"],
+        derivative_free=p["derivative_free"],
     )
     base = RngStream(config["seed"])
     e0 = Ensemble(base.substream(0).normal((cfg.n, G.shape[1])))
@@ -403,16 +403,16 @@ def _std_normal_log_density(x: np.ndarray) -> float:
 
 
 def _run_cmc(config, out: Path, threads: int) -> dict:
-    p = config.get("params", {})
+    p = _params("cmc", config.get("params", {}))
     n = config["n_list"][-1]
     cfg = CmcConfig(
         # one call per particle: perfbench/tracer.py counts them
         target_log_density=_std_normal_log_density,
-        h=p.get("h", 0.5),
+        h=p["h"],
         n=n,
-        steps=p.get("steps", _CMC_STEPS),
-        burn_in=p.get("burn_in", _CMC_BURN_IN),
-        dim=p.get("dim", 1),
+        steps=p["steps"],
+        burn_in=p["burn_in"],
+        dim=p["dim"],
     )
     base = RngStream(config["seed"])
     e0 = Ensemble(base.substream(0).normal((n, cfg.dim)))
@@ -428,14 +428,14 @@ def _run_cmc(config, out: Path, threads: int) -> dict:
 
 
 def _run_bossy_talay(config, out: Path, threads: int) -> dict:
-    p = config.get("params", {})
-    sigma = p.get("sigma", 1.0)
+    p = _params("bossy_talay", config.get("params", {}))
+    sigma = p["sigma"]
     t_end = config["time"]["t_end"]
     dt = config["time"]["dt"]
     replicas = config.get("replicas", 1)
     base = RngStream(config["seed"])
     span = 6.0 * sigma * math.sqrt(t_end)
-    grid = np.linspace(-span, span, p.get("grid_points", 2001))
+    grid = np.linspace(-span, span, p["grid_points"])
 
     def exact_cdf(x):
         return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x) / (sigma * math.sqrt(2.0 * t_end))))
@@ -467,17 +467,16 @@ def _run_bossy_talay(config, out: Path, threads: int) -> dict:
 
 
 def _run_kuramoto_sweep(config, out: Path, threads: int) -> dict:
-    p = config.get("params", {})
+    p = _params("kuramoto_sweep", config.get("params", {}))
     n = config["n_list"][-1]
-    seeds = p.get("seeds", 20)
     grid = TimeGrid(config["time"].get("t0", 0.0), config["time"]["t_end"], config["time"]["dt"])
     base = RngStream(config["seed"])
     cases_out = []
     rows = []
-    for c_idx, case in enumerate(p.get("cases", [])):
-        streams = [base.substream(c_idx).substream(k) for k in range(seeds)]
+    for c_idx, case in enumerate(p["cases"]):
+        streams = [base.substream(c_idx).substream(k) for k in range(p["seeds"])]
         if case["init"] == "concentrated":
-            theta0 = np.zeros((seeds, n, 1))
+            theta0 = np.zeros((p["seeds"], n, 1))
         else:
             theta0 = np.stack([s.substream(0).uniform((n, 1)) * 2.0 * math.pi for s in streams])
         final = simulate(kuramoto_model(case["coupling"]), theta0, grid, [s.substream(1) for s in streams])

@@ -70,6 +70,11 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
     return JumpResult(Ensemble(states, result_time), jumps, rings)
 
 
+# the least proposal bandwidth h for which 2 h^2 > 0: at h = 2**-538, 2 h^2
+# is half the least subnormal and rounds to 0, and _log_mixture divides 0/0
+MIN_BANDWIDTH = math.nextafter(2.0 ** -538, math.inf)
+
+
 @dataclass
 class CmcConfig:
     """Collective Metropolis-Hastings configuration.
@@ -90,8 +95,8 @@ class CmcConfig:
     vectorized: bool = False  # target_log_density accepts an (n, d) batch
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("proposal bandwidth h must be positive")
+        if not self.h >= MIN_BANDWIDTH:
+            raise ValueError(f"proposal bandwidth h must be at least MIN_BANDWIDTH = {MIN_BANDWIDTH!r}")
         if not 0 <= self.burn_in < self.steps:
             raise ValueError("need 0 <= burn_in < steps")
 

@@ -319,6 +319,29 @@ def test_criterion_11_determinism(tmp_path):
                   "byte-identical artifacts across reruns and thread counts for all 7 kinds")
 
 
+def test_criterion_11_defaults_live_in_the_param_table(tmp_path):
+    """Filling each omitted param of a criterion-11 config with its
+    cli._PARAMS default changes no artifact but the manifest, which records
+    the config as given: no runner keeps a default of its own."""
+    filled_any = set()
+    for kind, cfg in CRITERION_11_CONFIGS.items():
+        defaults = {name: default for name, (_, _, default) in cli._PARAMS[kind].items()}
+        filled = {**cfg, "params": {**defaults, **cfg["params"]}}
+        if filled["params"] != cfg["params"]:
+            filled_any.add(kind)
+        outs = []
+        for tag, config in (("given", cfg), ("filled", filled)):
+            cfg_path = tmp_path / f"{kind}_{tag}.json"
+            cfg_path.write_text(json.dumps(config))
+            outs.append(tmp_path / f"{kind}_{tag}")
+            assert cli_run(cfg_path, out_dir=outs[-1]) == 0
+        given, full = ({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+                       for out in outs)
+        assert given == full, kind
+    # coupling_rate and kuramoto_sweep give every param already
+    assert filled_any == {"dsmc_compare", "cbo", "eks", "cmc", "bossy_talay"}
+
+
 def _plain_json(value) -> bool:
     """True if ``value`` is built of dict (str keys), list, str, int, float,
     bool and None only, by exact type: a numpy scalar is a violation."""

@@ -283,6 +283,74 @@ class TestValidate:
         assert validate(coupling_config(thresholds=thresholds)) == []
 
 
+class TestParamTable:
+    """cli._PARAMS is the one list of each kind's params, with their checks and defaults."""
+
+    KURAMOTO = {"kind": "kuramoto_sweep", "seed": 1, "n_list": [20],
+                "time": {"t0": 0.0, "t_end": 0.1, "dt": 0.05},
+                "params": {"seeds": 1, "cases": [{"coupling": 1.0, "init": "uniform"}]}}
+
+    @pytest.mark.parametrize("kind, params, time, field", [
+        ("cmc", {"stpes": 10}, None, "params.stpes:"),
+        ("coupling_rate", {"lamda": 1.0}, None, "params.lamda:"),
+        ("dsmc_compare", {"pair": 2}, None, "params.pair:"),
+        ("cbo", {"objectve": "rastrigin"}, None, "params.objectve:"),
+        ("eks", {"derivative-free": True}, None, "params.derivative-free:"),
+        ("bossy_talay", {"grid": 101}, None, "params.grid:"),
+        ("kuramoto_sweep", {"case": []}, None, "params.case:"),
+        ("cbo", {"tol": "x"}, None, "params.tol:"),
+        ("cbo", {"init_width": "x"}, None, "params.init_width:"),
+        ("coupling_rate", {"lambda": "x"}, None, "params.lambda:"),
+        ("eks", {"derivative_free": "yes"}, None, "params.derivative_free:"),
+        ("dsmc_compare", {"bird_dt": 0.2}, None, "params.bird_dt:"),
+        ("cmc", {"h": 1e-300}, None, "params.h:"),
+        ("dsmc_compare", {}, {"t0": 0.1, "t_end": 0.3, "dt": 0.1}, "time.t0:"),
+        ("bossy_talay", {}, {"t0": 0.01, "t_end": 0.02, "dt": 1e-3}, "time.t0:"),
+    ], ids=["cmc-stpes", "coupling-unknown", "dsmc-unknown", "cbo-unknown", "eks-unknown",
+            "bossy-unknown", "kuramoto-unknown", "cbo-tol", "cbo-init_width", "coupling-lambda",
+            "eks-derivative_free", "bird_dt-above-t_end", "cmc-tiny-h", "dsmc-t0", "bossy-t0"])
+    def test_param_exit_2(self, tmp_path, capsys, kind, params, time, field):
+        # each of these used to pass validate: an unknown name ran on the defaults,
+        # the tiny h ran to exit 0 with no proposal accepted, t0 was ignored and
+        # the rest exited 3 with a traceback
+        configs = {**SMALL_CONFIGS, "coupling_rate": coupling_config(), "kuramoto_sweep": self.KURAMOTO}
+        payload = json.loads(json.dumps(configs[kind]))
+        payload["params"].update(params)
+        if time is not None:
+            payload["time"] = time
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith(field), violations
+        assert main(["validate", str(cfg)]) == 2
+        assert field in capsys.readouterr().out
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_defaults_pass_their_own_checks(self):
+        for kind, table in cli._PARAMS.items():
+            for name, (check, bound, default) in table.items():
+                if default is not None:
+                    assert cli._param_errors(name, default, check, bound) == [], (kind, name)
+
+    def test_readme_table_matches(self):
+        # README's CLI section lists every param as | `kind` | `name` | check | bound | default |
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = {tuple(cell.strip() for cell in line.strip().strip("|").split("|"))
+                for line in readme.splitlines() if line.startswith("| `")}
+        expected = set()
+        for kind, table in cli._PARAMS.items():
+            for name, (check, bound, default) in table.items():
+                if check == "count" or check.startswith("real"):
+                    op = ">=" if check == "count" else check[len("real"):]
+                    shown = "any" if bound == -math.inf else f"{op} {bound!r}"
+                else:
+                    shown = " or ".join(f"`{b}`" for b in bound) if check == "choice" else ""
+                value = "required" if default is None else f"`{json.dumps(default)}`"
+                expected.add((f"`{kind}`", f"`{name}`", check.rstrip("<>="), shown, value))
+        assert rows == expected
+
+
 class TestRun:
     def test_malformed_config_exit_2_no_artifacts(self, tmp_path):
         bad = tmp_path / "bad.json"

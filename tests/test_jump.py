@@ -5,7 +5,7 @@ import pytest
 
 from meanfield.core import Ensemble, RngStream
 from meanfield.errors import BoundViolation
-from meanfield.jump import CmcConfig, JumpModel, cmc_run, simulate_jump, _log_mixture
+from meanfield.jump import MIN_BANDWIDTH, CmcConfig, JumpModel, cmc_run, simulate_jump, _log_mixture
 
 
 def dense_log_mixture(points, at, h):
@@ -112,6 +112,16 @@ class TestCmc:
         with pytest.raises(ValueError, match="burn_in < steps"):
             CmcConfig(target_log_density=lambda x: 0.0, h=0.5, n=3, steps=5, burn_in=5)
         CmcConfig(target_log_density=lambda x: 0.0, h=0.5, n=3, steps=5, burn_in=4)
+
+    def test_bandwidth_below_the_least_raises(self):
+        # 2 h^2 underflows to 0 below MIN_BANDWIDTH and the mixture divides 0/0
+        with pytest.raises(ValueError, match="bandwidth"):
+            CmcConfig(target_log_density=lambda x: 0.0, h=1e-300, n=3, steps=5)
+        below = math.nextafter(MIN_BANDWIDTH, 0.0)
+        assert 2.0 * below * below == 0.0 < 2.0 * MIN_BANDWIDTH * MIN_BANDWIDTH
+        with pytest.raises(ValueError, match="bandwidth"):
+            CmcConfig(target_log_density=lambda x: 0.0, h=below, n=3, steps=5)
+        CmcConfig(target_log_density=lambda x: 0.0, h=MIN_BANDWIDTH, n=3, steps=5)
 
     def test_infinite_density_at_start_rejected(self):
         cfg = CmcConfig(target_log_density=lambda x: -np.inf, h=0.5, n=3, steps=5, dim=1)
