@@ -5,13 +5,20 @@ a global exponential clock, Bird's cell-based DSMC with per-cell time
 counters, and a one-sided Nanbu variant. Rejected (fictitious) proposals
 are first-class events: they are logged but apply no update, which makes
 rate audits possible.
+
+Models are batched: every model callable takes k pairs at once. The exact
+and Bird simulators draw their proposals in blocks and apply each maximal
+run of proposals that touches no particle twice as one array step. Inside
+such a run no proposal can see another's update, so the run gives the
+states and the log of one proposal after the other. Each kind of draw
+(clock times, pairs, thetas, acceptance uniforms) comes from its own
+substream, so the results do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,18 +27,25 @@ from .core import Ensemble, RngStream, TimeGrid, write_csv
 from .errors import BoundViolation
 
 _REJECTION_STALL_FACTOR = 50_000  # consecutive fictitious proposals tolerated per cell pass
+_BLOCK = 4096  # most proposals drawn from a stream at once
 
 
 @dataclass
 class CollisionModel:
-    """Semi-parametric collision specification.
+    """Semi-parametric collision specification, evaluated on k pairs at once.
 
-    ``lam(z1, z2)`` is the symmetric pair collision rate, bounded by
-    ``Lambda``; ``psi_pair(z1, z2, theta)`` returns the post-collisional
-    pair (z1', z2'); ``theta_sampler(rng)`` draws theta from the reference
-    law q0 * nu. For semi-parametric models ``q(z1, z2, theta)`` reweights
-    the parameter draw and must satisfy q <= M q0. Leaving ``q`` as None
-    means q == q0 identically (plain parametric model). ``free_flow(states,
+    ``lam(z1, z2)`` maps two (k, d) state arrays to the (k,) symmetric pair
+    collision rates, bounded by ``Lambda``; ``psi_pair(z1, z2, theta)``
+    maps them and a (k, p) parameter array to the post-collisional pair
+    (z1', z2') of (k, d) arrays; ``theta_sampler(rng, k)`` draws a (k, p)
+    array from the reference law q0 * nu. The simulators draw thetas in
+    blocks of any size, so a sampler must give the same rows whatever k:
+    one draw call per block, rows in order (``rng.uniform((k, p))``, say).
+    For semi-parametric models ``q(z1, z2, theta)`` reweights the parameter
+    draw and must satisfy q <= M q0, where ``q0(theta)`` is (k,) like q.
+    Leaving ``q`` as None means q == q0 identically (plain parametric
+    model). ``event_filter(z1, z2, theta)`` returns a (k,) boolean array
+    that is False where the model vetoes a collision. ``free_flow(states,
     dt)`` is the optional per-particle flow applied between collisions.
     """
 
@@ -45,16 +59,16 @@ class CollisionModel:
     free_flow: callable | None = None
     event_filter: callable | None = None
 
-    def accept_ratio(self, z1, z2, theta) -> float:
+    def accept_ratio(self, z1, z2, theta) -> np.ndarray:
         return self._ratio(self.lam(z1, z2), z1, z2, theta)
 
-    def _ratio(self, lam, z1, z2, theta) -> float:
-        """accept_ratio for an already evaluated rate lam = lam(z1, z2)."""
+    def _ratio(self, lam, z1, z2, theta) -> np.ndarray:
+        """accept_ratio for already evaluated rates lam = lam(z1, z2)."""
         ratio = lam / self.Lambda
         if self.q is not None:
-            ratio *= self.q(z1, z2, theta) / (self.M * self.q0(theta))
+            ratio = ratio * (self.q(z1, z2, theta) / (self.M * self.q0(theta)))
         elif self.M != 1.0:
-            ratio /= self.M
+            ratio = ratio / self.M
         return ratio
 
 
@@ -72,29 +86,52 @@ class CollisionEvent:
 
 
 class EventLog:
-    """Bounded audit log. Past the cap it downgrades to counters only."""
+    """Bounded audit log, stored as chunks of columns (time, i, j,
+    accepted, dE, dP). Past the cap it keeps counting but stores nothing."""
 
     def __init__(self, cap: int = 10_000_000):
         self.cap = cap
-        self.events: list[CollisionEvent] = []
         self.proposed = 0
         self.accepted = 0
         self.truncated = False
+        self._chunks = []
+        self._stored = 0
 
-    def record(self, event: CollisionEvent):
-        self.proposed += 1
-        if event.accepted:
-            self.accepted += 1
-        if len(self.events) < self.cap:
-            self.events.append(event)
-        else:
+    def record(self, time, i, j, accepted, de, dp):
+        """Log one proposal per row of the columns, dp being (k, d)."""
+        k = len(time)
+        self.proposed += k
+        self.accepted += int(np.count_nonzero(accepted))
+        keep = min(k, self.cap - self._stored)
+        if keep < k:
             self.truncated = True
+        if keep > 0:
+            self._chunks.append(tuple(col[:keep] for col in (time, i, j, accepted, de, dp)))
+            self._stored += keep
+
+    def columns(self):
+        """The stored (time, i, j, accepted, dE, dP) columns, or None if empty."""
+        return tuple(np.concatenate(col) for col in zip(*self._chunks)) if self._chunks else None
+
+    @property
+    def events(self) -> list[CollisionEvent]:
+        """The stored entries as CollisionEvent objects, built on each read."""
+        if not self._chunks:
+            return []
+        time, i, j, accepted, de, dp = self.columns()
+        return [CollisionEvent(*row) for row in
+                zip(time.tolist(), i.tolist(), j.tolist(), accepted.tolist(), dp, de.tolist())]
 
     def write_csv(self, path):
-        dim = len(self.events[0].dp) if self.events else 1
-        cols = ",".join(f"dP{k}" for k in range(dim))
-        write_csv(path, f"time,i,j,accepted,dE,{cols}",
-                  ((e.time, e.i, e.j, int(e.accepted), e.de, *e.dp) for e in self.events))
+        cols = self.columns()
+        if cols is None:
+            dim, rows = 1, ()
+        else:
+            time, i, j, accepted, de, dp = cols
+            dim = dp.shape[1]
+            rows = zip(time.tolist(), i.tolist(), j.tolist(), accepted.astype(int).tolist(), de.tolist(),
+                       *dp.T.tolist())
+        write_csv(path, "time,i,j,accepted,dE," + ",".join(f"dP{k}" for k in range(dim)), rows)
 
 
 @dataclass
@@ -139,56 +176,103 @@ class CellGrid:
         return np.ravel_multi_index(idx.T, self._shape)
 
 
+# ---------------------------------------------------------------------------
+# The batched proposal engine
+
+
 def _apply_free_flow(model, states, dt):
     if model.free_flow is None or dt == 0.0:
         return states
     return np.asarray(model.free_flow(states, dt), dtype=float)
 
 
-def _other_index(rng: RngStream, n: int, i) -> int:
-    """Uniform index in range(n) other than i."""
-    j = int(rng.integers(n - 1))
-    return j + 1 if j >= i else j
+def _streams(rng: RngStream) -> list[RngStream]:
+    """One substream of ``rng`` per kind of draw: clock times (Nanbu:
+    collision candidates), pairs (Nanbu: partners), thetas and acceptance
+    uniforms."""
+    return [rng.substream(k) for k in range(4)]
 
 
-def _draw_pair(rng: RngStream, n: int) -> tuple[int, int]:
-    """Uniform unordered pair of distinct indices in range(n), smaller first."""
-    i = int(rng.integers(n))
-    j = _other_index(rng, n, i)
-    return (i, j) if i < j else (j, i)
+def _block_size(expected: float) -> int:
+    """Proposals to draw when about ``expected`` more are to come."""
+    return min(_BLOCK, int(1.1 * expected) + 16)
 
 
-def _accept(model: CollisionModel, rng: RngStream, z1, z2):
-    """Draw theta ~ q0 nu, then u, and accept on u < lam q / (Lambda M q0)
-    unless the event filter vetoes it. Returns (accepted, theta, lam(z1, z2))."""
-    theta = model.theta_sampler(rng)
-    u = rng.uniform()
-    lam = model.lam(z1, z2)
+def _draw_pairs(rng: RngStream, n: int, k: int) -> np.ndarray:
+    """k uniform unordered pairs of distinct indices in range(n), smaller
+    first, as a (k, 2) array: one draw per pair, an ordered pair (i, j)."""
+    m = rng.integers(n * (n - 1), size=k)
+    i, r = np.divmod(m, n - 1)
+    j = r + (r >= i)
+    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+
+
+def _last_touch(pairs: np.ndarray) -> np.ndarray:
+    """For each row k of a (k, 2) pair array, the last earlier row that
+    shares a particle with it, or -1."""
+    flat = pairs.ravel()
+    order = np.argsort(flat, kind="stable")
+    same = flat[order[1:]] == flat[order[:-1]]
+    prev = np.full(flat.size, -1)
+    prev[order[1:][same]] = order[:-1][same] // 2
+    return prev.reshape(-1, 2).max(axis=1)
+
+
+def _run_end(last_touch: np.ndarray, start: int, stop: int) -> int:
+    """End of the longest run of rows from ``start``, before ``stop``, that
+    touches no particle twice."""
+    hit = np.flatnonzero(last_touch[start + 1:stop] >= start)
+    return start + 1 + int(hit[0]) if hit.size else stop
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, summed over the columns in order."""
+    out = a[:, 0] * b[:, 0]
+    for c in range(1, a.shape[1]):
+        out += a[:, c] * b[:, c]
+    return out
+
+
+def _accept(model: CollisionModel, z1, z2, theta, u):
+    """Accept proposal k on u[k] < lam q / (Lambda M q0) unless the event
+    filter vetoes it. Returns (accepted, lam(z1, z2))."""
+    lam = np.asarray(model.lam(z1, z2), dtype=float)
     ratio = model._ratio(lam, z1, z2, theta)
-    if ratio > 1.0 + 1e-9:
+    too_big = ratio > 1.0 + 1e-9
+    if too_big.any():
         raise BoundViolation(
-            f"acceptance ratio {ratio:g} > 1: the declared Lambda or M does not bound the model"
+            f"acceptance ratio {ratio[too_big][0]:g} > 1: the declared Lambda or M does not bound the model"
         )
-    if not u < ratio:
-        return False, theta, lam
-    if model.event_filter is not None and not model.event_filter(z1, z2, theta):
-        warnings.warn("collision rejected by the model's event filter", stacklevel=3)
-        return False, theta, lam
-    return True, theta, lam
+    accepted = u < ratio
+    if model.event_filter is not None and accepted.any():
+        rows = np.flatnonzero(accepted)
+        allowed = np.asarray(model.event_filter(z1[rows], z2[rows], theta[rows]), dtype=bool)
+        if not allowed.all():
+            warnings.warn("collision rejected by the model's event filter", stacklevel=4)
+            accepted[rows[~allowed]] = False
+    return accepted, lam
 
 
-def _collide(model: CollisionModel, states, i: int, j: int, theta, accepted: bool, t) -> CollisionEvent:
-    """Apply an accepted collision to rows i, j of ``states`` in place; return
-    the event with the pair's state-sum and squared-norm-sum deltas."""
-    if accepted:
-        z1, z2 = states[i], states[j]
-        z1p, z2p = model.psi_pair(z1, z2, theta)
-        dp = (z1p + z2p) - (z1 + z2)
-        de = float(z1p.dot(z1p) + z2p.dot(z2p) - z1.dot(z1) - z2.dot(z2))
-        states[i], states[j] = z1p, z2p
-    else:
-        dp, de = np.zeros(states.shape[1]), 0.0
-    return CollisionEvent(t, i, j, accepted, dp, de)
+def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, dp):
+    """Apply the accepted rows of a run of proposals that touches no
+    particle twice, with pre-collision states z1 and z2, to ``states`` in
+    place; write each one's squared-norm-sum and state-sum deltas into its
+    rows of ``de`` and ``dp``."""
+    if not accepted.all():
+        pairs, z1, z2, theta = pairs[accepted], z1[accepted], z2[accepted], theta[accepted]
+    if len(pairs):
+        z1p, z2p = (np.asarray(z, dtype=float) for z in model.psi_pair(z1, z2, theta))
+        de[accepted] = _rowdot(z1p, z1p) + _rowdot(z2p, z2p) - _rowdot(z1, z1) - _rowdot(z2, z2)
+        dp[accepted] = (z1p + z2p) - (z1 + z2)
+        states[pairs[:, 0]], states[pairs[:, 1]] = z1p, z2p
+
+
+def _run(model: CollisionModel, states, pairs, theta, u, accepted, de, dp):
+    """Evaluate and apply a run of proposals that touches no particle
+    twice as one array step, filling ``accepted``, ``de`` and ``dp``."""
+    z1, z2 = states[pairs[:, 0]], states[pairs[:, 1]]
+    accepted[:] = _accept(model, z1, z2, theta, u)[0]
+    _collide(model, states, pairs, z1, z2, theta, accepted, de, dp)
 
 
 def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream,
@@ -199,7 +283,8 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
     collision times; at each ring a uniform pair and a theta ~ q0 nu are
     drawn and the collision is accepted with probability
     lam(z_i, z_j) q(z_i, z_j, theta) / (Lambda M q0(theta)). Between rings
-    the free flow is applied exactly. Returns (ensemble, event log).
+    the free flow is applied exactly; a model with a free flow therefore
+    takes its proposals one at a time. Returns (ensemble, event log).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -210,18 +295,34 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
     t, horizon = e0.time, e0.time + T
     total_rate = model.Lambda * model.M * (n - 1) / 2.0
     log = EventLog(cap=event_cap)
-
-    while True:
-        tau = rng.exponential(1.0 / total_rate) if total_rate > 0 else math.inf
-        if t + tau > horizon:
-            states = _apply_free_flow(model, states, horizon - t)
+    clock, pair_stream, theta_stream, accept_stream = _streams(rng)
+    while total_rate > 0:
+        size = _block_size(total_rate * (horizon - t))
+        taus = clock.exponential(1.0 / total_rate, size)
+        times = np.cumsum(np.concatenate([[t], taus]))[1:]  # one addition after the other
+        m = int(np.searchsorted(times, horizon, side="right"))
+        pairs = _draw_pairs(pair_stream, n, m)
+        theta = model.theta_sampler(theta_stream, m)
+        u = accept_stream.uniform(m)
+        accepted, de, dp = np.zeros(m, dtype=bool), np.zeros(m), np.zeros((m, states.shape[1]))
+        if model.free_flow is None:
+            touch = _last_touch(pairs)
+            start = 0
+            while start < m:
+                run = slice(start, _run_end(touch, start, m))
+                _run(model, states, pairs[run], theta[run], u[run], accepted[run], de[run], dp[run])
+                start = run.stop
+        else:
+            for k in range(m):
+                states = _apply_free_flow(model, states, taus[k])
+                run = slice(k, k + 1)
+                _run(model, states, pairs[run], theta[run], u[run], accepted[run], de[run], dp[run])
+        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted, de, dp)
+        if m:
+            t = times[m - 1]
+        if m < size:
             break
-        if model.free_flow is not None:
-            states = _apply_free_flow(model, states, tau)
-        t += tau
-        i, j = _draw_pair(rng, n)
-        accepted, theta, _ = _accept(model, rng, states[i], states[j])
-        log.record(_collide(model, states, i, j, theta, accepted, t))
+    states = _apply_free_flow(model, states, horizon - t)
     return Ensemble(states, horizon), log
 
 
@@ -244,47 +345,94 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     times = time_grid.times()
 
     for k, h in enumerate(time_grid.step_durations()):
-        t_k, t_k1 = times[k], times[k + 1]
         states = _apply_free_flow(model, states, h)
         if model.Lambda * model.M == 0.0:
             continue
         cells = grid.assign(states)
         step_stream = rng.substream(k)
-        step_events = []
+        chunks = []
         for cell_id in np.unique(cells):
             members = np.flatnonzero(cells == cell_id)
             n_g = members.size
-            if n_g < 2:
-                continue
-            cell_stream = step_stream.substream(int(cell_id))
-            t_c = t_k
-            stall = 0
-            while t_c <= t_k1:
-                a, b = _draw_pair(cell_stream, n_g)
-                i, j = int(members[a]), int(members[b])
-                accepted, theta, lam = _accept(model, cell_stream, states[i], states[j])
-                step_events.append(_collide(model, states, i, j, theta, accepted, t_c))
-                if accepted:
-                    t_c += 1.0 / (n_g * (n_g - 1) / 2.0 * lam / n * inv_volume)
-                stall = 0 if accepted else stall + 1
+            if n_g >= 2:
+                chunks.append(_bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
+                                         n_g * (n_g - 1) / 2.0 / n * inv_volume,
+                                         step_stream.substream(int(cell_id)), cell_id))
+        if chunks:
+            # counters run in parallel across cells; merge so the log stays time-ordered
+            cols = [np.concatenate(col) for col in zip(*chunks)]
+            order = np.argsort(cols[0], kind="stable")
+            log.record(*(col[order] for col in cols))
+    return Ensemble(states, time_grid.t_end), log
+
+
+def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, scale: float,
+               rng: RngStream, cell_id):
+    """Run one cell's collision counter from t_c until it passes t_stop,
+    updating ``states`` in place. An accepted proposal adds 1/(scale lam)
+    to the counter. Returns the log columns of the proposals made.
+
+    A run ends before any proposal that might come after the counter has
+    passed t_stop, and at the _REJECTION_STALL_FACTOR-th consecutive
+    rejection, which abandons the cell.
+    """
+    _, pair_stream, theta_stream, accept_stream = _streams(rng)
+    # an accepted proposal has u < lam / Lambda (u < lam / (Lambda M) without q), so
+    # lam > u * floor up to rounding, and 1/(scale u floor) bounds its increment
+    floor = model.Lambda * (model.M if model.q is None else 1.0) * (1.0 - 1e-12)
+    out = []
+    stall = 0
+    while True:
+        size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M)
+        pairs = members[_draw_pairs(pair_stream, members.size, size)]
+        theta = model.theta_sampler(theta_stream, size)
+        u = accept_stream.uniform(size)
+        with np.errstate(divide="ignore"):
+            bound = 1.0 / (scale * (u * floor))
+        touch = _last_touch(pairs)
+        at, accepted = np.empty(size), np.zeros(size, dtype=bool)
+        de, dp = np.zeros(size), np.zeros((size, states.shape[1]))
+        start, done = 0, False
+        while start < size and not done:
+            stop = _run_end(touch, start, min(size, start + _REJECTION_STALL_FACTOR - stall))
+            z1, z2 = states[pairs[start:stop, 0]], states[pairs[start:stop, 1]]
+            end = start
+            while end < stop and not done:
+                # floating-point addition is monotone, so these bound the counter before each proposal
+                reach = np.cumsum(np.concatenate([[t_c], bound[end:stop - 1]]))
+                seg = slice(end, end + int(np.searchsorted(reach, t_stop, side="right")))
+                rows = slice(seg.start - start, seg.stop - start)
+                acc, lam = _accept(model, z1[rows], z2[rows], theta[seg], u[seg])
+                inc = np.zeros(len(acc))
+                inc[acc] = 1.0 / (scale * lam[acc])
+                counter = np.cumsum(np.concatenate([[t_c], inc]))
+                at[seg], t_c = counter[:-1], counter[-1]
+                accepted[seg] = acc
+                hits = np.flatnonzero(acc)
+                stall = len(acc) - 1 - int(hits[-1]) if hits.size else stall + len(acc)
+                end = seg.stop
                 if stall >= _REJECTION_STALL_FACTOR:
                     warnings.warn(
                         f"cell {cell_id}: {stall} consecutive fictitious collisions, "
                         "abandoning the cell for this step (all pair rates may be zero)"
                     )
-                    break
-        # counters run in parallel across cells; merge so the log stays time-ordered
-        step_events.sort(key=lambda e: e.time)
-        for event in step_events:
-            log.record(event)
-    return Ensemble(states, time_grid.t_end), log
+                    done = True
+                done = done or t_c > t_stop
+            run = slice(start, end)
+            _collide(model, states, pairs[run], z1[:end - start], z2[:end - start], theta[run],
+                     accepted[run], de[run], dp[run])
+            start = end
+        out.append((at[:start], pairs[:start, 0], pairs[:start, 1], accepted[:start], de[:start], dp[:start]))
+        if done:
+            return [np.concatenate(col) for col in zip(*out)]
 
 
 def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, rng: RngStream) -> Ensemble:
     """One-sided collisions: per step each particle independently collides
     with probability min(1, Lambda M dt) against a uniform partner, runs
     the usual accept-reject, and updates only itself, to the first state
-    of psi_pair."""
+    of psi_pair. Every update of a step reads the states before the step,
+    so a step is one array step (in blocks of at most _BLOCK particles)."""
     if dt <= 0 or steps < 1:
         raise ValueError("need dt > 0 and steps >= 1")
     n = e0.n
@@ -298,67 +446,86 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
         p_collide = 1.0
     states = e0.states.copy()
     t = e0.time
+    hit_stream, partner_stream, theta_stream, accept_stream = _streams(rng)
     for _ in range(steps):
         states = _apply_free_flow(model, states, dt)
         t += dt
-        hits = rng.uniform(n) < p_collide
+        hits = np.flatnonzero(hit_stream.uniform(n) < p_collide)
         new_states = states.copy()
-        for i in np.flatnonzero(hits):
-            j = _other_index(rng, n, i)
-            accepted, theta, _ = _accept(model, rng, states[i], states[j])
-            if accepted:
-                new_states[i] = model.psi_pair(states[i], states[j], theta)[0]
+        for lo in range(0, hits.size, _BLOCK):
+            i = hits[lo:lo + _BLOCK]
+            r = partner_stream.integers(n - 1, size=i.size)
+            j = r + (r >= i)
+            z1, z2 = states[i], states[j]
+            theta = model.theta_sampler(theta_stream, i.size)
+            accepted, _ = _accept(model, z1, z2, theta, accept_stream.uniform(i.size))
+            if accepted.any():
+                new_states[i[accepted]] = model.psi_pair(z1[accepted], z2[accepted], theta[accepted])[0]
         states = new_states
     return Ensemble(states, t)
 
 
 # ---------------------------------------------------------------------------
-# Sphere geometry for velocity collision kernels
+# Sphere geometry for velocity collision kernels, row by row over k pairs
 
 
-def _uniform_direction(k: int, rng: RngStream) -> np.ndarray:
-    """Uniform point on the sphere S^(k-1) embedded in R^k."""
-    if k == 1:
-        return np.array([1.0 if rng.uniform() < 0.5 else -1.0])
-    while True:
-        g = rng.normal(k)
-        norm = math.sqrt(g.dot(g))
-        if norm > 1e-12:
-            return g / norm
+def _direction_columns(dim: int) -> int:
+    """The uniforms per row that ``_directions`` maps into R^dim."""
+    return 1 if dim <= 2 else 2 * ((dim + 1) // 2)
 
 
-def scattering_direction(rel_velocity: np.ndarray, deflection: float, azimuth: np.ndarray) -> np.ndarray:
-    """Unit vector at angle ``deflection`` from the relative-velocity axis,
-    with the azimuthal part given by a uniform direction in the orthogonal
-    complement."""
-    return _scattering_direction(rel_velocity, math.sqrt(rel_velocity.dot(rel_velocity)), deflection, azimuth)
+def _directions(u: np.ndarray, dim: int) -> np.ndarray:
+    """One uniform direction on the sphere S^(dim-1) per row of the (k,
+    _direction_columns(dim)) uniforms u: a sign for dim 1, an angle for
+    dim 2, and above that dim Box-Muller normals over their norm (e_1
+    where the norm is zero)."""
+    if dim == 1:
+        return np.where(u < 0.5, 1.0, -1.0)
+    if dim == 2:
+        angle = 2.0 * math.pi * u
+        return np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    angle = 2.0 * math.pi * u[:, 1::2]
+    g = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2).reshape(len(u), -1)[:, :dim]
+    norm = np.sqrt(_rowdot(g, g))
+    return np.where(norm[:, None] > 0, g / np.where(norm > 0, norm, 1.0)[:, None], np.eye(1, dim))
 
 
-def _scattering_direction(rel_velocity, speed, deflection, azimuth):
-    """scattering_direction for speed = |rel_velocity|: the Householder map sending e_1 onto the
-    axis, applied to the pole coordinates (the identity when the axis is e_1 or speed is 0)."""
-    pole = np.empty(rel_velocity.shape[0])
-    pole[0] = math.cos(deflection)
-    pole[1:] = math.sin(deflection) * azimuth
-    if not speed > 0:
-        return pole
-    axis = rel_velocity / speed
-    u = 0.0 - axis  # e_1 - axis element by element: -axis would give -0.0 for a zero
-    u[0] = 1.0 - axis[0]
-    nrm2 = u.dot(u)
-    if nrm2 < 1e-24:
-        return pole
-    return pole - (2.0 * u.dot(pole) / nrm2) * u
+def scattering_direction(rel_velocity: np.ndarray, deflection: np.ndarray, azimuth: np.ndarray,
+                         speed: np.ndarray | None = None) -> np.ndarray:
+    """Unit vectors at angles ``deflection`` (k,) from the relative
+    velocities (k, d), with the azimuthal parts (k, d-1) given by uniform
+    directions in the orthogonal complement; ``speed`` is |rel_velocity|
+    if already known. Row by row: the Householder map sending e_1 onto the
+    axis, applied to the pole coordinates (the identity where the axis is
+    e_1 or the speed is 0)."""
+    if speed is None:
+        speed = np.sqrt(_rowdot(rel_velocity, rel_velocity))
+    pole = np.empty(rel_velocity.shape)
+    pole[:, 0] = np.cos(deflection)
+    pole[:, 1:] = np.sin(deflection)[:, None] * azimuth
+    turn = speed > 0
+    u = rel_velocity / -np.where(turn, speed, 1.0)[:, None]
+    u[:, 0] += 1.0  # e_1 - axis
+    nrm2 = _rowdot(u, u)
+    turn &= nrm2 >= 1e-24
+    coef = np.where(turn, 2.0 * _rowdot(u, pole) / np.where(turn, nrm2, 1.0), 0.0)
+    return pole - coef[:, None] * u
 
 
 def _elastic_pair(v, v_star, sigma_dir, speed=None):
-    """(v + v*)/2 +- (|v - v*|/2) sigma; ``speed`` is |v - v*| if already known."""
+    """(v + v*)/2 +- (|v - v*|/2) sigma row by row; ``speed`` is |v - v*| if already known."""
     if speed is None:
         rel = v - v_star
-        speed = math.sqrt(rel.dot(rel))
+        speed = np.sqrt(_rowdot(rel, rel))
     mid = (v + v_star) / 2.0
-    step = speed / 2.0 * sigma_dir
+    step = (speed / 2.0)[:, None] * sigma_dir
     return mid + step, mid - step
+
+
+def _same_rows(z1, z2) -> np.ndarray:
+    """Rows with z1 == z2 in every coordinate (NaN differs, -0.0 equals 0.0)."""
+    return (z1 == z2).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +537,11 @@ def maxwell_cutoff_model(sigma_density, d: int = 3) -> CollisionModel:
 
     The pair rate is the constant lambda = integral of the density (zero on
     the diagonal z1 == z2, where the collision is a no-op anyway); theta is
-    (deflection angle, azimuth direction) with the deflection drawn from
-    the normalized density by inverse transform (a trapezoid CDF on 4096
-    equally spaced angles) and the azimuth uniform around the
-    relative-velocity axis. Post-collision velocities are
-    (v + v*)/2 +- (|v - v*|/2) sigma.
+    the row (deflection angle, azimuth direction) with the deflection drawn
+    from the normalized density by inverse transform (``np.interp`` on a
+    trapezoid CDF over 4096 equally spaced angles) and the azimuth uniform
+    around the relative-velocity axis, all from one (k, m) uniform draw.
+    Post-collision velocities are (v + v*)/2 +- (|v - v*|/2) sigma.
     """
     if d < 2:
         raise ValueError("the sphere parametrization needs d >= 2")
@@ -387,33 +554,26 @@ def maxwell_cutoff_model(sigma_density, d: int = 3) -> CollisionModel:
         raise ValueError("deflection density must have positive mass")
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(angles))])
     cdf /= cdf[-1]
+    columns = 1 + _direction_columns(d - 1)
 
     def lam(z1, z2):
-        # exact equality of Python floats: np.array_equal's answer, NaN and -0.0 included
-        return 0.0 if z1.tolist() == z2.tolist() else total
+        return np.where(_same_rows(z1, z2), 0.0, total)
 
-    xp, fp = cdf.tolist(), angles.tolist()
-    last = len(xp) - 1
-
-    def theta_sampler(rng):
-        # np.interp(u, cdf, angles) on Python floats: the same knot search and
-        # the same operations in the same order, so the same bits, without the
-        # array call; xp[0] == 0.0 <= u, so j >= 0
-        u = rng.uniform()
-        j = bisect_right(xp, u) - 1
-        if j == last or xp[j] == u:
-            deflection = fp[j]
-        else:
-            deflection = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (u - xp[j]) + fp[j]
-        return deflection, _uniform_direction(d - 1, rng)
+    def theta_sampler(rng, k):
+        u = rng.uniform((k, columns))
+        theta = np.empty((k, d))
+        theta[:, 0] = np.interp(u[:, 0], cdf, angles)
+        theta[:, 1:] = _directions(u[:, 1:], d - 1)
+        return theta
 
     def psi_pair(z1, z2, theta):
-        deflection, azimuth = theta
-        if z1.tolist() == z2.tolist():
-            return z1.copy(), z2.copy()
         rel = z1 - z2
-        speed = math.sqrt(rel.dot(rel))
-        return _elastic_pair(z1, z2, _scattering_direction(rel, speed, deflection, azimuth), speed)
+        speed = np.sqrt(_rowdot(rel, rel))
+        z1p, z2p = _elastic_pair(z1, z2, scattering_direction(rel, theta[:, 0], theta[:, 1:], speed), speed)
+        same = _same_rows(z1, z2)
+        if same.any():
+            z1p[same], z2p[same] = z1[same], z2[same]
+        return z1p, z2p
 
     return CollisionModel(lam=lam, Lambda=total, psi_pair=psi_pair, theta_sampler=theta_sampler)
 
@@ -430,34 +590,35 @@ def hard_sphere_model(Lambda_cap: float, d: int = 3) -> CollisionModel:
 
     def lam(z1, z2):
         rel = z1 - z2
-        return min(math.sqrt(rel.dot(rel)), Lambda_cap)
+        return np.minimum(np.sqrt(_rowdot(rel, rel)), Lambda_cap)
 
     return CollisionModel(
         lam=lam, Lambda=Lambda_cap, psi_pair=_elastic_pair,
-        theta_sampler=lambda rng: _uniform_direction(d, rng),
+        theta_sampler=lambda rng, k: _directions(rng.uniform((k, _direction_columns(d))), d),
     )
 
 
 def wealth_model(coef_sampler) -> CollisionModel:
     """Conservative-in-mean wealth exchange on the real line.
 
-    theta = (L, R, Ltilde, Rtilde) drawn by ``coef_sampler(rng)`` with
-    E[L + R] = E[Ltilde + Rtilde] = 1; a trade maps (z1, z2) to
-    (L z1 + R z2, Ltilde z2 + Rtilde z1) at unit rate. Draws with a
-    negative coefficient void the trade with a logged warning.
+    theta = (L, R, Ltilde, Rtilde), k rows drawn as a (k, 4) array by
+    ``coef_sampler(rng, k)``, with E[L + R] = E[Ltilde + Rtilde] = 1; a
+    trade maps (z1, z2) to (L z1 + R z2, Ltilde z2 + Rtilde z1) at unit
+    rate. Draws with a negative coefficient void the trade with a logged
+    warning.
     """
 
     def lam(z1, z2):
-        return 0.0 if z1.tolist() == z2.tolist() else 1.0
+        return np.where(_same_rows(z1, z2), 0.0, 1.0)
 
     def psi_pair(z1, z2, theta):
-        L, R, Lt, Rt = theta
+        L, R, Lt, Rt = (theta[:, c:c + 1] for c in range(4))
         return L * z1 + R * z2, Lt * z2 + Rt * z1
 
     return CollisionModel(
         lam=lam, Lambda=1.0, psi_pair=psi_pair,
-        theta_sampler=lambda rng: tuple(float(c) for c in coef_sampler(rng)),
-        event_filter=lambda z1, z2, theta: min(theta) >= 0.0,
+        theta_sampler=lambda rng, k: np.asarray(coef_sampler(rng, k), dtype=float).reshape(k, 4),
+        event_filter=lambda z1, z2, theta: (theta >= 0.0).all(axis=1),
     )
 
 
@@ -510,38 +671,34 @@ def probe_model_symmetry(model: CollisionModel, state_sampler, rng: RngStream,
                          pairs: int = 16, draws: int = 1000) -> dict:
     """Best-effort probe of the model invariants on random states.
 
-    Checks lambda symmetry, lambda(z, z) = 0, the rate bound, the
-    semi-parametric density bound, and the two-sided symmetry of the
-    post-collisional law (two-sample comparison of psi draws with swapped
-    arguments). Returns a dict of worst-case gaps; raises nothing.
+    ``state_sampler(rng, k)`` draws k states as a (k, d) array. Checks
+    lambda symmetry, lambda(z, z) = 0, the rate bound, the semi-parametric
+    density bound, and the two-sided symmetry of the post-collisional law
+    (two-sample comparison of psi draws with swapped arguments). Returns a
+    dict of worst-case gaps; raises nothing.
     """
-    sym_gap = diag_max = rate_excess = q_excess = 0.0
+    z1, z2 = state_sampler(rng, pairs), state_sampler(rng, pairs)
+    l12, l21 = model.lam(z1, z2), model.lam(z2, z1)
+    q_excess = 0.0
+    if model.q is not None:
+        theta = model.theta_sampler(rng, pairs)
+        q_excess = max(0.0, float(np.max(model.q(z1, z2, theta) - model.M * model.q0(theta))))
+    w1, w2 = np.repeat(z1, draws, axis=0), np.repeat(z2, draws, axis=0)
+    fwd = np.concatenate(model.psi_pair(w1, w2, model.theta_sampler(rng, pairs * draws)), axis=1)
+    # psi_pair(z2, z1) with its two outputs exchanged has the law of psi_pair(z1, z2)
+    rev = np.concatenate(model.psi_pair(w2, w1, model.theta_sampler(rng, pairs * draws))[::-1], axis=1)
     two_sample = 0.0
-    for _ in range(pairs):
-        z1, z2 = state_sampler(rng), state_sampler(rng)
-        l12, l21 = model.lam(z1, z2), model.lam(z2, z1)
-        sym_gap = max(sym_gap, abs(l12 - l21))
-        diag_max = max(diag_max, abs(model.lam(z1, z1)))
-        rate_excess = max(rate_excess, l12 - model.Lambda)
-        if model.q is not None:
-            theta = model.theta_sampler(rng)
-            q_excess = max(q_excess, model.q(z1, z2, theta) - model.M * model.q0(theta))
-        fwd = np.array([np.concatenate(model.psi_pair(z1, z2, model.theta_sampler(rng)))
-                        for _ in range(draws)])
-        rev = np.array([np.concatenate(model.psi_pair(z2, z1, model.theta_sampler(rng))[::-1])
-                        for _ in range(draws)])
-        # per-coordinate two-sample CDF distance between psi_pair(z1, z2) and the
-        # swapped psi_pair(z2, z1) with its two outputs exchanged
-        for k in range(fwd.shape[1]):
-            a, b = np.sort(fwd[:, k]), np.sort(rev[:, k])
+    for a_rows, b_rows in zip(fwd.reshape(pairs, draws, -1), rev.reshape(pairs, draws, -1)):
+        # per-coordinate two-sample CDF distance
+        for a, b in zip(np.sort(a_rows, axis=0).T, np.sort(b_rows, axis=0).T):
             pooled = np.concatenate([a, b])
             fa = np.searchsorted(a, pooled, side="right") / draws
             fb = np.searchsorted(b, pooled, side="right") / draws
             two_sample = max(two_sample, float(np.max(np.abs(fa - fb))))
     return {
-        "lambda_symmetry_gap": sym_gap,
-        "lambda_diagonal_max": diag_max,
-        "rate_bound_excess": rate_excess,
+        "lambda_symmetry_gap": max(0.0, float(np.max(np.abs(l12 - l21)))),
+        "lambda_diagonal_max": max(0.0, float(np.max(np.abs(model.lam(z1, z1))))),
+        "rate_bound_excess": max(0.0, float(np.max(l12 - model.Lambda))),
         "density_bound_excess": q_excess,
         "post_collision_ks": two_sample,
     }

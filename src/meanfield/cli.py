@@ -73,6 +73,12 @@ _PARAMS = {
 }
 
 
+# every top-level config key, and the kinds whose runner reads the time grid
+_CONFIG_KEYS = ("kind", "seed", "n_list", "time", "replicas", "params", "thresholds", "out_dir")
+_TIMED_KINDS = ("coupling_rate", "dsmc_compare", "bossy_talay", "kuramoto_sweep")
+_TIME_KEYS = ("t0", "t_end", "dt")
+
+
 def _params(kind: str, given: dict) -> dict:
     """Every param of ``kind``: its value in ``given``, else its _PARAMS default."""
     return {name: given.get(name, default) for name, (_, _, default) in _PARAMS[kind].items()}
@@ -83,7 +89,8 @@ def validate(config: dict) -> list[str]:
     naming the offending field."""
     if not isinstance(config, dict):
         return [f"config: must be a JSON object, got {type(config).__name__}"]
-    v = []
+    v = [f"{key}: not a config key; those are {', '.join(_CONFIG_KEYS)}"
+         for key in config if key not in _CONFIG_KEYS]
     kind = config.get("kind")
     if kind not in KINDS:
         v.append(f"kind: must be one of {KINDS}, got {kind!r}")
@@ -103,14 +110,18 @@ def validate(config: dict) -> list[str]:
             v.append("n_list: rate-fitting experiments need at least 3 sizes")
     time = config.get("time")
     grid = None
-    if kind in ("coupling_rate", "dsmc_compare", "bossy_talay", "kuramoto_sweep"):
+    if kind in _TIMED_KINDS:
         if not isinstance(time, dict):
             v.append("time: required object {t0, t_end, dt}")
         else:
+            v += [f"time.{key}: not a time key; those are {', '.join(_TIME_KEYS)}"
+                  for key in time if key not in _TIME_KEYS]
             try:
                 grid = TimeGrid(time.get("t0", 0.0), time["t_end"], time["dt"])
             except (KeyError, ValueError, TypeError) as err:
                 v.append(f"time: {err}")
+    elif "time" in config and kind in KINDS:
+        v.append(f"time: the {kind} runner reads no time grid; remove it")
     if grid is not None and kind in ("dsmc_compare", "bossy_talay") and grid.t0 != 0:
         v.append(f"time.t0: the {kind} runner starts at 0 and would ignore t0, got {grid.t0!r}")
     if not _is_count(config.get("replicas", 1), 1):
@@ -131,6 +142,10 @@ def validate(config: dict) -> list[str]:
         p = _params(kind, params)
         if kind == "cmc" and _is_count(p["steps"], 1) and _is_count(p["burn_in"], 0) and p["burn_in"] >= p["steps"]:
             v.append(f"params.burn_in: must satisfy 0 <= burn_in < steps, got {p['burn_in']} with steps {p['steps']}")
+        if kind == "cbo" and _is_count(p["dim"], 1) and not _param_errors("target", p["target"], "array", None):
+            target = np.asarray(p["target"], dtype=float)
+            if target.ndim > 1 or (target.ndim == 1 and target.size != p["dim"]):
+                v.append(f"params.target: must be one number or dim = {p['dim']} numbers, got {p['target']!r}")
         if kind == "dsmc_compare" and grid is not None and _is_real(p["bird_dt"]) and p["bird_dt"] > grid.t_end:
             v.append(f"params.bird_dt: must be at most time.t_end = {grid.t_end!r}, got {p['bird_dt']!r}")
     thresholds = config.get("thresholds", {})

@@ -26,12 +26,20 @@ def uniform_deflection(total=1.0):
     return lambda th: np.full_like(np.asarray(th, dtype=float), total / math.pi)
 
 
+def no_theta(rng, k):
+    """theta_sampler of a model without collision parameters: (k, 0) rows."""
+    return np.empty((k, 0))
+
+
+def constant_rate(value):
+    return lambda a, b: np.full(len(a), value)
+
+
 def zero_rate_counting_model():
     """Lambda = 1 proposes events, lam = 0 must reject every one of them;
     an accepted collision would add 1 to both states."""
-    return CollisionModel(lam=lambda a, b: 0.0, Lambda=1.0,
-                          psi_pair=lambda a, b, t: (a + 1.0, b + 1.0),
-                          theta_sampler=lambda rng: None)
+    return CollisionModel(lam=constant_rate(0.0), Lambda=1.0,
+                          psi_pair=lambda a, b, t: (a + 1.0, b + 1.0), theta_sampler=no_theta)
 
 
 def transport_only_model():
@@ -41,43 +49,58 @@ def transport_only_model():
         out[:, 0] += out[:, 1] * dt
         return out
 
-    return CollisionModel(lam=lambda a, b: 0.0, Lambda=0.0,
-                          psi_pair=lambda a, b, t: (a, b),
-                          theta_sampler=lambda rng: None, free_flow=flow)
+    return CollisionModel(lam=constant_rate(0.0), Lambda=0.0, psi_pair=lambda a, b, t: (a, b),
+                          theta_sampler=no_theta, free_flow=flow)
+
+
+def kinetic_maxwell_model():
+    """States (x, v) in R^2 x R^2: Maxwell collisions act on v, the flow moves x by v dt."""
+    maxwell = maxwell_cutoff_model(uniform_deflection(), d=2)
+
+    def psi_pair(z1, z2, theta):
+        v1, v2 = maxwell.psi_pair(z1[:, 2:], z2[:, 2:], theta)
+        return np.concatenate([z1[:, :2], v1], axis=1), np.concatenate([z2[:, :2], v2], axis=1)
+
+    def flow(states, dt):
+        out = states.copy()
+        out[:, :2] += states[:, 2:] * dt
+        return out
+
+    return CollisionModel(lam=lambda a, b: maxwell.lam(a[:, 2:], b[:, 2:]), Lambda=maxwell.Lambda,
+                          psi_pair=psi_pair, theta_sampler=maxwell.theta_sampler, free_flow=flow)
 
 
 class TestMaxwellModel:
     def test_identical_velocities_are_fixed(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
-        v = np.array([1.0, 2.0])
-        z1, z2 = model.psi_pair(v, v.copy(), (1.0, np.array([1.0])))
+        v = np.array([[1.0, 2.0]])
+        z1, z2 = model.psi_pair(v, v.copy(), np.array([[1.0, 1.0]]))
         assert np.array_equal(z1, v) and np.array_equal(z2, v)
 
     def test_right_angle_deflection(self):
         # v = (1,0), v* = (-1,0), sigma = (0,1): v' = (0,1), v*' = (0,-1)
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
-        z1, z2 = model.psi_pair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
-                                (math.pi / 2, np.array([1.0])))
-        assert np.allclose(z1, [0.0, 1.0], atol=1e-12)
-        assert np.allclose(z2, [0.0, -1.0], atol=1e-12)
+        z1, z2 = model.psi_pair(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]),
+                                np.array([[math.pi / 2, 1.0]]))
+        assert np.allclose(z1, [[0.0, 1.0]], atol=1e-12)
+        assert np.allclose(z2, [[0.0, -1.0]], atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_collision_invariants_random(self, d):
         model = maxwell_cutoff_model(uniform_deflection(), d=d)
         rng = RngStream(21, d)
-        for _ in range(1000 if d == 3 else 100):
-            a, b = rng.normal(d), rng.normal(d)
-            theta = model.theta_sampler(rng)
-            p1, p2 = model.psi_pair(a, b, theta)
-            e_in = a @ a + b @ b
-            assert abs((p1 @ p1 + p2 @ p2) - e_in) <= 1e-12 * e_in
-            assert np.abs((p1 + p2) - (a + b)).max() <= 1e-12 * (1 + np.abs(a + b).max())
+        k = 1000 if d == 3 else 100
+        a, b = rng.normal((k, d)), rng.normal((k, d))
+        p1, p2 = model.psi_pair(a, b, model.theta_sampler(rng, k))
+        e_in = (a * a + b * b).sum(axis=1)
+        assert np.all(np.abs((p1 * p1 + p2 * p2).sum(axis=1) - e_in) <= 1e-12 * e_in)
+        scale = 1 + np.abs(a + b).max(axis=1)
+        assert np.all(np.abs((p1 + p2) - (a + b)).max(axis=1) <= 1e-12 * scale)
 
     def test_deflection_angle_distribution(self):
         # theta must follow the normalized density; quadratic ramp as a probe
         model = maxwell_cutoff_model(lambda th: th**2, d=2)
-        rng = RngStream(22)
-        draws = np.array([model.theta_sampler(rng)[0] for _ in range(4000)])
+        draws = model.theta_sampler(RngStream(22), 4000)[:, 0]
         # inverse-CDF oracle: P(theta <= pi/2) = (1/2)^3
         assert np.mean(draws <= math.pi / 2) == pytest.approx(0.125, abs=0.02)
 
@@ -87,14 +110,14 @@ class TestMaxwellModel:
 
     def test_lambda_vanishes_on_diagonal(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
-        z = np.array([0.3, -0.4])
-        assert model.lam(z, z) == 0.0
-        assert model.lam(z, z + 1.0) == pytest.approx(1.0)
+        z = np.array([[0.3, -0.4]])
+        assert model.lam(z, z).tolist() == [0.0]
+        assert model.lam(z, z + 1.0) == pytest.approx([1.0])
 
     def test_symmetry_probe(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=3)
         rng = RngStream(23)
-        report = probe_model_symmetry(model, lambda r: r.normal(3), rng, pairs=6, draws=800)
+        report = probe_model_symmetry(model, lambda r, k: r.normal((k, 3)), rng, pairs=6, draws=800)
         assert report["lambda_symmetry_gap"] == 0.0
         assert report["lambda_diagonal_max"] == 0.0
         assert report["rate_bound_excess"] <= 0.0
@@ -104,25 +127,25 @@ class TestMaxwellModel:
 class TestHardSphereModel:
     def test_zero_relative_speed_never_collides(self):
         model = hard_sphere_model(10.0, d=2)
-        z = np.array([1.0, 1.0])
-        assert model.lam(z, z.copy()) == 0.0
+        z = np.array([[1.0, 1.0]])
+        assert model.lam(z, z.copy()).tolist() == [0.0]
 
     def test_acceptance_factor(self):
         model = hard_sphere_model(10.0, d=2)
-        a, b = np.array([3.0, 0.0]), np.array([0.0, 0.0])
-        assert model.accept_ratio(a, b, np.array([0.0, 1.0])) == pytest.approx(0.3)
+        a, b = np.array([[3.0, 0.0]]), np.array([[0.0, 0.0]])
+        assert model.accept_ratio(a, b, np.array([[0.0, 1.0]])) == pytest.approx([0.3])
 
     def test_rate_clipped_at_cap(self):
         model = hard_sphere_model(1.0, d=2)
-        assert model.lam(np.array([5.0, 0.0]), np.zeros(2)) == 1.0
+        assert model.lam(np.array([[5.0, 0.0]]), np.zeros((1, 2))).tolist() == [1.0]
 
     def test_elastic_invariants(self):
         model = hard_sphere_model(5.0, d=3)
         rng = RngStream(24)
-        for _ in range(200):
-            a, b = rng.normal(3), rng.normal(3)
-            p1, p2 = model.psi_pair(a, b, model.theta_sampler(rng))
-            assert abs((p1 @ p1 + p2 @ p2) - (a @ a + b @ b)) < 1e-12 * (a @ a + b @ b + 1)
+        a, b = rng.normal((200, 3)), rng.normal((200, 3))
+        p1, p2 = model.psi_pair(a, b, model.theta_sampler(rng, 200))
+        e_in = (a * a + b * b).sum(axis=1)
+        assert np.all(np.abs((p1 * p1 + p2 * p2).sum(axis=1) - e_in) < 1e-12 * (e_in + 1))
 
 
 class TestExactSimulate:
@@ -173,9 +196,8 @@ class TestExactSimulate:
         assert d_stat <= 1.628 / math.sqrt(gaps.size)
 
     def test_bound_violation_detected(self):
-        lying = CollisionModel(lam=lambda a, b: 2.0, Lambda=1.0,
-                               psi_pair=lambda a, b, t: (a, b),
-                               theta_sampler=lambda rng: None)
+        lying = CollisionModel(lam=constant_rate(2.0), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=no_theta)
         with pytest.raises(BoundViolation):
             exact_simulate(lying, Ensemble(np.zeros((4, 1))), 5.0, RngStream(31))
 
@@ -204,7 +226,6 @@ class TestExactSimulate:
         times = [float(line.split(",")[0]) for line in lines[1:]]
         assert times == sorted(times)
 
-
     def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream):
         e0 = Ensemble(np.array([[0.0], [1.0], [2.0]]))
         final, log = exact_simulate(zero_rate_counting_model(), e0, 2.0, zero_uniform_stream(39))
@@ -213,8 +234,8 @@ class TestExactSimulate:
 
     def test_free_flow_runs_between_proposals(self):
         # lam = 0 rejects every proposal; the uniform translation still runs between them
-        model = CollisionModel(lam=lambda a, b: 0.0, Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
-                               theta_sampler=lambda rng: None, free_flow=lambda s, dt: s + dt)
+        model = CollisionModel(lam=constant_rate(0.0), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=no_theta, free_flow=lambda s, dt: s + dt)
         e0 = Ensemble(RngStream(40).normal((5, 2)))
         final, log = exact_simulate(model, e0, 3.0, RngStream(41))
         assert log.proposed > 0 and log.accepted == 0
@@ -222,20 +243,7 @@ class TestExactSimulate:
         assert final.time == pytest.approx(3.0)
 
     def test_collisions_on_velocities_with_transport_of_positions(self):
-        # states (x, v) in R^2 x R^2: Maxwell collisions act on v, the flow moves x by v dt
-        maxwell = maxwell_cutoff_model(uniform_deflection(), d=2)
-
-        def psi_pair(z1, z2, theta):
-            v1, v2 = maxwell.psi_pair(z1[2:], z2[2:], theta)
-            return np.concatenate([z1[:2], v1]), np.concatenate([z2[:2], v2])
-
-        def flow(states, dt):
-            out = states.copy()
-            out[:, :2] += states[:, 2:] * dt
-            return out
-
-        model = CollisionModel(lam=lambda a, b: maxwell.lam(a[2:], b[2:]), Lambda=maxwell.Lambda,
-                               psi_pair=psi_pair, theta_sampler=maxwell.theta_sampler, free_flow=flow)
+        model = kinetic_maxwell_model()
         rng = RngStream(42)
         e0 = Ensemble(rng.normal((50, 4)))
         final, log = exact_simulate(model, e0, 1.0, rng.substream(1))
@@ -269,9 +277,8 @@ class TestBirdSimulate:
     def test_two_particle_counter_rate(self):
         # N_G = 2, lam = 1, N = 2, delta = 1, one step of length 10:
         # counter rate is 1/2 per unit time, so about 5 accepted events
-        flat = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0,
-                              psi_pair=lambda a, b, t: (a, b),
-                              theta_sampler=lambda rng: None)
+        flat = CollisionModel(lam=constant_rate(1.0), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                              theta_sampler=no_theta)
         e0 = Ensemble(np.array([[0.0], [1.0]]))
         _, log = bird_simulate(flat, CellGrid.single_cell(), e0, TimeGrid(0, 10, 10), RngStream(38))
         assert abs(log.accepted - 5) <= 3 * math.sqrt(5)
@@ -294,22 +301,14 @@ class TestBirdSimulate:
 
     def test_particles_collide_only_within_cells(self):
         # two spatial clusters in separate cells must never mix
-        def flow(states, dt):
-            return states  # static positions
+        def psi_pair(a, b, t):
+            a, b = a.copy(), b.copy()
+            a[:, 1] += 1.0  # velocity markers count collisions
+            b[:, 1] += 1.0
+            return a, b
 
-        def psi1(a, b, t):
-            out = a.copy()
-            out[1] += 1.0  # velocity marker counts collisions
-            return out
-
-        def psi2(a, b, t):
-            out = b.copy()
-            out[1] += 1.0
-            return out
-
-        model = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0,
-                               psi_pair=lambda a, b, t: (psi1(a, b, t), psi2(a, b, t)),
-                               theta_sampler=lambda rng: None, free_flow=flow)
+        model = CollisionModel(lam=constant_rate(1.0), Lambda=1.0, psi_pair=psi_pair,
+                               theta_sampler=no_theta, free_flow=lambda states, dt: states)
         grid = CellGrid(lo=np.array([0.0]), hi=np.array([2.0]), delta=1.0,
                         position=lambda states: states[:, :1])
         states = np.array([[0.2, 0.0], [0.4, 0.0], [1.6, 0.0], [1.8, 0.0]])
@@ -326,8 +325,7 @@ class TestBirdSimulate:
         assert log.proposed == 0
 
     def test_event_log_csv_times_parse(self, tmp_path):
-        # Bird's event times come off the numpy time grid; the CSV must
-        # still hold plain numbers, not np.float64(...)
+        # the CSV must hold plain numbers, not np.float64(...)
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         e0 = Ensemble(RngStream(43).normal((20, 2)))
         _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 0.3, 0.1), RngStream(44))
@@ -340,9 +338,8 @@ class TestBirdSimulate:
 
 class TestNanbu:
     def test_zero_rate_identity(self):
-        model = CollisionModel(lam=lambda a, b: 0.0, Lambda=0.0,
-                               psi_pair=lambda a, b, t: (a, b),
-                               theta_sampler=lambda rng: None)
+        model = CollisionModel(lam=constant_rate(0.0), Lambda=0.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=no_theta)
         e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
         final = nanbu_simulate(model, e0, 0.1, 10, RngStream(43))
         assert np.array_equal(final.states, e0.states)
@@ -357,9 +354,8 @@ class TestNanbu:
         # psi_pair's first state increments a counter coordinate: after T = 1
         # at unit rate the mean count per particle approaches Lambda = 1
         # (Bernoulli -> Poisson)
-        model = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0,
-                               psi_pair=lambda a, b, t: (a + 1.0, b),
-                               theta_sampler=lambda rng: None)
+        model = CollisionModel(lam=constant_rate(1.0), Lambda=1.0, psi_pair=lambda a, b, t: (a + 1.0, b),
+                               theta_sampler=no_theta)
         n = 2000
         final = nanbu_simulate(model, Ensemble(np.zeros(n)), 0.01, 100, RngStream(44))
         mean_events = final.states.mean()
@@ -386,17 +382,17 @@ class TestNanbu:
 
 class TestSemiParametric:
     def test_accept_ratio_applies_q_over_m_q0(self):
-        model = CollisionModel(lam=lambda a, b: 0.5, Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
-                               theta_sampler=lambda rng: 0.25,
-                               q=lambda a, b, t: 4.0 * t, q0=lambda t: 0.8, M=1.25)
+        model = CollisionModel(lam=constant_rate(0.5), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=lambda rng, k: np.full((k, 1), 0.25),
+                               q=lambda a, b, t: 4.0 * t[:, 0], q0=lambda t: np.full(len(t), 0.8), M=1.25)
         # 0.5 * (4 * 0.25) / (1.25 * 0.8) = 0.5
-        assert model.accept_ratio(np.zeros(1), np.ones(1), 0.25) == pytest.approx(0.5)
-        assert model.accept_ratio(np.zeros(1), np.ones(1), 0.125) == pytest.approx(0.25)
+        z1, z2 = np.zeros((2, 1)), np.ones((2, 1))
+        assert model.accept_ratio(z1, z2, np.array([[0.25], [0.125]])) == pytest.approx([0.5, 0.25])
 
     def test_accept_ratio_without_q_divides_by_m(self):
-        model = CollisionModel(lam=lambda a, b: 0.6, Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
-                               theta_sampler=lambda rng: None, M=2.0)
-        assert model.accept_ratio(np.zeros(1), np.ones(1), None) == pytest.approx(0.3)
+        model = CollisionModel(lam=constant_rate(0.6), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=no_theta, M=2.0)
+        assert model.accept_ratio(np.zeros((1, 1)), np.ones((1, 1)), no_theta(None, 1)) == pytest.approx([0.3])
 
     @pytest.mark.parametrize("simulate", [
         lambda m, e0, rng: exact_simulate(m, e0, 5.0, rng),
@@ -405,33 +401,35 @@ class TestSemiParametric:
     ], ids=["exact", "bird", "nanbu"])
     def test_q_above_m_q0_is_a_bound_violation(self, simulate):
         # q = 3 > M q0 = 2: the acceptance ratio is 1.5
-        model = CollisionModel(lam=lambda a, b: 1.0, Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
-                               theta_sampler=lambda rng: None,
-                               q=lambda a, b, t: 3.0, q0=lambda t: 1.0, M=2.0)
+        model = CollisionModel(lam=constant_rate(1.0), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=no_theta, q=lambda a, b, t: np.full(len(a), 3.0),
+                               q0=lambda t: np.ones(len(t)), M=2.0)
         with pytest.raises(BoundViolation, match="does not bound"):
             simulate(model, Ensemble(np.arange(4.0)), RngStream(53))
 
 
 class TestProposalStep:
     def counting_model(self):
-        calls = []
+        rows = []
 
         def lam(a, b):
-            calls.append(1)
-            return 0.5
+            rows.append(len(a))
+            return np.full(len(a), 0.5)
 
         model = CollisionModel(lam=lam, Lambda=1.0, psi_pair=lambda a, b, t: (a + 1.0, b + 1.0),
-                               theta_sampler=lambda rng: None)
-        return model, calls
+                               theta_sampler=no_theta)
+        return model, rows
 
     def test_one_rate_evaluation_per_proposal(self):
-        e0 = Ensemble(np.arange(6.0))
-        model, calls = self.counting_model()
+        # lam sees each proposal once, in runs: its rows add up to the proposals
+        e0 = Ensemble(np.arange(60.0))
+        model, rows = self.counting_model()
         _, log = exact_simulate(model, e0, 2.0, RngStream(54))
-        assert len(calls) == log.proposed > 0
-        model, calls = self.counting_model()
+        assert sum(rows) == log.proposed > len(rows) > 0
+        model, rows = self.counting_model()
         _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 1, 0.5), RngStream(55))
-        assert len(calls) == log.proposed > log.accepted > 0
+        assert sum(rows) == log.proposed > log.accepted > 0
+        assert len(rows) < log.proposed
 
     def test_nanbu_needs_two_particles(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
@@ -441,20 +439,19 @@ class TestProposalStep:
 
 class TestWealthModel:
     def test_deterministic_half_split(self):
-        model = wealth_model(lambda rng: (0.5, 0.5, 0.5, 0.5))
-        theta = (0.5, 0.5, 0.5, 0.5)
-        z1, z2 = model.psi_pair(np.array([1.0]), np.array([3.0]), theta)
-        assert z1[0] == pytest.approx(2.0) and z2[0] == pytest.approx(2.0)
+        model = wealth_model(lambda rng, k: np.full((k, 4), 0.5))
+        z1, z2 = model.psi_pair(np.array([[1.0]]), np.array([[3.0]]), np.full((1, 4), 0.5))
+        assert z1[0, 0] == pytest.approx(2.0) and z2[0, 0] == pytest.approx(2.0)
 
     def test_equal_wealth_preserved_when_shares_sum_to_one(self):
-        model = wealth_model(lambda rng: (0.3, 0.7, 0.6, 0.4))
-        z1, z2 = model.psi_pair(np.array([5.0]), np.array([5.0]), (0.3, 0.7, 0.6, 0.4))
-        assert z1[0] == pytest.approx(5.0) and z2[0] == pytest.approx(5.0)
+        model = wealth_model(lambda rng, k: np.tile([0.3, 0.7, 0.6, 0.4], (k, 1)))
+        z1, z2 = model.psi_pair(np.array([[5.0]]), np.array([[5.0]]), np.array([[0.3, 0.7, 0.6, 0.4]]))
+        assert z1[0, 0] == pytest.approx(5.0) and z2[0, 0] == pytest.approx(5.0)
 
     def test_mean_wealth_conserved_in_expectation(self):
-        def sampler(rng):
-            u, v = rng.uniform(), rng.uniform()
-            return (u, 1 - u, v, 1 - v)
+        def sampler(rng, k):
+            u = rng.uniform((k, 2))
+            return np.column_stack([u[:, 0], 1 - u[:, 0], u[:, 1], 1 - u[:, 1]])
 
         drifts = []
         for k in range(100):
@@ -468,7 +465,7 @@ class TestWealthModel:
         assert abs(drifts.mean()) <= 4 * sem
 
     def test_negative_coefficient_voids_trade(self):
-        model = wealth_model(lambda rng: (-0.1, 1.1, 0.5, 0.5))
+        model = wealth_model(lambda rng, k: np.tile([-0.1, 1.1, 0.5, 0.5], (k, 1)))
         e0 = Ensemble(np.array([1.0, 3.0]))
         with pytest.warns(UserWarning, match="event filter"):
             final, log = exact_simulate(model, e0, 5.0, RngStream(49))
@@ -534,37 +531,55 @@ class TestCellGrid:
 
 
 # ---------------------------------------------------------------------------
-# The dense formulas the collision geometry was first written as. The kernels
-# do the same floating-point operations with fewer temporaries and calls, so
-# seeded runs depend on them matching bit for bit.
+# Row-wise dense formulas of the batched kernels: the same elementwise
+# floating-point operations, written one pair at a time. A batched kernel
+# must give every row the bits of its row formula, whatever the other rows.
 
 
-def dense_scattering_direction(rel_velocity, deflection, azimuth):
-    d = rel_velocity.shape[0]
-    norm = np.linalg.norm(rel_velocity)
-    axis = rel_velocity / norm if norm > 0 else np.eye(d)[0]
-    pole = np.empty(d)
-    pole[0] = math.cos(deflection)
-    pole[1:] = math.sin(deflection) * azimuth
-    u = np.zeros(d)
-    u[0] = 1.0
-    u -= axis
-    nrm2 = u @ u
-    if nrm2 < 1e-24:
-        return pole
-    return pole - (2.0 * (u @ pole) / nrm2) * u
+def row_dot(a, b):
+    s = a[0] * b[0]
+    for c in range(1, len(a)):
+        s = s + a[c] * b[c]
+    return s
 
 
-def dense_elastic_pair(v, v_star, sigma_dir):
+def dense_directions(u, dim):
+    if dim == 1:
+        return np.array([1.0 if u[0] < 0.5 else -1.0])
+    if dim == 2:
+        angle = 2.0 * math.pi * u[0]
+        return np.array([np.cos(angle), np.sin(angle)])
+    g = []
+    for p in range(len(u) // 2):
+        radius = np.sqrt(-2.0 * np.log1p(-u[2 * p]))
+        angle = 2.0 * math.pi * u[2 * p + 1]
+        g += [radius * np.cos(angle), radius * np.sin(angle)]
+    g = np.array(g[:dim])
+    norm = np.sqrt(row_dot(g, g))
+    return g / norm if norm > 0 else np.eye(1, dim)[0]
+
+
+def dense_scattering_direction(rel, deflection, azimuth, speed):
+    pole = np.concatenate([[np.cos(deflection)], np.sin(deflection) * azimuth])
+    u = rel / -(speed if speed > 0 else 1.0)
+    u[0] += 1.0
+    nrm2 = row_dot(u, u)
+    coef = 2.0 * row_dot(u, pole) / nrm2 if speed > 0 and nrm2 >= 1e-24 else 0.0
+    return pole - coef * u
+
+
+def dense_elastic_pair(v, v_star, sigma_dir, speed):
     mid = (v + v_star) / 2.0
-    half = np.linalg.norm(v - v_star) / 2.0
-    return mid + half * sigma_dir, mid - half * sigma_dir
+    step = speed / 2.0 * sigma_dir
+    return mid + step, mid - step
 
 
 def dense_maxwell_psi_pair(z1, z2, theta):
     if np.array_equal(z1, z2):
         return z1.copy(), z2.copy()
-    return dense_elastic_pair(z1, z2, dense_scattering_direction(z1 - z2, *theta))
+    rel = z1 - z2
+    speed = np.sqrt(row_dot(rel, rel))
+    return dense_elastic_pair(z1, z2, dense_scattering_direction(rel, theta[0], theta[1:], speed), speed)
 
 
 def same_bits(a, b):
@@ -577,38 +592,36 @@ def same_bits(a, b):
 def edge_pairs(d, rng, count=300):
     """Random pairs, then equal states (with both zero signs), a relative
     velocity along the pole, a zero relative-velocity component, and
-    differences near 1e-170, whose squares underflow to zero."""
-    pairs = [(rng.normal(d), rng.normal(d)) for _ in range(count)]
+    differences near 1e-170, whose squares underflow to zero; as two (k, d)
+    arrays."""
+    z1, z2 = list(rng.normal((count, d))), list(rng.normal((count, d)))
     z = rng.normal(d)
     along = np.zeros(d)
     along[0] = 1.5
     zero_last = rng.normal(d)
     zero_last[-1] = 0.0
-    pairs += [(z, z.copy()), (np.zeros(d), -np.zeros(d)), (z + along, z), (z - along, z),
-              (zero_last, np.zeros(d)), (np.zeros(d), zero_last),
-              (np.full(d, 3e-170), np.full(d, 1e-170)), (np.full(d, 1e-170), np.zeros(d))]
-    return pairs
+    edges = [(z, z.copy()), (np.zeros(d), -np.zeros(d)), (z + along, z), (z - along, z),
+             (zero_last, np.zeros(d)), (np.zeros(d), zero_last),
+             (np.full(d, 3e-170), np.full(d, 1e-170)), (np.full(d, 1e-170), np.zeros(d))]
+    return np.array(z1 + [a for a, _ in edges]), np.array(z2 + [b for _, b in edges])
 
 
 def fixed_thetas(d):
     """Deflections 0, pi/2 and pi, with azimuths holding a negative and a
-    zero component."""
-    azimuths = [np.array([-1.0])] if d == 2 else [np.array([0.6, -0.8]), np.array([0.0, 1.0])]
-    return [(deflection, az) for deflection in (0.0, math.pi / 2, math.pi) for az in azimuths]
+    zero component, as (d,) theta rows."""
+    azimuths = [[-1.0]] if d == 2 else [[0.6, -0.8], [0.0, 1.0]]
+    return [np.array([deflection, *az]) for deflection in (0.0, math.pi / 2, math.pi) for az in azimuths]
 
 
 class FixedUniforms:
-    """Stands in for an RngStream: ``uniform()`` returns the given values in
-    turn and ``normal(k)`` a fixed vector."""
+    """Stands in for an RngStream: ``uniform(shape)`` returns the given array."""
 
     def __init__(self, values):
-        self.values = iter(values)
+        self.values = np.asarray(values, dtype=float)
 
-    def uniform(self):
-        return next(self.values)
-
-    def normal(self, k):
-        return np.ones(k)
+    def uniform(self, size):
+        assert self.values.shape == size
+        return self.values
 
 
 def deflection_cdf(density):
@@ -624,13 +637,23 @@ class TestGeometryMatchesDenseFormulas:
     def test_maxwell_lam_and_psi_pair(self, d):
         model = maxwell_cutoff_model(uniform_deflection(2.0), d=d)
         rng = RngStream(91, d)
-        for z1, z2 in edge_pairs(d, rng):
-            assert same_bits(model.lam(z1, z2), 0.0 if np.array_equal(z1, z2) else model.Lambda)
-            for theta in [model.theta_sampler(rng), *fixed_thetas(d)]:
-                for got, want in zip(model.psi_pair(z1, z2, theta), dense_maxwell_psi_pair(z1, z2, theta)):
-                    assert same_bits(got, want), (z1, z2, theta)
-                assert same_bits(boltzmann.scattering_direction(z1 - z2, *theta),
-                                 dense_scattering_direction(z1 - z2, *theta))
+        z1, z2 = edge_pairs(d, rng)
+        k = len(z1)
+        lam = model.lam(z1, z2)
+        for z1_row, z2_row, got in zip(z1, z2, lam):
+            assert same_bits(got, 0.0 if np.array_equal(z1_row, z2_row) else model.Lambda)
+        # every pair with a drawn theta, then with each fixed theta
+        thetas = [model.theta_sampler(rng, k)] + [np.tile(t, (k, 1)) for t in fixed_thetas(d)]
+        for theta in thetas:
+            got1, got2 = model.psi_pair(z1, z2, theta)
+            for row in range(k):
+                want1, want2 = dense_maxwell_psi_pair(z1[row], z2[row], theta[row])
+                assert same_bits(got1[row], want1) and same_bits(got2[row], want2), (z1[row], z2[row], theta[row])
+            sigma = boltzmann.scattering_direction(z1 - z2, theta[:, 0], theta[:, 1:])
+            for row in range(k):
+                rel = z1[row] - z2[row]
+                want = dense_scattering_direction(rel, theta[row, 0], theta[row, 1:], np.sqrt(row_dot(rel, rel)))
+                assert same_bits(sigma[row], want)
 
     @pytest.mark.parametrize("density", [
         uniform_deflection(),
@@ -638,45 +661,165 @@ class TestGeometryMatchesDenseFormulas:
         lambda th: np.exp(-50.0 * (th - 1.0) ** 2),
     ], ids=["flat", "zero-interval", "peaked"])
     def test_maxwell_deflection_is_np_interp(self, density):
-        # the sampler inverts the CDF on Python floats; np.interp is its dense formula
+        # a theta row is the deflection np.interp(u0, cdf, angles), then the
+        # azimuth direction of the row's other uniforms
         model = maxwell_cutoff_model(density, d=3)
         cdf, angles = deflection_cdf(density)
-        us = np.concatenate([RngStream(96).uniform(100_000), cdf, [0.0, np.nextafter(1.0, 0.0)]])
-        got = [model.theta_sampler(rng)[0] for rng in map(FixedUniforms, zip(us.tolist()))]
-        assert same_bits(np.array(got), np.interp(us, cdf, angles))
+        us = np.concatenate([RngStream(96).uniform(20_000), cdf, [0.0, np.nextafter(1.0, 0.0)]])
+        u = np.column_stack([us, RngStream(97).uniform(us.size)])
+        theta = model.theta_sampler(FixedUniforms(u), us.size)
+        assert same_bits(theta[:, 0], np.interp(us, cdf, angles))
+        for row in range(0, us.size, 97):
+            assert same_bits(theta[row, 1:], dense_directions(u[row, 1:], 2))
 
     def test_hard_sphere_lam_and_psi_pair(self):
         model = hard_sphere_model(2.0, d=3)
         rng = RngStream(92)
-        for z1, z2 in edge_pairs(3, rng):
-            assert same_bits(model.lam(z1, z2), min(float(np.linalg.norm(z1 - z2)), 2.0))
-            sigma = model.theta_sampler(rng)
-            for got, want in zip(model.psi_pair(z1, z2, sigma), dense_elastic_pair(z1, z2, sigma)):
-                assert same_bits(got, want)
+        z1, z2 = edge_pairs(3, rng)
+        sigma = model.theta_sampler(rng, len(z1))
+        lam = model.lam(z1, z2)
+        got1, got2 = model.psi_pair(z1, z2, sigma)
+        for row in range(len(z1)):
+            rel = z1[row] - z2[row]
+            speed = np.sqrt(row_dot(rel, rel))
+            assert same_bits(lam[row], np.minimum(speed, 2.0))
+            want1, want2 = dense_elastic_pair(z1[row], z2[row], sigma[row], speed)
+            assert same_bits(got1[row], want1) and same_bits(got2[row], want2)
 
     def test_wealth_lam_and_psi_pair(self):
-        model = wealth_model(lambda rng: rng.uniform(4))
+        model = wealth_model(lambda rng, k: rng.uniform((k, 4)))
         rng = RngStream(93)
-        for z1, z2 in edge_pairs(1, rng):
-            assert same_bits(model.lam(z1, z2), 0.0 if np.array_equal(z1, z2) else 1.0)
-            L, R, Lt, Rt = theta = model.theta_sampler(rng)
-            for got, want in zip(model.psi_pair(z1, z2, theta), (L * z1 + R * z2, Lt * z2 + Rt * z1)):
-                assert same_bits(got, want)
+        z1, z2 = edge_pairs(1, rng)
+        theta = model.theta_sampler(rng, len(z1))
+        lam = model.lam(z1, z2)
+        got1, got2 = model.psi_pair(z1, z2, theta)
+        for row in range(len(z1)):
+            assert same_bits(lam[row], 0.0 if np.array_equal(z1[row], z2[row]) else 1.0)
+            L, R, Lt, Rt = theta[row]
+            assert same_bits(got1[row], L * z1[row] + R * z2[row])
+            assert same_bits(got2[row], Lt * z2[row] + Rt * z1[row])
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 1, 4, 5])
     def test_uniform_direction(self, k):
-        for seed in range(50):
-            g = RngStream(94, seed).normal(k)
-            assert same_bits(boltzmann._uniform_direction(k, RngStream(94, seed)), g / np.linalg.norm(g))
+        columns = boltzmann._direction_columns(k)
+        u = RngStream(94, k).uniform((500, columns))
+        u[:3] = 0.0  # zero radii: for k > 2 the first row falls back to e_1
+        got = boltzmann._directions(u, k)
+        for row in range(len(u)):
+            assert same_bits(got[row], dense_directions(u[row], k))
+        assert np.allclose(np.sqrt((got * got).sum(axis=1)), 1.0, rtol=0, atol=1e-15)
 
     def test_collide_deltas(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         rng = RngStream(95)
         states = rng.normal((40, 2))
-        for _ in range(300):
-            i, j = boltzmann._draw_pair(rng, 40)
-            z1, z2 = states[i].copy(), states[j].copy()
-            event = boltzmann._collide(model, states, i, j, model.theta_sampler(rng), True, 0.0)
-            z1p, z2p = states[i], states[j]
-            assert same_bits(event.de, float(z1p @ z1p + z2p @ z2p - z1 @ z1 - z2 @ z2))
-            assert same_bits(event.dp, (z1p + z2p) - (z1 + z2))
+        before = states.copy()
+        pairs = np.arange(40).reshape(20, 2)
+        theta = model.theta_sampler(rng, 20)
+        accepted = rng.uniform(20) < 0.7
+        de, dp = np.zeros(20), np.zeros((20, 2))
+        boltzmann._collide(model, states, pairs, before[pairs[:, 0]], before[pairs[:, 1]], theta,
+                           accepted, de, dp)
+        for (i, j), theta_row, acc, de_row, dp_row in zip(pairs, theta, accepted, de, dp):
+            z1, z2 = before[i], before[j]
+            z1p, z2p = dense_maxwell_psi_pair(z1, z2, theta_row) if acc else (z1, z2)
+            assert same_bits(states[i], z1p) and same_bits(states[j], z2p)
+            want_de = row_dot(z1p, z1p) + row_dot(z2p, z2p) - row_dot(z1, z1) - row_dot(z2, z2) if acc else 0.0
+            assert same_bits(de_row, want_de)
+            assert same_bits(dp_row, (z1p + z2p) - (z1 + z2) if acc else np.zeros(2))
+
+    @pytest.mark.parametrize("model", [
+        maxwell_cutoff_model(uniform_deflection(), d=2),
+        maxwell_cutoff_model(uniform_deflection(), d=3),
+        maxwell_cutoff_model(lambda th: th ** 2, d=4),
+        hard_sphere_model(3.0, d=1),
+        hard_sphere_model(3.0, d=2),
+        hard_sphere_model(3.0, d=3),
+    ], ids=["maxwell-2", "maxwell-3", "maxwell-4", "hard-sphere-1", "hard-sphere-2", "hard-sphere-3"])
+    def test_kernels_conserve_each_pair(self, model):
+        rng = RngStream(98)
+        d = model.theta_sampler(rng, 1).shape[1]  # both families draw d-column thetas
+        z1, z2 = edge_pairs(d, rng)
+        p1, p2 = model.psi_pair(z1, z2, model.theta_sampler(rng, len(z1)))
+        e_in = (z1 * z1 + z2 * z2).sum(axis=1)
+        p_in = np.abs(z1).max(axis=1) + np.abs(z2).max(axis=1)
+        assert np.all(np.abs((p1 * p1 + p2 * p2).sum(axis=1) - e_in) <= 1e-12 * e_in)
+        assert np.all(np.abs((p1 + p2) - (z1 + z2)).max(axis=1) <= 1e-12 * p_in)
+
+
+# ---------------------------------------------------------------------------
+# The run-vectorized engine
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("make, d", [
+        (lambda: hard_sphere_model(1.5, d=2), 2),
+        (lambda: wealth_model(lambda rng, k: rng.uniform((k, 4)) - 0.05), 1),
+        (kinetic_maxwell_model, 4),
+    ], ids=["hard-sphere", "wealth-with-vetoes", "free-flow"])
+    @pytest.mark.parametrize("engine", ["exact", "bird", "nanbu"])
+    def test_block_size_changes_nothing(self, monkeypatch, make, d, engine):
+        # block size 1 takes the proposals one at a time
+        model = make()
+        e0 = Ensemble(RngStream(60).normal((200, d)))
+        grid = CellGrid(lo=np.array([-1.0]), hi=np.array([1.0]), delta=0.5, position=lambda s: s[:, :1])
+        outs = []
+        for block in (1, 7, boltzmann._BLOCK):
+            monkeypatch.setattr(boltzmann, "_BLOCK", block)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the wealth model's vetoes
+                if engine == "exact":
+                    final, log = exact_simulate(model, e0, 0.75, RngStream(61))
+                elif engine == "bird":
+                    final, log = bird_simulate(model, grid, e0, TimeGrid(0, 2, 0.25), RngStream(61))
+                else:
+                    final, log = nanbu_simulate(model, e0, 0.1, 10, RngStream(61)), None
+            outs.append((final.states, None if log is None else log.columns()))
+        (states, cols), others = outs[0], outs[1:]
+        if cols is not None:
+            assert cols[0].size > 50 and np.count_nonzero(cols[3]) > 0
+        for other_states, other_cols in others:
+            assert same_bits(other_states, states)
+            if cols is not None:
+                assert all(same_bits(a, b) for a, b in zip(other_cols, cols))
+
+    @pytest.mark.parametrize("n", [3, 5, 20, 300])
+    def test_runs_touch_no_particle_twice(self, n):
+        pairs = boltzmann._draw_pairs(RngStream(62, n), n, 500)
+        touch = boltzmann._last_touch(pairs)
+        start, runs = 0, 0
+        while start < len(pairs):
+            end = boltzmann._run_end(touch, start, len(pairs))
+            run = pairs[start:end].ravel()
+            assert len(set(run.tolist())) == run.size
+            if end < len(pairs):  # maximal: the next proposal shares a particle with the run
+                assert set(pairs[end].tolist()) & set(run.tolist())
+            start, runs = end, runs + 1
+        assert runs == len(pairs) if n < 4 else runs < len(pairs)
+
+    def test_pairs_are_uniform_distinct_and_ordered(self):
+        pairs = boltzmann._draw_pairs(RngStream(63), 4, 60_000)
+        assert np.all(pairs[:, 0] < pairs[:, 1]) and pairs.min() >= 0 and pairs.max() == 3
+        counts = np.unique(pairs[:, 0] * 4 + pairs[:, 1], return_counts=True)[1]
+        assert counts.size == 6 and np.all(np.abs(counts - 10_000) <= 4 * math.sqrt(10_000))
+
+    def test_bird_abandons_a_cell_at_the_50000th_consecutive_rejection(self):
+        e0 = Ensemble(RngStream(64).normal(2000))
+        with pytest.warns(UserWarning, match="50000 consecutive fictitious") as caught:
+            final, log = bird_simulate(zero_rate_counting_model(), CellGrid.single_cell(), e0,
+                                       TimeGrid(0, 1, 1), RngStream(65))
+        assert len(caught) == 1
+        assert log.proposed == 50_000 and log.accepted == 0
+        assert np.array_equal(final.states, e0.states)
+
+    def test_events_are_built_from_the_columns(self):
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        e0 = Ensemble(RngStream(66).normal((30, 2)))
+        _, log = exact_simulate(model, e0, 1.0, RngStream(67))
+        time, i, j, accepted, de, dp = log.columns()
+        events = log.events
+        assert len(events) == log.proposed == len(time)
+        for k in (0, len(events) // 2, len(events) - 1):
+            e = events[k]
+            assert (e.time, e.i, e.j, e.accepted, e.de) == (time[k], i[k], j[k], accepted[k], de[k])
+            assert same_bits(e.dp, dp[k]) and type(e.time) is float and type(e.i) is int

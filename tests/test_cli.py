@@ -306,9 +306,13 @@ class TestParamTable:
         ("cmc", {"h": 1e-300}, None, "params.h:"),
         ("dsmc_compare", {}, {"t0": 0.1, "t_end": 0.3, "dt": 0.1}, "time.t0:"),
         ("bossy_talay", {}, {"t0": 0.01, "t_end": 0.02, "dt": 1e-3}, "time.t0:"),
+        ("cbo", {"target": [1.0, 2.0, 3.0]}, None, "params.target:"),
+        ("cbo", {"target": [1.0]}, None, "params.target:"),
+        ("cbo", {"target": [[1.0, 2.0]]}, None, "params.target:"),
     ], ids=["cmc-stpes", "coupling-unknown", "dsmc-unknown", "cbo-unknown", "eks-unknown",
             "bossy-unknown", "kuramoto-unknown", "cbo-tol", "cbo-init_width", "coupling-lambda",
-            "eks-derivative_free", "bird_dt-above-t_end", "cmc-tiny-h", "dsmc-t0", "bossy-t0"])
+            "eks-derivative_free", "bird_dt-above-t_end", "cmc-tiny-h", "dsmc-t0", "bossy-t0",
+            "cbo-target-too-long", "cbo-target-too-short", "cbo-target-matrix"])
     def test_param_exit_2(self, tmp_path, capsys, kind, params, time, field):
         # each of these used to pass validate: an unknown name ran on the defaults,
         # the tiny h ran to exit 0 with no proposal accepted, t0 was ignored and
@@ -325,6 +329,25 @@ class TestParamTable:
         assert field in capsys.readouterr().out
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, change, field", [
+        ("coupling_rate", {"replica": 64}, "replica:"),
+        ("coupling_rate", {"time": {"t0": 0.0, "t_end": 0.3, "dt": 0.01, "dtt": 5}}, "time.dtt:"),
+        ("cmc", {"time": {"t_end": -1}}, "time:"),
+        ("cbo", {"time": {"t0": 0.0, "t_end": 1.0, "dt": 0.1}}, "time:"),
+        ("eks", {"time": {"t0": 0.0, "t_end": 1.0, "dt": 0.1}}, "time:"),
+    ], ids=["top-level-replica", "time-dtt", "cmc-time", "cbo-time", "eks-time"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, kind, change, field):
+        # each of these used to pass validate and run on what the runner reads
+        configs = {**SMALL_CONFIGS, "coupling_rate": coupling_config()}
+        payload = {**json.loads(json.dumps(configs[kind])), **change}
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith(field), violations
+        assert main(["validate", str(cfg)]) == 2
+        assert field in capsys.readouterr().out
+        assert run(cfg, out_dir=tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
     def test_defaults_pass_their_own_checks(self):
