@@ -235,22 +235,28 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _accept(model: CollisionModel, z1, z2, theta, u):
     """Accept proposal k on u[k] < lam q / (Lambda M q0) unless the event
-    filter vetoes it. Returns (accepted, lam(z1, z2))."""
+    filter vetoes it. Returns (accepted, lam(z1, z2), ratio, vetoed);
+    pass the ratio and vetoed rows of the proposals made to ``_check``."""
     lam = np.asarray(model.lam(z1, z2), dtype=float)
     ratio = model._ratio(lam, z1, z2, theta)
+    accepted = u < ratio
+    vetoed = np.zeros(len(u), dtype=bool)
+    if model.event_filter is not None and accepted.any():
+        rows = np.flatnonzero(accepted)
+        vetoed[rows] = ~np.asarray(model.event_filter(z1[rows], z2[rows], theta[rows]), dtype=bool)
+        accepted &= ~vetoed
+    return accepted, lam, ratio, vetoed
+
+
+def _check(ratio, vetoed):
+    """Raise if an acceptance ratio is above 1; warn if the filter vetoed a collision."""
     too_big = ratio > 1.0 + 1e-9
     if too_big.any():
         raise BoundViolation(
             f"acceptance ratio {ratio[too_big][0]:g} > 1: the declared Lambda or M does not bound the model"
         )
-    accepted = u < ratio
-    if model.event_filter is not None and accepted.any():
-        rows = np.flatnonzero(accepted)
-        allowed = np.asarray(model.event_filter(z1[rows], z2[rows], theta[rows]), dtype=bool)
-        if not allowed.all():
-            warnings.warn("collision rejected by the model's event filter", stacklevel=4)
-            accepted[rows[~allowed]] = False
-    return accepted, lam
+    if vetoed.any():
+        warnings.warn("collision rejected by the model's event filter", stacklevel=4)
 
 
 def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, dp):
@@ -271,7 +277,8 @@ def _run(model: CollisionModel, states, pairs, theta, u, accepted, de, dp):
     """Evaluate and apply a run of proposals that touches no particle
     twice as one array step, filling ``accepted``, ``de`` and ``dp``."""
     z1, z2 = states[pairs[:, 0]], states[pairs[:, 1]]
-    accepted[:] = _accept(model, z1, z2, theta, u)[0]
+    accepted[:], _, ratio, vetoed = _accept(model, z1, z2, theta, u)
+    _check(ratio, vetoed)
     _collide(model, states, pairs, z1, z2, theta, accepted, de, dp)
 
 
@@ -305,18 +312,13 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
         theta = model.theta_sampler(theta_stream, m)
         u = accept_stream.uniform(m)
         accepted, de, dp = np.zeros(m, dtype=bool), np.zeros(m), np.zeros((m, states.shape[1]))
-        if model.free_flow is None:
-            touch = _last_touch(pairs)
-            start = 0
-            while start < m:
-                run = slice(start, _run_end(touch, start, m))
-                _run(model, states, pairs[run], theta[run], u[run], accepted[run], de[run], dp[run])
-                start = run.stop
-        else:
-            for k in range(m):
-                states = _apply_free_flow(model, states, taus[k])
-                run = slice(k, k + 1)
-                _run(model, states, pairs[run], theta[run], u[run], accepted[run], de[run], dp[run])
+        touch = _last_touch(pairs)
+        start = 0
+        while start < m:
+            run = slice(start, _run_end(touch, start, m) if model.free_flow is None else start + 1)
+            states = _apply_free_flow(model, states, taus[start])
+            _run(model, states, pairs[run], theta[run], u[run], accepted[run], de[run], dp[run])
+            start = run.stop
         log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted, de, dp)
         if m:
             t = times[m - 1]
@@ -372,14 +374,12 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
     updating ``states`` in place. An accepted proposal adds 1/(scale lam)
     to the counter. Returns the log columns of the proposals made.
 
-    A run ends before any proposal that might come after the counter has
-    passed t_stop, and at the _REJECTION_STALL_FACTOR-th consecutive
-    rejection, which abandons the cell.
+    Each run is evaluated whole, then cut after the proposal that takes the
+    counter past t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive
+    rejection, which abandons the cell. Only the rows kept are checked,
+    applied and logged.
     """
     _, pair_stream, theta_stream, accept_stream = _streams(rng)
-    # an accepted proposal has u < lam / Lambda (u < lam / (Lambda M) without q), so
-    # lam > u * floor up to rounding, and 1/(scale u floor) bounds its increment
-    floor = model.Lambda * (model.M if model.q is None else 1.0) * (1.0 - 1e-12)
     out = []
     stall = 0
     while True:
@@ -387,41 +387,34 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
         pairs = members[_draw_pairs(pair_stream, members.size, size)]
         theta = model.theta_sampler(theta_stream, size)
         u = accept_stream.uniform(size)
-        with np.errstate(divide="ignore"):
-            bound = 1.0 / (scale * (u * floor))
         touch = _last_touch(pairs)
         at, accepted = np.empty(size), np.zeros(size, dtype=bool)
         de, dp = np.zeros(size), np.zeros((size, states.shape[1]))
         start, done = 0, False
         while start < size and not done:
-            stop = _run_end(touch, start, min(size, start + _REJECTION_STALL_FACTOR - stall))
-            z1, z2 = states[pairs[start:stop, 0]], states[pairs[start:stop, 1]]
-            end = start
-            while end < stop and not done:
-                # floating-point addition is monotone, so these bound the counter before each proposal
-                reach = np.cumsum(np.concatenate([[t_c], bound[end:stop - 1]]))
-                seg = slice(end, end + int(np.searchsorted(reach, t_stop, side="right")))
-                rows = slice(seg.start - start, seg.stop - start)
-                acc, lam = _accept(model, z1[rows], z2[rows], theta[seg], u[seg])
-                inc = np.zeros(len(acc))
-                inc[acc] = 1.0 / (scale * lam[acc])
-                counter = np.cumsum(np.concatenate([[t_c], inc]))
-                at[seg], t_c = counter[:-1], counter[-1]
-                accepted[seg] = acc
-                hits = np.flatnonzero(acc)
-                stall = len(acc) - 1 - int(hits[-1]) if hits.size else stall + len(acc)
-                end = seg.stop
-                if stall >= _REJECTION_STALL_FACTOR:
-                    warnings.warn(
-                        f"cell {cell_id}: {stall} consecutive fictitious collisions, "
-                        "abandoning the cell for this step (all pair rates may be zero)"
-                    )
-                    done = True
-                done = done or t_c > t_stop
-            run = slice(start, end)
-            _collide(model, states, pairs[run], z1[:end - start], z2[:end - start], theta[run],
-                     accepted[run], de[run], dp[run])
-            start = end
+            run = slice(start, _run_end(touch, start, min(size, start + _REJECTION_STALL_FACTOR - stall)))
+            z1, z2 = states[pairs[run, 0]], states[pairs[run, 1]]
+            acc, lam, ratio, vetoed = _accept(model, z1, z2, theta[run], u[run])
+            inc = np.zeros(len(acc))
+            inc[acc] = 1.0 / (scale * lam[acc])
+            counter = np.cumsum(np.concatenate([[t_c], inc]))
+            past = np.flatnonzero(counter[1:] > t_stop)
+            made = int(past[0]) + 1 if past.size else len(acc)
+            _check(ratio[:made], vetoed[:made])
+            run = slice(start, start + made)
+            at[run], t_c = counter[:made], counter[made]
+            accepted[run] = acc[:made]
+            hits = np.flatnonzero(acc[:made])
+            stall = made - 1 - int(hits[-1]) if hits.size else stall + made
+            done = past.size > 0
+            if stall >= _REJECTION_STALL_FACTOR:
+                warnings.warn(
+                    f"cell {cell_id}: {stall} consecutive fictitious collisions, "
+                    "abandoning the cell for this step (all pair rates may be zero)"
+                )
+                done = True
+            _collide(model, states, pairs[run], z1[:made], z2[:made], theta[run], accepted[run], de[run], dp[run])
+            start = run.stop
         out.append((at[:start], pairs[:start, 0], pairs[:start, 1], accepted[:start], de[:start], dp[:start]))
         if done:
             return [np.concatenate(col) for col in zip(*out)]
@@ -458,7 +451,8 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
             j = r + (r >= i)
             z1, z2 = states[i], states[j]
             theta = model.theta_sampler(theta_stream, i.size)
-            accepted, _ = _accept(model, z1, z2, theta, accept_stream.uniform(i.size))
+            accepted, _, ratio, vetoed = _accept(model, z1, z2, theta, accept_stream.uniform(i.size))
+            _check(ratio, vetoed)
             if accepted.any():
                 new_states[i[accepted]] = model.psi_pair(z1[accepted], z2[accepted], theta[accepted])[0]
         states = new_states

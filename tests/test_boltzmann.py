@@ -421,15 +421,32 @@ class TestProposalStep:
         return model, rows
 
     def test_one_rate_evaluation_per_proposal(self):
-        # lam sees each proposal once, in runs: its rows add up to the proposals
+        # exact: lam sees each proposal once, in runs, so its rows add up to the proposals
         e0 = Ensemble(np.arange(60.0))
         model, rows = self.counting_model()
         _, log = exact_simulate(model, e0, 2.0, RngStream(54))
         assert sum(rows) == log.proposed > len(rows) > 0
+        # Bird evaluates a run whole and cuts it after the proposal that passes the step's end,
+        # so per step lam also sees the rest of one run: fewer than 60 / 2 rows
         model, rows = self.counting_model()
         _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 1, 0.5), RngStream(55))
-        assert sum(rows) == log.proposed > log.accepted > 0
-        assert len(rows) < log.proposed
+        assert log.proposed <= sum(rows) < log.proposed + 2 * 30
+        assert log.proposed > log.accepted > 0 and len(rows) < log.proposed
+
+    def test_bird_counter_stops_at_the_step_end_when_q_exceeds_m_q0(self):
+        # q = 2 M q0 and lam = 0.4 Lambda give ratio 0.8, so no BoundViolation, yet a proposal
+        # accepted at u > 0.4 has lam < u Lambda; the counter must still stop at the first
+        # proposal that takes it past the step's end
+        model = CollisionModel(lam=constant_rate(0.4), Lambda=1.0, psi_pair=lambda a, b, t: (a + 1.0, b - 1.0),
+                               theta_sampler=no_theta, q=lambda a, b, t: np.full(len(a), 2.0),
+                               q0=lambda t: np.ones(len(t)))
+        n = 400
+        _, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(np.arange(float(n))),
+                               TimeGrid(0, 1, 1), RngStream(68))
+        time, _, _, accepted, _, _ = log.columns()
+        increment = 1.0 / (n * (n - 1) / 2.0 / n * 0.4)  # 1 / (scale lam) in a single cell
+        assert log.accepted > 50
+        assert time.max() <= 1.0 and accepted[-1] and time[-1] + increment > 1.0
 
     def test_nanbu_needs_two_particles(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)

@@ -1,17 +1,16 @@
 """Pass fractions of the Boltzmann acceptance gates over fresh base seeds.
 
-    python tools/gate_sweep.py --label after [--src src] [--seeds 50]
-        [--out tools/gates_boltzmann.json]
+    python tools/gate_sweep.py --label after [--src src]
 
 Runs criteria 03 (collision conservation), 04 (exact against Bird) and 05
 (Kac chaos decay), as the functions ``criterion_0N_gate(seed)`` of
-``tests/test_acceptance.py``, at base seeds 10000, 10001, ... that no test
-uses. The meanfield package is imported from ``--src``, the ``src/``
+``tests/test_acceptance.py``, at the 50 base seeds 10000-10049, which no
+test uses. The meanfield package is imported from ``--src``, the ``src/``
 directory of any checkout, so the same gates can be run against another
-version of the program. For each gate the output file gets, under
-``--label``, the fraction of seeds that pass, quantiles of the gate's
-statistic and the statistic at every seed. Other labels already in the
-file are kept, so runs on two versions sit side by side.
+version of the program. For each gate ``tools/gates_boltzmann.json`` gets,
+under ``--label``, the fraction of seeds that pass, quantiles of the
+gate's statistic and the statistic at every seed. Other labels already in
+the file are kept, so runs on two versions sit side by side.
 
 The tier-1 suite runs each gate at one seed only; this sweep takes minutes
 (criterion 05 runs 2048 exact simulations per seed), so it is not part of
@@ -29,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-FIRST_SEED = 10_000
+OUT = ROOT / "tools" / "gates_boltzmann.json"
+SEEDS = range(10_000, 10_050)
 # gate -> (its statistic, its pass condition)
 GATES = {
     "criterion_03": ("larger relative drift of momentum and energy", "<= 1e-8"),
@@ -38,9 +38,9 @@ GATES = {
 }
 
 
-def sweep(gate, seeds) -> dict:
+def sweep(gate) -> dict:
     passed, stats = [], []
-    for seed in seeds:
+    for seed in SEEDS:
         ok, stat, _ = gate(seed)
         passed.append(bool(ok))
         stats.append(float(stat))
@@ -56,27 +56,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gate_sweep", description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the meanfield package")
-    parser.add_argument("--seeds", type=int, default=50)
-    parser.add_argument("--out", default=str(ROOT / "tools" / "gates_boltzmann.json"))
-    parser.add_argument("--only", choices=sorted(GATES), action="append", help="run only these gates")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
     import test_acceptance
 
-    out = Path(args.out)
-    results = json.loads(out.read_text()) if out.exists() else {}
-    seeds = range(FIRST_SEED, FIRST_SEED + args.seeds)
-    for name in args.only or GATES:
-        statistic, condition = GATES[name]
+    results = json.loads(OUT.read_text()) if OUT.exists() else {}
+    for name, (statistic, condition) in GATES.items():
         start = time.perf_counter()
         entry = results.setdefault(name, {"statistic": statistic, "passes_if": condition})
-        entry["seeds"] = [seeds[0], seeds[-1]]
-        entry[args.label] = sweep(getattr(test_acceptance, f"{name}_gate"), seeds)
+        entry["seeds"] = [SEEDS[0], SEEDS[-1]]
+        entry[args.label] = sweep(getattr(test_acceptance, f"{name}_gate"))
         print(f"{name} [{args.label}]: pass fraction {entry[args.label]['pass_fraction']:.2f}, "
               f"median {entry[args.label]['quantiles']['q50']:.4g} "
               f"({time.perf_counter() - start:.0f} s)", flush=True)
-        out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+        OUT.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return 0
 
 
