@@ -6,13 +6,12 @@ counters, and a one-sided Nanbu variant. Rejected (fictitious) proposals
 are first-class events: they are logged but apply no update, which makes
 rate audits possible.
 
-Models are batched: every model callable takes k pairs at once. The exact
-and Bird simulators draw their proposals in blocks and apply each maximal
-run of proposals that touches no particle twice as one array step. Inside
-such a run no proposal can see another's update, so the run gives the
-states and the log of one proposal after the other. Each kind of draw
-(clock times, pairs, thetas, acceptance uniforms) comes from its own
-substream, so the results do not depend on the block size.
+Models are batched: every model callable takes k pairs at once. Exact and
+Bird draw proposals in blocks and apply proposals that touch no particle
+twice as one array step (exact: each dependency level of a block; Bird:
+each maximal run), each reading the states its predecessors left, so
+states and log are those of one proposal after the other. Each kind of
+draw has its own substream, so the results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ensemble, RngStream, TimeGrid, write_csv
+from .core import Ensemble, RngStream, TimeGrid, _mix64, write_csv
 from .errors import BoundViolation
 
 _REJECTION_STALL_FACTOR = 50_000  # consecutive fictitious proposals tolerated per cell pass
@@ -186,11 +185,10 @@ def _apply_free_flow(model, states, dt):
     return np.asarray(model.free_flow(states, dt), dtype=float)
 
 
-def _streams(rng: RngStream) -> list[RngStream]:
-    """One substream of ``rng`` per kind of draw: clock times (Nanbu:
-    collision candidates), pairs (Nanbu: partners), thetas and acceptance
-    uniforms."""
-    return [rng.substream(k) for k in range(4)]
+def _streams(rng: RngStream, key: int, kinds=range(4)) -> list[RngStream]:
+    """Substreams ``kinds`` of ``rng``'s stream ``key``, built from the key alone: 0 clock times
+    (Nanbu: collision candidates), 1 pairs (Nanbu: partners), 2 thetas, 3 acceptance uniforms."""
+    return [type(rng)(rng.seed, _mix64(key, k)) for k in kinds]
 
 
 def _block_size(expected: float) -> int:
@@ -205,6 +203,17 @@ def _draw_pairs(rng: RngStream, n: int, k: int) -> np.ndarray:
     i, r = np.divmod(m, n - 1)
     j = r + (r >= i)
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+
+
+def _levels(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Level of each row of a (k, 2) array of pairs in range(n): 1 + the highest
+    level of an earlier row sharing a particle with it, else 0."""
+    top, out = [0] * n, []
+    for i, j in pairs.tolist():
+        level = top[i] if top[i] > top[j] else top[j]
+        top[i] = top[j] = level + 1
+        out.append(level)
+    return np.array(out, dtype=int)
 
 
 def _last_touch(pairs: np.ndarray) -> np.ndarray:
@@ -234,9 +243,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _accept(model: CollisionModel, z1, z2, theta, u):
-    """Accept proposal k on u[k] < lam q / (Lambda M q0) unless the event
-    filter vetoes it. Returns (accepted, lam(z1, z2), ratio, vetoed);
-    pass the ratio and vetoed rows of the proposals made to ``_check``."""
+    """Accept proposal k on u[k] < lam q / (Lambda M q0) unless the event filter vetoes it. Returns
+    (accepted, lam(z1, z2), ratio, vetoed); pass the ratio and vetoed rows of those made to ``_check``."""
     lam = np.asarray(model.lam(z1, z2), dtype=float)
     ratio = model._ratio(lam, z1, z2, theta)
     accepted = u < ratio
@@ -248,22 +256,20 @@ def _accept(model: CollisionModel, z1, z2, theta, u):
     return accepted, lam, ratio, vetoed
 
 
-def _check(ratio, vetoed):
-    """Raise if an acceptance ratio is above 1; warn if the filter vetoed a collision."""
+def _check(ratio, vetoed, stacklevel):
+    """Raise at the first ratio above 1; warn (for frame ``stacklevel``) if the filter vetoed a collision."""
     too_big = ratio > 1.0 + 1e-9
     if too_big.any():
         raise BoundViolation(
             f"acceptance ratio {ratio[too_big][0]:g} > 1: the declared Lambda or M does not bound the model"
         )
     if vetoed.any():
-        warnings.warn("collision rejected by the model's event filter", stacklevel=4)
+        warnings.warn("collision rejected by the model's event filter", stacklevel=stacklevel)
 
 
 def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, dp):
-    """Apply the accepted rows of a run of proposals that touches no
-    particle twice, with pre-collision states z1 and z2, to ``states`` in
-    place; write each one's squared-norm-sum and state-sum deltas into its
-    rows of ``de`` and ``dp``."""
+    """Apply the accepted rows of proposals that touch no particle twice, with pre-collision states
+    z1 and z2, to ``states`` in place; write their squared-norm-sum and state-sum deltas to ``de``, ``dp``."""
     if not accepted.all():
         pairs, z1, z2, theta = pairs[accepted], z1[accepted], z2[accepted], theta[accepted]
     if len(pairs):
@@ -271,15 +277,6 @@ def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, 
         de[accepted] = _rowdot(z1p, z1p) + _rowdot(z2p, z2p) - _rowdot(z1, z1) - _rowdot(z2, z2)
         dp[accepted] = (z1p + z2p) - (z1 + z2)
         states[pairs[:, 0]], states[pairs[:, 1]] = z1p, z2p
-
-
-def _run(model: CollisionModel, states, pairs, theta, u, accepted, de, dp):
-    """Evaluate and apply a run of proposals that touches no particle
-    twice as one array step, filling ``accepted``, ``de`` and ``dp``."""
-    z1, z2 = states[pairs[:, 0]], states[pairs[:, 1]]
-    accepted[:], _, ratio, vetoed = _accept(model, z1, z2, theta, u)
-    _check(ratio, vetoed)
-    _collide(model, states, pairs, z1, z2, theta, accepted, de, dp)
 
 
 def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream,
@@ -290,8 +287,8 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
     collision times; at each ring a uniform pair and a theta ~ q0 nu are
     drawn and the collision is accepted with probability
     lam(z_i, z_j) q(z_i, z_j, theta) / (Lambda M q0(theta)). Between rings
-    the free flow is applied exactly; a model with a free flow therefore
-    takes its proposals one at a time. Returns (ensemble, event log).
+    the free flow is applied exactly. Each ``_levels`` level of a block (with
+    a free flow, each proposal) is one array step. Returns (ensemble, log).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -302,7 +299,7 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
     t, horizon = e0.time, e0.time + T
     total_rate = model.Lambda * model.M * (n - 1) / 2.0
     log = EventLog(cap=event_cap)
-    clock, pair_stream, theta_stream, accept_stream = _streams(rng)
+    clock, pair_stream, theta_stream, accept_stream = _streams(rng, rng.stream_id)
     while total_rate > 0:
         size = _block_size(total_rate * (horizon - t))
         taus = clock.exponential(1.0 / total_rate, size)
@@ -311,15 +308,20 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
         pairs = _draw_pairs(pair_stream, n, m)
         theta = model.theta_sampler(theta_stream, m)
         u = accept_stream.uniform(m)
-        accepted, de, dp = np.zeros(m, dtype=bool), np.zeros(m), np.zeros((m, states.shape[1]))
-        touch = _last_touch(pairs)
-        start = 0
-        while start < m:
-            run = slice(start, _run_end(touch, start, m) if model.free_flow is None else start + 1)
-            states = _apply_free_flow(model, states, taus[start])
-            _run(model, states, pairs[run], theta[run], u[run], accepted[run], de[run], dp[run])
-            start = run.stop
-        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted, de, dp)
+        level = _levels(pairs, n) if model.free_flow is None else np.arange(m)
+        order = np.argsort(level, kind="stable")  # each level becomes a slice, rows in proposal order
+        lpairs, theta, u = pairs[order], theta[order], u[order]
+        accepted, ratio, vetoed = np.zeros(m, dtype=bool), np.zeros(m), np.zeros(m, dtype=bool)
+        de, dp = np.zeros(m), np.zeros((m, states.shape[1]))
+        ends = np.cumsum(np.bincount(level)).tolist()
+        for lv in map(slice, [0, *ends], ends):
+            states = _apply_free_flow(model, states, taus[lv.start])  # with a flow, level k is proposal k
+            z1, z2 = states[lpairs[lv, 0]], states[lpairs[lv, 1]]
+            accepted[lv], _, ratio[lv], vetoed[lv] = _accept(model, z1, z2, theta[lv], u[lv])
+            _collide(model, states, lpairs[lv], z1, z2, theta[lv], accepted[lv], de[lv], dp[lv])
+        back = np.argsort(order)
+        _check(ratio[back], vetoed, stacklevel=3)
+        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted[back], de[back], dp[back])
         if m:
             t = times[m - 1]
         if m < size:
@@ -351,15 +353,15 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
         if model.Lambda * model.M == 0.0:
             continue
         cells = grid.assign(states)
-        step_stream = rng.substream(k)
+        counts = np.bincount(cells)
+        ends = np.cumsum(counts)
+        by_cell = np.argsort(cells, kind="stable")  # each cell's members, in ascending order
         chunks = []
-        for cell_id in np.unique(cells):
-            members = np.flatnonzero(cells == cell_id)
-            n_g = members.size
-            if n_g >= 2:
-                chunks.append(_bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
-                                         n_g * (n_g - 1) / 2.0 / n * inv_volume,
-                                         step_stream.substream(int(cell_id)), cell_id))
+        for cell_id in np.flatnonzero(counts >= 2).tolist():
+            members = by_cell[ends[cell_id] - counts[cell_id]:ends[cell_id]]
+            streams = _streams(rng, _mix64(_mix64(rng.stream_id, k), cell_id), (1, 2, 3))
+            chunks.append(_bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
+                                     members.size * (members.size - 1) / 2.0 / n * inv_volume, *streams, cell_id))
         if chunks:
             # counters run in parallel across cells; merge so the log stays time-ordered
             cols = [np.concatenate(col) for col in zip(*chunks)]
@@ -369,17 +371,15 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
 
 
 def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, scale: float,
-               rng: RngStream, cell_id):
+               pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream, cell_id):
     """Run one cell's collision counter from t_c until it passes t_stop,
     updating ``states`` in place. An accepted proposal adds 1/(scale lam)
     to the counter. Returns the log columns of the proposals made.
 
-    Each run is evaluated whole, then cut after the proposal that takes the
-    counter past t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive
-    rejection, which abandons the cell. Only the rows kept are checked,
-    applied and logged.
+    Each run is evaluated whole, then cut after the proposal that takes the counter past
+    t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive rejection, which abandons
+    the cell. Only the rows kept are checked, applied and logged.
     """
-    _, pair_stream, theta_stream, accept_stream = _streams(rng)
     out = []
     stall = 0
     while True:
@@ -400,7 +400,7 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
             counter = np.cumsum(np.concatenate([[t_c], inc]))
             past = np.flatnonzero(counter[1:] > t_stop)
             made = int(past[0]) + 1 if past.size else len(acc)
-            _check(ratio[:made], vetoed[:made])
+            _check(ratio[:made], vetoed[:made], stacklevel=4)
             run = slice(start, start + made)
             at[run], t_c = counter[:made], counter[made]
             accepted[run] = acc[:made]
@@ -439,7 +439,7 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
         p_collide = 1.0
     states = e0.states.copy()
     t = e0.time
-    hit_stream, partner_stream, theta_stream, accept_stream = _streams(rng)
+    hit_stream, partner_stream, theta_stream, accept_stream = _streams(rng, rng.stream_id)
     for _ in range(steps):
         states = _apply_free_flow(model, states, dt)
         t += dt
@@ -452,7 +452,7 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
             z1, z2 = states[i], states[j]
             theta = model.theta_sampler(theta_stream, i.size)
             accepted, _, ratio, vetoed = _accept(model, z1, z2, theta, accept_stream.uniform(i.size))
-            _check(ratio, vetoed)
+            _check(ratio, vetoed, stacklevel=3)
             if accepted.any():
                 new_states[i[accepted]] = model.psi_pair(z1[accepted], z2[accepted], theta[accepted])[0]
         states = new_states

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meanfield import boltzmann
 from meanfield.core import Ensemble, RngStream, TimeGrid
@@ -200,6 +201,21 @@ class TestExactSimulate:
                                theta_sampler=no_theta)
         with pytest.raises(BoundViolation):
             exact_simulate(lying, Ensemble(np.zeros((4, 1))), 5.0, RngStream(31))
+
+    def test_bound_violation_names_the_first_breaking_proposal(self, monkeypatch):
+        # accepted collisions raise the states and lam grows with them, so only some rows break
+        # the bound, at several levels of a block; the error must name the first row in proposal
+        # order, as taking the proposals one at a time does
+        model = CollisionModel(lam=lambda a, b: 0.5 + 0.05 * (a + b)[:, 0], Lambda=1.0,
+                               psi_pair=lambda a, b, t: (a + b + 1.0, a + b + 1.0), theta_sampler=no_theta)
+        e0 = Ensemble(RngStream(70).uniform(50))
+        messages = []
+        for block in (boltzmann._BLOCK, 1):
+            monkeypatch.setattr(boltzmann, "_BLOCK", block)
+            with pytest.raises(BoundViolation) as caught:
+                exact_simulate(model, e0, 3.0, RngStream(70))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     def test_needs_two_particles(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
@@ -426,6 +442,9 @@ class TestProposalStep:
         model, rows = self.counting_model()
         _, log = exact_simulate(model, e0, 2.0, RngStream(54))
         assert sum(rows) == log.proposed > len(rows) > 0
+        # one call per dependency level of the block (one block at this size), in level order
+        _, i, j = log.columns()[:3]
+        assert rows == np.bincount(boltzmann._levels(np.stack([i, j], axis=1), 60)).tolist()
         # Bird evaluates a run whole and cuts it after the proposal that passes the step's end,
         # so per step lam also sees the rest of one run: fewer than 60 / 2 rows
         model, rows = self.counting_model()
@@ -813,6 +832,20 @@ class TestBatchedEngine:
                 assert set(pairs[end].tolist()) & set(run.tolist())
             start, runs = end, runs + 1
         assert runs == len(pairs) if n < 4 else runs < len(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)), max_size=60))))
+    def test_levels_are_one_above_the_latest_sharing_row(self, case):
+        n, draws = case
+        rows = [(i, j + (j >= i)) for i, j in draws]  # distinct particles, in either order
+        level = boltzmann._levels(np.array(rows, dtype=int).reshape(-1, 2), n).tolist()
+        for k, row in enumerate(rows):
+            sharing = [level[e] for e in range(k) if set(rows[e]) & set(row)]
+            assert level[k] == 1 + max(sharing, default=-1)
+        for value in set(level):
+            touched = [p for k, row in enumerate(rows) if level[k] == value for p in row]
+            assert len(set(touched)) == len(touched)
 
     def test_pairs_are_uniform_distinct_and_ordered(self):
         pairs = boltzmann._draw_pairs(RngStream(63), 4, 60_000)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -606,6 +609,17 @@ class TestExperimentKinds:
 
 
 class TestMain:
+    def test_dsmc_compare_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, a module that no step of a dsmc_compare run needs
+        cfg = write_config(tmp_path / "cfg.json", SMALL_CONFIGS["dsmc_compare"])
+        code = ("import sys; from meanfield.cli import main; "
+                f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_validate_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", coupling_config())
         assert main(["validate", str(cfg)]) == 0
