@@ -7,11 +7,12 @@ are first-class events: they are logged but apply no update, which makes
 rate audits possible.
 
 Models are batched: every model callable takes k pairs at once. Exact and
-Bird draw proposals in blocks and apply proposals that touch no particle
-twice as one array step (exact: each dependency level of a block; Bird:
-each maximal run), each reading the states its predecessors left, so
-states and log are those of one proposal after the other. Each kind of
-draw has its own substream, so the results do not depend on the block size.
+Bird draw proposals in blocks and apply each dependency level of a block
+(proposals that touch no particle twice) as one array step, each level
+reading the states the levels below it left, so states and log are those
+of one proposal after the other; Bird then undoes the proposals past its
+counter's cut. Each kind of draw has its own substream, so the results do
+not depend on the block size.
 """
 
 from __future__ import annotations
@@ -205,33 +206,19 @@ def _draw_pairs(rng: RngStream, n: int, k: int) -> np.ndarray:
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
-def _levels(pairs: np.ndarray, n: int) -> np.ndarray:
+def _levels(pairs: np.ndarray, n: int, table: list | None = None) -> np.ndarray:
     """Level of each row of a (k, 2) array of pairs in range(n): 1 + the highest
-    level of an earlier row sharing a particle with it, else 0."""
-    top, out = [0] * n, []
-    for i, j in pairs.tolist():
+    level of an earlier row sharing a particle with it, else 0. A ``table`` of n
+    zeros, kept over the blocks of one simulator call, spares an n-entry list per
+    block; each call leaves it zeroed."""
+    top, out, rows = [0] * n if table is None else table, [], pairs.tolist()
+    for i, j in rows:
         level = top[i] if top[i] > top[j] else top[j]
         top[i] = top[j] = level + 1
         out.append(level)
+    for i, j in rows:
+        top[i] = top[j] = 0
     return np.array(out, dtype=int)
-
-
-def _last_touch(pairs: np.ndarray) -> np.ndarray:
-    """For each row k of a (k, 2) pair array, the last earlier row that
-    shares a particle with it, or -1."""
-    flat = pairs.ravel()
-    order = np.argsort(flat, kind="stable")
-    same = flat[order[1:]] == flat[order[:-1]]
-    prev = np.full(flat.size, -1)
-    prev[order[1:][same]] = order[:-1][same] // 2
-    return prev.reshape(-1, 2).max(axis=1)
-
-
-def _run_end(last_touch: np.ndarray, start: int, stop: int) -> int:
-    """End of the longest run of rows from ``start``, before ``stop``, that
-    touches no particle twice."""
-    hit = np.flatnonzero(last_touch[start + 1:stop] >= start)
-    return start + 1 + int(hit[0]) if hit.size else stop
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,9 +261,30 @@ def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, 
         pairs, z1, z2, theta = pairs[accepted], z1[accepted], z2[accepted], theta[accepted]
     if len(pairs):
         z1p, z2p = (np.asarray(z, dtype=float) for z in model.psi_pair(z1, z2, theta))
-        de[accepted] = _rowdot(z1p, z1p) + _rowdot(z2p, z2p) - _rowdot(z1, z1) - _rowdot(z2, z2)
+        stack = np.concatenate([z1p, z2p, z1, z2])
+        sq = _rowdot(stack, stack).reshape(4, -1)
+        de[accepted] = sq[0] + sq[1] - sq[2] - sq[3]
         dp[accepted] = (z1p + z2p) - (z1 + z2)
         states[pairs[:, 0]], states[pairs[:, 1]] = z1p, z2p
+
+
+def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=None):
+    """Apply a block of proposals to ``states`` in place, one ``_levels`` level after the other, each
+    reading what the levels below it left; with ``taus``, level k is proposal k after the free flow
+    over taus[k], which replaces ``states``. Returns the states, the proposal order of the rows level
+    by level, the level ends, and in that order (accepted, lam, ratio, vetoed, dE, dP) and (z1, z2)."""
+    order = np.argsort(level, kind="stable")  # each level becomes a slice, rows in proposal order
+    pairs, theta, u = pairs[order], theta[order], u[order]
+    m, d = len(order), states.shape[1]
+    accepted, vetoed = np.zeros((2, m), dtype=bool)
+    lam, ratio, de, dp, z1, z2 = *np.zeros((3, m)), *np.zeros((3, m, d))
+    ends = np.cumsum(np.bincount(level)).tolist()
+    for lv in map(slice, [0, *ends], ends):
+        states = states if taus is None else _apply_free_flow(model, states, taus[lv.start])
+        z1[lv], z2[lv] = states[pairs[lv, 0]], states[pairs[lv, 1]]
+        accepted[lv], lam[lv], ratio[lv], vetoed[lv] = _accept(model, z1[lv], z2[lv], theta[lv], u[lv])
+        _collide(model, states, pairs[lv], z1[lv], z2[lv], theta[lv], accepted[lv], de[lv], dp[lv])
+    return states, order, ends, (accepted, lam, ratio, vetoed, de, dp), (z1, z2)
 
 
 def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream,
@@ -300,6 +308,7 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
     total_rate = model.Lambda * model.M * (n - 1) / 2.0
     log = EventLog(cap=event_cap)
     clock, pair_stream, theta_stream, accept_stream = _streams(rng, rng.stream_id)
+    table = [0] * n
     while total_rate > 0:
         size = _block_size(total_rate * (horizon - t))
         taus = clock.exponential(1.0 / total_rate, size)
@@ -308,17 +317,9 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
         pairs = _draw_pairs(pair_stream, n, m)
         theta = model.theta_sampler(theta_stream, m)
         u = accept_stream.uniform(m)
-        level = _levels(pairs, n) if model.free_flow is None else np.arange(m)
-        order = np.argsort(level, kind="stable")  # each level becomes a slice, rows in proposal order
-        lpairs, theta, u = pairs[order], theta[order], u[order]
-        accepted, ratio, vetoed = np.zeros(m, dtype=bool), np.zeros(m), np.zeros(m, dtype=bool)
-        de, dp = np.zeros(m), np.zeros((m, states.shape[1]))
-        ends = np.cumsum(np.bincount(level)).tolist()
-        for lv in map(slice, [0, *ends], ends):
-            states = _apply_free_flow(model, states, taus[lv.start])  # with a flow, level k is proposal k
-            z1, z2 = states[lpairs[lv, 0]], states[lpairs[lv, 1]]
-            accepted[lv], _, ratio[lv], vetoed[lv] = _accept(model, z1, z2, theta[lv], u[lv])
-            _collide(model, states, lpairs[lv], z1, z2, theta[lv], accepted[lv], de[lv], dp[lv])
+        level = _levels(pairs, n, table) if model.free_flow is None else np.arange(m)
+        states, order, _, (accepted, _, ratio, vetoed, de, dp), _ = _apply_levels(
+            model, states, pairs, level, theta, u, taus)
         back = np.argsort(order)
         _check(ratio[back], vetoed, stacklevel=3)
         log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted[back], de[back], dp[back])
@@ -347,6 +348,7 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     log = EventLog(cap=event_cap)
     inv_volume = 1.0 / grid.cell_volume()
     times = time_grid.times()
+    table = [0] * n
 
     for k, h in enumerate(time_grid.step_durations()):
         states = _apply_free_flow(model, states, h)
@@ -359,65 +361,62 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
         chunks = []
         for cell_id in np.flatnonzero(counts >= 2).tolist():
             members = by_cell[ends[cell_id] - counts[cell_id]:ends[cell_id]]
-            streams = _streams(rng, _mix64(_mix64(rng.stream_id, k), cell_id), (1, 2, 3))
             chunks.append(_bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
-                                     members.size * (members.size - 1) / 2.0 / n * inv_volume, *streams, cell_id))
-        if chunks:
-            # counters run in parallel across cells; merge so the log stays time-ordered
+                                     members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table,
+                                     *_streams(rng, _mix64(_mix64(rng.stream_id, k), cell_id), (1, 2, 3))))
+        if len(chunks) == 1:  # one cell's counter never decreases: its log is already time-ordered
+            log.record(*chunks[0])
+        elif chunks:  # counters run in parallel across cells; merge so the log stays time-ordered
             cols = [np.concatenate(col) for col in zip(*chunks)]
             order = np.argsort(cols[0], kind="stable")
             log.record(*(col[order] for col in cols))
     return Ensemble(states, time_grid.t_end), log
 
 
-def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, scale: float,
-               pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream, cell_id):
-    """Run one cell's collision counter from t_c until it passes t_stop,
-    updating ``states`` in place. An accepted proposal adds 1/(scale lam)
-    to the counter. Returns the log columns of the proposals made.
+def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, scale: float, cell_id, table,
+               pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream):
+    """Run one cell's collision counter from t_c until it passes t_stop, updating ``states`` in place;
+    an accepted proposal adds 1/(scale lam) to the counter. Returns the log columns of the proposals made.
 
-    Each run is evaluated whole, then cut after the proposal that takes the counter past
-    t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive rejection, which abandons
-    the cell. Only the rows kept are checked, applied and logged.
+    Each block is applied whole, level by level (``table``: the call's level table), then cut after
+    the proposal that takes the counter past t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive
+    rejection, which abandons the cell. Only the rows kept are checked and logged; the accepted rows
+    past the cut are undone, top level first so that the lowest level's write stays. That is exact:
+    a row sharing a particle with an earlier row has a higher level, so no undone row fed a kept one.
     """
-    out = []
-    stall = 0
+    out, stall, cap = [], 0, _REJECTION_STALL_FACTOR
     while True:
         size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M)
         pairs = members[_draw_pairs(pair_stream, members.size, size)]
-        theta = model.theta_sampler(theta_stream, size)
-        u = accept_stream.uniform(size)
-        touch = _last_touch(pairs)
-        at, accepted = np.empty(size), np.zeros(size, dtype=bool)
-        de, dp = np.zeros(size), np.zeros((size, states.shape[1]))
-        start, done = 0, False
-        while start < size and not done:
-            run = slice(start, _run_end(touch, start, min(size, start + _REJECTION_STALL_FACTOR - stall)))
-            z1, z2 = states[pairs[run, 0]], states[pairs[run, 1]]
-            acc, lam, ratio, vetoed = _accept(model, z1, z2, theta[run], u[run])
-            inc = np.zeros(len(acc))
-            inc[acc] = 1.0 / (scale * lam[acc])
-            counter = np.cumsum(np.concatenate([[t_c], inc]))
-            past = np.flatnonzero(counter[1:] > t_stop)
-            made = int(past[0]) + 1 if past.size else len(acc)
-            _check(ratio[:made], vetoed[:made], stacklevel=4)
-            run = slice(start, start + made)
-            at[run], t_c = counter[:made], counter[made]
-            accepted[run] = acc[:made]
-            hits = np.flatnonzero(acc[:made])
-            stall = made - 1 - int(hits[-1]) if hits.size else stall + made
-            done = past.size > 0
-            if stall >= _REJECTION_STALL_FACTOR:
-                warnings.warn(
-                    f"cell {cell_id}: {stall} consecutive fictitious collisions, "
-                    "abandoning the cell for this step (all pair rates may be zero)"
-                )
-                done = True
-            _collide(model, states, pairs[run], z1[:made], z2[:made], theta[run], accepted[run], de[run], dp[run])
-            start = run.stop
-        out.append((at[:start], pairs[:start, 0], pairs[:start, 1], accepted[:start], de[:start], dp[:start]))
-        if done:
-            return [np.concatenate(col) for col in zip(*out)]
+        theta, u = model.theta_sampler(theta_stream, size), accept_stream.uniform(size)
+        _, order, ends, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(
+            model, states, pairs, _levels(pairs, len(states), table), theta, u)
+        back = np.argsort(order)
+        hits = np.flatnonzero(acc[back])
+        inc = np.zeros(size)
+        inc[hits] = 1.0 / (scale * lam[back[hits]])
+        counter = np.cumsum(np.concatenate([[t_c], inc]))
+        past = np.flatnonzero(counter[1:] > t_stop)
+        made = int(past[0]) + 1 if past.size else size
+        before = np.concatenate([[-1 - stall], hits])  # the row before each run of rejections
+        stop = before[np.diff(np.append(before, size)) > cap] + cap + 1 if stall + size >= cap else before[:0]
+        stalled = stop.size > 0 and stop[0] < made
+        made = int(stop[0]) if stalled else made
+        kept = back[:made]
+        _check(ratio[kept], vetoed[kept], stacklevel=4)
+        undo = acc & (order >= made)
+        for lv in reversed(list(map(slice, [0, *ends], ends))) if made < size else ():
+            rows = lv.start + np.flatnonzero(undo[lv])
+            who = pairs[order[rows]]
+            states[who[:, 0]], states[who[:, 1]] = z1[rows], z2[rows]
+        stall = made - 1 - int(before[np.searchsorted(before, made) - 1])
+        t_c = counter[made]
+        out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc[kept], de[kept], dp[kept]))
+        if stalled:
+            warnings.warn(f"cell {cell_id}: {stall} consecutive fictitious collisions, "
+                          "abandoning the cell for this step (all pair rates may be zero)")
+        if stalled or past.size:
+            return out[0] if len(out) == 1 else [np.concatenate(col) for col in zip(*out)]
 
 
 def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, rng: RngStream) -> Ensemble:

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from meanfield.core import RngStream
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property-test failure reproduces
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 class ZeroUniformStream(RngStream):

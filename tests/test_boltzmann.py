@@ -436,8 +436,8 @@ class TestProposalStep:
                                theta_sampler=no_theta)
         return model, rows
 
-    def test_one_rate_evaluation_per_proposal(self):
-        # exact: lam sees each proposal once, in runs, so its rows add up to the proposals
+    def test_one_rate_evaluation_per_proposal(self, monkeypatch):
+        # exact: lam sees each proposal once, level by level, so its rows add up to the proposals
         e0 = Ensemble(np.arange(60.0))
         model, rows = self.counting_model()
         _, log = exact_simulate(model, e0, 2.0, RngStream(54))
@@ -445,12 +445,15 @@ class TestProposalStep:
         # one call per dependency level of the block (one block at this size), in level order
         _, i, j = log.columns()[:3]
         assert rows == np.bincount(boltzmann._levels(np.stack([i, j], axis=1), 60)).tolist()
-        # Bird evaluates a run whole and cuts it after the proposal that passes the step's end,
-        # so per step lam also sees the rest of one run: fewer than 60 / 2 rows
+        # Bird evaluates a block whole, level by level, and cuts it after the proposal that passes
+        # the step's end, so per step lam also sees the rest of one block: fewer than 60 / 2 rows
         model, rows = self.counting_model()
+        blocks, levels = [], boltzmann._levels
+        monkeypatch.setattr(boltzmann, "_levels", lambda *args: blocks.append(levels(*args)) or blocks[-1])
         _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 1, 0.5), RngStream(55))
         assert log.proposed <= sum(rows) < log.proposed + 2 * 30
         assert log.proposed > log.accepted > 0 and len(rows) < log.proposed
+        assert rows == [count for level in blocks for count in np.bincount(level).tolist()]
 
     def test_bird_counter_stops_at_the_step_end_when_q_exceeds_m_q0(self):
         # q = 2 M q0 and lam = 0.4 Lambda give ratio 0.8, so no BoundViolation, yet a proposal
@@ -819,20 +822,6 @@ class TestBatchedEngine:
             if cols is not None:
                 assert all(same_bits(a, b) for a, b in zip(other_cols, cols))
 
-    @pytest.mark.parametrize("n", [3, 5, 20, 300])
-    def test_runs_touch_no_particle_twice(self, n):
-        pairs = boltzmann._draw_pairs(RngStream(62, n), n, 500)
-        touch = boltzmann._last_touch(pairs)
-        start, runs = 0, 0
-        while start < len(pairs):
-            end = boltzmann._run_end(touch, start, len(pairs))
-            run = pairs[start:end].ravel()
-            assert len(set(run.tolist())) == run.size
-            if end < len(pairs):  # maximal: the next proposal shares a particle with the run
-                assert set(pairs[end].tolist()) & set(run.tolist())
-            start, runs = end, runs + 1
-        assert runs == len(pairs) if n < 4 else runs < len(pairs)
-
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)), max_size=60))))
@@ -861,6 +850,29 @@ class TestBatchedEngine:
         assert len(caught) == 1
         assert log.proposed == 50_000 and log.accepted == 0
         assert np.array_equal(final.states, e0.states)
+
+    def test_bird_undoes_the_rows_past_the_cut(self, monkeypatch, zero_uniform_stream):
+        # every proposal is accepted, and the first one takes the counter 1 / (scale lam) = 2 / 7
+        # past the step's end at 0.01, so the log keeps one row of a 16-proposal block; the rate
+        # doubles on a particle that has collided, a ratio of 2 that only rows past the cut read
+        model = CollisionModel(lam=lambda a, b: np.where((a > 0.5) | (b > 0.5), 2.0, 1.0)[:, 0], Lambda=1.0,
+                               psi_pair=lambda a, b, t: (a + 1.0, b + 1.0), theta_sampler=no_theta)
+        e0 = Ensemble(np.zeros((8, 1)))
+        blocks, levels = [], boltzmann._levels
+        monkeypatch.setattr(boltzmann, "_levels", lambda *args: blocks.append(levels(*args)) or blocks[-1])
+        outs = []
+        for block in (boltzmann._BLOCK, 1):
+            monkeypatch.setattr(boltzmann, "_BLOCK", block)
+            final, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 0.01, 0.01),
+                                       zero_uniform_stream(69))
+            assert log.proposed == log.accepted == 1
+            outs.append(final.states)
+        level = blocks[0]
+        # a row past the cut shares level 0 with the kept row, and the block has higher levels
+        assert len(level) == 16 and np.count_nonzero(level == 0) > 1 and level.max() > 1
+        assert same_bits(outs[0], outs[1])
+        _, i, j = log.columns()[:3]
+        assert sorted(np.flatnonzero(outs[0][:, 0]).tolist()) == [i[0], j[0]] and outs[0].max() == 1.0
 
     def test_events_are_built_from_the_columns(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
