@@ -40,12 +40,9 @@ from .schemes1d import CdfScheme, bossy_talay_run, l1_cdf_error, write_cdf_check
 _SWEEP_KINDS = ("coupling_rate", "bossy_talay")  # fit a rate over n_list
 
 _OBJECTIVES = {
-    "quadratic": lambda target: (
-        lambda x: np.sum((np.atleast_2d(x) - np.asarray(target)) ** 2, axis=1)
-    ),
+    "quadratic": lambda target: (lambda x: np.sum((x - np.asarray(target)) ** 2, axis=-1)),
     "rastrigin": lambda target: (
-        lambda x: 10.0 * np.atleast_2d(x).shape[1]
-        + np.sum(np.atleast_2d(x) ** 2 - 10.0 * np.cos(2.0 * math.pi * np.atleast_2d(x)), axis=1)
+        lambda x: 10.0 * x.shape[-1] + np.sum(x ** 2 - 10.0 * np.cos(2.0 * math.pi * x), axis=-1)
     ),
 }
 
@@ -53,7 +50,7 @@ _OBJECTIVES = {
 # default of None marks a required param. The checks: "count", an integer >=
 # bound; "real>" and "real>=", a finite number > or >= bound; "choice", one of
 # bound; "bool"; "spd", a symmetric positive definite matrix; "array", floats;
-# and "cases", a list of Kuramoto cases
+# and "cases", a non-empty list of Kuramoto cases
 _PARAMS = {
     "coupling_rate": {"lambda": ("real>=", -math.inf, 1.0), "kappa": ("real>=", -math.inf, 1.0),
                       "m0": ("real>=", -math.inf, 1.0), "v0": ("real>=", 0, 1.0)},
@@ -69,7 +66,7 @@ _PARAMS = {
     "cmc": {"h": ("real>=", MIN_BANDWIDTH, 0.5), "steps": ("count", 1, 2000),
             "burn_in": ("count", 0, 500), "dim": ("count", 1, 1)},
     "bossy_talay": {"sigma": ("real>", 0, 1.0), "grid_points": ("count", 2, 2001)},
-    "kuramoto_sweep": {"seeds": ("count", 1, 20), "cases": ("cases", None, [])},
+    "kuramoto_sweep": {"seeds": ("count", 1, 20), "cases": ("cases", None, None)},
 }
 
 
@@ -165,8 +162,8 @@ def validate(config: dict) -> list[str]:
 def _param_errors(name: str, value, check: str, bound) -> list[str]:
     """The violations of ``params.<name>`` by ``value`` under its _PARAMS check."""
     if check == "cases":
-        if not isinstance(value, list):
-            return ["params.cases: must be a list"]
+        if not isinstance(value, list) or not value:
+            return ["params.cases: must be a non-empty list"]
         errors = []
         for i, case in enumerate(value):
             if not isinstance(case, dict):
@@ -344,19 +341,13 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
         init=lambda n, d, rng: p["init_width"] * rng.normal((n, d)),
     )
     base = RngStream(config["seed"])
-
-    def run_seed(k):
-        result = cbo_minimize(cfg, base.substream(k))
-        dist = float(np.linalg.norm(result.consensus - np.asarray(p["target"])))
-        return dist, result
-
-    results = _map_replicas(run_seed, p["seeds"], threads)
-    dists = [d for d, _ in results]
+    results = cbo_minimize(cfg, [base.substream(k) for k in range(p["seeds"])])
+    dists = [float(np.linalg.norm(r.consensus - np.asarray(p["target"]))) for r in results]
     successes = int(sum(d <= p["tol"] for d in dists))
     write_csv(out / "cbo_seeds.csv", "seed,distance,success",
               ((k, d, int(d <= p["tol"])) for k, d in enumerate(dists)))
     trajectory_csv = out / "cbo_trajectory.csv"
-    results[0][1].write_trajectory_csv(trajectory_csv)
+    results[0].write_trajectory_csv(trajectory_csv)
     return {
         "kind": "cbo",
         "objective": p["objective"],
@@ -364,8 +355,8 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
         "successes": successes,
         "tolerance": p["tol"],
         "median_distance": float(np.median(dists)),
-        "consensus": [float(x) for x in results[0][1].consensus],
-        "objective_at_consensus": results[0][1].objective_at_consensus,
+        "consensus": [float(x) for x in results[0].consensus],
+        "objective_at_consensus": results[0].objective_at_consensus,
         "trajectory_csv": trajectory_csv.name,
     }
 

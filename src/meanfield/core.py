@@ -177,12 +177,13 @@ def pair_mean(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(b, dtype=float).mean(axis=-2) for b in blocks], axis=-2)
 
 
-def weighted_mean(ensemble: Ensemble, w=None, log_w=None) -> np.ndarray:
-    """Weighted average of particle positions.
+def weighted_mean(ensemble: Ensemble | np.ndarray, w=None, log_w=None) -> np.ndarray:
+    """Weighted average of particle positions: the (d,) mean of one ensemble,
+    or one per replica of an (..., n, d) batch, bit for bit a lone call's.
 
     Exactly one of ``w`` (a nonnegative weight function of the state) or
     ``log_w`` (its logarithm, for weights of the form exp(score)) must be
-    given. The log form is evaluated with a shift by the maximum
+    given. The log form is evaluated with a shift by the replica's maximum
     log-weight, so exponential weights with large exponents never
     underflow; it is the route used by the consensus-point computation.
 
@@ -191,26 +192,31 @@ def weighted_mean(ensemble: Ensemble, w=None, log_w=None) -> np.ndarray:
     """
     if (w is None) == (log_w is None):
         raise ValueError("provide exactly one of w or log_w")
-    pts = ensemble.states
+    pts = ensemble if isinstance(ensemble, np.ndarray) else ensemble.states
     if log_w is not None:
-        lw = np.asarray(log_w(pts), dtype=float).reshape(-1)
+        lw = np.asarray(log_w(pts), dtype=float).reshape(pts.shape[:-1])
         lw = np.where(np.isnan(lw), -np.inf, lw)
-        shift = lw.max()
-        if shift == np.inf:
-            bad = int(np.argmax(lw))
-            raise DegenerateWeights(f"log-weight of +inf at particle {bad}")
-        if not np.isfinite(shift):
-            raise DegenerateWeights("all log-weights are -inf or nan")
+        shift = lw.max(axis=-1, keepdims=True)
+        _raise_degenerate("log-weight of +inf at particle {particle}", lw == np.inf)
+        _raise_degenerate("all log-weights are -inf or nan", ~np.isfinite(shift))
         weights = np.exp(lw - shift)
     else:
-        weights = np.asarray(w(pts), dtype=float).reshape(-1)
+        weights = np.asarray(w(pts), dtype=float).reshape(pts.shape[:-1])
         weights = np.where(np.isfinite(weights), weights, 0.0)
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-    total = weights.sum()
-    if not (total > 0) or not np.isfinite(total):
-        raise DegenerateWeights("weights sum to zero")
-    return weights @ pts / total
+    total = weights.sum(axis=-1, keepdims=True)
+    _raise_degenerate("weights sum to zero", ~((total > 0) & np.isfinite(total)))
+    # one (1, n) @ (n, d) product per replica: the bits of ``weights @ pts``
+    return (weights[..., None, :] @ pts)[..., 0, :] / total
+
+
+def _raise_degenerate(message: str, mask: np.ndarray):
+    """Raise DegenerateWeights at the first True entry of ``mask``, if any."""
+    if mask.any():
+        *replica, particle = np.argwhere(mask)[0].tolist()
+        where = f" (replica {', '.join(map(str, replica))})" if replica else ""
+        raise DegenerateWeights(message.format(particle=particle) + where)
 
 
 def empirical_moments(ensemble: Ensemble, p: int) -> np.ndarray:

@@ -423,14 +423,6 @@ def simulate_synchronous_coupling(
 # Model factories
 
 
-def _per_ensemble(fn, states, points) -> np.ndarray:
-    """Apply ``fn(states, points)``, written for one (n, d) ensemble, to each
-    ensemble of a (..., n, d) batch and stack the results."""
-    if states.ndim == 2:
-        return np.asarray(fn(states, points), dtype=float)
-    return np.stack([_per_ensemble(fn, s, p) for s, p in zip(states, points)])
-
-
 def gradient_system_model(
     grad_V, grad_W, sigma_const: float, dim: int = 1, grad_W_conv=None
 ) -> McKeanModel:
@@ -442,8 +434,8 @@ def gradient_system_model(
     ``grad_W_conv(states, mu_points)``, when supplied, is a closed form
     for the convolution grad W * mu evaluated at each state
     (e.g. x - mean for quadratic W), replacing the O(N^2) pairwise sum. It
-    takes one (n, d) ensemble and its (m, d) support points; a batch of
-    replicas is passed to it one replica at a time. The pairwise sum
+    takes (..., n, d) states and the (..., m, d) support points of their
+    replicas' measures, and reduces over axis -2. The pairwise sum
     includes the self term, which vanishes for odd gradients.
     """
     probes = RngStream(2024, 777).gen.standard_normal((8, dim)) * 3.0
@@ -453,7 +445,7 @@ def gradient_system_model(
 
     if grad_W_conv is not None:
         def interaction(states, mu):
-            return _per_ensemble(grad_W_conv, states, mu.points)
+            return np.asarray(grad_W_conv(states, mu.points), dtype=float)
     else:
         def interaction(states, mu):
             return pair_mean(lambda x, y: grad_W(x - y), states, mu.points)
@@ -491,7 +483,9 @@ def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None,
         if disorder is not None and theta.shape[-1] != disorder.shape[0]:
             raise ValueError("ensemble size differs from the quenched disorder draw")
         phase = np.exp(1j * theta)
-        z = np.mean(np.exp(1j * mu.points[..., 0]), axis=-1, keepdims=True)
+        # the interacting system reads its own measure: its phases are the states'
+        mu_phase = phase if mu.points is states else np.exp(1j * mu.points[..., 0])
+        z = np.mean(mu_phase, axis=-1, keepdims=True)
         align = -coupling * np.imag(phase * np.conj(z))
         if disorder is not None:
             align = align + disorder

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Ensemble, RngStream, weighted_mean, write_csv
-from .errors import StepError
+from .mckean import _batch_width, _noise_steps, _raise_non_finite
 
 
 @dataclass
@@ -24,7 +24,7 @@ class CboConfig:
     of width eps of the unit step.
     """
 
-    objective: callable  # vectorized over rows of an (n, d) array
+    objective: callable  # maps (..., n, d) points to (..., n) values
     alpha: float
     lambda_drift: float
     sigma_noise: float
@@ -40,6 +40,8 @@ class CboConfig:
             raise ValueError("alpha, lambda_drift and dt must be positive")
         if self.sigma_noise < 0 or self.eps_heaviside < 0:
             raise ValueError("sigma_noise and eps_heaviside must be nonnegative")
+        if self.n < 1 or self.dim < 1 or self.steps < 0:
+            raise ValueError("need n >= 1, dim >= 1 and steps >= 0")
 
 
 @dataclass
@@ -63,49 +65,55 @@ def _cbo_init(cfg: CboConfig, rng: RngStream) -> np.ndarray:
     return np.array(cfg.init, dtype=float).reshape(cfg.n, cfg.dim)
 
 
-def cbo_minimize(cfg: CboConfig, rng: RngStream) -> CboResult:
+def cbo_minimize(cfg: CboConfig, streams: list[RngStream]) -> list[CboResult]:
     """Minimize an objective with the consensus-based particle dynamics
-    dX = -lambda (X - v) H(G(X) - G(v)) dt + sqrt(2) sigma |X - v| dB.
+    dX = -lambda (X - v) H(G(X) - G(v)) dt + sqrt(2) sigma |X - v| dB,
+    one swarm per stream; returns one result per stream.
 
     The consensus point v is the exp(-alpha G)-weighted position mean,
-    computed in the log domain so large alpha never underflows. Returns the
-    final consensus point, the best particle seen in the final swarm and
-    the consensus trajectory.
+    computed in the log domain so large alpha never underflows. A result
+    holds the final consensus point, the best particle of the final swarm
+    and the consensus trajectory. The swarms advance as (R, n, d) arrays in
+    the groups of ``mckean.simulate``, swarm r drawing from ``streams[r]``
+    only. The objective is evaluated once per step, plus once at v when the
+    gate is on; a non-finite value raises a StepError naming its replica.
     """
-    states = _cbo_init(cfg, rng)
-    g_vals = np.asarray(cfg.objective(states), dtype=float)
-    if not np.all(np.isfinite(g_vals)):
-        raise ValueError("objective must be finite at every initial particle")
-
-    trajectory = np.empty((cfg.steps + 1, cfg.dim))
+    results = []
+    width = _batch_width(cfg.n, cfg.dim)
     sqrt_2dt = math.sqrt(2.0 * cfg.dt)
-    for k in range(cfg.steps + 1):
-        ensemble = Ensemble(states)
-        v = weighted_mean(ensemble, log_w=lambda pts: -cfg.alpha * np.asarray(cfg.objective(pts)))
-        trajectory[k] = v
-        if k == cfg.steps:
-            break
-        gap = states - v
-        if cfg.eps_heaviside > 0.0:
-            g_v = float(np.asarray(cfg.objective(v.reshape(1, -1)), dtype=float)[0])
-            # logistic smoothing of the unit step, in overflow-safe form
-            gate = 0.5 * (1.0 + np.tanh((g_vals - g_v) / (2.0 * cfg.eps_heaviside)))
-        else:
-            gate = 1.0
-        drift = -cfg.lambda_drift * gap * (gate if np.isscalar(gate) else gate[:, None])
-        radius = np.linalg.norm(gap, axis=1, keepdims=True)
-        xi = rng.normal((cfg.n, cfg.dim))
-        states = states + drift * cfg.dt + sqrt_2dt * cfg.sigma_noise * radius * xi
+    for first in range(0, len(streams), width):
+        group = streams[first:first + width]
+        states = np.stack([_cbo_init(cfg, s) for s in group])
         g_vals = np.asarray(cfg.objective(states), dtype=float)
         if not np.all(np.isfinite(g_vals)):
-            bad = int(np.argwhere(~np.isfinite(g_vals))[0][0])
-            raise StepError("objective became non-finite", particle=bad, step=k)
+            raise ValueError("objective must be finite at every initial particle")
+        noise = _noise_steps(group, (cfg.n, cfg.dim), cfg.steps)
+        trajectory = np.empty((len(group), cfg.steps + 1, cfg.dim))
+        for k in range(cfg.steps + 1):
+            trajectory[:, k] = weighted_mean(states, log_w=lambda _: -cfg.alpha * g_vals)
+            if k == cfg.steps:
+                break
+            v = trajectory[:, k, None]
+            gap = states - v
+            if cfg.eps_heaviside > 0.0:
+                g_v = np.asarray(cfg.objective(v), dtype=float)
+                # logistic smoothing of the unit step, in overflow-safe form
+                gate = 0.5 * (1.0 + np.tanh((g_vals - g_v) / (2.0 * cfg.eps_heaviside)))[..., None]
+            else:
+                gate = 1.0
+            drift = -cfg.lambda_drift * gap * gate
+            radius = np.linalg.norm(gap, axis=-1, keepdims=True)
+            states = states + drift * cfg.dt + sqrt_2dt * cfg.sigma_noise * radius * next(noise)
+            g_vals = np.asarray(cfg.objective(states), dtype=float)
+            if not np.all(np.isfinite(g_vals)):
+                _raise_non_finite("objective", g_vals, True, first, k, k * cfg.dt)
 
-    best = states[int(np.argmin(g_vals))]
-    consensus = trajectory[-1]
-    g_cons = float(np.asarray(cfg.objective(consensus.reshape(1, -1)), dtype=float)[0])
-    return CboResult(consensus=consensus, best_particle=best.copy(),
-                     objective_at_consensus=g_cons, consensus_trajectory=trajectory)
+        best = states[np.arange(len(group)), np.argmin(g_vals, axis=-1)]
+        g_cons = np.asarray(cfg.objective(trajectory[:, -1, None]), dtype=float)
+        results += [CboResult(consensus=trajectory[r, -1], best_particle=best[r],
+                              objective_at_consensus=float(g_cons[r, 0]), consensus_trajectory=trajectory[r])
+                    for r in range(len(group))]
+    return results
 
 
 def spd_matrix(name: str, mat) -> np.ndarray:

@@ -312,10 +312,11 @@ class TestParamTable:
         ("cbo", {"target": [1.0, 2.0, 3.0]}, None, "params.target:"),
         ("cbo", {"target": [1.0]}, None, "params.target:"),
         ("cbo", {"target": [[1.0, 2.0]]}, None, "params.target:"),
+        ("kuramoto_sweep", {"cases": []}, None, "params.cases:"),
     ], ids=["cmc-stpes", "coupling-unknown", "dsmc-unknown", "cbo-unknown", "eks-unknown",
             "bossy-unknown", "kuramoto-unknown", "cbo-tol", "cbo-init_width", "coupling-lambda",
             "eks-derivative_free", "bird_dt-above-t_end", "cmc-tiny-h", "dsmc-t0", "bossy-t0",
-            "cbo-target-too-long", "cbo-target-too-short", "cbo-target-matrix"])
+            "cbo-target-too-long", "cbo-target-too-short", "cbo-target-matrix", "kuramoto-empty-cases"])
     def test_param_exit_2(self, tmp_path, capsys, kind, params, time, field):
         # each of these used to pass validate: an unknown name ran on the defaults,
         # the tiny h ran to exit 0 with no proposal accepted, t0 was ignored and
@@ -332,6 +333,17 @@ class TestParamTable:
         assert field in capsys.readouterr().out
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_kuramoto_sweep_without_cases_exit_2(self, tmp_path, capsys):
+        # a sweep with no cases used to simulate nothing and exit 0 with "pass": true
+        payload = {**self.KURAMOTO, "params": {"seeds": 1}}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert validate(payload) == ["params.cases: required"]
+        assert main(["validate", str(cfg)]) == 2
+        assert "params.cases" in capsys.readouterr().out
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert "params.cases" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, change, field", [

@@ -199,6 +199,30 @@ class TestWeightedMean:
         assert np.allclose(v1, v2, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("form", ["w", "log_w"])
+    def test_batch_equals_per_replica_calls(self, form):
+        states = RngStream(13).normal((6, 37, 3))
+        score = lambda p: -2.0 * np.sum(p ** 2, axis=-1)
+        fn = {form: (lambda p: np.exp(score(p))) if form == "w" else score}
+        batch = weighted_mean(states, **fn)
+        assert batch.shape == (6, 3)
+        for r in range(6):
+            assert np.array_equal(batch[r], weighted_mean(Ensemble(states[r]), **fn))
+
+    def test_degenerate_weights_name_the_replica(self):
+        states = np.ones((3, 4, 2))
+        log_w = np.zeros((3, 4))
+        log_w[1, 2] = np.inf
+        with pytest.raises(DegenerateWeights, match=r"\+inf at particle 2 \(replica 1\)"):
+            weighted_mean(states, log_w=lambda p: log_w)
+        log_w[1, 2], log_w[2] = 0.0, -np.inf
+        with pytest.raises(DegenerateWeights, match=r"-inf or nan \(replica 2\)"):
+            weighted_mean(states, log_w=lambda p: log_w)
+        w = np.ones((3, 4))
+        w[0] = 0.0
+        with pytest.raises(DegenerateWeights, match=r"sum to zero \(replica 0\)"):
+            weighted_mean(states, w=lambda p: w)
+
 class TestEmpiricalMoments:
     def test_second_moment(self):
         assert empirical_moments(Ensemble(np.array([-1.0, 1.0])), 2) == pytest.approx(1.0)

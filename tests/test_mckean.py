@@ -311,7 +311,7 @@ class TestReplicaBatching:
             (mean_field_ou_model(1.0, 2.0), rng.normal((3, 7, 1))),
             (gradient_system_model(lambda x: x, lambda z: z ** 3, 1.0), rng.normal((3, 7, 1))),
             (gradient_system_model(lambda x: x, lambda z: z, 1.0,
-                                   grad_W_conv=lambda s, pts: s - pts.mean(axis=0)),
+                                   grad_W_conv=lambda s, pts: s - pts.mean(axis=-2, keepdims=True)),
              rng.normal((3, 7, 1))),
             (kuramoto_model(1.5), rng.normal((3, 7, 1))),
             (cucker_smale_model(1.0, 0.5, d=2), rng.normal((3, 7, 4))),
@@ -434,7 +434,7 @@ class TestGradientSystem:
     def test_closed_form_convolution_matches_pairwise(self):
         pairwise = gradient_system_model(lambda x: x, lambda z: z, 1.0)
         fast = gradient_system_model(lambda x: x, lambda z: z, 1.0,
-                                     grad_W_conv=lambda s, pts: s - pts.mean(axis=0))
+                                     grad_W_conv=lambda s, pts: s - pts.mean(axis=-2, keepdims=True))
         e = Ensemble(RngStream(10).normal((20, 1)))
         assert np.allclose(pairwise.drift(e.states, e.measure()), fast.drift(e.states, e.measure()))
 
@@ -442,7 +442,7 @@ class TestGradientSystem:
         # quadratic V and W: the coupling error reaches a level flat in time
         sig = math.sqrt(2)
         model = gradient_system_model(lambda x: x, lambda z: z, sig, dim=1,
-                                      grad_W_conv=lambda s, pts: s - pts.mean(axis=0))
+                                      grad_W_conv=lambda s, pts: s - pts.mean(axis=-2, keepdims=True))
         ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=16)
         report = simulate_synchronous_coupling(model, ref, n=100, grid=TimeGrid(0, 10, 0.02),
                                                rng=RngStream(11), replicas=16)
@@ -468,6 +468,13 @@ class TestKuramoto:
         model = kuramoto_model(3.0)
         e = Ensemble(np.full(20, 1.1))
         assert np.allclose(model.drift(e.states, e.measure()), 0.0, atol=1e-14)
+
+    def test_own_measure_drift_equals_a_copied_measure(self):
+        # the drift reuses the states' phases when mu is their own measure
+        model = kuramoto_model(1.3)
+        states = RngStream(14).normal((4, 50, 1))
+        assert np.array_equal(model.drift(states, EmpiricalMeasure(states)),
+                              model.drift(states, EmpiricalMeasure(states.copy())))
 
     def test_quenched_disorder_frozen_at_construction(self):
         model = kuramoto_model(1.0, n=6, disorder_sampler=lambda n, rng: rng.normal(n),

@@ -5,6 +5,7 @@ import pytest
 
 from meanfield.core import Ensemble, RngStream
 from meanfield.errors import StepError
+from meanfield.mckean import _batch_width
 from meanfield.optimizer import (
     CboConfig,
     EksConfig,
@@ -18,7 +19,7 @@ from meanfield.optimizer import (
 
 def quadratic(target):
     target = np.asarray(target, dtype=float)
-    return lambda x: np.sum((np.atleast_2d(x) - target) ** 2, axis=1)
+    return lambda x: np.sum((x - target) ** 2, axis=-1)
 
 
 class TestCbo:
@@ -26,10 +27,10 @@ class TestCbo:
         # G = 0: v is the plain mean; with sigma = 0 the swarm contracts
         # exponentially onto it and the mean itself never moves
         init = RngStream(80).normal((50, 2))
-        cfg = CboConfig(objective=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
+        cfg = CboConfig(objective=lambda x: np.zeros(x.shape[:-1]),
                         alpha=1.0, lambda_drift=1.0, sigma_noise=0.0,
                         dt=0.01, steps=800, n=50, dim=2, init=init)
-        res = cbo_minimize(cfg, RngStream(81))
+        res = cbo_minimize(cfg, [RngStream(81)])[0]
         assert np.allclose(res.consensus, init.mean(axis=0), atol=1e-9)
         assert np.allclose(res.consensus_trajectory[0], init.mean(axis=0))
         gap0 = np.abs(init - init.mean(axis=0)).max()
@@ -39,7 +40,7 @@ class TestCbo:
         cfg = CboConfig(objective=quadratic([0.0]), alpha=10.0, lambda_drift=1.0,
                         sigma_noise=0.7, dt=0.01, steps=100, n=1, dim=1,
                         init=np.array([[5.0]]))
-        res = cbo_minimize(cfg, RngStream(82))
+        res = cbo_minimize(cfg, [RngStream(82)])[0]
         # v equals the particle; drift and multiplicative noise both vanish
         assert res.consensus[0] == pytest.approx(5.0)
         assert res.best_particle[0] == pytest.approx(5.0)
@@ -51,7 +52,7 @@ class TestCbo:
         runs = []
         for shift in (0.0, 11.5):
             cfg = CboConfig(objective=lambda x, s=shift: quadratic([3.0])(x) + s, **shared)
-            runs.append(cbo_minimize(cfg, RngStream(83)))
+            runs.append(cbo_minimize(cfg, [RngStream(83)])[0])
         assert np.allclose(runs[0].consensus_trajectory, runs[1].consensus_trajectory,
                            rtol=1e-12, atol=1e-12)
 
@@ -59,46 +60,95 @@ class TestCbo:
         # ungated dynamics (the eps = 0 default) carry a consensus
         # fluctuation floor ~1/sqrt(2 alpha N) ~ 1.3e-2, so 5e-2 is the
         # honest tolerance here; the gated run below reaches 1e-2
-        hits = 0
-        for k in range(20):
-            cfg = CboConfig(objective=quadratic([3.0]), alpha=30.0, lambda_drift=1.0,
-                            sigma_noise=0.7, dt=0.01, steps=1000, n=100, dim=1,
-                            init=lambda n, d, rng: 6 * rng.uniform((n, d)))
-            res = cbo_minimize(cfg, RngStream(84, k))
-            hits += abs(res.consensus[0] - 3.0) <= 5e-2
+        cfg = CboConfig(objective=quadratic([3.0]), alpha=30.0, lambda_drift=1.0,
+                        sigma_noise=0.7, dt=0.01, steps=1000, n=100, dim=1,
+                        init=lambda n, d, rng: 6 * rng.uniform((n, d)))
+        results = cbo_minimize(cfg, [RngStream(84, k) for k in range(20)])
+        hits = sum(abs(res.consensus[0] - 3.0) <= 5e-2 for res in results)
         assert hits >= 18
 
     def test_quadratic_consensus_with_gate_at_tight_tolerance(self):
         # alpha = 30, lambda = 1, sigma = 0.7, N = 100, T = 10: with a
         # sharply smoothed objective gate the final consensus lands within
         # 1e-2 of the minimizer in at least 18 of 20 seeds
-        hits = 0
-        for k in range(20):
-            cfg = CboConfig(objective=quadratic([3.0]), alpha=30.0, lambda_drift=1.0,
-                            sigma_noise=0.7, dt=0.01, steps=1000, n=100, dim=1,
-                            eps_heaviside=1e-5,
-                            init=lambda n, d, rng: 6 * rng.uniform((n, d)))
-            res = cbo_minimize(cfg, RngStream(84, k))
-            hits += abs(res.consensus[0] - 3.0) <= 1e-2
+        cfg = CboConfig(objective=quadratic([3.0]), alpha=30.0, lambda_drift=1.0,
+                        sigma_noise=0.7, dt=0.01, steps=1000, n=100, dim=1,
+                        eps_heaviside=1e-5,
+                        init=lambda n, d, rng: 6 * rng.uniform((n, d)))
+        results = cbo_minimize(cfg, [RngStream(84, k) for k in range(20)])
+        hits = sum(abs(res.consensus[0] - 3.0) <= 1e-2 for res in results)
         assert hits >= 18
 
     def test_non_finite_objective_aborts_with_step(self):
         def partial(x):
-            x = np.atleast_2d(x)
-            return np.where(np.abs(x[:, 0]) < 10.0, x[:, 0] ** 2, np.nan)
+            return np.where(np.abs(x[..., 0]) < 10.0, x[..., 0] ** 2, np.nan)
 
         cfg = CboConfig(objective=partial, alpha=1.0, lambda_drift=1.0, sigma_noise=5.0,
                         dt=0.5, steps=500, n=8, dim=1,
                         init=np.linspace(-9.0, 9.0, 8).reshape(-1, 1))
         with pytest.raises(StepError):
-            cbo_minimize(cfg, RngStream(85))
+            cbo_minimize(cfg, [RngStream(85)])
+
+    def test_streams_equal_lone_runs_across_a_group_boundary(self):
+        # 2048 particles in R^2: two swarms per group, so five streams make three groups
+        assert _batch_width(2048, 2) == 2
+        cfg = CboConfig(objective=quadratic([1.0, -0.5]), alpha=30.0, lambda_drift=1.0,
+                        sigma_noise=0.8, dt=0.01, steps=12, n=2048, dim=2, eps_heaviside=1e-3,
+                        init=lambda n, d, rng: 3.0 * rng.uniform((n, d)))
+        batch = cbo_minimize(cfg, [RngStream(89, k) for k in range(5)])
+        for k, res in enumerate(batch):
+            lone = cbo_minimize(cfg, [RngStream(89, k)])[0]
+            assert np.array_equal(res.consensus_trajectory, lone.consensus_trajectory)
+            assert np.array_equal(res.best_particle, lone.best_particle)
+            assert res.objective_at_consensus == lone.objective_at_consensus
+
+    def test_non_finite_objective_names_replica_particle_and_step(self):
+        # the swarms of seed 91 first leave the objective's domain in replica 1
+        # at step 3; replicas 0 and 2 leave it later, replica 3 never does
+        def partial(x):
+            return np.where(np.abs(x[..., 0]) < 10.0, x[..., 0] ** 2, np.nan)
+
+        cfg = CboConfig(objective=partial, alpha=1.0, lambda_drift=1.0, sigma_noise=1.0,
+                        dt=0.5, steps=200, n=8, dim=1,
+                        init=lambda n, d, rng: -4.0 + 8.0 * rng.uniform((n, d)))
+        lone = {}
+        for k in range(4):
+            try:
+                cbo_minimize(cfg, [RngStream(91, k)])
+            except StepError as err:
+                lone[k] = (err.step, err.particle)
+        assert sorted(lone) == [0, 1, 2] and min(lone, key=lone.get) == 1
+        with pytest.raises(StepError, match="non-finite objective") as info:
+            cbo_minimize(cfg, [RngStream(91, k) for k in range(4)])
+        assert (info.value.replica, info.value.step, info.value.particle) == (1, *lone[1])
+
+    @pytest.mark.parametrize("eps, calls_per_step", [(0.0, 1), (1e-3, 2)])
+    def test_objective_calls(self, eps, calls_per_step):
+        # once at the start and after each step, once at the final consensus,
+        # and once at v in each step when the gate is on
+        calls = []
+        objective = quadratic([0.5])
+        cfg = CboConfig(objective=lambda x: calls.append(x.shape) or objective(x), alpha=5.0,
+                        lambda_drift=1.0, sigma_noise=0.5, dt=0.1, steps=7, n=10, dim=1,
+                        eps_heaviside=eps)
+        cbo_minimize(cfg, [RngStream(90, k) for k in range(3)])
+        assert len(calls) == calls_per_step * 7 + 2
+        assert set(calls) == ({(3, 10, 1), (3, 1, 1)})
+
+    @pytest.mark.parametrize("field, value", [("n", 0), ("dim", 0), ("steps", -1)])
+    def test_config_rejects_an_empty_swarm_or_negative_steps(self, field, value):
+        # the group width divides by n * dim, and steps = -1 leaves no trajectory
+        shared = dict(objective=quadratic([0.0]), alpha=1.0, lambda_drift=1.0, sigma_noise=0.1,
+                      dt=0.1, steps=3, n=5, dim=1)
+        with pytest.raises(ValueError, match=field):
+            CboConfig(**{**shared, field: value})
 
     def test_requires_finite_objective_at_start(self):
-        cfg = CboConfig(objective=lambda x: np.full(np.atleast_2d(x).shape[0], np.nan),
+        cfg = CboConfig(objective=lambda x: np.full(x.shape[:-1], np.nan),
                         alpha=1.0, lambda_drift=1.0, sigma_noise=0.1, dt=0.1, steps=10,
                         n=4, dim=1)
         with pytest.raises(ValueError, match="finite"):
-            cbo_minimize(cfg, RngStream(86))
+            cbo_minimize(cfg, [RngStream(86)])
 
     def test_heaviside_gate_freezes_better_particles(self):
         # sharp gate: a particle strictly better than the consensus gets no
@@ -107,19 +157,19 @@ class TestCbo:
         cfg = CboConfig(objective=quadratic([0.0]), alpha=0.1, lambda_drift=1.0,
                         sigma_noise=0.0, dt=0.1, steps=1, n=3, dim=1,
                         eps_heaviside=1e-9, init=init)
-        res = cbo_minimize(cfg, RngStream(87))
+        res = cbo_minimize(cfg, [RngStream(87)])[0]
         # run again reading the swarm: re-simulate manually for the state
         cfg2 = CboConfig(objective=quadratic([0.0]), alpha=0.1, lambda_drift=1.0,
                          sigma_noise=0.0, dt=0.1, steps=0, n=3, dim=1,
                          eps_heaviside=1e-9, init=init)
-        v0 = cbo_minimize(cfg2, RngStream(87)).consensus[0]
+        v0 = cbo_minimize(cfg2, [RngStream(87)])[0].consensus[0]
         assert 0.0 < v0 < 4.0  # particle 0 is better than v, others worse
         assert res.consensus_trajectory.shape == (2, 1)
 
     def test_trajectory_csv(self, tmp_path):
         cfg = CboConfig(objective=quadratic([1.0]), alpha=5.0, lambda_drift=1.0,
                         sigma_noise=0.3, dt=0.1, steps=4, n=10, dim=1)
-        res = cbo_minimize(cfg, RngStream(88))
+        res = cbo_minimize(cfg, [RngStream(88)])[0]
         path = tmp_path / "traj.csv"
         res.write_trajectory_csv(path)
         lines = path.read_text().splitlines()

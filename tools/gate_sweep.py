@@ -1,20 +1,22 @@
-"""Pass fractions of the Boltzmann acceptance gates over fresh base seeds.
+"""Pass fractions of the acceptance gates over fresh base seeds.
 
     python tools/gate_sweep.py --label after [--src src]
 
-Runs criteria 03 (collision conservation), 04 (exact against Bird) and 05
-(Kac chaos decay), as the functions ``criterion_0N_gate(seed)`` of
-``tests/test_acceptance.py``, at the 50 base seeds 10000-10049, which no
-test uses. The meanfield package is imported from ``--src``, the ``src/``
-directory of any checkout, so the same gates can be run against another
-version of the program. For each gate ``tools/gates_boltzmann.json`` gets,
-under ``--label``, the fraction of seeds that pass, quantiles of the
+Runs criteria 02 (uniform-in-time chaos), 03 (collision conservation), 04
+(exact against Bird), 05 (Kac chaos decay) and 07 (CBO consensus), as the
+functions ``criterion_0N_gate(seed)`` of ``tests/test_acceptance.py``, at
+the 50 base seeds 10000-10049, which no test uses. The meanfield package
+is imported from ``--src``, the ``src/`` directory of any checkout, so the
+same gates can be run against another version of the program. Each
+family of gates has its own file: ``tools/gates_boltzmann.json`` for 03 to
+05 and ``tools/gates_mckean.json`` for 02 and 07. For each gate its file
+gets, under ``--label``, the fraction of seeds that pass, quantiles of the
 gate's statistic and the statistic at every seed. Other labels already in
 the file are kept, so runs on two versions sit side by side.
 
 The tier-1 suite runs each gate at one seed only; this sweep takes minutes
-(criterion 05 runs 2048 exact simulations per seed), so it is not part of
-it.
+(criterion 05 runs 2048 exact simulations per seed, criterion 02 a
+32-replica coupling over 1000 steps), so it is not part of it.
 """
 
 from __future__ import annotations
@@ -28,13 +30,19 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "tools" / "gates_boltzmann.json"
 SEEDS = range(10_000, 10_050)
-# gate -> (its statistic, its pass condition)
-GATES = {
-    "criterion_03": ("larger relative drift of momentum and energy", "<= 1e-8"),
-    "criterion_04": ("W1(exact, bird) / W1(exact, exact)", "<= 3"),
-    "criterion_05": ("slope of log |pair covariance| against log N", "in [-1.4, -0.6]"),
+# output file -> gate -> (its statistic, its pass condition)
+FAMILIES = {
+    "gates_boltzmann.json": {
+        "criterion_03": ("larger relative drift of momentum and energy", "<= 1e-8"),
+        "criterion_04": ("W1(exact, bird) / W1(exact, exact)", "<= 3"),
+        "criterion_05": ("slope of log |pair covariance| against log N", "in [-1.4, -0.6]"),
+    },
+    "gates_mckean.json": {
+        "criterion_02": ("mse(5) / mse(10) of the gradient-system coupling",
+                         "in [0.5, 2], with mse(5) and mse(10) <= 5 mse(1)"),
+        "criterion_07": ("quadratic CBO seeds, of 20, within 1e-2 of the minimizer", ">= 18"),
+    },
 }
 
 
@@ -61,16 +69,18 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
     import test_acceptance
 
-    results = json.loads(OUT.read_text()) if OUT.exists() else {}
-    for name, (statistic, condition) in GATES.items():
-        start = time.perf_counter()
-        entry = results.setdefault(name, {"statistic": statistic, "passes_if": condition})
-        entry["seeds"] = [SEEDS[0], SEEDS[-1]]
-        entry[args.label] = sweep(getattr(test_acceptance, f"{name}_gate"))
-        print(f"{name} [{args.label}]: pass fraction {entry[args.label]['pass_fraction']:.2f}, "
-              f"median {entry[args.label]['quantiles']['q50']:.4g} "
-              f"({time.perf_counter() - start:.0f} s)", flush=True)
-        OUT.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    for filename, gates in FAMILIES.items():
+        out = ROOT / "tools" / filename
+        results = json.loads(out.read_text()) if out.exists() else {}
+        for name, (statistic, condition) in gates.items():
+            start = time.perf_counter()
+            entry = results.setdefault(name, {"statistic": statistic, "passes_if": condition})
+            entry["seeds"] = [SEEDS[0], SEEDS[-1]]
+            entry[args.label] = sweep(getattr(test_acceptance, f"{name}_gate"))
+            print(f"{name} [{args.label}]: pass fraction {entry[args.label]['pass_fraction']:.2f}, "
+                  f"median {entry[args.label]['quantiles']['q50']:.4g} "
+                  f"({time.perf_counter() - start:.0f} s)", flush=True)
+            out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return 0
 
 
