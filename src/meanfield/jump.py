@@ -4,8 +4,11 @@ particles."""
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,23 +119,20 @@ class CmcResult:
 _BLOCK_FLOATS = 65536
 
 
-def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
-    """log of the kernel mixture (1/N) sum_j phi_h(at_i - x_j), row-wise.
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
-    Rows of ``at`` go through in blocks of ``_BLOCK_FLOATS // (N * d)``
-    rows, in buffers allocated once per call, so memory is O(block * N * d)
-    rather than len(at) * N * d. Every element and every row reduction is the one
-    of the dense formula ``((at[:, None] - points[None]) ** 2).sum(axis=2)``
-    and so on, so the result equals it bit for bit.
-    """
-    n, d = points.shape
-    rows = max(1, min(_BLOCK_FLOATS // max(1, n * d), len(at)))
-    work = np.empty((rows, n))
-    scratch = np.empty((rows, n, d) if d >= 8 else (rows, n)) if d > 1 else None
-    neg_two_h2 = -(2.0 * h * h)
-    lse = np.empty(len(at))
-    for lo in range(0, len(at), rows):
-        block = at[lo:lo + rows]
+
+def _mixture_rows(points, at, neg_two_h2, lse, start, stop, rows, work, scratch):
+    """lse[i] = log sum_j exp(-|at_i - x_j|^2 / (2 h^2)) for start <= i < stop,
+    in blocks of ``rows`` rows in the buffers ``work`` and ``scratch``."""
+    d = points.shape[1]
+    for lo in range(start, stop, rows):
+        block = at[lo:min(lo + rows, stop)]
         sq = work[:len(block)]
         diff = None if scratch is None else scratch[:len(block)]
         if d >= 8:
@@ -154,6 +154,53 @@ def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
         np.subtract(sq, m[:, None], out=sq)
         np.exp(sq, out=sq)
         np.add(m, np.log(sq.sum(axis=1)), out=lse[lo:lo + len(block)])
+
+
+def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
+    """log of the kernel mixture (1/N) sum_j phi_h(at_i - x_j), row-wise.
+
+    Rows of ``at`` go through in blocks of ``_BLOCK_FLOATS // (N * d)``
+    rows, so memory is O(k * block * N * d) rather than len(at) * N * d.
+    The blocks are split into k contiguous ranges, k = min(CPUs of the
+    process, full blocks); the calling thread computes the first and one
+    thread per other range the rest, each in its own buffers allocated once
+    per call. numpy releases the GIL in every ufunc loop and reduction here,
+    so the ranges run in parallel. Threads run in a copy of the caller's
+    context, so ``np.errstate`` holds in them; once every thread has
+    ended, the exception of the lowest range that raised one is raised.
+    Every element and every row reduction is the one of the dense formula
+    ``((at[:, None] - points[None]) ** 2).sum(axis=2)`` and so on, so the
+    result equals it bit for bit at any k.
+    """
+    n, d = points.shape
+    rows = max(1, min(_BLOCK_FLOATS // max(1, n * d), len(at)))
+    k = max(1, min(_cpu_count(), len(at) // rows))
+    # one allocation per worker: glibc serves a single (k, rows, N) block
+    # with more growth of the peak RSS than k separate ones
+    work = [np.empty((rows, n)) for _ in range(k)]
+    scratch = [np.empty((rows, n, d) if d >= 8 else (rows, n)) if d > 1 else None for _ in range(k)]
+    neg_two_h2 = -(2.0 * h * h)
+    lse = np.empty(len(at))
+    blocks = -(-len(at) // rows)
+    bounds = [min(len(at), (w * blocks // k) * rows) for w in range(k + 1)]
+    errors = [None] * k
+
+    def rows_of(w):
+        try:
+            _mixture_rows(points, at, neg_two_h2, lse, bounds[w], bounds[w + 1], rows, work[w], scratch[w])
+        except BaseException as err:  # raised once every worker has ended
+            errors[w] = err
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(rows_of, w))
+               for w in range(1, k)]
+    for t in threads:
+        t.start()
+    rows_of(0)
+    for t in threads:
+        t.join()
+    for err in errors:
+        if err is not None:
+            raise err
     norm = math.log(n) + d * math.log(h) + 0.5 * d * math.log(2.0 * math.pi)
     return lse - norm
 

@@ -86,7 +86,9 @@ def cbo_minimize(cfg: CboConfig, streams: list[RngStream]) -> list[CboResult]:
         states = np.stack([_cbo_init(cfg, s) for s in group])
         g_vals = np.asarray(cfg.objective(states), dtype=float)
         if not np.all(np.isfinite(g_vals)):
-            raise ValueError("objective must be finite at every initial particle")
+            replica, particle = np.argwhere(~np.isfinite(g_vals))[0].tolist()
+            raise ValueError("objective must be finite at every initial particle"
+                             f" | replica={first + replica} | particle={particle}")
         noise = _noise_steps(group, (cfg.n, cfg.dim), cfg.steps)
         trajectory = np.empty((len(group), cfg.steps + 1, cfg.dim))
         for k in range(cfg.steps + 1):

@@ -1,11 +1,18 @@
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from meanfield import jump
 from meanfield.core import Ensemble, RngStream
 from meanfield.errors import BoundViolation
 from meanfield.jump import MIN_BANDWIDTH, CmcConfig, JumpModel, cmc_run, simulate_jump, _log_mixture
+
+# rows of 65, 32, 43 and 24 leave a partial last block; N * d above the
+# block leaves one row per block
+MIXTURE_SHAPES = [(1000, 2000, 1), (1000, 2000, 2), (500, 777, 3), (300, 601, 9), (8000, 5, 9), (70000, 3, 1)]
 
 
 def dense_log_mixture(points, at, h):
@@ -166,11 +173,8 @@ class TestCmc:
         expected = -0.5 * 0.7**2 - 0.5 * math.log(2 * math.pi)
         assert val[0] == pytest.approx(expected)
 
-    @pytest.mark.parametrize("n, m, d", [(1000, 2000, 1), (1000, 2000, 2), (500, 777, 3),
-                                         (300, 601, 9), (8000, 5, 9), (70000, 3, 1)])
+    @pytest.mark.parametrize("n, m, d", MIXTURE_SHAPES)
     def test_blocked_mixture_equals_dense(self, n, m, d):
-        # rows of 65, 32, 43 and 24 leave a partial last block; N * d above
-        # the block leaves one row per block
         rng = RngStream(79)
         points = rng.normal((n, d))
         at = rng.normal((m, d))
@@ -200,3 +204,67 @@ class TestCmc:
         lines = path.read_text().splitlines()
         assert lines[0] == "sweep,accept_fraction"
         assert len(lines) == 6
+
+
+@pytest.fixture(params=[1, 2, 3, 7])
+def workers(request, monkeypatch):
+    """Run the mixture as if the process had this many CPUs."""
+    monkeypatch.setattr(jump, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+class TestMixtureWorkers:
+    # fewer query rows than workers, and no query rows at all
+    @pytest.mark.parametrize("n, m, d", MIXTURE_SHAPES + [(1000, 2, 1), (50, 0, 3)])
+    def test_equals_dense_at_any_worker_count(self, workers, monkeypatch, n, m, d):
+        rng = RngStream(79)
+        points = rng.normal((n, d))
+        at = rng.normal((m, d))
+        callers = []  # one call of the row loop per worker, each on its own thread
+        rows_of = jump._mixture_rows
+
+        def traced(*args):
+            callers.append(threading.current_thread())
+            return rows_of(*args)
+
+        monkeypatch.setattr(jump, "_mixture_rows", traced)
+        before = threading.active_count()
+        val = _log_mixture(points, at, 0.3)
+        assert threading.active_count() == before
+        assert np.array_equal(val, dense_log_mixture(points, at, 0.3))
+        rows = max(1, min(jump._BLOCK_FLOATS // (n * d), m))
+        assert len(set(callers)) == len(callers) == max(1, min(workers, m // rows))
+
+    def test_cmc_run_is_the_same_on_one_and_two_workers(self, monkeypatch):
+        # N = 300 gives 218-row blocks, so the 600 mixture rows of a sweep are 2 full blocks
+        cfg = CmcConfig(target_log_density=lambda x: -0.5 * np.sum(x ** 2, axis=1),
+                        h=0.5, n=300, steps=20, burn_in=5, dim=1, vectorized=True)
+        e0 = Ensemble(RngStream(82).normal((300, 1)))
+        runs = []
+        for count in (1, 2):
+            monkeypatch.setattr(jump, "_cpu_count", lambda: count)
+            before = threading.active_count()
+            runs.append(cmc_run(cfg, e0, RngStream(83)))
+            assert threading.active_count() == before
+        assert np.array_equal(runs[0].ensemble.states, runs[1].ensemble.states)
+        assert np.array_equal(runs[0].accept_trace, runs[1].accept_trace)
+        assert np.array_equal(runs[0].samples, runs[1].samples)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_helpers_keep_the_errstate_and_raise_in_the_caller(self, monkeypatch, count):
+        # an infinite query row has every log term -inf, and its max shift
+        # computes -inf - -inf; 65-row blocks put the last of 200 rows in
+        # the second worker's range
+        monkeypatch.setattr(jump, "_cpu_count", lambda: count)
+        rng = RngStream(84)
+        points = rng.normal((1000, 1))
+        at = rng.normal((200, 1))
+        at[-1] = np.inf
+        before = threading.active_count()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _log_mixture(points, at, 0.5)
+        assert threading.active_count() == before
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = _log_mixture(points, at, 0.5)
+        assert np.isnan(val[-1]) and np.all(np.isfinite(val[:-1]))

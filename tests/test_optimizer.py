@@ -150,6 +150,14 @@ class TestCbo:
         with pytest.raises(ValueError, match="finite"):
             cbo_minimize(cfg, [RngStream(86)])
 
+    def test_non_finite_objective_at_start_names_its_replica_and_particle(self):
+        # stream k starts particle i at k * i, so only particle 3 of stream 1 sits at 3
+        cfg = CboConfig(objective=lambda x: np.where(x[..., 0] == 3.0, np.nan, x[..., 0] ** 2),
+                        alpha=1.0, lambda_drift=1.0, sigma_noise=0.1, dt=0.1, steps=10, n=4, dim=1,
+                        init=lambda n, d, rng: rng.stream_id * np.arange(float(n * d)))
+        with pytest.raises(ValueError, match=r"finite at every initial particle \| replica=1 \| particle=3$"):
+            cbo_minimize(cfg, [RngStream(86, k) for k in range(3)])
+
     def test_heaviside_gate_freezes_better_particles(self):
         # sharp gate: a particle strictly better than the consensus gets no
         # drift; with sigma = 0 it must not move in one step

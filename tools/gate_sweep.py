@@ -3,20 +3,22 @@
     python tools/gate_sweep.py --label after [--src src]
 
 Runs criteria 02 (uniform-in-time chaos), 03 (collision conservation), 04
-(exact against Bird), 05 (Kac chaos decay) and 07 (CBO consensus), as the
-functions ``criterion_0N_gate(seed)`` of ``tests/test_acceptance.py``, at
-the 50 base seeds 10000-10049, which no test uses. The meanfield package
-is imported from ``--src``, the ``src/`` directory of any checkout, so the
-same gates can be run against another version of the program. Each
-family of gates has its own file: ``tools/gates_boltzmann.json`` for 03 to
-05 and ``tools/gates_mckean.json`` for 02 and 07. For each gate its file
+(exact against Bird), 05 (Kac chaos decay), 07 (CBO consensus) and 10
+(collective MH moments), as the functions ``criterion_NN_gate(seed)`` of
+``tests/test_acceptance.py``, at the 50 base seeds 10000-10049, which no
+test uses. The meanfield package is imported from ``--src``, the ``src/``
+directory of any checkout, so the same gates can be run against another
+version of the program. Each family of gates has its own file:
+``tools/gates_boltzmann.json`` for 03 to 05, ``tools/gates_mckean.json``
+for 02 and 07 and ``tools/gates_jump.json`` for 10. For each gate its file
 gets, under ``--label``, the fraction of seeds that pass, quantiles of the
 gate's statistic and the statistic at every seed. Other labels already in
 the file are kept, so runs on two versions sit side by side.
 
 The tier-1 suite runs each gate at one seed only; this sweep takes minutes
 (criterion 05 runs 2048 exact simulations per seed, criterion 02 a
-32-replica coupling over 1000 steps), so it is not part of it.
+32-replica coupling over 1000 steps, criterion 10 2000 sweeps of 500
+particles), so it is not part of it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ FAMILIES = {
         "criterion_02": ("mse(5) / mse(10) of the gradient-system coupling",
                          "in [0.5, 2], with mse(5) and mse(10) <= 5 mse(1)"),
         "criterion_07": ("quadratic CBO seeds, of 20, within 1e-2 of the minimizer", ">= 18"),
+    },
+    "gates_jump.json": {
+        "criterion_10": ("max(|pooled mean| / 0.05, |pooled variance - 1| / 0.1)", "<= 1"),
     },
 }
 
