@@ -127,36 +127,61 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _mixture_rows(points, at, neg_two_h2, lse, start, stop, rows, work, scratch):
+def _mixture_rows(points, at, neg_two_h2, lse, start, stop, rows, work, scratch, own_from):
     """lse[i] = log sum_j exp(-|at_i - x_j|^2 / (2 h^2)) for start <= i < stop,
-    in blocks of ``rows`` rows in the buffers ``work`` and ``scratch``."""
+    in blocks of ``rows`` rows in the buffers ``work`` and ``scratch``.
+
+    The range runs with numpy's ufunc buffer sized to one row of N floats,
+    in its own ``np.errstate`` context, which restores the caller's size on
+    exit. A pass over a block with a broadcast operand (the query
+    coordinate, the row max) runs buffered, and with the default 8192-float
+    buffer a row shorter than the buffer goes about 4 times slower than
+    once the buffer holds one row. A row longer than the buffer in effect
+    keeps that buffer.
+
+    Rows from ``own_from`` on are points themselves. Their self term
+    0 / (-2 h^2) = -0.0 is the largest log term, so the row max is -0.0,
+    ``sq - m`` equals ``sq`` after exp (-0.0 - -0.0 is +0.0, and exp of
+    either zero is 1) and ``m + log(s)`` equals ``log(s)`` for s >= 1.
+    Blocks wholly past ``own_from`` skip the max and the shift, with every
+    value unchanged; a block that straddles it takes the general path.
+    """
     d = points.shape[1]
-    for lo in range(start, stop, rows):
-        block = at[lo:min(lo + rows, stop)]
-        sq = work[:len(block)]
-        diff = None if scratch is None else scratch[:len(block)]
-        if d >= 8:
-            # numpy sums 8 or more contiguous terms pairwise; np.sum repeats it
-            np.subtract(block[:, None, :], points, out=diff)
-            np.square(diff, out=diff)
-            np.sum(diff, axis=2, out=sq)
-        else:
-            # and fewer than 8 in order, as this loop over the coordinates
-            # does, several times faster than np.sum over so short an axis
-            np.subtract(block[:, :1], points[:, 0], out=sq)
-            np.square(sq, out=sq)
-            for k in range(1, d):
-                np.subtract(block[:, k:k + 1], points[:, k], out=diff)
+    with np.errstate():
+        one_row = -(-points.shape[0] // 16) * 16  # numpy takes multiples of 16
+        if one_row < np.getbufsize():
+            np.setbufsize(one_row)
+        for lo in range(start, stop, rows):
+            block = at[lo:min(lo + rows, stop)]
+            sq = work[:len(block)]
+            diff = None if scratch is None else scratch[:len(block)]
+            if d >= 8:
+                # numpy sums 8 or more contiguous terms pairwise; np.sum repeats it
+                np.subtract(block[:, None, :], points, out=diff)
                 np.square(diff, out=diff)
-                sq += diff
-        np.divide(sq, neg_two_h2, out=sq)  # the log terms; -sq / c == sq / -c
-        m = sq.max(axis=1)
-        np.subtract(sq, m[:, None], out=sq)
-        np.exp(sq, out=sq)
-        np.add(m, np.log(sq.sum(axis=1)), out=lse[lo:lo + len(block)])
+                np.sum(diff, axis=2, out=sq)
+            else:
+                # and fewer than 8 in order, as this loop over the coordinates
+                # does, several times faster than np.sum over so short an axis
+                np.subtract(block[:, :1], points[:, 0], out=sq)
+                np.square(sq, out=sq)
+                for k in range(1, d):
+                    np.subtract(block[:, k:k + 1], points[:, k], out=diff)
+                    np.square(diff, out=diff)
+                    sq += diff
+            np.divide(sq, neg_two_h2, out=sq)  # the log terms; -sq / c == sq / -c
+            out = lse[lo:lo + len(block)]
+            if lo >= own_from:
+                np.exp(sq, out=sq)
+                np.log(sq.sum(axis=1), out=out)
+            else:
+                m = sq.max(axis=1)
+                np.subtract(sq, m[:, None], out=sq)
+                np.exp(sq, out=sq)
+                np.add(m, np.log(sq.sum(axis=1)), out=out)
 
 
-def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
+def _log_mixture(points: np.ndarray, at: np.ndarray, h: float, own_from: int | None = None) -> np.ndarray:
     """log of the kernel mixture (1/N) sum_j phi_h(at_i - x_j), row-wise.
 
     Rows of ``at`` go through in blocks of ``_BLOCK_FLOATS // (N * d)``
@@ -168,6 +193,12 @@ def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
     so the ranges run in parallel. Threads run in a copy of the caller's
     context, so ``np.errstate`` holds in them; once every thread has
     ended, the exception of the lowest range that raised one is raised.
+    Each range sizes numpy's ufunc buffer to one row inside its own
+    ``np.errstate`` context (see ``_mixture_rows``), so the caller's buffer
+    size and error state come back unchanged, also when a range raises.
+    ``own_from`` is the index from which every row of ``at`` is a row of
+    ``points`` (``cmc_run`` queries the ensemble itself there); those rows
+    skip the row max shift, which is exactly a no-op for them.
     Every element and every row reduction is the one of the dense formula
     ``((at[:, None] - points[None]) ** 2).sum(axis=2)`` and so on, so the
     result equals it bit for bit at any k.
@@ -183,11 +214,12 @@ def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
     lse = np.empty(len(at))
     blocks = -(-len(at) // rows)
     bounds = [min(len(at), (w * blocks // k) * rows) for w in range(k + 1)]
+    own_from = len(at) if own_from is None else own_from
     errors = [None] * k
 
     def rows_of(w):
         try:
-            _mixture_rows(points, at, neg_two_h2, lse, bounds[w], bounds[w + 1], rows, work[w], scratch[w])
+            _mixture_rows(points, at, neg_two_h2, lse, bounds[w], bounds[w + 1], rows, work[w], scratch[w], own_from)
         except BaseException as err:  # raised once every worker has ended
             errors[w] = err
 
@@ -218,10 +250,15 @@ def cmc_run(cfg: CmcConfig, e0: Ensemble, rng: RngStream) -> CmcResult:
     if n != cfg.n or d != cfg.dim:
         raise ValueError(f"ensemble shape {(n, d)} does not match the config ({cfg.n}, {cfg.dim})")
 
-    if cfg.vectorized:
-        log_target = lambda pts: np.asarray(cfg.target_log_density(pts), dtype=float).reshape(-1)
-    else:
-        log_target = lambda pts: np.asarray([cfg.target_log_density(x) for x in pts], dtype=float)
+    def log_target(pts):
+        if cfg.vectorized:
+            vals = np.asarray(cfg.target_log_density(pts), dtype=float).reshape(-1)
+        else:
+            vals = np.asarray([cfg.target_log_density(x) for x in pts], dtype=float)
+        if vals.shape != (n,):
+            raise ValueError(f"target log density must give one value per particle, shape {(n,)}; got shape {vals.shape}")
+        return vals
+
     logpi = log_target(states)
     if not np.all(np.isfinite(logpi)):
         raise ValueError("target log density must be finite at every initial state")
@@ -234,8 +271,9 @@ def cmc_run(cfg: CmcConfig, e0: Ensemble, rng: RngStream) -> CmcResult:
         u = rng.uniform(n)
         proposals = states[partners] + cfg.h * xi
         logpi_prop = np.where(np.isnan(lp := log_target(proposals)), -np.inf, lp)
-        # both mixture densities use the pre-sweep ensemble
-        log_theta = _log_mixture(states, np.concatenate([proposals, states]), cfg.h)
+        # both mixture densities use the pre-sweep ensemble, whose own rows
+        # come after the n proposals
+        log_theta = _log_mixture(states, np.concatenate([proposals, states]), cfg.h, own_from=n)
         log_theta_prop, log_theta_curr = log_theta[:n], log_theta[n:]
         log_alpha = logpi_prop - logpi + log_theta_curr - log_theta_prop
         with np.errstate(divide="ignore"):

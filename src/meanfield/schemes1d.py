@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, pair_mean, write_csv
-from .jump import _log_mixture
+from .jump import MIN_BANDWIDTH, _log_mixture
 
 
 def heaviside(z):
@@ -114,9 +114,14 @@ def smoothed_density(samples, eps: float):
     """Gaussian-kernel density x -> (1/N) sum_i phi_eps(x - Y^i) with
     phi_eps the N(0, eps^2) density. Returns a vectorized callable, which
     evaluates the mixture in the row blocks of ``jump._log_mixture``."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not MIN_BANDWIDTH <= eps < math.inf:  # below it 2 eps^2 rounds to 0
+        raise ValueError(f"eps must be finite and at least jump.MIN_BANDWIDTH = {MIN_BANDWIDTH!r}")
     points = np.asarray(samples, dtype=float).reshape(-1, 1)
+    if not len(points):
+        raise ValueError("need at least one sample")
+    bad = np.flatnonzero(~np.isfinite(points[:, 0]))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} is not finite: {points[bad[0], 0]}")
 
     def density(x):
         x = np.asarray(x, dtype=float)

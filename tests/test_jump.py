@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import warnings
 
@@ -13,6 +14,9 @@ from meanfield.jump import MIN_BANDWIDTH, CmcConfig, JumpModel, cmc_run, simulat
 # rows of 65, 32, 43 and 24 leave a partial last block; N * d above the
 # block leaves one row per block
 MIXTURE_SHAPES = [(1000, 2000, 1), (1000, 2000, 2), (500, 777, 3), (300, 601, 9), (8000, 5, 9), (70000, 3, 1)]
+# coordinate axes of 100 and 4000 against a one-row ufunc buffer of 16
+# floats, and N just above numpy's default 8192-float buffer
+BUFFER_SHAPES = [(10, 40, 100), (16, 7, 4000), (9000, 3, 1)]
 
 
 def dense_log_mixture(points, at, h):
@@ -144,6 +148,28 @@ class TestCmc:
         result = cmc_run(cfg, Ensemble(RngStream(72).uniform(50)), RngStream(73))
         assert np.all(result.ensemble.states < 1.0)
 
+    @pytest.mark.parametrize("target, vectorized, n, got", [
+        (lambda x: 0.0, True, 50, "(1,)"),  # one value for the whole batch
+        (lambda x: np.zeros(len(x) - 1), True, 50, "(49,)"),
+        (lambda x: np.zeros(1), False, 20, "(20, 1)"),  # a shape-(1,) value per point
+    ])
+    def test_target_of_the_wrong_shape_raises(self, target, vectorized, n, got):
+        cfg = CmcConfig(target_log_density=target, h=0.5, n=n, steps=3, dim=1, vectorized=vectorized)
+        with pytest.raises(ValueError, match=rf"shape \({n},\); got shape {re.escape(got)}"):
+            cmc_run(cfg, Ensemble(RngStream(86).normal((n, 1))), RngStream(87))
+
+    def test_target_of_the_wrong_shape_at_the_proposals_raises(self):
+        calls = []
+
+        def target(x):  # right at the initial states, one value short after
+            calls.append(len(x))
+            return np.zeros(len(x) - (len(calls) > 2))
+
+        cfg = CmcConfig(target_log_density=target, h=0.5, n=30, steps=5, dim=1, vectorized=True)
+        with pytest.raises(ValueError, match=r"shape \(30,\); got shape \(29,\)"):
+            cmc_run(cfg, Ensemble(RngStream(88).normal((30, 1))), RngStream(89))
+        assert len(calls) == 3  # the initial states and two sweeps
+
     def test_shift_invariance_of_decisions(self):
         # adding a constant to the log target leaves every decision unchanged
         base = lambda x: -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=1)
@@ -215,7 +241,7 @@ def workers(request, monkeypatch):
 
 class TestMixtureWorkers:
     # fewer query rows than workers, and no query rows at all
-    @pytest.mark.parametrize("n, m, d", MIXTURE_SHAPES + [(1000, 2, 1), (50, 0, 3)])
+    @pytest.mark.parametrize("n, m, d", MIXTURE_SHAPES + BUFFER_SHAPES + [(1000, 2, 1), (50, 0, 3)])
     def test_equals_dense_at_any_worker_count(self, workers, monkeypatch, n, m, d):
         rng = RngStream(79)
         points = rng.normal((n, d))
@@ -268,3 +294,85 @@ class TestMixtureWorkers:
             warnings.simplefilter("error")
             val = _log_mixture(points, at, 0.5)
         assert np.isnan(val[-1]) and np.all(np.isfinite(val[:-1]))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMixtureBuffer:
+    @pytest.mark.parametrize("n, bufsize", [(1000, 1008), (8000, 8000), (9000, 8192), (1, 16)])
+    def test_each_range_runs_with_a_one_row_buffer(self, workers, monkeypatch, n, bufsize):
+        sizes = []  # the buffer size in effect at each exp of a block
+        exp = np.exp
+
+        def traced(*args, **kwargs):
+            sizes.append(np.getbufsize())
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", traced)
+        rng = RngStream(90)
+        _log_mixture(rng.normal((n, 1)), rng.normal((200, 1)), 0.3)
+        assert sizes and set(sizes) == {bufsize}
+        sizes.clear()
+        with np.errstate():  # a buffer the caller made smaller than one row stays
+            np.setbufsize(16)
+            _log_mixture(rng.normal((n, 1)), rng.normal((200, 1)), 0.3)
+        assert sizes and set(sizes) == {16}
+
+    def test_buffer_size_and_errstate_come_back(self, workers):
+        rng = RngStream(91)
+        points = rng.normal((1000, 1))
+        at = rng.normal((200, 1))
+        before = (np.getbufsize(), np.geterr())
+        _log_mixture(points, at, 0.5)
+        _log_mixture(points, at, 0.5, own_from=100)
+        assert (np.getbufsize(), np.geterr()) == before
+        at[-1] = np.inf  # its max shift computes -inf - -inf
+        with np.errstate(invalid="raise", under="warn"):
+            np.setbufsize(4096)
+            inside = (np.getbufsize(), np.geterr())
+            with pytest.raises(FloatingPointError):
+                _log_mixture(points, at, 0.5)
+            assert (np.getbufsize(), np.geterr()) == inside
+        assert (np.getbufsize(), np.geterr()) == before
+
+    @pytest.mark.parametrize("n, m, d", MIXTURE_SHAPES + BUFFER_SHAPES)
+    def test_values_do_not_depend_on_the_callers_buffer(self, workers, n, m, d):
+        rng = RngStream(92)
+        points = rng.normal((n, d))
+        at = rng.normal((m, d))
+        val = _log_mixture(points, at, 0.3)
+        with np.errstate():
+            np.setbufsize(16)
+            assert same_bits(_log_mixture(points, at, 0.3), val)
+
+    # 65-, 43- and 24-row blocks: the own rows start inside a block
+    @pytest.mark.parametrize("n, m, d", [(1000, 100, 1), (500, 60, 3), (300, 50, 9), (40, 7, 2)])
+    def test_own_rows_equal_the_general_path(self, workers, n, m, d):
+        rng = RngStream(93)
+        points = np.round(rng.normal((n, d)), 1)  # duplicate points tie at -0.0
+        points[:3] = points[3]
+        points[4] = -0.0
+        points[5] = 0.0
+        at = np.concatenate([rng.normal((m, d)), points])
+        own = _log_mixture(points, at, 0.3, own_from=m)
+        assert same_bits(own, _log_mixture(points, at, 0.3))
+        assert same_bits(own, dense_log_mixture(points, at, 0.3))
+        # every block is own rows, and the blocks of a far-out row set
+        assert same_bits(_log_mixture(points, points, 0.3, own_from=0), dense_log_mixture(points, points, 0.3))
+        far = points + 40.0
+        assert same_bits(_log_mixture(far, far, 0.01, own_from=0), dense_log_mixture(far, far, 0.01))
+
+    def test_own_rows_with_a_non_finite_point(self):
+        # the self term of an infinite point is inf - inf on either path
+        points = RngStream(94).normal((100, 1))
+        points[7] = np.inf
+        for own_from in (0, None):
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                _log_mixture(points, points, 0.3, own_from=own_from)
+        with np.errstate(invalid="ignore"):
+            own = _log_mixture(points, points, 0.3, own_from=0)
+            general = _log_mixture(points, points, 0.3)
+        assert np.isnan(own[7]) and np.isnan(general[7])
+        assert same_bits(np.delete(own, 7), np.delete(general, 7))

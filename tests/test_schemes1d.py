@@ -153,6 +153,22 @@ class TestSmoothedDensity:
         with pytest.raises(ValueError):
             smoothed_density([0.0], eps=0.0)
 
+    @pytest.mark.parametrize("eps", [-1.0, 1e-300, np.nan, np.inf])
+    def test_requires_a_finite_eps_of_at_least_the_least_bandwidth(self, eps):
+        # a NaN eps gave NaN everywhere, an infinite one 0, and 1e-300 divided by 2 eps^2 = 0
+        with pytest.raises(ValueError, match="eps must be finite and at least"):
+            smoothed_density([0.0], eps=eps)
+
+    def test_requires_a_sample(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            smoothed_density([], eps=0.5)
+
+    def test_names_the_first_non_finite_sample(self):
+        with pytest.raises(ValueError, match="sample 2 is not finite: nan"):
+            smoothed_density([0.0, 1.0, np.nan, np.inf], eps=0.5)
+        with pytest.raises(ValueError, match="sample 1 is not finite: -inf"):
+            smoothed_density([0.0, -np.inf], eps=0.5)
+
     def test_matches_the_dense_formula(self):
         # the row-blocked log-sum-exp of jump._log_mixture against the dense N x M sum
         samples = RngStream(122).normal(300)
