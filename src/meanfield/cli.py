@@ -35,7 +35,7 @@ from .mckean import (
 from .metrics import fit_rate, kuramoto_order_parameter, wasserstein_1d
 from .boltzmann import CellGrid, bird_simulate, exact_simulate, maxwell_cutoff_model
 from .optimizer import CboConfig, EksConfig, cbo_minimize, eks_sample, posterior_gaussian_oracle, spd_matrix
-from .schemes1d import CdfScheme, bossy_talay_run, l1_cdf_error, write_cdf_checkpoints_csv
+from .schemes1d import CdfScheme, StepCdf, bossy_talay_run, cdf_model, l1_cdf_error, write_cdf_checkpoints_csv
 
 _SWEEP_KINDS = ("coupling_rate", "bossy_talay")  # fit a rate over n_list
 
@@ -447,18 +447,14 @@ def _run_bossy_talay(config, out: Path, threads: int) -> dict:
         return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x) / (sigma * math.sqrt(2.0 * t_end))))
 
     errors = {}
-    rows = []
     for idx, n in enumerate(config["n_list"]):
         scheme = CdfScheme(k1=0.0, k2=sigma, n=n, dt=dt, T=t_end,
                            initial=lambda m, rng: np.zeros(m))
-        n_stream = base.substream(idx)
-        errs = _map_replicas(
-            lambda r: l1_cdf_error(bossy_talay_run(scheme, n_stream.substream(r))[-1], exact_cdf, grid),
-            replicas, threads,
-        )
-        errors[n] = float(np.mean(errs))
-        rows.append((n, errors[n]))
-    write_csv(out / "bossy_rate.csv", "n,mean_l1_error", rows)
+        streams = [base.substream(idx).substream(r) for r in range(replicas)]
+        x0 = np.stack([np.asarray(scheme.initial(n, s), dtype=float).reshape(n, 1) for s in streams])
+        final = simulate(cdf_model(scheme), x0, TimeGrid(0.0, t_end, dt), streams)
+        errors[n] = float(np.mean([l1_cdf_error(StepCdf(x), exact_cdf, grid) for x in final]))
+    write_csv(out / "bossy_rate.csv", "n,mean_l1_error", errors.items())
     # checkpoint CDFs for one representative replica of the last, largest scheme
     checkpoints = bossy_talay_run(scheme, base.substream(len(config["n_list"])),
                                   checkpoints=[t_end / 2.0, t_end])

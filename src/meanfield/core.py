@@ -142,7 +142,7 @@ class EmpiricalMeasure:
 
 
 def kernel_convolve(mu: EmpiricalMeasure, kernel, x) -> np.ndarray:
-    """Convolution of a two-point kernel with an empirical measure.
+    """Convolution of a two-point kernel with an empirical measure; deprecated for ``pair_mean``.
 
     Returns (1/N) sum_j kernel(x, y_j). The kernel is called once with the
     full (n, d) array of support points and must broadcast over its rows:

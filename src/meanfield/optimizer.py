@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ensemble, RngStream, weighted_mean, write_csv
-from .mckean import _batch_width, _noise_steps, _raise_non_finite
+from .core import Ensemble, RngStream, TimeGrid, weighted_mean, write_csv
+from .mckean import McKeanModel, _batch_width, _noise_steps, _raise_non_finite, simulate
 
 
 @dataclass
@@ -157,6 +157,9 @@ class EksConfig:
     forward_jacobian: callable | None = None
 
     def __post_init__(self):
+        if not (self.n >= 1 and self.steps >= 1 and 0 < self.dt < math.inf):
+            raise ValueError(f"need n >= 1, steps >= 1 and a finite dt > 0; got n={self.n}, "
+                             f"steps={self.steps} and dt={self.dt}")
         self.Gamma = spd_matrix("Gamma", self.Gamma)
         self.Gamma0 = spd_matrix("Gamma0", self.Gamma0)
         self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
@@ -203,7 +206,7 @@ def eks_drift(cfg: EksConfig, states: np.ndarray) -> np.ndarray:
 
 
 def eks_sample(cfg: EksConfig, e0: Ensemble, rng: RngStream) -> Ensemble:
-    """Euler-Maruyama on the ensemble Kalman sampler dynamics.
+    """Euler-Maruyama on the ensemble Kalman sampler dynamics, through ``mckean.simulate``.
 
     Gradient mode evolves dX = -Cov grad PhiR(X) dt + sqrt(2 Cov) dB with
     grad PhiR(x) = J(x)^T Gamma^-1 (G(x) - y) + Gamma0^-1 x. The
@@ -211,29 +214,29 @@ def eks_sample(cfg: EksConfig, e0: Ensemble, rng: RngStream) -> Ensemble:
     Cov[mu, G] in the data-misfit term while keeping Cov on the prior term,
     which coincides with gradient mode exactly when G is linear. The two
     modes consume identical noise, so runs with a shared stream can be
-    compared trajectory-wise.
+    compared trajectory-wise. A non-finite drift or diffusion raises a
+    StepError naming its step and particle.
     """
-    states = e0.states.copy()
-    n, d = states.shape
+    n, d = e0.states.shape
     if n != cfg.n:
         raise ValueError(f"ensemble has {n} particles but the config says {cfg.n}")
     if n < d + 1:
         warnings.warn(f"n = {n} <= dim = {d}: ensemble covariance is rank deficient")
+    warned = False
 
-    frozen_warned = False
-    t = e0.time
-    sqrt_dt = math.sqrt(cfg.dt)
-    for _ in range(cfg.steps):
+    def diffusion(states, mu):
+        nonlocal warned
         centered = states - states.mean(axis=0)
         cov = centered.T @ centered / n  # measure-functional normalization, 1/N
-        if not frozen_warned and np.all(np.abs(cov) < 1e-300):
+        if not warned and np.all(np.abs(cov) < 1e-300):
             warnings.warn("ensemble collapsed to a point: dynamics are frozen")
-            frozen_warned = True
-        drift = eks_drift(cfg, states)
-        noise = rng.normal((n, d)) @ matrix_sqrt_psd(2.0 * cov).T
-        states = states + drift * cfg.dt + noise * sqrt_dt
-        t += cfg.dt
-    return Ensemble(states, t)
+            warned = True
+        # one sqrt(2 Cov) shared by every particle, as (n, d, d) full matrices
+        return np.broadcast_to(matrix_sqrt_psd(2.0 * cov), (n, d, d))
+
+    model = McKeanModel(drift=lambda states, mu: eks_drift(cfg, states), diffusion=diffusion, dim=d,
+                        family="eks")
+    return simulate(model, e0, TimeGrid(0.0, cfg.steps * cfg.dt, cfg.dt), rng)
 
 
 def posterior_gaussian_oracle(G, Gamma, Gamma0, y):

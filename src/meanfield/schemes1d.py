@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, pair_mean, write_csv
+from .core import Ensemble, RngStream, TimeGrid, pair_mean, write_csv
 from .jump import MIN_BANDWIDTH, _log_mixture
+from .mckean import McKeanModel, simulate
 
 
 def heaviside(z):
@@ -43,10 +44,8 @@ class CdfScheme:
     initial: callable
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n < 1:
-            raise ValueError("need dt > 0 and n >= 1")
-        if self.T <= 0:
-            raise ValueError("need T > 0")
+        if not (0 < self.dt <= self.T and self.n >= 1):
+            raise ValueError("need n >= 1 and 0 < dt <= T (the run's TimeGrid(0, T, dt) lands on T)")
 
 
 class StepCdf:
@@ -68,38 +67,39 @@ class StepCdf:
         return self.evaluate(x)
 
 
-def _kernel_mean(kernel, ys) -> np.ndarray:
-    """mean_j kernel(Y^i, Y^j) for every i, in bounded blocks unless constant."""
+def _kernel_mean(kernel, states, points):
+    """mean_j kernel(Y^i, Y^j) for each row of the (..., n, 1) states against the (..., m, 1)
+    points of its replica, through ``core.pair_mean``; a constant kernel stays a scalar."""
     if not callable(kernel):
-        return np.full(ys.shape, float(kernel))
-    return pair_mean(kernel, ys[:, None], ys[:, None])[:, 0]
+        return float(kernel)
+    return pair_mean(kernel, states, points)
+
+
+def cdf_model(scheme: CdfScheme) -> McKeanModel:
+    """The scheme as a McKean model: drift and diffusion are the kernel means of k1 and k2."""
+    return McKeanModel(drift=lambda states, mu: _kernel_mean(scheme.k1, states, mu.points),
+                       diffusion=lambda states, mu: _kernel_mean(scheme.k2, states, mu.points),
+                       dim=1, family="cdf-scheme")
 
 
 def bossy_talay_run(scheme: CdfScheme, rng: RngStream, checkpoints=None) -> list[StepCdf]:
-    """Run the Euler scheme and return the empirical CDF at each checkpoint.
+    """Run the scheme through ``mckean.simulate`` over ``TimeGrid(0, T, dt)``,
+    which lands on T, and return the empirical CDF at each checkpoint.
 
     ``checkpoints`` is a sequence of times (default: final time only);
     each is snapped to the nearest step boundary.
     """
-    steps = max(1, round(scheme.T / scheme.dt))
+    grid = TimeGrid(0.0, scheme.T, scheme.dt)
     if checkpoints is None:
         checkpoints = [scheme.T]
-    checkpoint_steps = {min(steps, max(0, round(t / scheme.dt))): t for t in checkpoints}
-
-    ys = np.asarray(scheme.initial(scheme.n, rng), dtype=float).reshape(-1)
-    sqrt_dt = math.sqrt(scheme.dt)
+    snapped = {min(grid.steps, max(0, round(t / scheme.dt))) for t in checkpoints}
     out = []
-    if 0 in checkpoint_steps:
-        out.append(StepCdf(ys, 0.0))
-    for k in range(steps):
-        drift = _kernel_mean(scheme.k1, ys)
-        diff = _kernel_mean(scheme.k2, ys)
-        if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(diff))):
-            raise ValueError(f"non-finite kernel sum at step {k}")
-        gauss = rng.normal(scheme.n)
-        ys = ys + drift * scheme.dt + sqrt_dt * diff * gauss
-        if k + 1 in checkpoint_steps:
-            out.append(StepCdf(ys, (k + 1) * scheme.dt))
+
+    def record(ensemble, step):
+        if step in snapped:
+            out.append(StepCdf(ensemble.states, ensemble.time))
+
+    simulate(cdf_model(scheme), Ensemble(scheme.initial(scheme.n, rng)), grid, rng, observers=[record])
     return out
 
 

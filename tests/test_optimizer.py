@@ -263,6 +263,19 @@ class TestEks:
         final = eks_sample(cfg, Ensemble(RngStream(102).normal((400, 2))), RngStream(103))
         assert np.all(np.isfinite(final.states))
 
+    def test_non_finite_forward_map_names_the_step(self):
+        cfg = self._config(forward=lambda x: np.full(x.shape, np.inf), derivative_free=True, steps=3)
+        with np.errstate(invalid="ignore"), pytest.raises(StepError, match="non-finite drift") as err:
+            eks_sample(cfg, Ensemble(RngStream(106).normal((400, 2))), RngStream(107))
+        assert (err.value.step, err.value.particle) == (0, 0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("steps", 0), ("dt", 0.0), ("dt", -0.1), ("dt", np.nan), ("dt", np.inf),
+    ])
+    def test_config_rejects_a_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"need n >= 1, steps >= 1 and a finite dt > 0; .*{field}={value}"):
+            self._config(**{field: value})
+
     def test_covariance_validation(self):
         with pytest.raises(ValueError, match="positive definite"):
             self._config(Gamma=np.array([[1.0, 2.0], [2.0, 1.0]]))

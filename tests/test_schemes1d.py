@@ -5,6 +5,7 @@ import pytest
 
 from meanfield import core
 from meanfield.core import RngStream
+from meanfield.errors import StepError
 from meanfield.metrics import fit_rate
 from meanfield.schemes1d import (
     CdfScheme,
@@ -67,8 +68,13 @@ class TestBossyTalayRun:
     def test_non_finite_kernel_reports_step(self):
         scheme = CdfScheme(k1=lambda x, y: x * np.inf, k2=0.0, n=3, dt=0.1, T=0.5,
                            initial=lambda n, rng: np.ones(n))
-        with pytest.raises(ValueError, match="step 0"):
+        with pytest.raises(StepError, match="non-finite drift") as err:
             bossy_talay_run(scheme, RngStream(114))
+        assert (err.value.step, err.value.particle) == (0, 0)
+
+    def test_dt_above_t_rejected(self):
+        with pytest.raises(ValueError, match=r"0 < dt <= T"):
+            CdfScheme(k1=0.0, k2=1.0, n=3, dt=0.5, T=0.1, initial=lambda n, rng: np.zeros(n))
 
     def test_heat_kernel_l1_rate(self):
         # independent oracle: the scheme with constant kernels is an exact
@@ -112,6 +118,13 @@ class TestBurgersScheme:
         cdf = bossy_talay_run(scheme, RngStream(118))[-1]
         assert cdf.samples[0] == pytest.approx(2.0)
 
+    def test_single_particle_lands_on_t_when_dt_does_not_divide_it(self):
+        # steps of 0.3, 0.3 and 0.4: three steps of 0.3 would stop at 0.9
+        scheme = burgers_scheme(0.0, initial=lambda n, rng: np.zeros(n), n=1, dt=0.3, T=1.0)
+        cdf = bossy_talay_run(scheme, RngStream(118))[-1]
+        assert cdf.samples[0] == pytest.approx(1.0)
+        assert cdf.time == pytest.approx(1.0)
+
     def test_drift_monotone_in_rank(self):
         # for distinct sorted positions the Heaviside drift at rank i
         # (1-based) equals i/N exactly
@@ -129,7 +142,7 @@ class TestBurgersScheme:
         assert 1 < rows < ys.size and ys.size % rows
         k1 = burgers_scheme(0.0, initial=None, n=1, dt=0.1, T=0.1).k1
         dense = np.asarray(k1(ys[:, None], ys[None, :]), dtype=float).mean(axis=1)
-        assert np.array_equal(_kernel_mean(k1, ys), dense)
+        assert np.array_equal(_kernel_mean(k1, ys[:, None], ys[:, None])[:, 0], dense)
 
 
 class TestSmoothedDensity:
