@@ -140,9 +140,13 @@ def pair_mean(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(1/m) sum_j fn(x^i, y^j) for each row of x (..., n, d) against the
     y (..., m, d) of its replica; ``fn`` takes broadcast (..., rows, 1, d)
     and (..., 1, m, d) blocks. Each row's mean is the one of the dense
-    (..., n, m, d) formula, bit for bit."""
-    rows = max(1, _PAIR_FLOATS // (x.size // x.shape[-2] * y.shape[-2]))
-    blocks = (fn(x[..., lo:lo + rows, None, :], y[..., None, :, :]) for lo in range(0, x.shape[-2], rows))
+    (..., n, m, d) formula, bit for bit; an x of no rows gives (..., 0, k)."""
+    if not y.shape[-2]:
+        raise ValueError("need at least one point y^j to average over")
+    rows = max(1, _PAIR_FLOATS // max(1, x[..., :1, :].size * y.shape[-2]))
+    # an x of no rows is one empty block, so the result still has fn's shape
+    starts = range(0, max(1, x.shape[-2]), rows)
+    blocks = (fn(x[..., lo:lo + rows, None, :], y[..., None, :, :]) for lo in starts)
     return np.concatenate([np.asarray(b, dtype=float).mean(axis=-2) for b in blocks], axis=-2)
 
 
@@ -188,11 +192,14 @@ def _raise_degenerate(message: str, mask: np.ndarray):
         raise DegenerateWeights(message.format(particle=particle) + where)
 
 
-def empirical_moments(ensemble: Ensemble, p: int) -> np.ndarray:
-    """Coordinate-wise p-th moment (1/N) sum_i (x^i_k)^p."""
+def empirical_moments(ensemble: Ensemble | np.ndarray, p: int) -> np.ndarray:
+    """Coordinate-wise p-th moment (1/N) sum_i (x^i_k)^p: the (d,) moments of
+    one ensemble, or one row per replica of an (..., n, d) batch, bit for
+    bit a lone call's."""
     if p < 1:
         raise ValueError("moment order p must be >= 1")
-    return np.mean(ensemble.states ** p, axis=0)
+    pts = ensemble if isinstance(ensemble, np.ndarray) else ensemble.states
+    return np.mean(pts ** p, axis=-2)
 
 
 @dataclass(frozen=True)

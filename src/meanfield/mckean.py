@@ -90,13 +90,16 @@ def _em_loop(model, x, t, grid, streams, first=0, observers=()):
     """The one Euler-Maruyama loop, from states ``x`` at time ``t`` over
     ``grid``: one (n, d) ensemble, or an (R, n, d) batch with first replica
     ``first``, each step seen through ``EmpiricalMeasure(x)``; row r draws
-    from ``streams[r]``. Only observers get ``Ensemble``s."""
+    from ``streams[r]``. Each observer is called as ``obs(x, t, step, first)``
+    at step 0 and after each step; it must not write to ``x``."""
+    for obs in observers:
+        obs(x, t, 0, first)
     noise = _noise_steps(streams, x.shape[-2:], grid.steps)
     for k, (h, xi) in enumerate(zip(grid.step_durations(), noise)):
         x = _em_update(model, x, EmpiricalMeasure(x), h, xi.reshape(x.shape), t, step=k, first_replica=first)
         t += h
         for obs in observers:
-            obs(Ensemble(x, t), k + 1)
+            obs(x, t, k + 1, first)
     return x, t
 
 
@@ -113,30 +116,34 @@ def step_em(model: McKeanModel, ensemble: Ensemble, dt: float, rng: RngStream) -
 
 
 def simulate(model: McKeanModel, e0: Ensemble | np.ndarray, grid: TimeGrid, rng, observers=()):
-    """Advance one Ensemble, run from ``e0.time`` with its stream ``rng`` and
-    seen by observers ``obs(ensemble, step_index)`` at step 0 and after each
-    step; or an (R, n, d) array with a list of R streams, run from ``grid.t0``
-    in batches of ``_batch_width`` replicas, row r depending on ``rng[r]``
-    only. A StepError names its step, particle and, in a batch, replica."""
+    """Advance one Ensemble, run from ``e0.time`` with its stream ``rng``; or
+    an (R, n, d) array with a list of R streams, run from ``grid.t0`` in
+    groups of ``_batch_width`` replicas, row r depending on ``rng[r]`` only.
+    Observers ``obs(states, t, step, first)`` see the states at step 0 and
+    after each step: the (n, d) ensemble with ``first`` 0, or each (Rb, n, d)
+    group of a batch, whose first replica is ``first``. A StepError names
+    its step, particle and, in a batch, replica."""
     if isinstance(e0, Ensemble):
         if model.dim != e0.dim:
             raise ValueError(f"model dim {model.dim} != ensemble dim {e0.dim}")
-        for obs in observers:
-            obs(e0.copy(), 0)
         return Ensemble(*_em_loop(model, e0.states, e0.time, grid, [rng], observers=observers))
     states = np.asarray(e0, dtype=float)
-    if states.ndim != 3 or states.shape[2] != model.dim or len(rng) != len(states) or observers:
-        raise ValueError(f"need (R, n, {model.dim}) states, one stream per replica and no observers")
+    if states.ndim != 3 or states.shape[2] != model.dim or len(rng) != len(states):
+        raise ValueError(f"need (R, n, {model.dim}) states and one stream per replica")
+    t0 = float(grid.t0)
+    if not np.isfinite(states).all():
+        _raise_non_finite("initial state", states, True, 0, 0, t0)
     final = np.empty_like(states)
     width = _batch_width(states.shape[1], model.dim)
     for first in range(0, len(states), width):
         batch = slice(first, first + width)
-        final[batch], _ = _em_loop(model, states[batch], grid.t0, grid, rng[batch], first)
+        final[batch], _ = _em_loop(model, states[batch], t0, grid, rng[batch], first, observers)
     return final
 
 
 class MomentTracker:
-    """Observer recording coordinate-wise p-th moments at every step."""
+    """Observer recording coordinate-wise p-th moments at every step: a (d,)
+    row for a lone run, one (R, d) array of per-replica rows for a batch."""
 
     def __init__(self, p: int = 2):
         if p < 1:
@@ -145,15 +152,23 @@ class MomentTracker:
         self.times = []
         self.values = []
 
-    def __call__(self, ensemble: Ensemble, step: int):
-        self.times.append(ensemble.time)
-        self.values.append(empirical_moments(ensemble, self.p))
+    def __call__(self, states: np.ndarray, t: float, step: int, first: int):
+        moments = empirical_moments(states, self.p)
+        if first == 0:
+            if step == 0:
+                self._start = len(self.values)
+            self.times.append(float(t))
+            self.values.append(moments)
+        else:  # a later group of a batch: its rows extend the step's array
+            at = self._start + step
+            self.values[at] = np.concatenate([self.values[at], moments])
 
 
 class SnapshotWriter:
     """Observer appending particle states as CSV rows
-    ``time, replica, particle, coord0..coordD``. Use it as a context
-    manager, or call ``close``; the file is open from construction on."""
+    ``time, replica, particle, coord0..coordD``: the states of a lone run,
+    or row ``replica`` of a batch. Use it as a context manager, or call
+    ``close``; the file is open from construction on."""
 
     def __init__(self, path, replica: int = 0, every: int = 1):
         self.path = path
@@ -168,15 +183,18 @@ class SnapshotWriter:
     def __exit__(self, *exc_info):
         self.close()
 
-    def __call__(self, ensemble: Ensemble, step: int):
+    def __call__(self, states: np.ndarray, t: float, step: int, first: int):
         if not self._header_written:
-            coords = ",".join(f"coord{k}" for k in range(ensemble.dim))
+            coords = ",".join(f"coord{k}" for k in range(states.shape[-1]))
             self._file.write(f"time,replica,particle,{coords}\n")
             self._header_written = True
+        if states.ndim == 3:
+            if not first <= self.replica < first + len(states):
+                return
+            states = states[self.replica - first]
         if step % self.every:
             return
-        self._file.writelines(csv_row((ensemble.time, self.replica, i, *row))
-                              for i, row in enumerate(ensemble.states))
+        self._file.writelines(csv_row((t, self.replica, i, *row)) for i, row in enumerate(states))
 
     def close(self):
         self._file.close()

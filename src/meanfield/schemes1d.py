@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ensemble, RngStream, TimeGrid, pair_mean, write_csv
+from .core import RngStream, TimeGrid, pair_mean, write_csv
 from .jump import MIN_BANDWIDTH
 from .mckean import McKeanModel, simulate
 
@@ -82,24 +82,30 @@ def cdf_model(scheme: CdfScheme) -> McKeanModel:
                        dim=1, family="cdf-scheme")
 
 
-def bossy_talay_run(scheme: CdfScheme, rng: RngStream, checkpoints=None) -> list[StepCdf]:
-    """Run the scheme through ``mckean.simulate`` over ``TimeGrid(0, T, dt)``,
-    which lands on T, and return the empirical CDF at each checkpoint.
+def bossy_talay_run(scheme: CdfScheme, streams: list[RngStream], checkpoints=None) -> list[list[StepCdf]]:
+    """Run the scheme once per stream, as one (R, n, 1) batch through
+    ``mckean.simulate`` over ``TimeGrid(0, T, dt)``, which lands on T, and
+    return for each stream its empirical CDF at each checkpoint. Replica r
+    draws its initial points, then its increments, from ``streams[r]``.
 
-    ``checkpoints`` is a sequence of times (default: final time only);
-    each is snapped to the nearest step boundary.
+    ``checkpoints`` is a sequence of times (default: final time only), each
+    snapped to the nearest step boundary; there is one CDF per time, in the
+    order given.
     """
     grid = TimeGrid(0.0, scheme.T, scheme.dt)
     if checkpoints is None:
         checkpoints = [scheme.T]
-    snapped = {min(grid.steps, max(0, round(t / scheme.dt))) for t in checkpoints}
-    out = []
+    steps = [min(grid.steps, max(0, round(t / scheme.dt))) for t in checkpoints]
+    out = [[None] * len(steps) for _ in streams]
 
-    def record(ensemble, step):
-        if step in snapped:
-            out.append(StepCdf(ensemble.states, ensemble.time))
+    def record(states, t, step, first):
+        for j, at in enumerate(steps):
+            if at == step:
+                for r, x in enumerate(states, first):
+                    out[r][j] = StepCdf(x, float(t))
 
-    simulate(cdf_model(scheme), Ensemble(scheme.initial(scheme.n, rng)), grid, rng, observers=[record])
+    x0 = np.stack([np.asarray(scheme.initial(scheme.n, s), dtype=float).reshape(scheme.n, 1) for s in streams])
+    simulate(cdf_model(scheme), x0, grid, streams, observers=[record])
     return out
 
 
@@ -132,8 +138,6 @@ def smoothed_density(samples, eps: float):
 
     def density(x):
         x = np.asarray(x, dtype=float)
-        if not x.size:
-            return np.empty(x.shape)
         # a far point's log term overflows to -inf on purpose: its kernel is 0
         with np.errstate(over="ignore"):
             vals = pair_mean(kernel, x.reshape(-1, 1), points) * norm

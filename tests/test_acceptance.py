@@ -267,9 +267,8 @@ def criterion_08_gate(seed):
     for idx, n in enumerate((100, 400, 1600)):
         scheme = CdfScheme(k1=0.0, k2=sigma, n=n, dt=dt, T=t_end,
                            initial=lambda m, rng: np.zeros(m))
-        errs = [l1_cdf_error(bossy_talay_run(scheme, RngStream(seed, idx * 1000 + r))[-1],
-                             exact, grid)
-                for r in range(32)]
+        runs = bossy_talay_run(scheme, [RngStream(seed, idx * 1000 + r) for r in range(32)])
+        errs = [l1_cdf_error(cdfs[-1], exact, grid) for cdfs in runs]
         errors[n] = float(np.mean(errs))
     fit = fit_rate(errors)
     ok = -0.7 <= fit.slope <= -0.3

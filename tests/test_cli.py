@@ -14,6 +14,7 @@ from meanfield.core import Ensemble, RngStream, TimeGrid
 from meanfield.jump import CmcConfig, cmc_run
 from meanfield.mckean import kuramoto_model, simulate
 from meanfield.metrics import kuramoto_order_parameter
+from meanfield.schemes1d import CdfScheme, bossy_talay_run
 
 
 def write_config(path: Path, payload: dict) -> Path:
@@ -580,6 +581,21 @@ class TestExperimentKinds:
         summary = json.loads((out / "summary.json").read_text())
         assert -1.0 < summary["slope"] < 0.0
         assert (out / "bossy_checkpoints.csv").exists()
+
+    def test_bossy_checkpoints_are_replica_zero_of_the_largest_n(self, tmp_path):
+        # dt = 0.003 does not divide t_end: T/2 snaps to the step at 0.006
+        cfg = write_config(tmp_path / "c.json", {
+            "kind": "bossy_talay", "seed": 9, "n_list": [10, 20, 40], "replicas": 3,
+            "time": {"t0": 0.0, "t_end": 0.01, "dt": 0.003},
+        })
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in (out / "bossy_checkpoints.csv").read_text().splitlines()[1:]]
+        scheme = CdfScheme(k1=0.0, k2=1.0, n=40, dt=0.003, T=0.01, initial=lambda m, rng: np.zeros(m))
+        (cdfs,) = bossy_talay_run(scheme, [RngStream(9).substream(2).substream(0)], checkpoints=[0.005, 0.01])
+        assert [row[0] for row in rows] == [cdf.time for cdf in cdfs] == [0.006, 0.01]
+        assert [row[1:] for row in rows] == [cdf.samples.tolist() for cdf in cdfs]
 
     def test_kuramoto_sweep(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {

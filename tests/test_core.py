@@ -114,6 +114,19 @@ class TestPairMean:
         assert blocks[0][-3] == n or math.prod(blocks[0]) + per_row > core._PAIR_FLOATS
         assert np.array_equal(out, np.sin(x[..., :, None, :] - y[..., None, :, :]).mean(axis=-2))
 
+    @pytest.mark.parametrize("x_shape, y_shape, fn, want", [
+        ((0, 1), (3, 1), lambda a, b: a - b, (0, 1)),        # one ensemble of no rows
+        ((2, 0, 2), (2, 3, 2), lambda a, b: a - b, (2, 0, 2)),  # a batch of replicas with no rows
+        ((0, 2), (3, 2), lambda a, b: np.sum(a * b, axis=-1, keepdims=True), (0, 1)),  # fn's last axis
+    ])
+    def test_no_rows_give_an_empty_result_of_fn_shape(self, x_shape, y_shape, fn, want):
+        out = pair_mean(fn, np.empty(x_shape), np.ones(y_shape))
+        assert out.shape == want and out.dtype == float
+
+    def test_an_empty_measure_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            pair_mean(lambda a, b: a - b, np.ones((3, 1)), np.empty((0, 1)))
+
 
 class TestWeightedMean:
     def test_uniform_weights_plain_mean(self):
@@ -199,6 +212,13 @@ class TestEmpiricalMoments:
     def test_requires_positive_order(self):
         with pytest.raises(ValueError):
             empirical_moments(Ensemble(np.array([1.0])), 0)
+
+    def test_a_batch_gives_each_replica_its_lone_moments(self):
+        states = RngStream(12).normal((3, 129, 2))
+        batch = empirical_moments(states, 3)
+        assert batch.shape == (3, 2)
+        for r in range(3):
+            assert np.array_equal(batch[r], empirical_moments(Ensemble(states[r]), 3))
 
 
 class TestTimeGrid:

@@ -167,6 +167,30 @@ class TestSimulate:
         assert seen == [True] * 10
         assert len(built) == 1 and isinstance(final, Ensemble)
 
+    def test_observers_see_the_bare_states_and_no_ensemble_is_built(self, monkeypatch, tmp_path):
+        # a lone run builds only its result; a batch builds no Ensemble at all
+        built = []
+        post_init = Ensemble.__post_init__
+        e0 = Ensemble(RngStream(5).normal((20, 1)))
+        monkeypatch.setattr(Ensemble, "__post_init__", lambda self: (built.append(None), post_init(self)))
+        seen = []
+        calls = []
+        model = mean_field_ou_model(1.0, 1.0)
+        model.drift = lambda states, mu, drift=model.drift: (seen.append(states), drift(states, mu))[1]
+        observe = lambda states, t, step, first: calls.append((states, t, step, first))
+        grid = TimeGrid(0, 1, 0.1)
+        with SnapshotWriter(tmp_path / "snap.csv") as writer:
+            final = simulate(model, e0, grid, RngStream(6), observers=[MomentTracker(), writer, observe])
+        assert len(built) == 1 and isinstance(final, Ensemble)
+        # the observer at step k sees the states whose drift the k-th update reads
+        assert [c[2:] for c in calls] == [(k, 0) for k in range(grid.steps + 1)]
+        assert all(c[0] is x for c, x in zip(calls, seen)) and calls[-1][0] is final.states
+        assert calls[0][0] is e0.states and [c[1] for c in calls] == pytest.approx(grid.times())
+        built.clear()
+        simulate(model, np.stack([e0.states] * 3), grid, [RngStream(6, r) for r in range(3)],
+                 observers=[MomentTracker(), observe])
+        assert built == []
+
 
 class TestSimulateBatch:
     """simulate on an (R, n, d) batch advances ``_batch_width`` replicas at a
@@ -211,6 +235,39 @@ class TestSimulateBatch:
             simulate(model, states, TimeGrid(0, 1, 0.25), streams)
         assert (err.value.replica, err.value.particle, err.value.step) == (13, 4, 3)
         assert "replica=13 | particle=4 | step=3" in str(err.value)
+
+    def test_observers_of_a_batch_equal_their_lone_runs_across_a_group_boundary(self, tmp_path):
+        # 11 replicas per group: replica 13 sits in the second group, which the
+        # observers see as a (4, 700, 1) array whose first replica is 11
+        assert _batch_width(700, 1) == 11
+        root = RngStream(37)
+        states = np.stack([root.substream(r).uniform((700, 1)) * 2.0 * math.pi for r in range(15)])
+        model, grid = kuramoto_model(1.5), TimeGrid(0, 0.2, 0.05)
+        tracker, groups = MomentTracker(p=2), []
+        with SnapshotWriter(tmp_path / "batch.csv", replica=13, every=2) as writer:
+            final = simulate(model, states, grid, [root.substream(100 + r) for r in range(15)],
+                             observers=[tracker, writer, lambda x, t, step, first: groups.append((first, len(x)))])
+        assert sorted(set(groups)) == [(0, 11), (11, 4)]
+        assert len(tracker.values) == grid.steps + 1
+        assert all(v.shape == (15, 1) for v in tracker.values)
+        for r in range(15):
+            lone_tracker = MomentTracker(p=2)
+            lone = simulate(model, Ensemble(states[r]), grid, root.substream(100 + r), observers=[lone_tracker])
+            assert np.array_equal(final[r], lone.states), r
+            assert lone_tracker.times == tracker.times
+            assert all(np.array_equal(v[r], w) for v, w in zip(tracker.values, lone_tracker.values)), r
+        with SnapshotWriter(tmp_path / "lone.csv", replica=13, every=2) as writer:
+            simulate(model, Ensemble(states[13]), grid, root.substream(113), observers=[writer])
+        lines = (tmp_path / "batch.csv").read_text()
+        assert lines == (tmp_path / "lone.csv").read_text()
+        assert len(lines.splitlines()) == 1 + 3 * 700  # steps 0, 2 and 4
+
+    def test_a_non_finite_initial_state_names_its_replica_and_particle(self):
+        states = np.zeros((3, 4, 1))
+        states[2, 1] = np.inf
+        with pytest.raises(StepError, match="non-finite initial state") as err:
+            simulate(_still(), states, TimeGrid(0, 1, 0.5), [RngStream(38, r) for r in range(3)])
+        assert (err.value.replica, err.value.particle, err.value.step) == (2, 1, 0)
 
     def test_step_em_equals_the_one_step_simulate(self):
         model = mean_field_ou_model(1.0, 2.0)

@@ -44,7 +44,7 @@ class TestBossyTalayRun:
     def test_frozen_kernels(self):
         scheme = CdfScheme(k1=0.0, k2=0.0, n=5, dt=0.1, T=1.0,
                            initial=lambda n, rng: np.arange(float(n)))
-        out = bossy_talay_run(scheme, RngStream(111), checkpoints=[0.0, 0.5, 1.0])
+        out = bossy_talay_run(scheme, [RngStream(111)], checkpoints=[0.0, 0.5, 1.0])[0]
         assert len(out) == 3
         for cdf in out:
             assert np.array_equal(cdf.samples, np.arange(5.0))
@@ -53,7 +53,7 @@ class TestBossyTalayRun:
         # K1 = 0, K2 = 1: a standard gaussian walk; variance T at the end
         scheme = CdfScheme(k1=0.0, k2=1.0, n=4000, dt=0.01, T=1.0,
                            initial=lambda n, rng: np.zeros(n))
-        cdf = bossy_talay_run(scheme, RngStream(112))[-1]
+        cdf = bossy_talay_run(scheme, [RngStream(112)])[0][-1]
         assert cdf.samples.var() == pytest.approx(1.0, rel=0.1)
 
     def test_callable_and_constant_kernels_agree(self):
@@ -62,16 +62,47 @@ class TestBossyTalayRun:
         called = CdfScheme(k1=lambda x, y: np.full(np.broadcast(x, y).shape, 0.3),
                            k2=lambda x, y: np.full(np.broadcast(x, y).shape, 0.7),
                            n=50, dt=0.05, T=0.5, initial=lambda n, rng: rng.normal(n))
-        a = bossy_talay_run(const, RngStream(113))[-1]
-        b = bossy_talay_run(called, RngStream(113))[-1]
+        a = bossy_talay_run(const, [RngStream(113)])[0][-1]
+        b = bossy_talay_run(called, [RngStream(113)])[0][-1]
         assert np.allclose(a.samples, b.samples)
 
     def test_non_finite_kernel_reports_step(self):
         scheme = CdfScheme(k1=lambda x, y: x * np.inf, k2=0.0, n=3, dt=0.1, T=0.5,
                            initial=lambda n, rng: np.ones(n))
         with pytest.raises(StepError, match="non-finite drift") as err:
-            bossy_talay_run(scheme, RngStream(114))
+            bossy_talay_run(scheme, [RngStream(114)])
         assert (err.value.step, err.value.particle) == (0, 0)
+
+    def test_a_non_finite_initial_state_names_its_replica_and_particle(self):
+        # a lone run once raised Ensemble's ValueError here; the batch raises StepError
+        scheme = CdfScheme(k1=0.0, k2=1.0, n=3, dt=0.1, T=0.5,
+                           initial=lambda n, rng: np.array([0.0, np.nan, 1.0]) if rng.seed == 2 else np.zeros(n))
+        with pytest.raises(StepError, match="non-finite initial state") as err:
+            bossy_talay_run(scheme, [RngStream(1), RngStream(2)])
+        assert (err.value.replica, err.value.particle, err.value.step) == (1, 1, 0)
+
+    def test_one_cdf_per_checkpoint_in_the_order_given(self):
+        # dt = 0.009 makes one step to T = 0.01, so both T/2 and T snap to it
+        scheme = CdfScheme(k1=0.0, k2=1.0, n=4, dt=0.009, T=0.01, initial=lambda n, rng: np.zeros(n))
+        (halves,) = bossy_talay_run(scheme, [RngStream(123)], checkpoints=[0.005, 0.01])
+        assert [cdf.time for cdf in halves] == [0.01, 0.01]
+        assert np.array_equal(halves[0].samples, halves[1].samples)
+        (backwards,) = bossy_talay_run(scheme, [RngStream(123)], checkpoints=[0.01, 0.0])
+        assert [cdf.time for cdf in backwards] == [0.01, 0.0]
+        assert np.array_equal(backwards[0].samples, halves[0].samples)
+        assert np.array_equal(backwards[1].samples, np.zeros(4))
+
+    def test_batch_rows_equal_lone_runs_across_a_group_boundary(self):
+        # a callable kernel, with initial points drawn from each stream; 700
+        # particles give 11 replicas per group, so 13 streams span two
+        scheme = burgers_scheme(0.5, initial=lambda n, rng: rng.normal(n), n=700, dt=0.05, T=0.1)
+        streams = lambda: [RngStream(124, r) for r in range(13)]
+        batch = bossy_talay_run(scheme, streams(), checkpoints=[0.1, 0.05])
+        assert len(batch) == 13
+        for r, stream in enumerate(streams()):
+            (lone,) = bossy_talay_run(scheme, [stream], checkpoints=[0.1, 0.05])
+            for a, b in zip(batch[r], lone):
+                assert a.time == b.time and np.array_equal(a.samples, b.samples), r
 
     def test_dt_above_t_rejected(self):
         with pytest.raises(ValueError, match=r"0 < dt <= T"):
@@ -87,9 +118,8 @@ class TestBossyTalayRun:
         for idx, n in enumerate((100, 400, 1600)):
             scheme = CdfScheme(k1=0.0, k2=sigma, n=n, dt=dt, T=t_end,
                                initial=lambda m, rng: np.zeros(m))
-            errs = [l1_cdf_error(bossy_talay_run(scheme, RngStream(115, idx * 100 + r))[-1],
-                                 exact, grid)
-                    for r in range(16)]
+            runs = bossy_talay_run(scheme, [RngStream(115, idx * 100 + r) for r in range(16)])
+            errs = [l1_cdf_error(cdfs[-1], exact, grid) for cdfs in runs]
             errors[n] = float(np.mean(errs))
         fit = fit_rate(errors)
         assert -0.7 <= fit.slope <= -0.3
@@ -105,24 +135,24 @@ class TestBurgersScheme:
         # right particle: (H(1) + H(0))/2 = 1; left: (H(0) + H(-1))/2 = 1/2
         scheme = burgers_scheme(0.0, initial=lambda n, rng: np.array([0.0, 1.0]),
                                 n=2, dt=0.1, T=0.1)
-        cdf = bossy_talay_run(scheme, RngStream(116))[-1]
+        cdf = bossy_talay_run(scheme, [RngStream(116)])[0][-1]
         assert np.allclose(np.sort(cdf.samples), [0.05, 1.1])
 
     def test_point_mass_initial_cdf(self):
         scheme = burgers_scheme(1.0, initial=lambda n, rng: np.zeros(n), n=30, dt=0.1, T=1.0)
-        cdf0 = bossy_talay_run(scheme, RngStream(117), checkpoints=[0.0])[0]
+        cdf0 = bossy_talay_run(scheme, [RngStream(117)], checkpoints=[0.0])[0][0]
         assert cdf0.evaluate(-0.001) == 0.0 and cdf0.evaluate(0.0) == 1.0
 
     def test_single_particle_unit_speed(self):
         # N = 1, sigma = 0: self interaction H(0) drives drift 1
         scheme = burgers_scheme(0.0, initial=lambda n, rng: np.zeros(n), n=1, dt=0.01, T=2.0)
-        cdf = bossy_talay_run(scheme, RngStream(118))[-1]
+        cdf = bossy_talay_run(scheme, [RngStream(118)])[0][-1]
         assert cdf.samples[0] == pytest.approx(2.0)
 
     def test_single_particle_lands_on_t_when_dt_does_not_divide_it(self):
         # steps of 0.3, 0.3 and 0.4: three steps of 0.3 would stop at 0.9
         scheme = burgers_scheme(0.0, initial=lambda n, rng: np.zeros(n), n=1, dt=0.3, T=1.0)
-        cdf = bossy_talay_run(scheme, RngStream(118))[-1]
+        cdf = bossy_talay_run(scheme, [RngStream(118)])[0][-1]
         assert cdf.samples[0] == pytest.approx(1.0)
         assert cdf.time == pytest.approx(1.0)
 
@@ -236,7 +266,7 @@ class TestCheckpointCsv:
     def test_rows_are_sorted_samples(self, tmp_path):
         scheme = CdfScheme(k1=0.0, k2=1.0, n=4, dt=0.1, T=0.4,
                            initial=lambda n, rng: rng.normal(n))
-        cdfs = bossy_talay_run(scheme, RngStream(122), checkpoints=[0.2, 0.4])
+        cdfs = bossy_talay_run(scheme, [RngStream(122)], checkpoints=[0.2, 0.4])[0]
         path = tmp_path / "cdf.csv"
         write_cdf_checkpoints_csv(cdfs, path)
         lines = path.read_text().splitlines()
