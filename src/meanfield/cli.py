@@ -442,9 +442,7 @@ def _run_bossy_talay(config, out: Path, threads: int) -> dict:
     base = RngStream(config["seed"])
     span = 6.0 * sigma * math.sqrt(t_end)
     grid = np.linspace(-span, span, p["grid_points"])
-
-    def exact_cdf(x):
-        return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x) / (sigma * math.sqrt(2.0 * t_end))))
+    exact_cdf = 0.5 * (1.0 + np.vectorize(math.erf)(grid / (sigma * math.sqrt(2.0 * t_end))))
 
     errors = {}
     for idx, n in enumerate(config["n_list"]):

@@ -128,8 +128,8 @@ def simulate(model: McKeanModel, e0: Ensemble | np.ndarray, grid: TimeGrid, rng,
             raise ValueError(f"model dim {model.dim} != ensemble dim {e0.dim}")
         return Ensemble(*_em_loop(model, e0.states, e0.time, grid, [rng], observers=observers))
     states = np.asarray(e0, dtype=float)
-    if states.ndim != 3 or states.shape[2] != model.dim or len(rng) != len(states):
-        raise ValueError(f"need (R, n, {model.dim}) states and one stream per replica")
+    if states.ndim != 3 or not states.shape[1] or states.shape[2] != model.dim or len(rng) != len(states):
+        raise ValueError(f"need (R, n >= 1, {model.dim}) states and one stream per replica, got {states.shape}")
     t0 = float(grid.t0)
     if not np.isfinite(states).all():
         _raise_non_finite("initial state", states, True, 0, 0, t0)
@@ -407,6 +407,8 @@ def coupling_mse_rows(
     ``factor * n`` particles); a row depends on its own stream only, never
     on the batch.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1 particles, got replicas of shape ({len(streams)}, {n}, {model.dim})")
     rows = np.empty((len(streams), grid.steps + 1))
     width = _batch_width(n if ref.exact else ref.factor * n, model.dim)
     for first in range(0, len(streams), width):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Ensemble, RngStream, TimeGrid, weighted_mean, write_csv
-from .mckean import McKeanModel, _batch_width, _noise_steps, _raise_non_finite, simulate
+from .mckean import McKeanModel, _raise_non_finite, simulate
 
 
 @dataclass
@@ -36,8 +36,8 @@ class CboConfig:
     init: object = None  # (n, dim) array, or callable (n, dim, rng) -> array; default N(0, I)
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.lambda_drift <= 0 or self.dt <= 0:
-            raise ValueError("alpha, lambda_drift and dt must be positive")
+        if self.alpha <= 0 or self.lambda_drift <= 0 or not 0 < self.dt * max(1, self.steps) < math.inf:
+            raise ValueError("alpha, lambda_drift and dt must be positive, and steps * dt finite")
         if self.sigma_noise < 0 or self.eps_heaviside < 0:
             raise ValueError("sigma_noise and eps_heaviside must be nonnegative")
         if self.n < 1 or self.dim < 1 or self.steps < 0:
@@ -73,49 +73,48 @@ def cbo_minimize(cfg: CboConfig, streams: list[RngStream]) -> list[CboResult]:
     The consensus point v is the exp(-alpha G)-weighted position mean,
     computed in the log domain so large alpha never underflows. A result
     holds the final consensus point, the best particle of the final swarm
-    and the consensus trajectory. The swarms advance as (R, n, d) arrays in
-    the groups of ``mckean.simulate``, swarm r drawing from ``streams[r]``
-    only. The objective is evaluated once per step, plus once at v when the
-    gate is on; a non-finite value raises a StepError naming its replica.
+    and the consensus trajectory. The swarms are one McKean model run by
+    ``mckean.simulate``, swarm r drawing its initial points, then its
+    increments, from ``streams[r]`` only. G is evaluated once per state
+    array, at v in each step when the gate is on, and at the final v; a
+    non-finite G or coefficient raises a StepError.
     """
-    results = []
-    width = _batch_width(cfg.n, cfg.dim)
-    sqrt_2dt = math.sqrt(2.0 * cfg.dt)
-    for first in range(0, len(streams), width):
-        group = streams[first:first + width]
-        states = np.stack([_cbo_init(cfg, s) for s in group])
+    trajectory = np.empty((len(streams), cfg.steps + 1, cfg.dim))
+    best = np.empty((len(streams), cfg.dim))
+    seen = {}  # x - v, |x - v| and the gate of the states the observer saw last
+
+    def observe(states, t, step, first):
         g_vals = np.asarray(cfg.objective(states), dtype=float)
         if not np.all(np.isfinite(g_vals)):
-            replica, particle = np.argwhere(~np.isfinite(g_vals))[0].tolist()
-            raise ValueError("objective must be finite at every initial particle"
-                             f" | replica={first + replica} | particle={particle}")
-        noise = _noise_steps(group, (cfg.n, cfg.dim), cfg.steps)
-        trajectory = np.empty((len(group), cfg.steps + 1, cfg.dim))
-        for k in range(cfg.steps + 1):
-            trajectory[:, k] = weighted_mean(states, log_w=lambda _: -cfg.alpha * g_vals)
-            if k == cfg.steps:
-                break
-            v = trajectory[:, k, None]
-            gap = states - v
-            if cfg.eps_heaviside > 0.0:
-                g_v = np.asarray(cfg.objective(v), dtype=float)
-                # logistic smoothing of the unit step, in overflow-safe form
-                gate = 0.5 * (1.0 + np.tanh((g_vals - g_v) / (2.0 * cfg.eps_heaviside)))[..., None]
-            else:
-                gate = 1.0
-            drift = -cfg.lambda_drift * gap * gate
-            radius = np.linalg.norm(gap, axis=-1, keepdims=True)
-            states = states + drift * cfg.dt + sqrt_2dt * cfg.sigma_noise * radius * next(noise)
-            g_vals = np.asarray(cfg.objective(states), dtype=float)
-            if not np.all(np.isfinite(g_vals)):
-                _raise_non_finite("objective", g_vals, True, first, k, k * cfg.dt)
+            if step == 0:
+                replica, particle = np.argwhere(~np.isfinite(g_vals))[0].tolist()
+                raise ValueError("objective must be finite at every initial particle"
+                                 f" | replica={first + replica} | particle={particle}")
+            _raise_non_finite("objective", g_vals, True, first, step - 1, (step - 1) * cfg.dt)
+        rows = slice(first, first + len(states))
+        v = trajectory[rows, step] = weighted_mean(states, log_w=lambda _: -cfg.alpha * g_vals)
+        if step == cfg.steps:
+            best[rows] = states[np.arange(len(states)), np.argmin(g_vals, axis=-1)]
+            return
+        v, gate = v[:, None], 1.0
+        if cfg.eps_heaviside > 0.0:
+            g_v = np.asarray(cfg.objective(v), dtype=float)
+            # logistic smoothing of the unit step, in overflow-safe form
+            gate = 0.5 * (1.0 + np.tanh((g_vals - g_v) / (2.0 * cfg.eps_heaviside)))[..., None]
+        gap = states - v
+        seen.update(gap=gap, gate=gate, radius=np.linalg.norm(gap, axis=-1, keepdims=True))
 
-        best = states[np.arange(len(group)), np.argmin(g_vals, axis=-1)]
-        g_cons = np.asarray(cfg.objective(trajectory[:, -1, None]), dtype=float)
-        results += [CboResult(consensus=trajectory[r, -1], best_particle=best[r],
-                              objective_at_consensus=float(g_cons[r, 0]), consensus_trajectory=trajectory[r])
-                    for r in range(len(group))]
-    return results
+    # _em_loop observes every state array before stepping it, so seen holds that array's x - v and gate
+    model = McKeanModel(drift=lambda x, mu: -cfg.lambda_drift * seen["gap"] * seen["gate"], dim=cfg.dim,
+                        diffusion=lambda x, mu: math.sqrt(2.0) * cfg.sigma_noise * seen["radius"], family="cbo")
+    x0 = np.array([_cbo_init(cfg, s) for s in streams]).reshape(-1, cfg.n, cfg.dim)
+    if cfg.steps == 0:
+        observe(x0, 0.0, 0, 0)
+    else:
+        simulate(model, x0, TimeGrid(0.0, cfg.steps * cfg.dt, cfg.dt), streams, observers=[observe])
+    g_cons = np.asarray(cfg.objective(trajectory[:, -1, None]), dtype=float)
+    return [CboResult(consensus=trajectory[r, -1], best_particle=best[r], objective_at_consensus=float(g_cons[r, 0]),
+                      consensus_trajectory=trajectory[r]) for r in range(len(streams))]
 
 
 def spd_matrix(name: str, mat) -> np.ndarray:

@@ -157,11 +157,12 @@ def write_cdf_checkpoints_csv(cdfs, path):
 
 def l1_cdf_error(v: StepCdf, v_exact, grid) -> float:
     """Trapezoid approximation of the L1 distance between an empirical CDF
-    and an exact CDF over a grid. The grid must cover the support with
-    margin: a boundary gap above 1e-3 triggers a warning."""
+    and an exact CDF over a grid: ``v_exact`` is the CDF, or its values on
+    the grid. The grid must cover the support with margin: a boundary gap
+    above 1e-3 triggers a warning."""
     grid = np.asarray(grid, dtype=float)
     emp = v.evaluate(grid)
-    exact = np.asarray(v_exact(grid), dtype=float)
+    exact = np.asarray(v_exact(grid) if callable(v_exact) else v_exact, dtype=float)
     left_gap = max(emp[0], exact[0])
     right_gap = max(1.0 - emp[-1], 1.0 - exact[-1])
     if max(left_gap, right_gap) > 1e-3:

@@ -287,6 +287,11 @@ class TestSimulateBatch:
         with pytest.raises(ValueError, match="one stream per replica"):
             simulate(_still(), states, TimeGrid(0, 1, 0.5), [RngStream(36)])
 
+    def test_a_batch_of_empty_ensembles_is_rejected_by_shape(self):
+        # the batch width divides by n * d, so n = 0 must be caught first
+        with pytest.raises(ValueError, match=r"n >= 1.*\(2, 0, 1\)"):
+            simulate(_still(), np.zeros((2, 0, 1)), TimeGrid(0, 1, 0.5), [RngStream(36, r) for r in range(2)])
+
 
 class TestOuReference:
     def test_mean_decay(self):
@@ -370,6 +375,11 @@ class TestReplicaBatching:
         # a lone replica from a later batch equals its row in the full run
         assert np.array_equal(coupling_replica_mse(model, ref, n, grid, streams[-1]), full[-1])
         assert np.all(full[:, 1:] > 0)
+
+    def test_zero_particles_are_rejected_by_shape(self):
+        model, ref = mean_field_ou_model(1.0, 1.0), ou_reference(1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"n >= 1.*\(2, 0, 1\)"):
+            coupling_mse_rows(model, ref, 0, TimeGrid(0, 1, 0.5), [RngStream(21, r) for r in range(2)])
 
     def test_gaussian_reference_rows_do_not_depend_on_the_batch(self):
         # n = 300: 27 replicas per batch, so 30 streams span two batches

@@ -122,6 +122,19 @@ class TestCbo:
             cbo_minimize(cfg, [RngStream(91, k) for k in range(4)])
         assert (info.value.replica, info.value.step, info.value.particle) == (1, *lone[1])
 
+    def test_diffusion_overflow_raises_instead_of_a_nan_consensus(self):
+        # sigma = 1e300 keeps the first step finite, near 1e300; the second
+        # step's sqrt(2) sigma |x - v| overflows, which the flat objective hides
+        cfg = CboConfig(objective=lambda x: np.zeros(x.shape[:-1]), alpha=1.0, lambda_drift=1.0,
+                        sigma_noise=1e300, dt=1.0, steps=5, n=4, dim=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepError, match="non-finite diffusion") as batch:
+                cbo_minimize(cfg, [RngStream(92, k) for k in range(2)])
+            with pytest.raises(StepError, match="non-finite diffusion") as lone:
+                cbo_minimize(cfg, [RngStream(92, 0)])
+        assert (batch.value.replica, batch.value.step) == (0, 1)
+        assert lone.value.step == batch.value.step
+
     @pytest.mark.parametrize("eps, calls_per_step", [(0.0, 1), (1e-3, 2)])
     def test_objective_calls(self, eps, calls_per_step):
         # once at the start and after each step, once at the final consensus,
@@ -142,6 +155,14 @@ class TestCbo:
                       dt=0.1, steps=3, n=5, dim=1)
         with pytest.raises(ValueError, match=field):
             CboConfig(**{**shared, field: value})
+
+    def test_config_rejects_a_run_longer_than_the_largest_float(self):
+        # simulate runs over TimeGrid(0, steps * dt, dt), which needs a finite end
+        shared = dict(objective=quadratic([0.0]), alpha=1.0, lambda_drift=1.0, sigma_noise=0.1,
+                      steps=5, n=5, dim=1)
+        for dt in (1e308, math.nan):
+            with pytest.raises(ValueError, match=r"steps \* dt finite"):
+                CboConfig(dt=dt, **shared)
 
     def test_requires_finite_objective_at_start(self):
         cfg = CboConfig(objective=lambda x: np.full(x.shape[:-1], np.nan),

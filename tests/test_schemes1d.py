@@ -256,6 +256,12 @@ class TestL1CdfError:
         assert measured == pytest.approx(oracle, rel=1e-10)
         assert measured == pytest.approx(0.7979, abs=1e-3)
 
+    def test_exact_values_on_the_grid_equal_the_exact_callable(self):
+        cdf = StepCdf(RngStream(122).normal(10))
+        grid = np.linspace(-6, 6, 1001)
+        exact = normal_cdf(1.0)
+        assert l1_cdf_error(cdf, exact(grid), grid) == l1_cdf_error(cdf, exact, grid)
+
     def test_narrow_grid_warns(self):
         cdf = StepCdf([0.0])
         with pytest.warns(UserWarning, match="narrow"):
