@@ -45,7 +45,11 @@ class McKeanModel:
 
 
 def _apply_diffusion(sigma, xi):
-    """Map noise increments xi (..., n, d) through a diffusion coefficient."""
+    """Map noise increments xi (..., n, d) through a diffusion coefficient.
+    A float is applied as ``sigma * xi`` without array conversion, and 1.0,
+    exactly the identity on doubles, returns xi itself."""
+    if isinstance(sigma, float):
+        return xi if sigma == 1.0 else sigma * xi
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim == 0 or sigma.ndim == xi.ndim:
         return sigma * xi
@@ -66,24 +70,27 @@ def _raise_non_finite(what, arr, batched, first_replica, step, time):
                     step=step, time=time)
 
 
-def _em_update(model, states, mu, dt, xi, time, step, first_replica=0, system=""):
+def _em_update(model, states, mu, h, root_h, xi, time, step, first_replica=0, system=""):
     """One explicit Euler-Maruyama update against a frozen measure, for an
     (n, d) ensemble or an (R, n, d) batch whose first replica has index
-    ``first_replica``.
+    ``first_replica``: ``states + b h + (sigma xi) sqrt(h)``, with
+    ``root_h`` = sqrt(h). Returns the new states, sigma and the noise term
+    (sigma xi) sqrt(h), which a copy driven by the same xi may reuse.
 
     Finiteness is checked once, on the updated states: a non-finite drift
     or diffusion always makes them non-finite, and only then are the
     coefficients searched for the cause.
     """
     b = np.asarray(model.drift(states, mu), dtype=float)
-    sigma = np.asarray(model.diffusion(states, mu), dtype=float)
-    new = states + b * dt + _apply_diffusion(sigma, xi) * math.sqrt(dt)
+    sigma = model.diffusion(states, mu)
+    term = _apply_diffusion(sigma, xi) * root_h
+    new = states + b * h + term
     if not np.isfinite(new).all():
         batched = states.ndim == 3
-        for what, arr in (("drift", b), ("diffusion", sigma), ("state", new)):
+        for what, arr in (("drift", b), ("diffusion", np.asarray(sigma, dtype=float)), ("state", new)):
             if not np.isfinite(arr).all():
                 _raise_non_finite(system + what, arr, batched, first_replica, step, time)
-    return new
+    return new, sigma, term
 
 
 def _em_loop(model, x, t, grid, streams, first=0, observers=()):
@@ -94,12 +101,14 @@ def _em_loop(model, x, t, grid, streams, first=0, observers=()):
     at step 0 and after each step; it must not write to ``x``."""
     for obs in observers:
         obs(x, t, 0, first)
-    noise = _noise_steps(streams, x.shape[-2:], grid.steps)
-    for k, (h, xi) in enumerate(zip(grid.step_durations(), noise)):
-        x = _em_update(model, x, EmpiricalMeasure(x), h, xi.reshape(x.shape), t, step=k, first_replica=first)
-        t += h
-        for obs in observers:
-            obs(x, t, k + 1, first)
+    durations = grid.step_durations().tolist()
+    for k0, block in _noise_steps(streams, x.shape[-2:], grid.steps):
+        for k, xi in enumerate(block.reshape(-1, *x.shape), k0):
+            h = durations[k]
+            x = _em_update(model, x, EmpiricalMeasure(x), h, math.sqrt(h), xi, t, k, first)[0]
+            t += h
+            for obs in observers:
+                obs(x, t, k + 1, first)
     return x, t
 
 
@@ -333,22 +342,41 @@ def _batch_width(particles: int, dim: int) -> int:
 
 
 def _noise_steps(streams, shape, steps):
-    """Yield the (R, *shape) normal increments of each of ``steps`` steps,
-    row r from ``streams[r]``. A stream draws several steps per call, which
-    gives the same variates in the same order as one draw per step."""
+    """Yield ``(k0, block)`` for each block of steps: ``block`` holds the
+    (k, R, *shape) normal increments of steps k0 .. k0 + k - 1, row r from
+    ``streams[r]``. A stream draws a block per call, which gives the same
+    variates in the same order as one draw per step."""
     per_step = len(streams) * math.prod(shape)
     block = max(1, _NOISE_FLOATS // per_step)
     for start in range(0, steps, block):
         k = min(block, steps - start)
-        yield from np.stack([s.normal((k, *shape)) for s in streams], axis=1)
+        yield start, np.stack([s.normal((k, *shape)) for s in streams], axis=1)
 
 
 def _mean_square(diff: np.ndarray) -> np.ndarray:
-    """(1/n) sum_i |diff^i|^2 of each (n, d) ensemble of an (R, n, d) batch,
-    bit for bit equal to ``np.mean(np.sum(diff[r] ** 2, axis=1))``."""
+    """(1/n) sum_i |diff^i|^2 of each (n, d) ensemble of a (..., n, d) array,
+    bit for bit equal to ``np.mean(np.sum(diff[r] ** 2, axis=1))``: every
+    particle sum runs over the same contiguous axis, whatever the leading axes."""
     sq = diff * diff
     per_particle = sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
     return np.add.reduce(per_particle, axis=-1) / diff.shape[-2]
+
+
+def _same_float(a, b) -> bool:
+    """Whether a and b are floats with the same bits: equal, and of the same
+    sign if zero, since 0.0 * xi and -0.0 * xi are zeros of opposite signs."""
+    return (isinstance(a, float) and isinstance(b, float) and a == b
+            and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b)))
+
+
+def _reference_drift(ref, x_bar, t, step):
+    """The exact reference's drift at time t; a closed form that overflows
+    there raises a StepError naming the reference, the step and the time."""
+    try:
+        return ref.drift(x_bar, t)
+    except OverflowError:
+        raise StepError(f"non-finite reference drift: {type(ref).__name__} overflows",
+                        step=step, time=t) from None
 
 
 def _coupling_batch(model, ref, n, grid, streams, first, out):
@@ -360,7 +388,9 @@ def _coupling_batch(model, ref, n, grid, streams, first, out):
     Replica r draws from ``streams[r]`` exactly as a lone replica would:
     initial states from substream 0, the shared increments from
     substream 1, and for a surrogate reference its initial states and
-    increments from substreams 2 and 3.
+    increments from substreams 2 and 3. x and x_bar share each increment;
+    when both diffusions are the same float, they share its noise term too.
+    The x - x_bar of a noise block's steps are kept and reduced in one pass.
     """
     d = model.dim
     x = np.stack([ref.initial(n, s.substream(0)) for s in streams])
@@ -373,24 +403,33 @@ def _coupling_batch(model, ref, n, grid, streams, first, out):
         surrogate = np.stack([ref.initial(m, s.substream(2)) for s in streams])
         if not np.isfinite(surrogate).all():
             _raise_non_finite("initial surrogate state", surrogate, True, first, 0, grid.t0)
-        surrogate_noise = _noise_steps([s.substream(3) for s in streams], (m, d), grid.steps)
+        surrogate_noise = (xi for _, block in _noise_steps([s.substream(3) for s in streams], (m, d), grid.steps)
+                           for xi in block)
 
     out[:, 0] = 0.0
     t = grid.t0
-    for k, (h, xi) in enumerate(zip(grid.step_durations(), noise)):
-        if ref.exact:
-            b_bar = ref.drift(x_bar, t)
-            sig_bar = ref.diffusion(x_bar, t)
-        else:
-            mu_s = EmpiricalMeasure(surrogate)
-            b_bar = model.drift(x_bar, mu_s)
-            sig_bar = model.diffusion(x_bar, mu_s)
-            surrogate = _em_update(model, surrogate, mu_s, h, next(surrogate_noise),
-                                   t, step=k, first_replica=first, system="surrogate ")
-        x = _em_update(model, x, EmpiricalMeasure(x), h, xi, t, step=k, first_replica=first)
-        x_bar = x_bar + np.asarray(b_bar, dtype=float) * h + _apply_diffusion(sig_bar, xi) * math.sqrt(h)
-        t += h
-        out[:, k + 1] = _mean_square(x - x_bar)
+    durations = grid.step_durations().tolist()
+    for k0, block in noise:
+        diffs = np.empty_like(block)
+        for k, xi in enumerate(block, k0):
+            h = durations[k]
+            root_h = math.sqrt(h)
+            if ref.exact:
+                b_bar = _reference_drift(ref, x_bar, t, k)
+                sig_bar = ref.diffusion(x_bar, t)
+            else:
+                mu_s = EmpiricalMeasure(surrogate)
+                b_bar = model.drift(x_bar, mu_s)
+                sig_bar = model.diffusion(x_bar, mu_s)
+                surrogate = _em_update(model, surrogate, mu_s, h, root_h, next(surrogate_noise),
+                                       t, k, first, "surrogate ")[0]
+            x, sigma, term = _em_update(model, x, EmpiricalMeasure(x), h, root_h, xi, t, k, first)
+            if not _same_float(sigma, sig_bar):
+                term = _apply_diffusion(sig_bar, xi) * root_h
+            x_bar = x_bar + np.asarray(b_bar, dtype=float) * h + term
+            t += h
+            np.subtract(x, x_bar, out=diffs[k - k0])
+        out[:, k0 + 1:k0 + len(block) + 1] = _mean_square(diffs).T
 
 
 def coupling_mse_rows(

@@ -466,6 +466,17 @@ class TestRun:
         assert (out / "manifest.json").exists()
         assert not (out / "summary.json").exists()
 
+    def test_an_overflowing_exact_reference_exits_3_with_a_step_error(self, tmp_path, capsys):
+        # a valid config whose exact mean exp(1000 t) overflows a double past t = 0.7098
+        cfg = write_config(tmp_path / "cfg.json", coupling_config(
+            seed=1, n_list=[5, 10, 20], replicas=2, time={"t0": 0.0, "t_end": 1.0, "dt": 0.01},
+            params={"lambda": -1000.0, "kappa": 1.0}))
+        assert main(["validate", str(cfg)]) == 0
+        assert run(cfg, out_dir=tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "StepError: non-finite reference drift: GaussianReference" in err
+        assert "step=71" in err and "OverflowError" not in err
+
     def test_unencodable_summary_exit_3(self, tmp_path, monkeypatch, capsys):
         # summaries hold built-in JSON types only; a runner that breaks this fails at run time
         keys = cli._RUNNERS["cmc"][1]

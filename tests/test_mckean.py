@@ -12,6 +12,7 @@ from meanfield.mckean import (
     MomentTracker,
     SnapshotWriter,
     SurrogateReference,
+    _NOISE_FLOATS,
     _batch_width,
     coupling_mse_rows,
     coupling_replica_mse,
@@ -446,6 +447,124 @@ class TestReplicaBatching:
             simulate_synchronous_coupling(model, ref, n=4, grid=TimeGrid(0, 4, 1.0),
                                           rng=RngStream(24), replicas=3)
         assert (err.value.replica, err.value.particle, err.value.step) == (0, 0, 1)
+
+
+def _diffuse_by_hand(sigma, xi):
+    # the general form: the coefficient as an array, broadcast against the
+    # increments; the tests use scalars and (..., n, d) arrays only
+    return np.asarray(sigma, dtype=float) * xi
+
+
+def _coupling_rows_by_hand(model, ref, n, grid, streams):
+    """The coupled step loop written out: one replica at a time, one draw per
+    step, numpy float durations and times, and each step's MSE on its own."""
+    rows = []
+    for s in streams:
+        x = ref.initial(n, s.substream(0))
+        x_bar, noise, t, row = x.copy(), s.substream(1), grid.t0, [0.0]
+        if not ref.exact:
+            surrogate, surrogate_noise = ref.initial(ref.factor * n, s.substream(2)), s.substream(3)
+        for h in grid.step_durations():
+            xi = noise.normal(x.shape)
+            if ref.exact:
+                b_bar, sig_bar = ref.drift(x_bar, t), ref.diffusion(x_bar, t)
+            else:
+                mu_s = EmpiricalMeasure(surrogate)
+                b_bar, sig_bar = model.drift(x_bar, mu_s), model.diffusion(x_bar, mu_s)
+                surrogate = (surrogate + model.drift(surrogate, mu_s) * h
+                             + _diffuse_by_hand(model.diffusion(surrogate, mu_s),
+                                                surrogate_noise.normal(surrogate.shape)) * math.sqrt(h))
+            mu = EmpiricalMeasure(x)
+            x = x + model.drift(x, mu) * h + _diffuse_by_hand(model.diffusion(x, mu), xi) * math.sqrt(h)
+            x_bar = x_bar + b_bar * h + _diffuse_by_hand(sig_bar, xi) * math.sqrt(h)
+            t += h
+            row.append(np.mean(np.sum((x - x_bar) ** 2, axis=1)))
+        rows.append(row)
+    return np.array(rows)
+
+
+def _pulled_to_mean(diffusion, d):
+    """A surrogate-coupled model with drift -(x - m(mu)) and the given diffusion."""
+    model = McKeanModel(drift=lambda s, mu: -(s - mu.mean()), diffusion=diffusion, dim=d)
+    return model, SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, d)), factor=2)
+
+
+class TestStepBits:
+    """The coupled step applies a float diffusion without array conversion,
+    shares one noise term between x and x_bar when their diffusions are the
+    same float, and reduces the MSE once per noise block; every value stays
+    the one of the step written out by hand."""
+
+    # 160 steps, the last of 0.0075: at four 12-particle replicas in R^9, a
+    # noise block holds 75 steps, so the run spans three blocks, the last partial
+    GRID = TimeGrid(0.0, 1.5975, 0.01)
+
+    def _rows_equal_by_hand(self, model, ref, n, streams):
+        rows = coupling_mse_rows(model, ref, n, self.GRID, streams)
+        assert np.array_equal(rows, _coupling_rows_by_hand(model, ref, n, self.GRID, streams))
+        return rows
+
+    def test_the_grid_spans_noise_blocks_and_ends_in_a_partial_step(self):
+        assert _NOISE_FLOATS // (4 * 12 * 9) == 75 and self.GRID.steps == 160
+        assert 0.0 < self.GRID.step_durations()[-1] < self.GRID.dt
+
+    def test_the_exact_reference_equals_the_step_by_hand(self):
+        # 400 particles of three replicas: 27 steps per noise block, six blocks
+        model, ref = mean_field_ou_model(1.0, 2.0), ou_reference(1.0, 2.0, m0=1.0, v0=1.0)
+        rows = self._rows_equal_by_hand(model, ref, 400, [RngStream(41, r) for r in range(3)])
+        assert np.all(rows[:, 1:] > 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_a_float_diffusion_shares_its_noise_term(self, d):
+        model, ref = _pulled_to_mean(lambda s, mu: 0.7, d)
+        rows = self._rows_equal_by_hand(model, ref, 12, [RngStream(42, r) for r in range(4)])
+        assert np.all(rows[:, 1:] > 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_an_array_diffusion_keeps_its_own_noise_term(self, d):
+        model, ref = _pulled_to_mean(lambda s, mu: 0.7 + 0.1 * np.tanh(s), d)
+        rows = self._rows_equal_by_hand(model, ref, 12, [RngStream(43, r) for r in range(4)])
+        assert np.all(rows[:, 1:] > 0)
+
+    def test_zero_and_negative_zero_diffusions_keep_their_own_terms(self):
+        # x sees diffusion 0.0 and x_bar -0.0, from states of -0.0 and a drift
+        # of -0.0: after step 0 each particle of x holds the sign of its
+        # increment as a zero, and x_bar the opposite sign. The drift then
+        # moves the positive zeros by h, so only separate terms give MSE h^2.
+        def drift(s, mu):
+            return np.where(np.signbit(s), -0.0, 1.0)
+
+        model = McKeanModel(drift=drift, diffusion=lambda s, mu: 0.0 if mu.points is s else -0.0, dim=1)
+        ref = SurrogateReference(model, initial_sampler=lambda n, rng: np.full((n, 1), -0.0), factor=2)
+        grid = TimeGrid(0.0, 0.2, 0.1)
+        rows = coupling_mse_rows(model, ref, 5, grid, [RngStream(44)])
+        assert np.array_equal(rows, _coupling_rows_by_hand(model, ref, 5, grid, [RngStream(44)]))
+        assert rows[0, 2] == 0.1 ** 2
+
+    def test_an_overflowing_exact_mean_raises_a_step_error(self):
+        # m(t) = exp(1000 t) overflows a double past t = 0.7098, so step 71 from t = 0.71 cannot be taken
+        model, ref = mean_field_ou_model(-1000.0, 1.0), ou_reference(-1000.0, 1.0, m0=1.0, v0=1.0)
+        with np.errstate(over="ignore"), pytest.raises(StepError, match="reference drift: GaussianReference") as err:
+            coupling_mse_rows(model, ref, 5, TimeGrid(0.0, 1.0, 0.01), [RngStream(1, r) for r in range(2)])
+        assert (err.value.replica, err.value.particle, err.value.step) == (None, None, 71)
+        assert err.value.time == pytest.approx(0.71)
+
+    def test_simulate_with_unit_diffusion_equals_the_step_by_hand(self):
+        model, grid = kuramoto_model(1.5), TimeGrid(0.0, 0.0975, 0.01)
+        states = RngStream(45).normal((3, 40, 1))
+        final = simulate(model, states, grid, [RngStream(46, r) for r in range(3)])
+        lone = simulate(model, Ensemble(states[1]), grid, RngStream(46, 1))
+        for r in range(3):
+            x, noise = states[r], RngStream(46, r)
+            for h in grid.step_durations():
+                xi = noise.normal(x.shape)
+                x = x + model.drift(x, EmpiricalMeasure(x)) * h + _diffuse_by_hand(1.0, xi) * math.sqrt(h)
+            assert np.array_equal(final[r], x), r
+        t = 0.0
+        for h in grid.step_durations():
+            t += h
+        assert np.array_equal(lone.states, final[1])
+        assert lone.time == t
 
 
 # the (..., n, m, d) formulas the blocked pairwise drifts must reproduce
