@@ -88,7 +88,8 @@ class Ensemble:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"need n >= 1 and dim >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("ensemble states must be finite")
+            i = int(np.argwhere(~np.isfinite(arr))[0, 0])
+            raise ValueError(f"ensemble states must be finite: particle {i} is {arr[i].tolist()}")
         self.states = np.ascontiguousarray(arr)
         self.time = float(self.time)
 

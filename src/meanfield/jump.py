@@ -267,7 +267,8 @@ def cmc_run(cfg: CmcConfig, e0: Ensemble, rng: RngStream) -> CmcResult:
 
     logpi = log_target(states)
     if not np.all(np.isfinite(logpi)):
-        raise ValueError("target log density must be finite at every initial state")
+        i = int(np.flatnonzero(~np.isfinite(logpi))[0])
+        raise ValueError(f"target log density must be finite at every initial state: particle {i} gives {logpi[i]}")
 
     trace = np.zeros(cfg.steps)
     kept = []

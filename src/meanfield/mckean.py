@@ -11,7 +11,7 @@ particle sees the same pre-step measure of its own replica.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import ModelSpecError, StepError, UnsupportedReference
 
 @dataclass
 class McKeanModel:
-    """Drift/diffusion specification b(x, mu), sigma(x, mu).
+    """Drift/diffusion specification b(x, mu), sigma(x, mu) on R^dim.
 
     Both callables take states of shape (..., n, d): one (n, d) ensemble,
     or an (R, n, d) batch of R replicas advanced together. ``mu`` is the
@@ -40,8 +40,6 @@ class McKeanModel:
     drift: callable
     diffusion: callable
     dim: int
-    family: str = ""
-    params: dict = field(default_factory=dict)
 
 
 def _apply_diffusion(sigma, xi):
@@ -245,12 +243,19 @@ class GaussianReference:
         return self.m0 + math.sqrt(self.v0) * rng.normal((n, 1))
 
     def check_model(self, model: McKeanModel):
-        if model.family != "mean-field-ou":
-            raise UnsupportedReference(
-                f"exact gaussian reference requires the mean-field OU family, got {model.family!r}"
-            )
-        if (model.params.get("lam"), model.params.get("kappa")) != (self.lam, self.kappa):
-            raise UnsupportedReference("reference parameters differ from the model's")
+        """Refuse a model other than the one this law solves: 1-D, unit diffusion and drift
+        -lam x - kappa (x - m) to a relative 1e-12, probed against a measure of mean m = 0.25."""
+        if model.dim != 1:
+            raise UnsupportedReference(f"exact gaussian reference needs a 1-D model, got dim {model.dim}")
+        states = np.array([[-2.0], [-0.5], [1.0], [3.0]])
+        mu = EmpiricalMeasure(np.array([[-1.5], [0.25], [2.0]]))
+        want = -self.lam * states - self.kappa * (states - 0.25)
+        b = np.asarray(model.drift(states, mu), dtype=float)
+        if b.shape != want.shape or not (np.array_equal(b, want)  # equal even where both overflow
+                                         or np.abs(b - want).max() <= 1e-12 * np.abs(want).max()):
+            raise UnsupportedReference(f"model drift is not -{self.lam!r} x - {self.kappa!r} (x - m)")
+        if not np.all(np.asarray(model.diffusion(states, mu), dtype=float) == 1.0):
+            raise UnsupportedReference("exact gaussian reference needs a unit diffusion")
 
     def drift(self, states: np.ndarray, t: float) -> np.ndarray:
         return -self.lam * states - self.kappa * (states - self.mean(t))
@@ -263,24 +268,20 @@ class GaussianReference:
 class SurrogateReference:
     """Frozen large-ensemble stand-in for the limit law f_t.
 
-    A surrogate system of size ``factor * n`` (at least) is simulated once
-    per replica with an independent stream; the nonlinear processes read
-    their drift and diffusion from the surrogate's empirical measure. The
-    size factor 16 is a tunable default, not a modelling constant.
+    ``initial(n, rng)`` draws n points as an (n, dim) array: the shared
+    initial states, and per replica a surrogate of ``factor * n`` particles,
+    run under the coupled model, whose measure the nonlinear copies read.
+    The size factor 16 is a tunable default, not a modelling constant.
     """
 
-    model: McKeanModel
-    initial_sampler: callable  # (n, rng) -> (n, d) array
+    initial: callable  # (n, rng) -> (n, d) array
     factor: int = 16
 
     exact = False
 
-    def initial(self, n: int, rng: RngStream) -> np.ndarray:
-        return np.asarray(self.initial_sampler(n, rng), dtype=float).reshape(n, self.model.dim)
-
-    def check_model(self, model: McKeanModel):
-        if model is not self.model and model.family != self.model.family:
-            raise UnsupportedReference("surrogate was built for a different model family")
+    def __post_init__(self):
+        if not isinstance(self.factor, (int, np.integer)) or self.factor < 1:
+            raise ValueError(f"factor must be an integer >= 1, got {self.factor!r}")
 
 
 @dataclass
@@ -318,13 +319,7 @@ def mean_field_ou_model(lam: float, kappa: float) -> McKeanModel:
     def drift(states, mu):
         return -lam * states - kappa * (states - mu.mean())
 
-    return McKeanModel(
-        drift=drift,
-        diffusion=lambda states, mu: 1.0,
-        dim=1,
-        family="mean-field-ou",
-        params={"lam": lam, "kappa": kappa},
-    )
+    return McKeanModel(drift=drift, diffusion=lambda states, mu: 1.0, dim=1)
 
 
 # simulate and the coupling engine advance replicas in batches whose (Rb, n, d)
@@ -379,6 +374,16 @@ def _reference_drift(ref, x_bar, t, step):
                         step=step, time=t) from None
 
 
+def _initial_batch(ref, n, d, streams, k, what, first, t0):
+    """Stack ``ref.initial(n, s.substream(k))`` over streams, refusing draws not (n, d) or not finite."""
+    x = np.stack([np.asarray(ref.initial(n, s.substream(k)), dtype=float) for s in streams])
+    if x.shape[1:] != (n, d):
+        raise ValueError(f"reference initial states must have shape {(n, d)}, got {x.shape[1:]}")
+    if not np.isfinite(x).all():
+        _raise_non_finite(what, x, True, first, 0, t0)
+    return x
+
+
 def _coupling_batch(model, ref, n, grid, streams, first, out):
     """Advance the coupled systems of ``len(streams)`` replicas together as
     (Rb, n, d) arrays and write their squared coupling errors into the
@@ -390,19 +395,15 @@ def _coupling_batch(model, ref, n, grid, streams, first, out):
     substream 1, and for a surrogate reference its initial states and
     increments from substreams 2 and 3. x and x_bar share each increment;
     when both diffusions are the same float, they share its noise term too.
-    The x - x_bar of a noise block's steps are kept and reduced in one pass.
+    The x - x_bar of a noise block's steps are reduced, then checked, at once.
     """
     d = model.dim
-    x = np.stack([ref.initial(n, s.substream(0)) for s in streams])
-    if not np.isfinite(x).all():
-        _raise_non_finite("initial state", x, True, first, 0, grid.t0)
+    x = _initial_batch(ref, n, d, streams, 0, "initial state", first, grid.t0)
     noise = _noise_steps([s.substream(1) for s in streams], (n, d), grid.steps)
     x_bar = x.copy()
     if not ref.exact:
         m = ref.factor * n
-        surrogate = np.stack([ref.initial(m, s.substream(2)) for s in streams])
-        if not np.isfinite(surrogate).all():
-            _raise_non_finite("initial surrogate state", surrogate, True, first, 0, grid.t0)
+        surrogate = _initial_batch(ref, m, d, streams, 2, "initial surrogate state", first, grid.t0)
         surrogate_noise = (xi for _, block in _noise_steps([s.substream(3) for s in streams], (m, d), grid.steps)
                            for xi in block)
 
@@ -429,7 +430,11 @@ def _coupling_batch(model, ref, n, grid, streams, first, out):
             x_bar = x_bar + np.asarray(b_bar, dtype=float) * h + term
             t += h
             np.subtract(x, x_bar, out=diffs[k - k0])
-        out[:, k0 + 1:k0 + len(block) + 1] = _mean_square(diffs).T
+        mse = _mean_square(diffs)
+        if not np.isfinite(mse).all() and not np.isfinite(diffs).all():
+            j = int(np.argwhere(~np.isfinite(diffs))[0, 0])
+            _raise_non_finite("nonlinear copy state", diffs[j], True, first, k0 + j, float(grid.times()[k0 + j]))
+        out[:, k0 + 1:k0 + len(block) + 1] = mse.T
 
 
 def coupling_mse_rows(
@@ -473,7 +478,8 @@ def simulate_synchronous_coupling(
     """
     if n < 2:
         raise ValueError("need at least two particles")
-    ref.check_model(model)
+    if ref.exact:
+        ref.check_model(model)
     rows = coupling_mse_rows(model, ref, n, grid, [rng.substream(r) for r in range(replicas)])
     return CouplingReport(times=grid.times(), mse=np.mean(rows, axis=0), n=n, replicas=replicas)
 
@@ -512,12 +518,7 @@ def gradient_system_model(
     def drift(states, mu):
         return -np.asarray(grad_V(states), dtype=float) - interaction(states, mu)
 
-    return McKeanModel(
-        drift=drift,
-        diffusion=lambda states, mu: float(sigma_const),
-        dim=dim,
-        family="gradient-system",
-    )
+    return McKeanModel(drift=drift, diffusion=lambda states, mu: float(sigma_const), dim=dim)
 
 
 def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None, rng: RngStream | None = None) -> McKeanModel:
@@ -550,8 +551,7 @@ def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None,
             align = align + disorder
         return align[..., None]
 
-    return McKeanModel(drift=drift, diffusion=lambda states, mu: 1.0, dim=1, family="kuramoto",
-                       params={"coupling": coupling})
+    return McKeanModel(drift=drift, diffusion=lambda states, mu: 1.0, dim=1)
 
 
 def cucker_smale_model(gamma: float, sigma_const: float, d: int = 1) -> McKeanModel:
@@ -579,8 +579,7 @@ def cucker_smale_model(gamma: float, sigma_const: float, d: int = 1) -> McKeanMo
         sig[..., d:] = sigma_const
         return sig
 
-    return McKeanModel(drift=drift, diffusion=diffusion, dim=2 * d, family="cucker-smale",
-                       params={"gamma": gamma, "sigma": sigma_const, "d": d})
+    return McKeanModel(drift=drift, diffusion=diffusion, dim=2 * d)
 
 
 def regularized_coulomb_model(xi_strength: float, eps: float, sigma_const: float, d: int = 2) -> McKeanModel:
@@ -602,5 +601,4 @@ def regularized_coulomb_model(xi_strength: float, eps: float, sigma_const: float
     def drift(states, mu):
         return pair_mean(lambda x, y: force(x - y), states, mu.points)
 
-    return McKeanModel(drift=drift, diffusion=lambda states, mu: float(sigma_const), dim=d,
-                       family="regularized-coulomb", params={"xi": xi_strength, "eps": eps})
+    return McKeanModel(drift=drift, diffusion=lambda states, mu: float(sigma_const), dim=d)

@@ -106,7 +106,7 @@ def cbo_minimize(cfg: CboConfig, streams: list[RngStream]) -> list[CboResult]:
 
     # _em_loop observes every state array before stepping it, so seen holds that array's x - v and gate
     model = McKeanModel(drift=lambda x, mu: -cfg.lambda_drift * seen["gap"] * seen["gate"], dim=cfg.dim,
-                        diffusion=lambda x, mu: math.sqrt(2.0) * cfg.sigma_noise * seen["radius"], family="cbo")
+                        diffusion=lambda x, mu: math.sqrt(2.0) * cfg.sigma_noise * seen["radius"])
     x0 = np.array([_cbo_init(cfg, s) for s in streams]).reshape(-1, cfg.n, cfg.dim)
     if cfg.steps == 0:
         observe(x0, 0.0, 0, 0)
@@ -189,9 +189,9 @@ def eks_drift(cfg: EksConfig, states: np.ndarray) -> np.ndarray:
     mean = states.mean(axis=0)
     centered = states - mean
     cov = centered.T @ centered / n
-    misfit = (cfg.apply_forward(states) - cfg.y) @ cfg._gamma_inv.T
+    g_vals = cfg.apply_forward(states)
+    misfit = (g_vals - cfg.y) @ cfg._gamma_inv.T
     if cfg.derivative_free:
-        g_vals = cfg.apply_forward(states)
         cross = centered.T @ (g_vals - g_vals.mean(axis=0)) / n
         return -misfit @ cross.T - states @ (cov @ cfg._gamma0_inv.T).T
     if not callable(cfg.forward):
@@ -233,8 +233,7 @@ def eks_sample(cfg: EksConfig, e0: Ensemble, rng: RngStream) -> Ensemble:
         # one sqrt(2 Cov) shared by every particle, as (n, d, d) full matrices
         return np.broadcast_to(matrix_sqrt_psd(2.0 * cov), (n, d, d))
 
-    model = McKeanModel(drift=lambda states, mu: eks_drift(cfg, states), diffusion=diffusion, dim=d,
-                        family="eks")
+    model = McKeanModel(drift=lambda states, mu: eks_drift(cfg, states), diffusion=diffusion, dim=d)
     return simulate(model, e0, TimeGrid(0.0, cfg.steps * cfg.dt, cfg.dt), rng)
 
 

@@ -79,7 +79,7 @@ def cdf_model(scheme: CdfScheme) -> McKeanModel:
     """The scheme as a McKean model: drift and diffusion are the kernel means of k1 and k2."""
     return McKeanModel(drift=lambda states, mu: _kernel_mean(scheme.k1, states, mu.points),
                        diffusion=lambda states, mu: _kernel_mean(scheme.k2, states, mu.points),
-                       dim=1, family="cdf-scheme")
+                       dim=1)
 
 
 def bossy_talay_run(scheme: CdfScheme, streams: list[RngStream], checkpoints=None) -> list[list[StepCdf]]:

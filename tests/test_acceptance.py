@@ -89,7 +89,7 @@ def criterion_02_gate(seed):
     sig = math.sqrt(2)
     model = gradient_system_model(lambda x: x, lambda z: z, sig, dim=1,
                                   grad_W_conv=lambda s, pts: s - pts.mean(axis=-2, keepdims=True))
-    ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=16)
+    ref = SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=16)
     rep = simulate_synchronous_coupling(model, ref, n=200, grid=TimeGrid(0.0, 10.0, 0.01),
                                         rng=RngStream(seed), replicas=32)
     m1, m5, m10 = rep.mse_at(1.0), rep.mse_at(5.0), rep.mse_at(10.0)

@@ -69,6 +69,12 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="finite"):
             Ensemble(np.array([1.0, np.nan]))
 
+    def test_non_finite_states_name_the_first_particle_and_its_value(self):
+        states = np.zeros((5, 2))
+        states[3, 1], states[4, 0] = np.inf, np.nan
+        with pytest.raises(ValueError, match=r"^ensemble states must be finite: particle 3 is \[0\.0, inf\]$"):
+            Ensemble(states)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Ensemble(np.empty((0, 2)))

@@ -148,6 +148,12 @@ class TestCmc:
         with pytest.raises(ValueError, match="finite"):
             cmc_run(cfg, Ensemble(np.zeros(3)), RngStream(71))
 
+    def test_non_finite_initial_density_names_the_first_particle_and_its_value(self):
+        cfg = CmcConfig(target_log_density=lambda x: -np.inf if x[0] > 1.0 else 0.0, h=0.5, n=4, steps=5, dim=1)
+        with pytest.raises(ValueError, match=r"^target log density must be finite at every initial state: "
+                                             r"particle 2 gives -inf$"):
+            cmc_run(cfg, Ensemble(np.array([0.0, 0.5, 2.0, 3.0])), RngStream(72))
+
     def test_infinite_density_proposals_auto_reject(self):
         # target supported on x < 1: proposals beyond are never accepted
         def log_pi(x):

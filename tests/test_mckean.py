@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -315,6 +316,83 @@ class TestOuReference:
         with pytest.raises(UnsupportedReference):
             ref.check_model(mean_field_ou_model(1.0, 2.0))  # mismatched kappa
 
+    def test_accepts_the_same_law_from_another_builder(self):
+        # -grad V - grad W * mu with V = lam x^2 / 2, W = kappa z^2 / 2 and unit
+        # noise is the mean-field OU model, in closed form or as a pairwise sum
+        ref = ou_reference(0.5, 2.0, 0.0, 1.0)
+        ref.check_model(mean_field_ou_model(0.5, 2.0))
+        ref.check_model(gradient_system_model(lambda x: 0.5 * x, lambda z: 2.0 * z, 1.0))
+        ref.check_model(gradient_system_model(
+            lambda x: 0.5 * x, lambda z: 2.0 * z, 1.0,
+            grad_W_conv=lambda s, pts: 2.0 * (s - pts.mean(axis=-2, keepdims=True))))
+        # here the pairwise mean differs from the closed form in its last bits
+        model = gradient_system_model(lambda x: 0.1 * x, lambda z: 1.3 * z, 1.0)
+        ou_reference(0.1, 1.3, 0.0, 1.0).check_model(model)
+        with pytest.raises(UnsupportedReference, match="drift"):
+            ou_reference(0.1, 1.3 * (1 + 1e-9), 0.0, 1.0).check_model(model)
+
+    @pytest.mark.parametrize("model, match", [
+        (kuramoto_model(1.0), "drift"),
+        (gradient_system_model(lambda x: 0.5 * x, lambda z: 3.0 * z, 1.0), "drift"),  # another kappa
+        (gradient_system_model(lambda x: x, lambda z: 2.0 * z, 1.0), "drift"),  # another lam
+        (gradient_system_model(lambda x: 0.5 * x, lambda z: 2.0 * z, math.sqrt(2)), "unit diffusion"),
+        (gradient_system_model(lambda x: 0.5 * x, lambda z: 2.0 * z, 1.0, dim=2), "1-D model"),
+        (McKeanModel(drift=lambda s, mu: np.full_like(s, np.nan), diffusion=lambda s, mu: 1.0, dim=1), "drift"),
+        (McKeanModel(drift=lambda s, mu: (-0.5 * s - 2.0 * (s - mu.mean()))[:, 0],  # (n,), not (n, 1)
+                     diffusion=lambda s, mu: 1.0, dim=1), "drift"),
+    ])
+    def test_refuses_other_dynamics(self, model, match):
+        with pytest.raises(UnsupportedReference, match=match):
+            ou_reference(0.5, 2.0, 0.0, 1.0).check_model(model)
+
+    def test_an_overflowing_drift_is_left_to_the_run(self):
+        # lam = 1e308 overflows the probe's drift and the closed form alike:
+        # the model is the reference's, and the run reports the overflow
+        model, ref = mean_field_ou_model(1e308, 1.0), ou_reference(1e308, 1.0, 0.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref.check_model(model)
+            with pytest.raises(StepError, match="non-finite drift"):
+                simulate_synchronous_coupling(model, ref, 4, TimeGrid(0, 0.2, 0.1), RngStream(6))
+
+    def test_refuses_a_model_reading_its_states_not_its_measure(self):
+        # the probe's measure has another mean than the probe states
+        model = McKeanModel(drift=lambda s, mu: -0.5 * s - 2.0 * (s - s.mean(axis=-2)),
+                            diffusion=lambda s, mu: 1.0, dim=1)
+        with pytest.raises(UnsupportedReference, match="drift"):
+            ou_reference(0.5, 2.0, 0.0, 1.0).check_model(model)
+
+    def test_the_coupling_harness_checks_an_exact_reference(self):
+        with pytest.raises(UnsupportedReference):
+            simulate_synchronous_coupling(kuramoto_model(1.0), ou_reference(1.0, 1.0, 0.0, 1.0), 4,
+                                          TimeGrid(0, 0.2, 0.1), RngStream(3))
+
+
+class TestModelContract:
+    def test_a_model_is_its_drift_diffusion_and_dimension(self):
+        assert [f.name for f in dataclasses.fields(McKeanModel)] == ["drift", "diffusion", "dim"]
+        assert [f.name for f in dataclasses.fields(SurrogateReference)] == ["initial", "factor"]
+
+    @pytest.mark.parametrize("factor", [0, -1, 2.5, "4"])
+    def test_surrogate_factor_must_be_a_positive_integer(self, factor):
+        with pytest.raises(ValueError, match="factor"):
+            SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=factor)
+
+    def test_a_numpy_integer_factor_is_accepted(self):
+        assert SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=np.int64(3)).factor == 3
+
+    @pytest.mark.parametrize("dim, sample_shape", [(1, lambda n: (n, 2)), (2, lambda n: (2 * n, 1)),
+                                                    (1, lambda n: (n,))])
+    def test_the_engine_refuses_draws_without_dim_coordinates(self, dim, sample_shape):
+        model = McKeanModel(drift=lambda s, mu: -s, diffusion=lambda s, mu: 1.0, dim=dim)
+        ref = SurrogateReference(lambda n, rng: rng.normal(sample_shape(n)), factor=2)
+        with pytest.raises(ValueError, match=rf"shape \(8, {dim}\)"):
+            coupling_mse_rows(model, ref, 8, TimeGrid(0, 0.2, 0.1), [RngStream(4, r) for r in range(2)])
+
+    def test_the_engine_refuses_the_1d_exact_reference_for_a_2d_model(self):
+        model = McKeanModel(drift=lambda s, mu: -s, diffusion=lambda s, mu: 1.0, dim=2)
+        with pytest.raises(ValueError, match=r"shape \(8, 2\)"):
+            coupling_mse_rows(model, ou_reference(1.0, 1.0, 0.0, 1.0), 8, TimeGrid(0, 0.2, 0.1), [RngStream(5)])
+
 
 class TestSynchronousCoupling:
     def test_measure_independent_drift_gives_zero_mse(self):
@@ -347,7 +425,7 @@ class TestSynchronousCoupling:
 
     def test_noise_sharing_bitwise_with_zero_diffusion(self):
         model = McKeanModel(drift=lambda s, mu: -s, diffusion=lambda s, mu: 0.0, dim=1)
-        ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=4)
+        ref = SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=4)
         report = simulate_synchronous_coupling(model, ref, n=8, grid=TimeGrid(0, 1, 0.1),
                                                rng=RngStream(8), replicas=2)
         assert np.all(report.mse == 0.0)
@@ -391,7 +469,7 @@ class TestReplicaBatching:
     def test_surrogate_reference_rows_do_not_depend_on_the_batch(self):
         # 4 * 64 surrogate particles: 32 replicas per batch, 34 streams span two
         model = mean_field_ou_model(1.0, 1.0)
-        ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=4)
+        ref = SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=4)
         self._prefix_rows_match(model, ref, 64, TimeGrid(0, 0.2, 0.02), total=34, k=3)
 
     def test_factory_drifts_act_per_replica(self):
@@ -406,13 +484,13 @@ class TestReplicaBatching:
             (cucker_smale_model(1.0, 0.5, d=2), rng.normal((3, 7, 4))),
             (regularized_coulomb_model(1.0, 0.1, 0.5, d=2), rng.normal((3, 7, 2))),
         ]
-        for model, states in cases:
+        for case, (model, states) in enumerate(cases):
             batch = EmpiricalMeasure(states)
             drift = model.drift(states, batch)
             sigma = np.broadcast_to(model.diffusion(states, batch), states.shape)
             for r in range(states.shape[0]):
                 mu = Ensemble(states[r]).measure()
-                assert np.array_equal(drift[r], model.drift(states[r], mu)), model.family
+                assert np.array_equal(drift[r], model.drift(states[r], mu)), case
                 assert np.array_equal(sigma[r], np.broadcast_to(model.diffusion(states[r], mu),
                                                                 states[r].shape))
 
@@ -431,18 +509,44 @@ class TestReplicaBatching:
 
         model = McKeanModel(drift=lambda s, mu: np.where(s > 0.5, np.nan, -s),
                             diffusion=lambda s, mu: 0.0, dim=1)
-        ref = SurrogateReference(model, initial_sampler=sampler, factor=4)
+        ref = SurrogateReference(sampler, factor=4)
         with pytest.raises(StepError, match="non-finite drift") as err:
             simulate_synchronous_coupling(model, ref, n=512, grid=TimeGrid(0, 0.3, 0.1),
                                           rng=root, replicas=8)
         assert (err.value.replica, err.value.particle, err.value.step) == (6, 3, 0)
         assert "replica=6" in str(err.value)
 
+    def test_non_finite_nonlinear_copy_names_replica_particle_and_step(self):
+        # x_bar reads the surrogate's measure and grows by 5% a step from 1 at
+        # particle 3 of replica 1; its drift is nan once it passes 1.5, at step
+        # 9 (t = 0.45). 4096 particles give noise blocks of 8 steps, so step 9
+        # is the second of the second block.
+        root = RngStream(25)
+        marked = root.substream(1).substream(0).stream_id
+
+        def sampler(n, rng):
+            x = np.zeros((n, 1))
+            if rng.stream_id == marked:
+                x[3] = 1.0
+            return x
+
+        def drift(s, mu):
+            if mu.points.shape[-2] == s.shape[-2]:  # x and the surrogate read their own measure
+                return -s
+            return np.where(s > 1.5, np.nan, s)
+
+        model = McKeanModel(drift=drift, diffusion=lambda s, mu: 0.0, dim=1)
+        ref = SurrogateReference(sampler, factor=2)
+        with pytest.raises(StepError, match="non-finite nonlinear copy state") as err:
+            simulate_synchronous_coupling(model, ref, n=4096, grid=TimeGrid(0, 1.0, 0.05), rng=root, replicas=2)
+        assert (err.value.replica, err.value.particle, err.value.step) == (1, 3, 9)
+        assert err.value.time == pytest.approx(0.45)
+
     def test_non_finite_state_is_reported_at_its_step(self):
         # drift and diffusion stay finite, but every state overflows in step 1;
         # the surrogate is advanced first, so it is the one reported
         model = McKeanModel(drift=lambda s, mu: 1e308 * np.sign(s), diffusion=lambda s, mu: 0.0, dim=1)
-        ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=2)
+        ref = SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=2)
         with np.errstate(over="ignore"), pytest.raises(StepError, match="non-finite surrogate state") as err:
             simulate_synchronous_coupling(model, ref, n=4, grid=TimeGrid(0, 4, 1.0),
                                           rng=RngStream(24), replicas=3)
@@ -486,7 +590,7 @@ def _coupling_rows_by_hand(model, ref, n, grid, streams):
 def _pulled_to_mean(diffusion, d):
     """A surrogate-coupled model with drift -(x - m(mu)) and the given diffusion."""
     model = McKeanModel(drift=lambda s, mu: -(s - mu.mean()), diffusion=diffusion, dim=d)
-    return model, SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, d)), factor=2)
+    return model, SurrogateReference(lambda n, rng: rng.normal((n, d)), factor=2)
 
 
 class TestStepBits:
@@ -535,7 +639,7 @@ class TestStepBits:
             return np.where(np.signbit(s), -0.0, 1.0)
 
         model = McKeanModel(drift=drift, diffusion=lambda s, mu: 0.0 if mu.points is s else -0.0, dim=1)
-        ref = SurrogateReference(model, initial_sampler=lambda n, rng: np.full((n, 1), -0.0), factor=2)
+        ref = SurrogateReference(lambda n, rng: np.full((n, 1), -0.0), factor=2)
         grid = TimeGrid(0.0, 0.2, 0.1)
         rows = coupling_mse_rows(model, ref, 5, grid, [RngStream(44)])
         assert np.array_equal(rows, _coupling_rows_by_hand(model, ref, 5, grid, [RngStream(44)]))
@@ -632,7 +736,9 @@ class TestGradientSystem:
     def test_quartic_gradient_is_odd(self):
         model = gradient_system_model(grad_V=lambda x: np.zeros_like(x),
                                       grad_W=lambda z: 4.0 * z**3, sigma_const=1.0)
-        assert model.family == "gradient-system"
+        # states {0, 1}: -mean(4 (x - y)^3) is +2 at x = 0 and -2 at x = 1
+        e = Ensemble(np.array([0.0, 1.0]))
+        assert np.array_equal(model.drift(e.states, e.measure()), [[2.0], [-2.0]])
 
     def test_even_gradient_rejected(self):
         with pytest.raises(ModelSpecError, match="odd"):
@@ -650,7 +756,7 @@ class TestGradientSystem:
         sig = math.sqrt(2)
         model = gradient_system_model(lambda x: x, lambda z: z, sig, dim=1,
                                       grad_W_conv=lambda s, pts: s - pts.mean(axis=-2, keepdims=True))
-        ref = SurrogateReference(model, initial_sampler=lambda n, rng: rng.normal((n, 1)), factor=16)
+        ref = SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=16)
         report = simulate_synchronous_coupling(model, ref, n=100, grid=TimeGrid(0, 10, 0.02),
                                                rng=RngStream(11), replicas=16)
         m5, m10 = report.mse_at(5.0), report.mse_at(10.0)

@@ -263,6 +263,19 @@ class TestEks:
         eks_sample(cfg, e0, RngStream(109))
         assert inverted == []
 
+    @pytest.mark.parametrize("derivative_free", [False, True])
+    def test_the_forward_map_is_applied_once_per_drift(self, derivative_free):
+        calls = []
+
+        def forward(x):
+            calls.append(len(x))
+            return x @ self.G.T
+
+        cfg = self._config(forward=forward, forward_jacobian=lambda x: self.G, derivative_free=derivative_free,
+                           n=50, steps=7)
+        eks_sample(cfg, Ensemble(RngStream(110).normal((50, 2))), RngStream(111))
+        assert calls == [50] * 7
+
     def test_identical_particles_frozen(self):
         cfg = self._config(n=50, steps=3)
         e0 = Ensemble(np.tile([1.0, 2.0], (50, 1)))
