@@ -77,9 +77,10 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
     return JumpResult(Ensemble(states, result_time), jumps, rings)
 
 
-# the least proposal bandwidth h for which 2 h^2 > 0: at h = 2**-538, 2 h^2
-# is half the least subnormal and rounds to 0, and _log_mixture divides 0/0
-MIN_BANDWIDTH = math.nextafter(2.0 ** -538, math.inf)
+# the least proposal bandwidth h, about 5.27e-155, for which the mixture's
+# factor -1 / (2 h^2) is finite: below it the factor is -inf, and a query
+# on a point would give 0 * -inf = nan
+MIN_BANDWIDTH = float.fromhex("0x1.6a09e667f3bcep-513")
 
 
 @dataclass
@@ -102,8 +103,13 @@ class CmcConfig:
     vectorized: bool = False  # target_log_density accepts an (n, d) batch
 
     def __post_init__(self):
-        if not self.h >= MIN_BANDWIDTH:
-            raise ValueError(f"proposal bandwidth h must be at least MIN_BANDWIDTH = {MIN_BANDWIDTH!r}")
+        if not MIN_BANDWIDTH <= self.h < math.inf:
+            raise ValueError(f"proposal bandwidth h must be finite and at least MIN_BANDWIDTH = "
+                             f"{MIN_BANDWIDTH!r}; got {self.h!r}")
+        if not self.n >= 1:
+            raise ValueError(f"need n >= 1 particles; got {self.n!r}")
+        if not self.dim >= 1:
+            raise ValueError(f"need dim >= 1; got {self.dim!r}")
         if not 0 <= self.burn_in < self.steps:
             raise ValueError("need 0 <= burn_in < steps")
 
@@ -121,6 +127,10 @@ class CmcResult:
 # _log_mixture keeps each of its (rows, N) temporaries at or below
 # _BLOCK_FLOATS floats (512 KB), with at least one row per block.
 _BLOCK_FLOATS = 65536
+# a row whose exp-sum is below _LEAST_SUM is computed again with its row
+# max shifted out: some of its terms may have underflowed. Far above the
+# subnormals, so a row at or above it has lost no term that counts.
+_LEAST_SUM = 2.0 ** -900
 
 
 def _cpu_count() -> int:
@@ -131,26 +141,45 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _mixture_rows(points, at, neg_two_h2, lse, start, stop, rows, work, scratch, own_from):
+def _log_terms(points, block, inv, sq, diff):
+    """sq[i, j] = -|block_i - x_j|^2 / (2 h^2), as the product by ``inv``
+    = -1 / (2 h^2), with ``diff`` as scratch (None at d = 1)."""
+    d = points.shape[1]
+    if d >= 8:
+        # numpy sums 8 or more contiguous terms pairwise; np.sum repeats it
+        np.subtract(block[:, None, :], points, out=diff)
+        np.square(diff, out=diff)
+        np.sum(diff, axis=2, out=sq)
+    else:
+        # and fewer than 8 in order, as this loop over the coordinates
+        # does, several times faster than np.sum over so short an axis
+        np.subtract(block[:, :1], points[:, 0], out=sq)
+        np.square(sq, out=sq)
+        for k in range(1, d):
+            np.subtract(block[:, k:k + 1], points[:, k], out=diff)
+            np.square(diff, out=diff)
+            sq += diff
+    np.multiply(sq, inv, out=sq)
+
+
+def _mixture_rows(points, at, inv, lse, start, stop, rows, work, scratch):
     """lse[i] = log sum_j exp(-|at_i - x_j|^2 / (2 h^2)) for start <= i < stop,
     in blocks of ``rows`` rows in the buffers ``work`` and ``scratch``.
+
+    Every row takes one pass shape: log terms, exp, row sum, log. A row
+    whose sum is below ``_LEAST_SUM`` (a query far from every point, or
+    an infinite one) has its log terms computed again, and takes the row
+    max shifted form m + log sum_j exp(t_j - m); a row of points has the
+    self term exp(0) = 1 and never does.
 
     The range runs with numpy's ufunc buffer sized to one row of N floats,
     in its own ``np.errstate`` context, which restores the caller's size on
     exit. A pass over a block with a broadcast operand (the query
-    coordinate, the row max) runs buffered, and with the default 8192-float
-    buffer a row shorter than the buffer goes about 4 times slower than
-    once the buffer holds one row. A row longer than the buffer in effect
-    keeps that buffer.
-
-    Rows from ``own_from`` on are points themselves. Their self term
-    0 / (-2 h^2) = -0.0 is the largest log term, so the row max is -0.0,
-    ``sq - m`` equals ``sq`` after exp (-0.0 - -0.0 is +0.0, and exp of
-    either zero is 1) and ``m + log(s)`` equals ``log(s)`` for s >= 1.
-    Blocks wholly past ``own_from`` skip the max and the shift, with every
-    value unchanged; a block that straddles it takes the general path.
+    coordinate, a far row's max) runs buffered, and with the default
+    8192-float buffer a row shorter than the buffer goes about 4 times
+    slower than once the buffer holds one row. A row longer than the buffer
+    in effect keeps that buffer.
     """
-    d = points.shape[1]
     with np.errstate():
         one_row = -(-points.shape[0] // 16) * 16  # numpy takes multiples of 16
         if one_row < np.getbufsize():
@@ -158,34 +187,26 @@ def _mixture_rows(points, at, neg_two_h2, lse, start, stop, rows, work, scratch,
         for lo in range(start, stop, rows):
             block = at[lo:min(lo + rows, stop)]
             sq = work[:len(block)]
-            diff = None if scratch is None else scratch[:len(block)]
-            if d >= 8:
-                # numpy sums 8 or more contiguous terms pairwise; np.sum repeats it
-                np.subtract(block[:, None, :], points, out=diff)
-                np.square(diff, out=diff)
-                np.sum(diff, axis=2, out=sq)
-            else:
-                # and fewer than 8 in order, as this loop over the coordinates
-                # does, several times faster than np.sum over so short an axis
-                np.subtract(block[:, :1], points[:, 0], out=sq)
-                np.square(sq, out=sq)
-                for k in range(1, d):
-                    np.subtract(block[:, k:k + 1], points[:, k], out=diff)
-                    np.square(diff, out=diff)
-                    sq += diff
-            np.divide(sq, neg_two_h2, out=sq)  # the log terms; -sq / c == sq / -c
+            _log_terms(points, block, inv, sq, None if scratch is None else scratch[:len(block)])
+            np.exp(sq, out=sq)
+            total = sq.sum(axis=1)
             out = lse[lo:lo + len(block)]
-            if lo >= own_from:
-                np.exp(sq, out=sq)
-                np.log(sq.sum(axis=1), out=out)
-            else:
+            low = total < _LEAST_SUM
+            if low.any():
+                far = block[low]
+                sq = work[:len(far)]
+                _log_terms(points, far, inv, sq, None if scratch is None else scratch[:len(far)])
                 m = sq.max(axis=1)
-                np.subtract(sq, m[:, None], out=sq)
+                np.subtract(sq, m[:, None], out=sq)  # -inf - -inf for an infinite query
                 np.exp(sq, out=sq)
-                np.add(m, np.log(sq.sum(axis=1)), out=out)
+                total[low] = 1.0  # written over below: log(0) would signal divide
+                np.log(total, out=out)
+                out[low] = m + np.log(sq.sum(axis=1))
+            else:
+                np.log(total, out=out)
 
 
-def _log_mixture(points: np.ndarray, at: np.ndarray, h: float, own_from: int | None = None) -> np.ndarray:
+def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
     """log of the kernel mixture (1/N) sum_j phi_h(at_i - x_j), row-wise:
     CMC's proposal density, tuned for ``cmc_run``, its one caller. Every
     other kernel mean goes through ``core.pair_mean``.
@@ -202,12 +223,9 @@ def _log_mixture(points: np.ndarray, at: np.ndarray, h: float, own_from: int | N
     Each range sizes numpy's ufunc buffer to one row inside its own
     ``np.errstate`` context (see ``_mixture_rows``), so the caller's buffer
     size and error state come back unchanged, also when a range raises.
-    ``own_from`` is the index from which every row of ``at`` is a row of
-    ``points`` (``cmc_run`` queries the ensemble itself there); those rows
-    skip the row max shift, which is exactly a no-op for them.
     Every element and every row reduction is the one of the dense formula
-    ``((at[:, None] - points[None]) ** 2).sum(axis=2)`` and so on, so the
-    result equals it bit for bit at any k.
+    ``((at[:, None] - points[None]) ** 2).sum(axis=2) * (-1 / (2 h^2))``
+    and so on, so the result equals it bit for bit at any k.
     """
     n, d = points.shape
     rows = max(1, min(_BLOCK_FLOATS // max(1, n * d), len(at)))
@@ -216,16 +234,15 @@ def _log_mixture(points: np.ndarray, at: np.ndarray, h: float, own_from: int | N
     # with more growth of the peak RSS than k separate ones
     work = [np.empty((rows, n)) for _ in range(k)]
     scratch = [np.empty((rows, n, d) if d >= 8 else (rows, n)) if d > 1 else None for _ in range(k)]
-    neg_two_h2 = -(2.0 * h * h)
+    inv = -1.0 / (2.0 * h * h)
     lse = np.empty(len(at))
     blocks = -(-len(at) // rows)
     bounds = [min(len(at), (w * blocks // k) * rows) for w in range(k + 1)]
-    own_from = len(at) if own_from is None else own_from
     errors = [None] * k
 
     def rows_of(w):
         try:
-            _mixture_rows(points, at, neg_two_h2, lse, bounds[w], bounds[w + 1], rows, work[w], scratch[w], own_from)
+            _mixture_rows(points, at, inv, lse, bounds[w], bounds[w + 1], rows, work[w], scratch[w])
         except BaseException as err:  # raised once every worker has ended
             errors[w] = err
 
@@ -278,9 +295,8 @@ def cmc_run(cfg: CmcConfig, e0: Ensemble, rng: RngStream) -> CmcResult:
         u = rng.uniform(n)
         proposals = states[partners] + cfg.h * xi
         logpi_prop = np.where(np.isnan(lp := log_target(proposals)), -np.inf, lp)
-        # both mixture densities use the pre-sweep ensemble, whose own rows
-        # come after the n proposals
-        log_theta = _log_mixture(states, np.concatenate([proposals, states]), cfg.h, own_from=n)
+        # both mixture densities use the pre-sweep ensemble
+        log_theta = _log_mixture(states, np.concatenate([proposals, states]), cfg.h)
         log_theta_prop, log_theta_curr = log_theta[:n], log_theta[n:]
         log_alpha = logpi_prop - logpi + log_theta_curr - log_theta_prop
         with np.errstate(divide="ignore"):

@@ -120,7 +120,7 @@ def smoothed_density(samples, eps: float):
     """Gaussian-kernel density x -> (1/N) sum_i phi_eps(x - Y^i) with
     phi_eps the N(0, eps^2) density. Returns a vectorized callable, which
     averages the kernel over the samples through ``core.pair_mean``."""
-    if not MIN_BANDWIDTH <= eps < math.inf:  # below it 2 eps^2 rounds to 0
+    if not MIN_BANDWIDTH <= eps < math.inf:  # CMC's least bandwidth: 2 eps^2 > 0 from it on
         raise ValueError(f"eps must be finite and at least jump.MIN_BANDWIDTH = {MIN_BANDWIDTH!r}")
     points = np.asarray(samples, dtype=float).reshape(-1, 1)
     if not len(points):
@@ -128,8 +128,8 @@ def smoothed_density(samples, eps: float):
     bad = np.flatnonzero(~np.isfinite(points[:, 0]))
     if bad.size:
         raise ValueError(f"sample {bad[0]} is not finite: {points[bad[0], 0]}")
-    # dividing by -2 eps^2, not multiplying by its reciprocal: at MIN_BANDWIDTH
-    # the reciprocal is -inf, and a coincident point would give 0 * -inf = nan
+    # dividing by -2 eps^2, which is nonzero at every eps from MIN_BANDWIDTH
+    # on, so a coincident point gives exp(0 / -2 eps^2) = 1
     neg_two_eps2 = -(2.0 * eps * eps)
     norm = 1.0 / (eps * math.sqrt(2.0 * math.pi))
 

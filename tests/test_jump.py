@@ -20,14 +20,33 @@ BUFFER_SHAPES = [(10, 40, 100), (16, 7, 4000), (9000, 3, 1)]
 
 
 def dense_log_mixture(points, at, h):
-    """The N x N(x d) broadcast formula that the blocked mixture reproduces."""
+    """The N x N(x d) broadcast formula that the blocked mixture reproduces:
+    the log of each row's exp-sum, and the row max shifted form for a row
+    whose exp-sum is below jump._LEAST_SUM."""
     d = points.shape[1]
-    sq = ((at[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    log_terms = -sq / (2.0 * h * h)
-    m = log_terms.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(log_terms - m).sum(axis=1))
+    log_terms = ((at[:, None, :] - points[None, :, :]) ** 2).sum(axis=2) * (-1.0 / (2.0 * h * h))
+    total = np.exp(log_terms).sum(axis=1)
+    low = total < jump._LEAST_SUM
+    with np.errstate(divide="ignore"):
+        lse = np.log(total)
+    m = log_terms[low].max(axis=1, keepdims=True)
+    lse[low] = m[:, 0] + np.log(np.exp(log_terms[low] - m).sum(axis=1))
     norm = math.log(points.shape[0]) + d * math.log(h) + 0.5 * d * math.log(2.0 * math.pi)
     return lse - norm
+
+
+def longdouble_log_mixture(points, at, h):
+    """The row max shifted dense formula in np.longdouble, 50 rows at a time."""
+    n, d = points.shape
+    x = points.astype(np.longdouble)
+    h = np.longdouble(h)
+    lse = np.empty(len(at), dtype=np.longdouble)
+    for lo in range(0, len(at), 50):
+        q = at[lo:lo + 50].astype(np.longdouble)
+        log_terms = -((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / (2 * h * h)
+        m = log_terms.max(axis=1, keepdims=True)
+        lse[lo:lo + 50] = m[:, 0] + np.log(np.exp(log_terms - m).sum(axis=1))
+    return lse - (np.log(np.longdouble(n)) + d * np.log(h) + d * np.log(2 * np.longdouble(np.pi)) / 2)
 
 
 class TestSimulateJump:
@@ -134,14 +153,31 @@ class TestCmc:
         CmcConfig(target_log_density=lambda x: 0.0, h=0.5, n=3, steps=5, burn_in=4)
 
     def test_bandwidth_below_the_least_raises(self):
-        # 2 h^2 underflows to 0 below MIN_BANDWIDTH and the mixture divides 0/0
+        # the mixture's factor -1 / (2 h^2) is -inf below MIN_BANDWIDTH, and a
+        # query on a point would give 0 * -inf = nan
         with pytest.raises(ValueError, match="bandwidth"):
             CmcConfig(target_log_density=lambda x: 0.0, h=1e-300, n=3, steps=5)
         below = math.nextafter(MIN_BANDWIDTH, 0.0)
-        assert 2.0 * below * below == 0.0 < 2.0 * MIN_BANDWIDTH * MIN_BANDWIDTH
+        assert -1.0 / (2.0 * below * below) == -math.inf < -1.0 / (2.0 * MIN_BANDWIDTH * MIN_BANDWIDTH)
         with pytest.raises(ValueError, match="bandwidth"):
             CmcConfig(target_log_density=lambda x: 0.0, h=below, n=3, steps=5)
         CmcConfig(target_log_density=lambda x: 0.0, h=MIN_BANDWIDTH, n=3, steps=5)
+        points = np.array([[0.0], [1e-160]])
+        assert np.all(np.isfinite(_log_mixture(points, points, MIN_BANDWIDTH)))
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_bandwidth_must_be_finite(self, h):
+        # an infinite h used to build, and cmc_run then rejected every proposal
+        with pytest.raises(ValueError, match=r"bandwidth h must be finite"):
+            CmcConfig(target_log_density=lambda x: 0.0, h=h, n=3, steps=5)
+
+    def test_needs_a_particle(self):
+        with pytest.raises(ValueError, match=r"need n >= 1 particles; got 0"):
+            CmcConfig(target_log_density=lambda x: 0.0, h=0.5, n=0, steps=5)
+
+    def test_needs_a_dimension(self):
+        with pytest.raises(ValueError, match=r"need dim >= 1; got 0"):
+            CmcConfig(target_log_density=lambda x: 0.0, h=0.5, n=3, steps=5, dim=0)
 
     def test_infinite_density_at_start_rejected(self):
         cfg = CmcConfig(target_log_density=lambda x: -np.inf, h=0.5, n=3, steps=5, dim=1)
@@ -219,7 +255,7 @@ class TestCmc:
         rng = RngStream(79)
         points = rng.normal((n, d))
         at = rng.normal((m, d))
-        # 2 h^2 = 0.18 is no power of 2, so a product by its reciprocal would differ
+        # -1 / (2 h^2) = -1 / 0.18 is rounded, and the dense formula multiplies by the same factor
         assert np.array_equal(_log_mixture(points, at, 0.3), dense_log_mixture(points, at, 0.3))
 
     def test_blocked_mixture_far_points(self):
@@ -230,6 +266,21 @@ class TestCmc:
         val = _log_mixture(points, at, 0.5)
         assert np.all(np.isfinite(val))
         assert np.array_equal(val, dense_log_mixture(points, at, 0.5))
+
+    def test_mixture_is_accurate(self):
+        # against np.longdouble: the shapes of the blocked tests, rows 40
+        # bandwidths out, and one block of both underflowing and ordinary rows
+        rng = RngStream(95)
+        cases = [(rng.normal((n, d)), rng.normal((m, d)), 0.3) for n, m, d in MIXTURE_SHAPES]
+        points = rng.normal((300, 2))
+        cases.append((points, 20.0 + rng.normal((150, 2)), 0.5))
+        at = rng.normal((60, 2))
+        at[::3] += 20.0
+        cases.append((points, at, 0.5))
+        for points, at, h in cases:
+            val = _log_mixture(points, at, h)
+            ref = longdouble_log_mixture(points, at, h)
+            assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref))
 
     def test_blocked_mixture_empty_at(self):
         points = RngStream(81).normal((50, 3))
@@ -293,9 +344,9 @@ class TestMixtureWorkers:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_helpers_keep_the_errstate_and_raise_in_the_caller(self, monkeypatch, count):
-        # an infinite query row has every log term -inf, and its max shift
-        # computes -inf - -inf; 65-row blocks put the last of 200 rows in
-        # the second worker's range
+        # an infinite query row has every log term -inf, so its exp-sum is 0
+        # and its max shift computes -inf - -inf; 65-row blocks put the last
+        # of 200 rows in the second worker's range
         monkeypatch.setattr(jump, "_cpu_count", lambda: count)
         rng = RngStream(84)
         points = rng.normal((1000, 1))
@@ -341,7 +392,6 @@ class TestMixtureBuffer:
         at = rng.normal((200, 1))
         before = (np.getbufsize(), np.geterr())
         _log_mixture(points, at, 0.5)
-        _log_mixture(points, at, 0.5, own_from=100)
         assert (np.getbufsize(), np.geterr()) == before
         at[-1] = np.inf  # its max shift computes -inf - -inf
         with np.errstate(invalid="raise", under="warn"):
@@ -365,29 +415,30 @@ class TestMixtureBuffer:
     # 65-, 43- and 24-row blocks: the own rows start inside a block
     @pytest.mark.parametrize("n, m, d", [(1000, 100, 1), (500, 60, 3), (300, 50, 9), (40, 7, 2)])
     def test_own_rows_equal_the_general_path(self, workers, n, m, d):
+        # a sweep queries its proposals, then the points themselves; the own
+        # rows take the pass of every other row, with a self term exp(0) = 1
         rng = RngStream(93)
         points = np.round(rng.normal((n, d)), 1)  # duplicate points tie at -0.0
         points[:3] = points[3]
         points[4] = -0.0
         points[5] = 0.0
         at = np.concatenate([rng.normal((m, d)), points])
-        own = _log_mixture(points, at, 0.3, own_from=m)
-        assert same_bits(own, _log_mixture(points, at, 0.3))
-        assert same_bits(own, dense_log_mixture(points, at, 0.3))
-        # every block is own rows, and the blocks of a far-out row set
-        assert same_bits(_log_mixture(points, points, 0.3, own_from=0), dense_log_mixture(points, points, 0.3))
+        val = _log_mixture(points, at, 0.3)
+        assert same_bits(val, dense_log_mixture(points, at, 0.3))
+        assert same_bits(val[m:], _log_mixture(points, points, 0.3))
+        # distinct points lie 10 bandwidths or more apart here, and no row falls back
         far = points + 40.0
-        assert same_bits(_log_mixture(far, far, 0.01, own_from=0), dense_log_mixture(far, far, 0.01))
+        assert same_bits(_log_mixture(far, far, 0.01), dense_log_mixture(far, far, 0.01))
 
     def test_own_rows_with_a_non_finite_point(self):
-        # the self term of an infinite point is inf - inf on either path
+        # the self term of an infinite point is inf - inf; every other row
+        # has a zero term for it
         points = RngStream(94).normal((100, 1))
         points[7] = np.inf
-        for own_from in (0, None):
-            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-                _log_mixture(points, points, 0.3, own_from=own_from)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _log_mixture(points, points, 0.3)
         with np.errstate(invalid="ignore"):
-            own = _log_mixture(points, points, 0.3, own_from=0)
-            general = _log_mixture(points, points, 0.3)
-        assert np.isnan(own[7]) and np.isnan(general[7])
-        assert same_bits(np.delete(own, 7), np.delete(general, 7))
+            own = _log_mixture(points, points, 0.3)
+            finite = _log_mixture(np.delete(points, 7, axis=0), np.delete(points, 7, axis=0), 0.3)
+        assert np.isnan(own[7])
+        assert np.allclose(np.delete(own, 7), finite - math.log(100 / 99), rtol=1e-13, atol=0.0)
