@@ -192,9 +192,11 @@ def _streams(rng: RngStream, key: int, kinds=range(4)) -> list[RngStream]:
     return [type(rng)(rng.seed, _mix64(key, k)) for k in kinds]
 
 
-def _block_size(expected: float) -> int:
-    """Proposals to draw when about ``expected`` more are to come."""
-    return min(_BLOCK, int(1.1 * expected) + 16)
+def _block_size(expected: float, tight: bool = False) -> int:
+    """Proposals to draw when about ``expected`` more are to come; ``tight`` when each of them
+    moves the counter by exactly 1 / expected of the way, so that int(expected) + 1 finish it
+    (one more covers the rounding of the counter's sum)."""
+    return min(_BLOCK, int(expected) + 2 if tight else int(1.1 * expected) + 16)
 
 
 def _draw_pairs(rng: RngStream, n: int, k: int) -> np.ndarray:
@@ -257,14 +259,17 @@ def _check(ratio, vetoed, stacklevel):
 def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, dp):
     """Apply the accepted rows of proposals that touch no particle twice, with pre-collision states
     z1 and z2, to ``states`` in place; write their squared-norm-sum and state-sum deltas to ``de``, ``dp``."""
-    if not accepted.all():
-        pairs, z1, z2, theta = pairs[accepted], z1[accepted], z2[accepted], theta[accepted]
+    rows = accepted
+    if accepted.all():
+        rows = slice(None)  # a slice writes faster than a mask
+    else:
+        pairs, z1, z2, theta = pairs[rows], z1[rows], z2[rows], theta[rows]
     if len(pairs):
         z1p, z2p = (np.asarray(z, dtype=float) for z in model.psi_pair(z1, z2, theta))
         stack = np.concatenate([z1p, z2p, z1, z2])
         sq = _rowdot(stack, stack).reshape(4, -1)
-        de[accepted] = sq[0] + sq[1] - sq[2] - sq[3]
-        dp[accepted] = (z1p + z2p) - (z1 + z2)
+        de[rows] = sq[0] + sq[1] - sq[2] - sq[3]
+        dp[rows] = (z1p + z2p) - (z1 + z2)
         states[pairs[:, 0]], states[pairs[:, 1]] = z1p, z2p
 
 
@@ -341,29 +346,40 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     by dt_ij = (N_G (N_G - 1)/2 * lam(z_i, z_j)/N * delta^-d)^-1. A
     collision whose increment overshoots the step boundary is still
     applied. Cells draw from per-cell substreams, so the outcome does not
-    depend on cell processing order.
+    depend on cell processing order; the call re-keys one set of three
+    streams to each cell step's substreams rather than build them.
+
+    While every proposal kept so far was accepted at the rate Lambda (so
+    always for Maxwell molecules), a cell step after the call's first draws
+    a first block of just the proposals it will keep, plus one.
     """
+    if e0.time != time_grid.t0:
+        raise ValueError(f"the ensemble is at time {e0.time!r} but the time grid starts at {time_grid.t0!r}")
     states = e0.states.copy()
     n = states.shape[0]
     log = EventLog(cap=event_cap)
     inv_volume = 1.0 / grid.cell_volume()
     times = time_grid.times()
     table = [0] * n
+    kinds, streams = (1, 2, 3), None  # the pair, theta and uniform streams, built once and then re-keyed
+    # full: every proposal kept so far was accepted at the rate Lambda; tight: size the next cell
+    # step's first block for that, which the call's first cell step does not
+    full, tight = True, False
 
     for k, h in enumerate(time_grid.step_durations()):
         states = _apply_free_flow(model, states, h)
         if model.Lambda * model.M == 0.0:
             continue
-        cells = grid.assign(states)
-        counts = np.bincount(cells)
-        ends = np.cumsum(counts)
-        by_cell = np.argsort(cells, kind="stable")  # each cell's members, in ascending order
         chunks = []
-        for cell_id in np.flatnonzero(counts >= 2).tolist():
-            members = by_cell[ends[cell_id] - counts[cell_id]:ends[cell_id]]
-            chunks.append(_bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
-                                     members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table,
-                                     *_streams(rng, _mix64(_mix64(rng.stream_id, k), cell_id), (1, 2, 3))))
+        for cell_id, members in _cells(grid, states):
+            key = _mix64(_mix64(rng.stream_id, k), cell_id)
+            streams = (_streams(rng, key, kinds) if streams is None
+                       else [stream.rekey(_mix64(key, kind)) for kind, stream in zip(kinds, streams)])
+            cols, cell_full = _bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
+                                         members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id,
+                                         table, tight, *streams)
+            full = tight = full and cell_full
+            chunks.append(cols)
         if len(chunks) == 1:  # one cell's counter never decreases: its log is already time-ordered
             log.record(*chunks[0])
         elif chunks:  # counters run in parallel across cells; merge so the log stays time-ordered
@@ -373,10 +389,23 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     return Ensemble(states, time_grid.t_end), log
 
 
+def _cells(grid: CellGrid, states) -> list:
+    """(cell id, members in ascending order) of each cell that holds two particles or more."""
+    n = states.shape[0]
+    if grid.position is None:  # the single cell holds every particle
+        return [(0, np.arange(n))] if n >= 2 else []
+    cells = grid.assign(states)
+    counts = np.bincount(cells)
+    ends = np.cumsum(counts)
+    by_cell = np.argsort(cells, kind="stable")
+    return [(c, by_cell[ends[c] - counts[c]:ends[c]]) for c in np.flatnonzero(counts >= 2).tolist()]
+
+
 def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, scale: float, cell_id, table,
-               pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream):
+               tight: bool, pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream):
     """Run one cell's collision counter from t_c until it passes t_stop, updating ``states`` in place;
-    an accepted proposal adds 1/(scale lam) to the counter. Returns the log columns of the proposals made.
+    an accepted proposal adds 1/(scale lam) to the counter. Returns the log columns of the proposals made,
+    and whether each was accepted at lam == Lambda. ``tight`` sizes the first block for that case.
 
     Each block is applied whole, level by level (``table``: the call's level table), then cut after
     the proposal that takes the counter past t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive
@@ -384,17 +413,18 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
     past the cut are undone, top level first so that the lowest level's write stays. That is exact:
     a row sharing a particle with an earlier row has a higher level, so no undone row fed a kept one.
     """
-    out, stall, cap = [], 0, _REJECTION_STALL_FACTOR
+    out, stall, cap, full = [], 0, _REJECTION_STALL_FACTOR, True
     while True:
-        size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M)
+        size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M, tight and not out)
         pairs = members[_draw_pairs(pair_stream, members.size, size)]
         theta, u = model.theta_sampler(theta_stream, size), accept_stream.uniform(size)
         _, order, ends, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(
             model, states, pairs, _levels(pairs, len(states), table), theta, u)
         back = np.argsort(order)
-        hits = np.flatnonzero(acc[back])
+        acc_back, lam_back = acc[back], lam[back]  # in proposal order
+        hits = np.flatnonzero(acc_back)
         inc = np.zeros(size)
-        inc[hits] = 1.0 / (scale * lam[back[hits]])
+        inc[hits] = 1.0 / (scale * lam_back[hits])
         counter = np.cumsum(np.concatenate([[t_c], inc]))
         past = np.flatnonzero(counter[1:] > t_stop)
         made = int(past[0]) + 1 if past.size else size
@@ -404,19 +434,23 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
         made = int(stop[0]) if stalled else made
         kept = back[:made]
         _check(ratio[kept], vetoed[kept], stacklevel=4)
-        undo = acc & (order >= made)
-        for lv in reversed(list(map(slice, [0, *ends], ends))) if made < size else ():
-            rows = lv.start + np.flatnonzero(undo[lv])
-            who = pairs[order[rows]]
-            states[who[:, 0]], states[who[:, 1]] = z1[rows], z2[rows]
+        full = full and bool(acc_back[:made].all()) and bool((lam_back[:made] == model.Lambda).all())
+        if made < size:
+            undone = np.flatnonzero(acc & (order >= made))  # level by level
+            cuts = np.searchsorted(undone, ends).tolist()
+            for lo, hi in reversed(list(zip([0, *cuts], cuts))):
+                if lo < hi:  # a level with rows to undo
+                    rows = undone[lo:hi]
+                    who = pairs[order[rows]]
+                    states[who[:, 0]], states[who[:, 1]] = z1[rows], z2[rows]
         stall = made - 1 - int(before[np.searchsorted(before, made) - 1])
         t_c = counter[made]
-        out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc[kept], de[kept], dp[kept]))
+        out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc_back[:made], de[kept], dp[kept]))
         if stalled:
             warnings.warn(f"cell {cell_id}: {stall} consecutive fictitious collisions, "
                           "abandoning the cell for this step (all pair rates may be zero)")
         if stalled or past.size:
-            return out[0] if len(out) == 1 else [np.concatenate(col) for col in zip(*out)]
+            return out[0] if len(out) == 1 else [np.concatenate(col) for col in zip(*out)], full
 
 
 def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, rng: RngStream) -> Ensemble:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import Ensemble, RngStream, TimeGrid, write_csv
-from .jump import MIN_BANDWIDTH, CmcConfig, cmc_run
+from .jump import MAX_BANDWIDTH, MIN_BANDWIDTH, CmcConfig, cmc_run
 from .mckean import (
     CouplingReport,
     coupling_replica_mse,
@@ -48,9 +48,10 @@ _OBJECTIVES = {
 
 # every param each kind's runner reads: name -> (check, bound, default), where a
 # default of None marks a required param. The checks: "count", an integer >=
-# bound; "real>" and "real>=", a finite number > or >= bound; "choice", one of
-# bound; "bool"; "spd", a symmetric positive definite matrix; "array", floats;
-# and "cases", a non-empty list of Kuramoto cases
+# bound; "real>" and "real>=", a finite number > or >= bound (a (low, high)
+# bound: > or >= low and <= high); "choice", one of bound; "bool"; "spd", a
+# symmetric positive definite matrix; "array", floats; and "cases", a
+# non-empty list of Kuramoto cases
 _PARAMS = {
     "coupling_rate": {"lambda": ("real>=", -math.inf, 1.0), "kappa": ("real>=", -math.inf, 1.0),
                       "m0": ("real>=", -math.inf, 1.0), "v0": ("real>=", 0, 1.0)},
@@ -63,7 +64,7 @@ _PARAMS = {
     "eks": {"G": ("array", None, None), "y": ("array", None, None), "Gamma": ("spd", None, None),
             "Gamma0": ("spd", None, None), "dt": ("real>", 0, 0.02), "steps": ("count", 1, 500),
             "derivative_free": ("bool", None, False)},
-    "cmc": {"h": ("real>=", MIN_BANDWIDTH, 0.5), "steps": ("count", 1, 2000),
+    "cmc": {"h": ("real>=", (MIN_BANDWIDTH, MAX_BANDWIDTH), 0.5), "steps": ("count", 1, 2000),
             "burn_in": ("count", 0, 500), "dim": ("count", 1, 1)},
     "bossy_talay": {"sigma": ("real>", 0, 1.0), "grid_points": ("count", 2, 2001)},
     "kuramoto_sweep": {"seeds": ("count", 1, 20), "cases": ("cases", None, None)},
@@ -182,8 +183,10 @@ def _param_errors(name: str, value, check: str, bound) -> list[str]:
         ok, want = _is_count(value, bound), f"an integer >= {bound}"
     elif check.startswith("real"):
         op = check[len("real"):]
-        ok = _is_real(value) and -math.inf < value < math.inf and (value > bound if op == ">" else value >= bound)
-        want = f"a finite number {op} {bound}"
+        low, high = bound if isinstance(bound, tuple) else (bound, math.inf)
+        ok = (_is_real(value) and -math.inf < value < math.inf and value <= high
+              and (value > low if op == ">" else value >= low))
+        want = f"a finite number {op} {low}" + (f" and <= {high}" if high < math.inf else "")
     elif check == "choice":
         ok, want = value in bound, " or ".join(map(repr, bound))
     else:

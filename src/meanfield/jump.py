@@ -81,6 +81,9 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
 # factor -1 / (2 h^2) is finite: below it the factor is -inf, and a query
 # on a point would give 0 * -inf = nan
 MIN_BANDWIDTH = float.fromhex("0x1.6a09e667f3bcep-513")
+# the largest h, about 9.48e153, for which 2 h^2 is finite: above it the
+# factor -1 / (2 h^2) is -0.0, and the mixture drops its kernel term
+MAX_BANDWIDTH = float.fromhex("0x1.6a09e667f3bccp+511")
 
 
 @dataclass
@@ -103,9 +106,9 @@ class CmcConfig:
     vectorized: bool = False  # target_log_density accepts an (n, d) batch
 
     def __post_init__(self):
-        if not MIN_BANDWIDTH <= self.h < math.inf:
-            raise ValueError(f"proposal bandwidth h must be finite and at least MIN_BANDWIDTH = "
-                             f"{MIN_BANDWIDTH!r}; got {self.h!r}")
+        if not MIN_BANDWIDTH <= self.h <= MAX_BANDWIDTH:
+            raise ValueError(f"proposal bandwidth h must be finite and in [MIN_BANDWIDTH, MAX_BANDWIDTH] = "
+                             f"[{MIN_BANDWIDTH!r}, {MAX_BANDWIDTH!r}]; got {self.h!r}")
         if not self.n >= 1:
             raise ValueError(f"need n >= 1 particles; got {self.n!r}")
         if not self.dim >= 1:

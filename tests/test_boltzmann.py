@@ -333,6 +333,16 @@ class TestBirdSimulate:
         for event in log.events:
             assert {event.i, event.j} <= left or {event.i, event.j} <= right
 
+    def test_ensemble_time_must_be_the_grid_start(self):
+        # a run from an ensemble at 5.0 on a grid from 0 used to end at 1.0, its log starting at 0
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        e0 = Ensemble(RngStream(45).normal((20, 2)), time=5.0)
+        with pytest.raises(ValueError, match=r"ensemble is at time 5\.0 but the time grid starts at 0\.0"):
+            bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0.0, 1.0, 0.5), RngStream(46))
+        final, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(5.0, 6.0, 0.5), RngStream(46))
+        times = log.columns()[0]
+        assert final.time == 6.0 and 5.0 <= times.min() <= times.max() <= 6.0 and log.accepted > 0
+
     def test_single_particle_cell_skipped(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         e0 = Ensemble(RngStream(41).normal((1, 2)) + 10.0)
@@ -873,6 +883,59 @@ class TestBatchedEngine:
         assert same_bits(outs[0], outs[1])
         _, i, j = log.columns()[:3]
         assert sorted(np.flatnonzero(outs[0][:, 0]).tolist()) == [i[0], j[0]] and outs[0].max() == 1.0
+
+    def test_bird_evaluates_one_row_past_the_kept_after_a_call_s_first_cell_step(self, monkeypatch):
+        # the dsmc workload's Maxwell molecules accept every proposal at the rate Lambda, so past
+        # each call's first cell step a cell step's first block holds the rows it keeps, plus one
+        maxwell = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=2)
+        rows, steps = [], []  # kernel rows of the cell step under way; (evaluated, kept) per cell step
+        model = CollisionModel(lam=lambda a, b: rows.append(len(a)) or maxwell.lam(a, b), Lambda=maxwell.Lambda,
+                               psi_pair=maxwell.psi_pair, theta_sampler=maxwell.theta_sampler)
+        cell = boltzmann._bird_cell
+
+        def counted(*args):
+            rows.clear()
+            cols, full = cell(*args)
+            steps.append((sum(rows), len(cols[0])))
+            return cols, full
+
+        monkeypatch.setattr(boltzmann, "_bird_cell", counted)
+        init = RngStream(99).normal((2000, 2))
+        runs = []
+        for key in (2, 3):
+            steps.clear()
+            final, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), TimeGrid(0.0, 2.0, 0.1),
+                                       RngStream(99, key))
+            runs.append((final.states, log.columns()))
+            assert len(steps) == 20 and log.accepted == log.proposed == sum(kept for _, kept in steps)
+            (first, first_kept), rest = steps[0], steps[1:]
+            assert first == int(1.1 * maxwell.Lambda * 1999 / 2 * 0.1) + 16 > first_kept + 1
+            assert all(kept <= evaluated <= kept + 1 for evaluated, kept in rest)
+        # the rows past the cut change nothing: the blocks of 1.1 E + 16 give the same bits
+        monkeypatch.setattr(boltzmann, "_block_size", lambda expected, tight=False: int(1.1 * expected) + 16)
+        for key, (states, cols) in zip((2, 3), runs):
+            final, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), TimeGrid(0.0, 2.0, 0.1),
+                                       RngStream(99, key))
+            assert same_bits(final.states, states) and all(same_bits(a, b) for a, b in zip(log.columns(), cols))
+
+    def test_hard_sphere_bird_draws_no_more_blocks_than_before(self, monkeypatch):
+        # hard spheres reject some proposals, so their blocks stay sized by 1.1 E + 16
+        model = hard_sphere_model(1.5, d=2)
+        e0 = Ensemble(RngStream(70).normal((300, 2)))
+        grid = CellGrid(lo=np.array([-1.0]), hi=np.array([1.0]), delta=0.5, position=lambda s: s[:, :1])
+        blocks, levels = [], boltzmann._levels
+        monkeypatch.setattr(boltzmann, "_levels", lambda *args: blocks.append(levels(*args)) or blocks[-1])
+        outs, counts = [], []
+        for rule in (boltzmann._block_size, lambda expected, tight=False: min(boltzmann._BLOCK,
+                                                                             int(1.1 * expected) + 16)):
+            monkeypatch.setattr(boltzmann, "_block_size", rule)
+            blocks.clear()
+            final, log = bird_simulate(model, grid, e0, TimeGrid(0, 1, 0.1), RngStream(71))
+            outs.append((final.states, log.columns()))
+            counts.append(len(blocks))
+        assert 0 < counts[0] <= counts[1]
+        assert 0 < np.count_nonzero(outs[0][1][3]) < len(outs[0][1][3])
+        assert same_bits(outs[0][0], outs[1][0]) and all(same_bits(a, b) for a, b in zip(outs[0][1], outs[1][1]))
 
     def test_events_are_built_from_the_columns(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)

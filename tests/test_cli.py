@@ -11,7 +11,7 @@ import pytest
 from meanfield import cli
 from meanfield.cli import main, run, validate
 from meanfield.core import Ensemble, RngStream, TimeGrid
-from meanfield.jump import MIN_BANDWIDTH, CmcConfig, cmc_run
+from meanfield.jump import MAX_BANDWIDTH, MIN_BANDWIDTH, CmcConfig, cmc_run
 from meanfield.mckean import kuramoto_model, simulate
 from meanfield.metrics import kuramoto_order_parameter
 from meanfield.schemes1d import CdfScheme, bossy_talay_run
@@ -254,6 +254,7 @@ class TestValidate:
     @pytest.mark.parametrize("kind, name, value", [
         ("cmc", "h", 0), ("cmc", "h", -0.5), ("cmc", "h", True), ("cmc", "h", "x"), ("cmc", "h", math.inf),
         ("cmc", "h", math.nextafter(MIN_BANDWIDTH, 0.0)),  # the mixture's -1 / (2 h^2) is -inf there
+        ("cmc", "h", math.nextafter(MAX_BANDWIDTH, math.inf)), ("cmc", "h", 1e154),  # and -0.0 there
         ("cbo", "dt", -0.1), ("cbo", "dt", 0.0), ("cbo", "alpha", 0), ("cbo", "lambda", None),
         ("cbo", "sigma", -1.0), ("cbo", "eps_heaviside", "x"), ("eks", "dt", -0.1),
         ("dsmc_compare", "bird_dt", 0), ("bossy_talay", "sigma", 0),
@@ -276,7 +277,7 @@ class TestValidate:
     @pytest.mark.parametrize("kind, params", [
         ("cmc", {"h": 1e-3}), ("cbo", {"dt": 0.5, "alpha": 1, "lambda": 2.0, "sigma": 0, "eps_heaviside": 0.0}),
         ("eks", {"dt": 1e-3}), ("dsmc_compare", {"bird_dt": 0.05}), ("bossy_talay", {"sigma": 0.1}),
-        ("coupling_rate", {"v0": 0}), ("cmc", {"h": MIN_BANDWIDTH}),
+        ("coupling_rate", {"v0": 0}), ("cmc", {"h": MIN_BANDWIDTH}), ("cmc", {"h": MAX_BANDWIDTH}),
     ])
     def test_real_params_at_their_bounds_pass(self, kind, params):
         payload = coupling_config() if kind == "coupling_rate" else small_config(kind)
@@ -383,7 +384,9 @@ class TestParamTable:
             for name, (check, bound, default) in table.items():
                 if check == "count" or check.startswith("real"):
                     op = ">=" if check == "count" else check[len("real"):]
-                    shown = "any" if bound == -math.inf else f"{op} {bound!r}"
+                    low, high = bound if isinstance(bound, tuple) else (bound, math.inf)
+                    shown = "any" if low == -math.inf else f"{op} {low!r}"
+                    shown += f" and <= {high!r}" if high < math.inf else ""
                 else:
                     shown = " or ".join(f"`{b}`" for b in bound) if check == "choice" else ""
                 value = "required" if default is None else f"`{json.dumps(default)}`"

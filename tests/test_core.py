@@ -48,6 +48,23 @@ class TestRngStream:
         r2.substream(2).normal(1000)  # consume another child first
         assert np.array_equal(s5_first, r2.substream(5).normal(10))
 
+    @pytest.mark.parametrize("used", ["fresh", "odd-integers", "normal"])
+    def test_rekey_draws_the_bits_of_a_fresh_stream(self, used):
+        # three 32-bit integer draws leave a buffered half word that a re-key must drop
+        stream = RngStream(7, 3)
+        if used == "odd-integers":
+            stream.integers(1000, size=3)
+            assert stream.gen.bit_generator.state["has_uint32"] == 1
+        elif used == "normal":
+            stream.normal(5)
+        assert stream.rekey(11) is stream and stream.stream_id == 11 and stream.seed == 7
+        fresh = RngStream(7, 11)
+        np.testing.assert_equal(stream.gen.bit_generator.state, fresh.gen.bit_generator.state)
+        for draw in (lambda s: s.integers(1999000, size=5), lambda s: s.uniform((4, 3)),
+                     lambda s: s.normal(9), lambda s: s.integers(10, size=3), lambda s: s.uniform(2)):
+            assert draw(stream).tobytes() == draw(fresh).tobytes()
+        np.testing.assert_equal(stream.gen.bit_generator.state, fresh.gen.bit_generator.state)
+
 
     @pytest.mark.parametrize("size", [None, 1, 7, (3, 4)])
     def test_uniform_is_the_generator_uniform(self, size):

@@ -9,7 +9,7 @@ import pytest
 from meanfield import jump
 from meanfield.core import Ensemble, RngStream
 from meanfield.errors import BoundViolation, StepError
-from meanfield.jump import MIN_BANDWIDTH, CmcConfig, JumpModel, cmc_run, simulate_jump, _log_mixture
+from meanfield.jump import MAX_BANDWIDTH, MIN_BANDWIDTH, CmcConfig, JumpModel, cmc_run, simulate_jump, _log_mixture
 
 # rows of 65, 32, 43 and 24 leave a partial last block; N * d above the
 # block leaves one row per block
@@ -164,6 +164,19 @@ class TestCmc:
         CmcConfig(target_log_density=lambda x: 0.0, h=MIN_BANDWIDTH, n=3, steps=5)
         points = np.array([[0.0], [1e-160]])
         assert np.all(np.isfinite(_log_mixture(points, points, MIN_BANDWIDTH)))
+
+    def test_bandwidth_above_the_greatest_raises(self):
+        # 2 h^2 overflows above MAX_BANDWIDTH, so the factor -1 / (2 h^2) is -0.0 and
+        # the mixture loses its kernel term: -355.517 against the density's -356.017 at 1e154
+        above = math.nextafter(MAX_BANDWIDTH, math.inf)
+        assert 2.0 * above * above == math.inf > 2.0 * MAX_BANDWIDTH * MAX_BANDWIDTH
+        for h in (above, 1e154):
+            with pytest.raises(ValueError, match="bandwidth"):
+                CmcConfig(target_log_density=lambda x: 0.0, h=h, n=3, steps=5)
+        CmcConfig(target_log_density=lambda x: 0.0, h=MAX_BANDWIDTH, n=3, steps=5)
+        x = 1e154
+        density = -0.5 * (x / MAX_BANDWIDTH) ** 2 - math.log(MAX_BANDWIDTH) - 0.5 * math.log(2.0 * math.pi)
+        assert _log_mixture(np.array([[0.0]]), np.array([[x]]), MAX_BANDWIDTH)[0] == pytest.approx(density, rel=1e-12)
 
     @pytest.mark.parametrize("h", [math.inf, math.nan])
     def test_bandwidth_must_be_finite(self, h):
