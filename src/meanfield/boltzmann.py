@@ -11,8 +11,12 @@ Bird draw proposals in blocks and apply each dependency level of a block
 (proposals that touch no particle twice) as one array step, each level
 reading the states the levels below it left, so states and log are those
 of one proposal after the other; Bird then undoes the proposals past its
-counter's cut. Each kind of draw has its own substream, so the results do
-not depend on the block size.
+counter's cut. On one cell without a free flow, once a cell step has kept
+only proposals accepted at the rate Lambda, the cuts of the next steps are
+known before they are drawn, and Bird applies their kept proposals as one
+block; if a proposal of it was not accepted at Lambda, it undoes the block
+and runs those steps one at a time. Each kind of draw has its own
+substream, so the results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -351,7 +355,12 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
 
     While every proposal kept so far was accepted at the rate Lambda (so
     always for Maxwell molecules), a cell step after the call's first draws
-    a first block of just the proposals it will keep, plus one.
+    a first block of just the proposals it will keep, plus one. On one cell
+    without a free flow, each such step's cut is then known before its
+    draws, so the call runs as many of these steps as fit in _BLOCK kept
+    proposals as one block (``_bird_full_steps``). If a proposal of that
+    block was not accepted at Lambda, the block is undone and its steps run
+    one at a time, as they do on a grid or with a free flow.
     """
     if e0.time != time_grid.t0:
         raise ValueError(f"the ensemble is at time {e0.time!r} but the time grid starts at {time_grid.t0!r}")
@@ -359,25 +368,39 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     n = states.shape[0]
     log = EventLog(cap=event_cap)
     inv_volume = 1.0 / grid.cell_volume()
-    times = time_grid.times()
+    times, durations = time_grid.times(), time_grid.step_durations()
     table = [0] * n
-    kinds, streams = (1, 2, 3), None  # the pair, theta and uniform streams, built once and then re-keyed
+    kinds, streams = (1, 2, 3), []  # the pair, theta and uniform streams, built once and then re-keyed
+
+    def keyed(k, cell_id):
+        key = _mix64(_mix64(rng.stream_id, k), cell_id)
+        streams[:] = (_streams(rng, key, kinds) if not streams
+                      else [stream.rekey(_mix64(key, kind)) for kind, stream in zip(kinds, streams)])
+        return streams
+
     # full: every proposal kept so far was accepted at the rate Lambda; tight: size the next cell
     # step's first block for that, which the call's first cell step does not
     full, tight = True, False
-
-    for k, h in enumerate(time_grid.step_durations()):
-        states = _apply_free_flow(model, states, h)
+    merge = grid.position is None and model.free_flow is None
+    k, single = 0, 0  # the steps before ``single`` run one at a time
+    while k < len(durations):
+        if merge and tight and k >= single:
+            plan = _full_plan(model, times, k, n * (n - 1) / 2.0 / n * inv_volume)
+            cols = _bird_full_steps(model, states, plan, table, keyed) if plan else None
+            if cols is not None:
+                log.record(*cols)
+                k += len(plan)
+                continue
+            single = k + max(len(plan), 1)
+        states = _apply_free_flow(model, states, durations[k])
         if model.Lambda * model.M == 0.0:
+            k += 1
             continue
         chunks = []
         for cell_id, members in _cells(grid, states):
-            key = _mix64(_mix64(rng.stream_id, k), cell_id)
-            streams = (_streams(rng, key, kinds) if streams is None
-                       else [stream.rekey(_mix64(key, kind)) for kind, stream in zip(kinds, streams)])
             cols, cell_full = _bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
                                          members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id,
-                                         table, tight, *streams)
+                                         table, tight, *keyed(k, cell_id))
             full = tight = full and cell_full
             chunks.append(cols)
         if len(chunks) == 1:  # one cell's counter never decreases: its log is already time-ordered
@@ -386,6 +409,7 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
             cols = [np.concatenate(col) for col in zip(*chunks)]
             order = np.argsort(cols[0], kind="stable")
             log.record(*(col[order] for col in cols))
+        k += 1
     return Ensemble(states, time_grid.t_end), log
 
 
@@ -436,13 +460,7 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
         _check(ratio[kept], vetoed[kept], stacklevel=4)
         full = full and bool(acc_back[:made].all()) and bool((lam_back[:made] == model.Lambda).all())
         if made < size:
-            undone = np.flatnonzero(acc & (order >= made))  # level by level
-            cuts = np.searchsorted(undone, ends).tolist()
-            for lo, hi in reversed(list(zip([0, *cuts], cuts))):
-                if lo < hi:  # a level with rows to undo
-                    rows = undone[lo:hi]
-                    who = pairs[order[rows]]
-                    states[who[:, 0]], states[who[:, 1]] = z1[rows], z2[rows]
+            _undo(states, pairs, order, ends, np.flatnonzero(acc & (order >= made)), z1, z2)
         stall = made - 1 - int(before[np.searchsorted(before, made) - 1])
         t_c = counter[made]
         out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc_back[:made], de[kept], dp[kept]))
@@ -451,6 +469,59 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
                           "abandoning the cell for this step (all pair rates may be zero)")
         if stalled or past.size:
             return out[0] if len(out) == 1 else [np.concatenate(col) for col in zip(*out)], full
+
+
+def _undo(states, pairs, order, ends, rows, z1, z2):
+    """Write back the pre-collision states (z1, z2) of the level-ordered ``rows`` of an
+    ``_apply_levels`` block (``pairs`` in proposal order), top level first, so that the lowest
+    level's write stays."""
+    cuts = np.searchsorted(rows, ends).tolist()
+    for lo, hi in reversed(list(zip([0, *cuts], cuts))):
+        if lo < hi:  # a level with rows to undo
+            who = pairs[order[rows[lo:hi]]]
+            states[who[:, 0]], states[who[:, 1]] = z1[rows[lo:hi]], z2[rows[lo:hi]]
+
+
+def _full_plan(model: CollisionModel, times, k: int, scale: float) -> list:
+    """The single cell's steps from k on whose cut is known if every proposal is accepted at the
+    rate Lambda: the counter then moves by the same 1 / (scale Lambda) at each. Returns (step, first
+    block size, counter before each kept proposal) of each, as many as keep at most _BLOCK proposals
+    together, up to the first step whose first block would not finish it."""
+    plan, room, inc = [], _BLOCK, 1.0 / (scale * float(model.Lambda))
+    for step in range(k, len(times) - 1):
+        t_c, t_stop = float(times[step]), float(times[step + 1])
+        size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M, tight=True)
+        counter = np.cumsum(np.concatenate([[t_c], np.full(size, inc)]))  # as _bird_cell sums it
+        past = np.flatnonzero(counter[1:] > t_stop)
+        if not past.size or past[0] >= room:
+            break
+        plan.append((step, size, counter[:past[0] + 1]))
+        room -= past[0] + 1
+    return plan
+
+
+def _bird_full_steps(model: CollisionModel, states, plan, table, keyed):
+    """Run the ``_full_plan`` steps of the single cell as one block: each step's first block is drawn
+    from its streams (``keyed(step, 0)``) and cut where the plan says, and the kept proposals of all of
+    them are applied to ``states`` in place, level by level. Returns their log columns. If one was not
+    accepted at lam == Lambda, its step's cut is not the planned one: the block is undone and None
+    returned, before any check, so the steps can run one at a time from the same states."""
+    n, draws = len(states), []
+    for step, size, counter in plan:
+        made = len(counter)
+        pair_stream, theta_stream, accept_stream = keyed(step, 0)
+        draws.append((_draw_pairs(pair_stream, n, size)[:made], model.theta_sampler(theta_stream, size)[:made],
+                      accept_stream.uniform(size)[:made]))
+    pairs, theta, u = (np.concatenate(col) for col in zip(*draws))
+    _, order, ends, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(
+        model, states, pairs, _levels(pairs, n, table), theta, u)
+    if not (acc.all() and (lam == model.Lambda).all()):
+        _undo(states, pairs, order, ends, np.flatnonzero(acc), z1, z2)
+        return None
+    back = np.argsort(order)
+    _check(ratio[back], vetoed, stacklevel=4)
+    time = np.concatenate([counter for _, _, counter in plan])
+    return time, pairs[:, 0], pairs[:, 1], acc[back], de[back], dp[back]
 
 
 def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, rng: RngStream) -> Ensemble:
@@ -597,8 +668,10 @@ def maxwell_cutoff_model(sigma_density, d: int = 3) -> CollisionModel:
         rel = z1 - z2
         speed = np.sqrt(_rowdot(rel, rel))
         z1p, z2p = _elastic_pair(z1, z2, scattering_direction(rel, theta[:, 0], theta[:, 1:], speed), speed)
-        same = _same_rows(z1, z2)
-        if same.any():
+        zero = ~(speed > 0)  # z1 == z2 gives speed 0 (NaN for an equal infinity): a superset of the same rows
+        if zero.any():
+            rows = np.flatnonzero(zero)
+            same = rows[_same_rows(z1[rows], z2[rows])]
             z1p[same], z2p[same] = z1[same], z2[same]
         return z1p, z2p
 

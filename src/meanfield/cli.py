@@ -71,9 +71,10 @@ _PARAMS = {
 }
 
 
-# every top-level config key, and the kinds whose runner reads the time grid
+# every top-level config key, the kinds whose runner reads the time grid, and those that read replicas
 _CONFIG_KEYS = ("kind", "seed", "n_list", "time", "replicas", "params", "thresholds", "out_dir")
 _TIMED_KINDS = ("coupling_rate", "dsmc_compare", "bossy_talay", "kuramoto_sweep")
+_REPLICA_KINDS = ("coupling_rate", "bossy_talay")
 _TIME_KEYS = ("t0", "t_end", "dt")
 
 
@@ -122,7 +123,10 @@ def validate(config: dict) -> list[str]:
         v.append(f"time: the {kind} runner reads no time grid; remove it")
     if grid is not None and kind in ("dsmc_compare", "bossy_talay") and grid.t0 != 0:
         v.append(f"time.t0: the {kind} runner starts at 0 and would ignore t0, got {grid.t0!r}")
-    if not _is_count(config.get("replicas", 1), 1):
+    if "replicas" in config and kind in KINDS and kind not in _REPLICA_KINDS:
+        pairs = " (it runs params.pairs independent pairs)" if kind == "dsmc_compare" else ""
+        v.append(f"replicas: the {kind} runner reads no replica count{pairs}; remove it")
+    elif not _is_count(config.get("replicas", 1), 1):
         v.append(f"replicas: must be an integer >= 1, got {config['replicas']!r}")
     params = config.get("params", {})
     if not isinstance(params, dict):

@@ -335,7 +335,7 @@ CRITERION_11_CONFIGS = {
         "params": {"lambda": 1.0, "kappa": 1.0, "m0": 1.0, "v0": 1.0},
     },
     "dsmc_compare": {
-        "kind": "dsmc_compare", "seed": 12, "n_list": [100], "replicas": 1,
+        "kind": "dsmc_compare", "seed": 12, "n_list": [100],
         "time": {"t0": 0.0, "t_end": 0.3, "dt": 0.1}, "params": {"pairs": 2, "d": 2},
     },
     "cbo": {

@@ -704,6 +704,24 @@ class TestGeometryMatchesDenseFormulas:
                 want = dense_scattering_direction(rel, theta[row, 0], theta[row, 1:], np.sqrt(row_dot(rel, rel)))
                 assert same_bits(sigma[row], want)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_maxwell_psi_pair_on_rows_of_zero_or_nan_speed(self, d):
+        # a difference whose square underflows (speed 0, z1 != z2), equal rows of opposite zero
+        # signs, and an equal row holding an infinity (speed NaN): the last two are returned as given
+        model = maxwell_cutoff_model(uniform_deflection(), d=d)
+        infinite = np.full(d, 2.0)
+        infinite[0] = np.inf
+        z1 = np.array([np.full(d, 1e-170), np.zeros(d), infinite])
+        z2 = np.array([np.zeros(d), -np.zeros(d), infinite.copy()])
+        for theta in fixed_thetas(d):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got1, got2 = model.psi_pair(z1, z2, np.tile(theta, (3, 1)))
+            for row in range(3):
+                want1, want2 = dense_maxwell_psi_pair(z1[row], z2[row], theta)
+                assert same_bits(got1[row], want1) and same_bits(got2[row], want2)
+            assert same_bits(got1[1:], z1[1:]) and same_bits(got2[1:], z2[1:])
+            assert same_bits(got1[0], np.full(d, 5e-171)) and same_bits(got2[0], got1[0])
+
     @pytest.mark.parametrize("density", [
         uniform_deflection(),
         lambda th: np.where((th > 1.0) & (th < 2.0), 0.0, 1.0),
@@ -884,33 +902,37 @@ class TestBatchedEngine:
         _, i, j = log.columns()[:3]
         assert sorted(np.flatnonzero(outs[0][:, 0]).tolist()) == [i[0], j[0]] and outs[0].max() == 1.0
 
-    def test_bird_evaluates_one_row_past_the_kept_after_a_call_s_first_cell_step(self, monkeypatch):
+    def test_bird_evaluates_only_the_kept_rows_past_a_call_s_first_cell_step(self, monkeypatch):
         # the dsmc workload's Maxwell molecules accept every proposal at the rate Lambda, so past
-        # each call's first cell step a cell step's first block holds the rows it keeps, plus one
+        # the call's first cell step the rate sees just the rows the call keeps, in two block calls
         maxwell = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=2)
-        rows, steps = [], []  # kernel rows of the cell step under way; (evaluated, kept) per cell step
+        rows, first = [], []  # kernel rows of the call; (evaluated, kept) of its first cell step
         model = CollisionModel(lam=lambda a, b: rows.append(len(a)) or maxwell.lam(a, b), Lambda=maxwell.Lambda,
                                psi_pair=maxwell.psi_pair, theta_sampler=maxwell.theta_sampler)
-        cell = boltzmann._bird_cell
+        cell, apply_levels = boltzmann._bird_cell, boltzmann._apply_levels
+        blocks = []
 
         def counted(*args):
-            rows.clear()
             cols, full = cell(*args)
-            steps.append((sum(rows), len(cols[0])))
+            first.append((sum(rows), len(cols[0])))
             return cols, full
 
         monkeypatch.setattr(boltzmann, "_bird_cell", counted)
+        monkeypatch.setattr(boltzmann, "_apply_levels",
+                            lambda *args: blocks.append(len(args[2])) or apply_levels(*args))
         init = RngStream(99).normal((2000, 2))
         runs = []
         for key in (2, 3):
-            steps.clear()
+            for seen in (rows, first, blocks):
+                seen.clear()
             final, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), TimeGrid(0.0, 2.0, 0.1),
                                        RngStream(99, key))
             runs.append((final.states, log.columns()))
-            assert len(steps) == 20 and log.accepted == log.proposed == sum(kept for _, kept in steps)
-            (first, first_kept), rest = steps[0], steps[1:]
-            assert first == int(1.1 * maxwell.Lambda * 1999 / 2 * 0.1) + 16 > first_kept + 1
-            assert all(kept <= evaluated <= kept + 1 for evaluated, kept in rest)
+            assert len(first) == 1 and log.accepted == log.proposed
+            (evaluated, kept), = first
+            assert evaluated == int(1.1 * maxwell.Lambda * 1999 / 2 * 0.1) + 16 > kept + 1
+            assert sum(rows) - evaluated == log.proposed - kept == 19 * 100
+            assert blocks == [evaluated, log.proposed - kept]
         # the rows past the cut change nothing: the blocks of 1.1 E + 16 give the same bits
         monkeypatch.setattr(boltzmann, "_block_size", lambda expected, tight=False: int(1.1 * expected) + 16)
         for key, (states, cols) in zip((2, 3), runs):
@@ -948,3 +970,135 @@ class TestBatchedEngine:
             e = events[k]
             assert (e.time, e.i, e.j, e.accepted, e.de) == (time[k], i[k], j[k], accepted[k], de[k])
             assert same_bits(e.dp, dp[k]) and type(e.time) is float and type(e.i) is int
+
+
+# ---------------------------------------------------------------------------
+# Bird's merged cell steps against one _bird_cell call per cell step
+
+
+def reference_bird(model, grid, e0, time_grid, rng):
+    """Bird as one ``_bird_cell`` call per cell and time step, each from freshly built streams:
+    the loop that bird_simulate runs on a grid or with a free flow, and that its merged steps
+    must reproduce bit for bit."""
+    states, n = e0.states.copy(), e0.n
+    log, table, inv_volume = boltzmann.EventLog(), [0] * n, 1.0 / grid.cell_volume()
+    times, full, tight = time_grid.times(), True, False
+    for k, h in enumerate(time_grid.step_durations()):
+        states = boltzmann._apply_free_flow(model, states, h)
+        chunks = []
+        for cell_id, members in boltzmann._cells(grid, states):
+            key = boltzmann._mix64(boltzmann._mix64(rng.stream_id, k), cell_id)
+            cols, cell_full = boltzmann._bird_cell(
+                model, states, members, float(times[k]), float(times[k + 1]),
+                members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table, tight,
+                *boltzmann._streams(rng, key, (1, 2, 3)))
+            full = tight = full and cell_full
+            chunks.append(cols)
+        if chunks:  # a stable sort keeps one cell's time-ordered log as it is
+            cols = [np.concatenate(col) for col in zip(*chunks)]
+            order = np.argsort(cols[0], kind="stable")
+            log.record(*(col[order] for col in cols))
+    return Ensemble(states, time_grid.t_end), log
+
+
+def same_runs(a, b):
+    (final_a, log_a), (final_b, log_b) = a, b
+    return (same_bits(final_a.states, final_b.states)
+            and (log_a.proposed, log_a.accepted) == (log_b.proposed, log_b.accepted)
+            and all(same_bits(x, y) for x, y in zip(log_a.columns(), log_b.columns())))
+
+
+@pytest.fixture
+def bird_calls(monkeypatch):
+    """Counts the cell steps run one at a time, and records what each merged block returned
+    ("raised" if it raised)."""
+    calls = {"cell": 0, "merged": []}
+    cell, merged = boltzmann._bird_cell, boltzmann._bird_full_steps
+
+    def counted_cell(*args):
+        out = cell(*args)
+        calls["cell"] += 1
+        return out
+
+    def counted_merged(*args):
+        calls["merged"].append("raised")
+        calls["merged"][-1] = out = merged(*args)
+        return out
+
+    monkeypatch.setattr(boltzmann, "_bird_cell", counted_cell)
+    monkeypatch.setattr(boltzmann, "_bird_full_steps", counted_merged)
+    return calls
+
+
+def first_collisions_only(rate_after):
+    """States start at 0 and a collision adds 1 to both, so collided particles read above 0.5: the
+    rate is Lambda = 1 until a pair holds a collided particle, then ``rate_after``."""
+    return CollisionModel(lam=lambda a, b: np.where((a > 0.5) | (b > 0.5), rate_after, 1.0)[:, 0], Lambda=1.0,
+                          psi_pair=lambda a, b, t: (a + 1.0, b + 1.0), theta_sampler=no_theta)
+
+
+class TestMergedBirdSteps:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("t_end", [1.0, 1.03, 0.97], ids=["whole", "long-last-step", "short-last-step"])
+    @pytest.mark.parametrize("block", [None, 40], ids=["one-block", "blocks-of-two-steps"])
+    def test_merged_steps_give_the_reference_bits(self, monkeypatch, bird_calls, d, t_end, block):
+        # N = 300 keeps 15 proposals per step of 0.1 (20 in a last step of 0.13, 11 in one of 0.07),
+        # so a block of 40 proposals holds two steps
+        if block is not None:
+            monkeypatch.setattr(boltzmann, "_BLOCK", block)
+        model = maxwell_cutoff_model(uniform_deflection(), d=d)
+        grid, time_grid = CellGrid.single_cell(), TimeGrid(0.0, t_end, 0.1)
+        for seed in (0, 1, 2):
+            e0 = Ensemble(RngStream(80, seed).normal((300, d)))
+            bird_calls["cell"], bird_calls["merged"] = 0, []
+            got = bird_simulate(model, grid, e0, time_grid, RngStream(81, seed))
+            assert bird_calls["cell"] == 1 and None not in bird_calls["merged"]
+            assert len(bird_calls["merged"]) == (1 if block is None else 5)
+            assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(81, seed)))
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-two-steps"])
+    def test_a_block_whose_rate_drops_runs_its_steps_one_at_a_time(self, monkeypatch, bird_calls, block):
+        # a step of 0.015 keeps 3 proposals of 400 particles, so the first step is full but a later
+        # proposal soon meets a collided particle, whose rate 0.5 the block cannot have planned for
+        if block is not None:
+            monkeypatch.setattr(boltzmann, "_BLOCK", block)
+        model, grid, time_grid = first_collisions_only(0.5), CellGrid.single_cell(), TimeGrid(0.0, 0.3, 0.015)
+        e0 = Ensemble(np.zeros((400, 1)))
+        got = bird_simulate(model, grid, e0, time_grid, RngStream(82))
+        merged = bird_calls["merged"]
+        assert None in merged and bird_calls["cell"] > 1
+        if block is not None:  # the blocks before the one that failed stand
+            assert merged.index(None) > 0
+        final, log = got
+        assert 0 < log.accepted < log.proposed and final.states.max() > 1.0
+        assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(82)))
+
+    def test_q_above_m_q0_in_a_merged_block_raises_the_reference_s_message(self, bird_calls):
+        # q grows with what a particle has gained from its collisions, so the first proposal to meet
+        # a collided particle has a ratio above 1 that names its own theta
+        model = CollisionModel(lam=constant_rate(1.0), Lambda=1.0, psi_pair=lambda a, b, t: (a + t, b + t),
+                               theta_sampler=lambda rng, k: rng.uniform((k, 1)),
+                               q=lambda a, b, t: 1.0 + a[:, 0] + b[:, 0], q0=lambda t: np.ones(len(t)))
+        grid, time_grid, e0 = CellGrid.single_cell(), TimeGrid(0.0, 0.6, 0.015), Ensemble(np.zeros((400, 1)))
+        with pytest.raises(BoundViolation) as want:
+            reference_bird(model, grid, e0, time_grid, RngStream(83))
+        bird_calls["cell"] = 0
+        with pytest.raises(BoundViolation) as got:
+            bird_simulate(model, grid, e0, time_grid, RngStream(83))
+        assert bird_calls["cell"] == 1 and bird_calls["merged"] == ["raised"]
+        assert str(got.value) == str(want.value) and "acceptance ratio 1.0 > 1" not in str(got.value)
+
+    @pytest.mark.parametrize("case", ["hard-sphere", "cell-grid", "free-flow"])
+    def test_other_runs_take_each_cell_step_alone(self, bird_calls, case):
+        time_grid = TimeGrid(0.0, 1.0, 0.1)
+        if case == "hard-sphere":
+            model, grid, d = hard_sphere_model(1.5, d=2), CellGrid.single_cell(), 2
+        elif case == "cell-grid":
+            model, d = maxwell_cutoff_model(uniform_deflection(), d=2), 2
+            grid = CellGrid(lo=np.array([-1.0]), hi=np.array([1.0]), delta=0.5, position=lambda s: s[:, :1])
+        else:
+            model, grid, d = kinetic_maxwell_model(), CellGrid.single_cell(), 4
+        e0 = Ensemble(RngStream(84).normal((300, d)))
+        got = bird_simulate(model, grid, e0, time_grid, RngStream(85))
+        assert bird_calls["merged"] == [] and bird_calls["cell"] >= time_grid.steps
+        assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(85)))

@@ -368,6 +368,19 @@ class TestParamTable:
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["dsmc_compare", "cbo", "eks", "cmc", "kuramoto_sweep"])
+    def test_replicas_on_a_kind_that_reads_none_exit_2(self, tmp_path, capsys, kind):
+        # these runners used to ignore the count; dsmc_compare's is params.pairs
+        payload = {**SMALL_CONFIGS, "kuramoto_sweep": self.KURAMOTO}[kind] | {"replicas": 4}
+        cfg = write_config(tmp_path / "c.json", payload)
+        violations = validate(payload)
+        assert len(violations) == 1 and violations[0].startswith(f"replicas: the {kind} runner"), violations
+        assert ("params.pairs" in violations[0]) == (kind == "dsmc_compare")
+        assert main(["validate", str(cfg)]) == 2
+        assert "replicas:" in capsys.readouterr().out
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_pass_their_own_checks(self):
         for kind, table in cli._PARAMS.items():
             for name, (check, bound, default) in table.items():
@@ -538,7 +551,7 @@ class TestStdNormalTarget:
 class TestExperimentKinds:
     def test_dsmc_compare(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
-            "kind": "dsmc_compare", "seed": 5, "n_list": [200], "replicas": 1,
+            "kind": "dsmc_compare", "seed": 5, "n_list": [200],
             "time": {"t0": 0.0, "t_end": 0.5, "dt": 0.1},
             "params": {"pairs": 2, "d": 2},
         })
