@@ -11,12 +11,13 @@ Bird draw proposals in blocks and apply each dependency level of a block
 (proposals that touch no particle twice) as one array step, each level
 reading the states the levels below it left, so states and log are those
 of one proposal after the other; Bird then undoes the proposals past its
-counter's cut. On one cell without a free flow, once a cell step has kept
-only proposals accepted at the rate Lambda, the cuts of the next steps are
-known before they are drawn, and Bird applies their kept proposals as one
-block; if a proposal of it was not accepted at Lambda, it undoes the block
-and runs those steps one at a time. Each kind of draw has its own
-substream, so the results do not depend on the block size.
+counter's cut. On one cell without a free flow, Bird plans each cell step
+as if every proposal were accepted at the rate Lambda, which makes its cut
+known before it is drawn, and applies the planned proposals of several
+steps as one block; the first block with a proposal not accepted at Lambda
+is undone, and the rest of the call runs one cell step at a time. Each
+kind of draw has its own substream, so the results do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ class CollisionModel:
     M: float = 1.0
     free_flow: callable | None = None
     event_filter: callable | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.Lambda) and self.Lambda >= 0):
+            raise ValueError(f"Lambda must be finite and >= 0, got {self.Lambda!r}")
+        if not (math.isfinite(self.M) and self.M > 0):
+            raise ValueError(f"M must be finite and > 0, got {self.M!r}")
 
     def accept_ratio(self, z1, z2, theta) -> np.ndarray:
         return self._ratio(self.lam(z1, z2), z1, z2, theta)
@@ -158,10 +165,15 @@ class CellGrid:
 
     def __post_init__(self):
         if self.position is not None:
-            self.lo = np.asarray(self.lo, dtype=float)
-            self.hi = np.asarray(self.hi, dtype=float)
-            if self.delta <= 0:
-                raise ValueError("cell side delta must be positive")
+            for name in ("lo", "hi"):
+                bound = np.asarray(getattr(self, name), dtype=float)
+                if bound.ndim != 1 or bound.size == 0 or not np.isfinite(bound).all():
+                    raise ValueError(f"{name} must be a finite 1-D array, got {getattr(self, name)!r}")
+                setattr(self, name, bound)
+            if self.lo.shape != self.hi.shape:
+                raise ValueError(f"lo and hi must have one shape, got {self.lo.shape} and {self.hi.shape}")
+            if not (math.isfinite(self.delta) and self.delta > 0):
+                raise ValueError(f"cell side delta must be finite and positive, got {self.delta!r}")
             self._shape = np.maximum(1, np.ceil((self.hi - self.lo) / self.delta - 1e-12).astype(int))
 
     def cell_volume(self) -> float:
@@ -196,11 +208,9 @@ def _streams(rng: RngStream, key: int, kinds=range(4)) -> list[RngStream]:
     return [type(rng)(rng.seed, _mix64(key, k)) for k in kinds]
 
 
-def _block_size(expected: float, tight: bool = False) -> int:
-    """Proposals to draw when about ``expected`` more are to come; ``tight`` when each of them
-    moves the counter by exactly 1 / expected of the way, so that int(expected) + 1 finish it
-    (one more covers the rounding of the counter's sum)."""
-    return min(_BLOCK, int(expected) + 2 if tight else int(1.1 * expected) + 16)
+def _block_size(expected: float) -> int:
+    """Proposals to draw when about ``expected`` more are to come."""
+    return min(_BLOCK, int(1.1 * expected) + 16)
 
 
 def _draw_pairs(rng: RngStream, n: int, k: int) -> np.ndarray:
@@ -280,10 +290,10 @@ def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, 
 def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=None):
     """Apply a block of proposals to ``states`` in place, one ``_levels`` level after the other, each
     reading what the levels below it left; with ``taus``, level k is proposal k after the free flow
-    over taus[k], which replaces ``states``. Returns the states, the proposal order of the rows level
-    by level, the level ends, and in that order (accepted, lam, ratio, vetoed, dE, dP) and (z1, z2)."""
+    over taus[k], which replaces ``states``. Returns the states, and in proposal order the columns
+    (accepted, lam, ratio, vetoed, dE, dP) and the pre-collision states (z1, z2)."""
     order = np.argsort(level, kind="stable")  # each level becomes a slice, rows in proposal order
-    pairs, theta, u = pairs[order], theta[order], u[order]
+    pairs, theta, u = (np.take(col, order, axis=0) for col in (pairs, theta, u))  # faster than [order] on rows
     m, d = len(order), states.shape[1]
     accepted, vetoed = np.zeros((2, m), dtype=bool)
     lam, ratio, de, dp, z1, z2 = *np.zeros((3, m)), *np.zeros((3, m, d))
@@ -293,7 +303,11 @@ def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=No
         z1[lv], z2[lv] = states[pairs[lv, 0]], states[pairs[lv, 1]]
         accepted[lv], lam[lv], ratio[lv], vetoed[lv] = _accept(model, z1[lv], z2[lv], theta[lv], u[lv])
         _collide(model, states, pairs[lv], z1[lv], z2[lv], theta[lv], accepted[lv], de[lv], dp[lv])
-    return states, order, ends, (accepted, lam, ratio, vetoed, de, dp), (z1, z2)
+    back = np.empty_like(order)
+    back[order] = np.arange(m)
+    accepted, lam, ratio, vetoed, de, dp, z1, z2 = (np.take(col, back, axis=0)
+                                                    for col in (accepted, lam, ratio, vetoed, de, dp, z1, z2))
+    return states, (accepted, lam, ratio, vetoed, de, dp), (z1, z2)
 
 
 def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream,
@@ -327,11 +341,9 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
         theta = model.theta_sampler(theta_stream, m)
         u = accept_stream.uniform(m)
         level = _levels(pairs, n, table) if model.free_flow is None else np.arange(m)
-        states, order, _, (accepted, _, ratio, vetoed, de, dp), _ = _apply_levels(
-            model, states, pairs, level, theta, u, taus)
-        back = np.argsort(order)
-        _check(ratio[back], vetoed, stacklevel=3)
-        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted[back], de[back], dp[back])
+        states, (accepted, _, ratio, vetoed, de, dp), _ = _apply_levels(model, states, pairs, level, theta, u, taus)
+        _check(ratio, vetoed, stacklevel=3)
+        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted, de, dp)
         if m:
             t = times[m - 1]
         if m < size:
@@ -350,17 +362,17 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     by dt_ij = (N_G (N_G - 1)/2 * lam(z_i, z_j)/N * delta^-d)^-1. A
     collision whose increment overshoots the step boundary is still
     applied. Cells draw from per-cell substreams, so the outcome does not
-    depend on cell processing order; the call re-keys one set of three
-    streams to each cell step's substreams rather than build them.
+    depend on cell processing order; the call builds one set of three
+    streams and re-keys it to each cell step's substreams.
 
-    While every proposal kept so far was accepted at the rate Lambda (so
-    always for Maxwell molecules), a cell step after the call's first draws
-    a first block of just the proposals it will keep, plus one. On one cell
-    without a free flow, each such step's cut is then known before its
-    draws, so the call runs as many of these steps as fit in _BLOCK kept
-    proposals as one block (``_bird_full_steps``). If a proposal of that
-    block was not accepted at Lambda, the block is undone and its steps run
-    one at a time, as they do on a grid or with a free flow.
+    On one cell without a free flow, a cell step's cut is known before its
+    draws if every proposal is accepted at the rate Lambda (always so for
+    Maxwell molecules). The call then runs its steps as blocks of just the
+    proposals it will keep (``_bird_full_steps``): its first step alone,
+    so that a model not accepted at Lambda wastes one step's draws, then as
+    many steps as fit in _BLOCK kept proposals. The first block with a
+    proposal not accepted at Lambda is undone, and from it on the call runs
+    one cell step at a time, as it does on a grid or with a free flow.
     """
     if e0.time != time_grid.t0:
         raise ValueError(f"the ensemble is at time {e0.time!r} but the time grid starts at {time_grid.t0!r}")
@@ -370,39 +382,29 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     inv_volume = 1.0 / grid.cell_volume()
     times, durations = time_grid.times(), time_grid.step_durations()
     table = [0] * n
-    kinds, streams = (1, 2, 3), []  # the pair, theta and uniform streams, built once and then re-keyed
+    kinds = (1, 2, 3)  # the pair, theta and uniform streams, built once and re-keyed to each cell step
+    streams = _streams(rng, rng.stream_id, kinds)
 
     def keyed(k, cell_id):
         key = _mix64(_mix64(rng.stream_id, k), cell_id)
-        streams[:] = (_streams(rng, key, kinds) if not streams
-                      else [stream.rekey(_mix64(key, kind)) for kind, stream in zip(kinds, streams)])
-        return streams
+        return [stream.rekey(_mix64(key, kind)) for kind, stream in zip(kinds, streams)]
 
-    # full: every proposal kept so far was accepted at the rate Lambda; tight: size the next cell
-    # step's first block for that, which the call's first cell step does not
-    full, tight = True, False
-    merge = grid.position is None and model.free_flow is None
-    k, single = 0, 0  # the steps before ``single`` run one at a time
+    merge = grid.position is None and model.free_flow is None and n >= 2 and model.Lambda * model.M > 0
+    k = 0
     while k < len(durations):
-        if merge and tight and k >= single:
-            plan = _full_plan(model, times, k, n * (n - 1) / 2.0 / n * inv_volume)
+        if merge:
+            plan = _full_plan(model, times, range(k, len(durations) if k else 1), n * (n - 1) / 2.0 / n * inv_volume)
             cols = _bird_full_steps(model, states, plan, table, keyed) if plan else None
             if cols is not None:
                 log.record(*cols)
                 k += len(plan)
                 continue
-            single = k + max(len(plan), 1)
+            merge = not plan  # a failed block ends merging; a step too long for one block runs alone
         states = _apply_free_flow(model, states, durations[k])
-        if model.Lambda * model.M == 0.0:
-            k += 1
-            continue
-        chunks = []
-        for cell_id, members in _cells(grid, states):
-            cols, cell_full = _bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
-                                         members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id,
-                                         table, tight, *keyed(k, cell_id))
-            full = tight = full and cell_full
-            chunks.append(cols)
+        chunks = [_bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
+                             members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table,
+                             *keyed(k, cell_id))
+                  for cell_id, members in (_cells(grid, states) if model.Lambda * model.M > 0 else ())]
         if len(chunks) == 1:  # one cell's counter never decreases: its log is already time-ordered
             log.record(*chunks[0])
         elif chunks:  # counters run in parallel across cells; merge so the log stays time-ordered
@@ -426,29 +428,25 @@ def _cells(grid: CellGrid, states) -> list:
 
 
 def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, scale: float, cell_id, table,
-               tight: bool, pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream):
+               pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream):
     """Run one cell's collision counter from t_c until it passes t_stop, updating ``states`` in place;
-    an accepted proposal adds 1/(scale lam) to the counter. Returns the log columns of the proposals made,
-    and whether each was accepted at lam == Lambda. ``tight`` sizes the first block for that case.
+    an accepted proposal adds 1/(scale lam) to the counter. Returns the log columns of the proposals made.
 
     Each block is applied whole, level by level (``table``: the call's level table), then cut after
     the proposal that takes the counter past t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive
     rejection, which abandons the cell. Only the rows kept are checked and logged; the accepted rows
-    past the cut are undone, top level first so that the lowest level's write stays. That is exact:
-    a row sharing a particle with an earlier row has a higher level, so no undone row fed a kept one.
+    past the cut are undone (``_undo``).
     """
-    out, stall, cap, full = [], 0, _REJECTION_STALL_FACTOR, True
+    out, stall, cap = [], 0, _REJECTION_STALL_FACTOR
     while True:
-        size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M, tight and not out)
+        size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M)
         pairs = members[_draw_pairs(pair_stream, members.size, size)]
         theta, u = model.theta_sampler(theta_stream, size), accept_stream.uniform(size)
-        _, order, ends, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(
-            model, states, pairs, _levels(pairs, len(states), table), theta, u)
-        back = np.argsort(order)
-        acc_back, lam_back = acc[back], lam[back]  # in proposal order
-        hits = np.flatnonzero(acc_back)
+        level = _levels(pairs, len(states), table)
+        _, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(model, states, pairs, level, theta, u)
+        hits = np.flatnonzero(acc)
         inc = np.zeros(size)
-        inc[hits] = 1.0 / (scale * lam_back[hits])
+        inc[hits] = 1.0 / (scale * lam[hits])
         counter = np.cumsum(np.concatenate([[t_c], inc]))
         past = np.flatnonzero(counter[1:] > t_stop)
         made = int(past[0]) + 1 if past.size else size
@@ -456,72 +454,66 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
         stop = before[np.diff(np.append(before, size)) > cap] + cap + 1 if stall + size >= cap else before[:0]
         stalled = stop.size > 0 and stop[0] < made
         made = int(stop[0]) if stalled else made
-        kept = back[:made]
-        _check(ratio[kept], vetoed[kept], stacklevel=4)
-        full = full and bool(acc_back[:made].all()) and bool((lam_back[:made] == model.Lambda).all())
+        _check(ratio[:made], vetoed[:made], stacklevel=4)
         if made < size:
-            _undo(states, pairs, order, ends, np.flatnonzero(acc & (order >= made)), z1, z2)
+            _undo(states, pairs, level, hits[hits >= made], z1, z2)
         stall = made - 1 - int(before[np.searchsorted(before, made) - 1])
         t_c = counter[made]
-        out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc_back[:made], de[kept], dp[kept]))
+        out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc[:made], de[:made], dp[:made]))
         if stalled:
             warnings.warn(f"cell {cell_id}: {stall} consecutive fictitious collisions, "
                           "abandoning the cell for this step (all pair rates may be zero)")
         if stalled or past.size:
-            return out[0] if len(out) == 1 else [np.concatenate(col) for col in zip(*out)], full
+            return out[0] if len(out) == 1 else [np.concatenate(col) for col in zip(*out)]
 
 
-def _undo(states, pairs, order, ends, rows, z1, z2):
-    """Write back the pre-collision states (z1, z2) of the level-ordered ``rows`` of an
-    ``_apply_levels`` block (``pairs`` in proposal order), top level first, so that the lowest
-    level's write stays."""
-    cuts = np.searchsorted(rows, ends).tolist()
-    for lo, hi in reversed(list(zip([0, *cuts], cuts))):
-        if lo < hi:  # a level with rows to undo
-            who = pairs[order[rows[lo:hi]]]
-            states[who[:, 0]], states[who[:, 1]] = z1[rows[lo:hi]], z2[rows[lo:hi]]
+def _undo(states, pairs, level, rows, z1, z2):
+    """Write back the pre-collision states (z1, z2) of ``rows`` of an ``_apply_levels`` block, all in
+    proposal order, top level first, so that the lowest level's write stays. That is exact when no
+    row undone fed a row kept: a row sharing a particle with an earlier row has a higher level."""
+    top = level[rows]
+    for lv in sorted(set(top.tolist()), reverse=True):
+        undo = rows[top == lv]
+        states[pairs[undo, 0]], states[pairs[undo, 1]] = z1[undo], z2[undo]
 
 
-def _full_plan(model: CollisionModel, times, k: int, scale: float) -> list:
-    """The single cell's steps from k on whose cut is known if every proposal is accepted at the
-    rate Lambda: the counter then moves by the same 1 / (scale Lambda) at each. Returns (step, first
-    block size, counter before each kept proposal) of each, as many as keep at most _BLOCK proposals
-    together, up to the first step whose first block would not finish it."""
+def _full_plan(model: CollisionModel, times, steps, scale: float) -> list:
+    """The single cell's ``steps`` as they run if every proposal is accepted at the rate Lambda: the
+    counter then moves by the same 1 / (scale Lambda) at each. Returns (step, counter before each kept
+    proposal) of as many steps as keep at most _BLOCK proposals together."""
     plan, room, inc = [], _BLOCK, 1.0 / (scale * float(model.Lambda))
-    for step in range(k, len(times) - 1):
+    for step in steps:
         t_c, t_stop = float(times[step]), float(times[step + 1])
-        size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M, tight=True)
+        size = min(room, int((t_stop - t_c) * scale * model.Lambda) + 2)  # int + 1 finish it, one more rounds
         counter = np.cumsum(np.concatenate([[t_c], np.full(size, inc)]))  # as _bird_cell sums it
         past = np.flatnonzero(counter[1:] > t_stop)
-        if not past.size or past[0] >= room:
+        if not past.size:
             break
-        plan.append((step, size, counter[:past[0] + 1]))
+        plan.append((step, counter[:past[0] + 1]))
         room -= past[0] + 1
     return plan
 
 
 def _bird_full_steps(model: CollisionModel, states, plan, table, keyed):
-    """Run the ``_full_plan`` steps of the single cell as one block: each step's first block is drawn
-    from its streams (``keyed(step, 0)``) and cut where the plan says, and the kept proposals of all of
-    them are applied to ``states`` in place, level by level. Returns their log columns. If one was not
-    accepted at lam == Lambda, its step's cut is not the planned one: the block is undone and None
-    returned, before any check, so the steps can run one at a time from the same states."""
+    """Run the ``_full_plan`` steps of the single cell as one block: each step's kept proposals are
+    drawn from its streams (``keyed(step, 0)``), and those of all of them are applied to ``states`` in
+    place, level by level. Returns their log columns. If one was not accepted at lam == Lambda, its
+    step's cut is not the planned one: the block is undone and None returned, before any check, so
+    the steps can run one at a time from the same states."""
     n, draws = len(states), []
-    for step, size, counter in plan:
+    for step, counter in plan:
         made = len(counter)
         pair_stream, theta_stream, accept_stream = keyed(step, 0)
-        draws.append((_draw_pairs(pair_stream, n, size)[:made], model.theta_sampler(theta_stream, size)[:made],
-                      accept_stream.uniform(size)[:made]))
+        draws.append((_draw_pairs(pair_stream, n, made), model.theta_sampler(theta_stream, made),
+                      accept_stream.uniform(made)))
     pairs, theta, u = (np.concatenate(col) for col in zip(*draws))
-    _, order, ends, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(
-        model, states, pairs, _levels(pairs, n, table), theta, u)
+    level = _levels(pairs, n, table)
+    _, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(model, states, pairs, level, theta, u)
     if not (acc.all() and (lam == model.Lambda).all()):
-        _undo(states, pairs, order, ends, np.flatnonzero(acc), z1, z2)
+        _undo(states, pairs, level, np.flatnonzero(acc), z1, z2)
         return None
-    back = np.argsort(order)
-    _check(ratio[back], vetoed, stacklevel=4)
-    time = np.concatenate([counter for _, _, counter in plan])
-    return time, pairs[:, 0], pairs[:, 1], acc[back], de[back], dp[back]
+    _check(ratio, vetoed, stacklevel=4)
+    return np.concatenate([counter for _, counter in plan]), pairs[:, 0], pairs[:, 1], acc, de, dp
 
 
 def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, rng: RngStream) -> Ensemble:
@@ -683,8 +675,8 @@ def hard_sphere_model(Lambda_cap: float, d: int = 3) -> CollisionModel:
     with uniform scattering direction on the sphere. The velocity-dependent
     rate runs through accept-reject against the cap; pairs faster than the
     cap collide at the clipped rate (documented cutoff bias)."""
-    if Lambda_cap <= 0:
-        raise ValueError("Lambda_cap must be positive")
+    if not (math.isfinite(Lambda_cap) and Lambda_cap > 0):
+        raise ValueError(f"Lambda_cap must be finite and positive, got {Lambda_cap!r}")
     if d < 1:
         raise ValueError("d must be >= 1")
 

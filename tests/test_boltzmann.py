@@ -71,6 +71,21 @@ def kinetic_maxwell_model():
                           psi_pair=psi_pair, theta_sampler=maxwell.theta_sampler, free_flow=flow)
 
 
+class TestCollisionModel:
+    @pytest.mark.parametrize("field, value", [(field, value) for field in ("Lambda", "M")
+                                              for value in (math.nan, math.inf, -1.0)] + [("M", 0.0)])
+    def test_rate_bounds_must_be_finite_and_in_range(self, field, value):
+        # Lambda = 0 is a model that never collides; M = 0 would divide the acceptance ratio by zero
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            CollisionModel(lam=constant_rate(1.0), psi_pair=lambda a, b, t: (a, b), theta_sampler=no_theta,
+                           **{"Lambda": 1.0, field: value})
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -1.0, 0.0])
+    def test_hard_sphere_cap_must_be_finite_and_positive(self, cap):
+        with pytest.raises(ValueError, match="Lambda_cap must be finite and positive"):
+            hard_sphere_model(cap)
+
+
 class TestMaxwellModel:
     def test_identical_velocities_are_fixed(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
@@ -560,6 +575,14 @@ class TestMaxwellEquilibrium:
 
 
 class TestCellGrid:
+    @pytest.mark.parametrize("field, value", [("lo", None), ("hi", None), ("lo", [0.0, math.nan]),
+                                              ("hi", [[1.0, 1.0]]), ("hi", [1.0]), ("delta", math.nan),
+                                              ("delta", math.inf), ("delta", 0.0)])
+    def test_bad_bounds_are_refused_by_name(self, field, value):
+        bounds = {"lo": np.zeros(2), "hi": np.ones(2), "delta": 0.5, field: value}
+        with pytest.raises(ValueError, match=rf"^(lo and hi|cell side {field}|{field}) "):
+            CellGrid(position=lambda s: s, **bounds)
+
     def test_positions_map_to_unique_cells(self):
         grid = CellGrid(lo=np.zeros(2), hi=np.array([2.0, 2.0]), delta=1.0,
                         position=lambda s: s)
@@ -882,9 +905,11 @@ class TestBatchedEngine:
     def test_bird_undoes_the_rows_past_the_cut(self, monkeypatch, zero_uniform_stream):
         # every proposal is accepted, and the first one takes the counter 1 / (scale lam) = 2 / 7
         # past the step's end at 0.01, so the log keeps one row of a 16-proposal block; the rate
-        # doubles on a particle that has collided, a ratio of 2 that only rows past the cut read
+        # doubles on a particle that has collided, a ratio of 2 that only rows past the cut read.
+        # The free flow, which moves nothing, makes the call run its cell step through _bird_cell
         model = CollisionModel(lam=lambda a, b: np.where((a > 0.5) | (b > 0.5), 2.0, 1.0)[:, 0], Lambda=1.0,
-                               psi_pair=lambda a, b, t: (a + 1.0, b + 1.0), theta_sampler=no_theta)
+                               psi_pair=lambda a, b, t: (a + 1.0, b + 1.0), theta_sampler=no_theta,
+                               free_flow=lambda states, dt: states)
         e0 = Ensemble(np.zeros((8, 1)))
         blocks, levels = [], boltzmann._levels
         monkeypatch.setattr(boltzmann, "_levels", lambda *args: blocks.append(levels(*args)) or blocks[-1])
@@ -902,54 +927,40 @@ class TestBatchedEngine:
         _, i, j = log.columns()[:3]
         assert sorted(np.flatnonzero(outs[0][:, 0]).tolist()) == [i[0], j[0]] and outs[0].max() == 1.0
 
-    def test_bird_evaluates_only_the_kept_rows_past_a_call_s_first_cell_step(self, monkeypatch):
-        # the dsmc workload's Maxwell molecules accept every proposal at the rate Lambda, so past
-        # the call's first cell step the rate sees just the rows the call keeps, in two block calls
+    def test_bird_evaluates_only_the_kept_rows_of_a_maxwell_call(self, monkeypatch, bird_calls):
+        # the dsmc workload's Maxwell molecules accept every proposal at the rate Lambda, so the rate
+        # sees just the rows the call keeps: the first cell step's 100, then the other 19 steps' in one
+        # block, and no cell step runs alone
         maxwell = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=2)
-        rows, first = [], []  # kernel rows of the call; (evaluated, kept) of its first cell step
+        rows = []  # kernel rows of the call
         model = CollisionModel(lam=lambda a, b: rows.append(len(a)) or maxwell.lam(a, b), Lambda=maxwell.Lambda,
                                psi_pair=maxwell.psi_pair, theta_sampler=maxwell.theta_sampler)
-        cell, apply_levels = boltzmann._bird_cell, boltzmann._apply_levels
-        blocks = []
-
-        def counted(*args):
-            cols, full = cell(*args)
-            first.append((sum(rows), len(cols[0])))
-            return cols, full
-
-        monkeypatch.setattr(boltzmann, "_bird_cell", counted)
+        apply_levels, blocks = boltzmann._apply_levels, []
         monkeypatch.setattr(boltzmann, "_apply_levels",
                             lambda *args: blocks.append(len(args[2])) or apply_levels(*args))
-        init = RngStream(99).normal((2000, 2))
-        runs = []
+        init, time_grid = RngStream(99).normal((2000, 2)), TimeGrid(0.0, 2.0, 0.1)
         for key in (2, 3):
-            for seen in (rows, first, blocks):
-                seen.clear()
-            final, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), TimeGrid(0.0, 2.0, 0.1),
-                                       RngStream(99, key))
-            runs.append((final.states, log.columns()))
-            assert len(first) == 1 and log.accepted == log.proposed
-            (evaluated, kept), = first
-            assert evaluated == int(1.1 * maxwell.Lambda * 1999 / 2 * 0.1) + 16 > kept + 1
-            assert sum(rows) - evaluated == log.proposed - kept == 19 * 100
-            assert blocks == [evaluated, log.proposed - kept]
-        # the rows past the cut change nothing: the blocks of 1.1 E + 16 give the same bits
-        monkeypatch.setattr(boltzmann, "_block_size", lambda expected, tight=False: int(1.1 * expected) + 16)
-        for key, (states, cols) in zip((2, 3), runs):
-            final, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), TimeGrid(0.0, 2.0, 0.1),
-                                       RngStream(99, key))
-            assert same_bits(final.states, states) and all(same_bits(a, b) for a, b in zip(log.columns(), cols))
+            rows.clear()
+            blocks.clear()
+            bird_calls["cell"] = 0
+            got = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), time_grid, RngStream(99, key))
+            log = got[1]
+            assert log.accepted == log.proposed == sum(rows) == 2000 and blocks == [100, 1900]
+            assert bird_calls["cell"] == 0
+            # the blocks of 1.1 E + 16 proposals that each cell step draws alone give the same bits
+            assert same_runs(got, reference_bird(model, CellGrid.single_cell(), Ensemble(init), time_grid,
+                                                 RngStream(99, key)))
 
     def test_hard_sphere_bird_draws_no_more_blocks_than_before(self, monkeypatch):
-        # hard spheres reject some proposals, so their blocks stay sized by 1.1 E + 16
+        # hard spheres reject some proposals, so blocks of 1.1 E + 16 proposals need no more draws
+        # than blocks of int(E) + 2, which would finish a cell step that accepts every proposal
         model = hard_sphere_model(1.5, d=2)
         e0 = Ensemble(RngStream(70).normal((300, 2)))
         grid = CellGrid(lo=np.array([-1.0]), hi=np.array([1.0]), delta=0.5, position=lambda s: s[:, :1])
         blocks, levels = [], boltzmann._levels
         monkeypatch.setattr(boltzmann, "_levels", lambda *args: blocks.append(levels(*args)) or blocks[-1])
         outs, counts = [], []
-        for rule in (boltzmann._block_size, lambda expected, tight=False: min(boltzmann._BLOCK,
-                                                                             int(1.1 * expected) + 16)):
+        for rule in (boltzmann._block_size, lambda expected: min(boltzmann._BLOCK, int(expected) + 2)):
             monkeypatch.setattr(boltzmann, "_block_size", rule)
             blocks.clear()
             final, log = bird_simulate(model, grid, e0, TimeGrid(0, 1, 0.1), RngStream(71))
@@ -982,18 +993,16 @@ def reference_bird(model, grid, e0, time_grid, rng):
     must reproduce bit for bit."""
     states, n = e0.states.copy(), e0.n
     log, table, inv_volume = boltzmann.EventLog(), [0] * n, 1.0 / grid.cell_volume()
-    times, full, tight = time_grid.times(), True, False
+    times = time_grid.times()
     for k, h in enumerate(time_grid.step_durations()):
         states = boltzmann._apply_free_flow(model, states, h)
         chunks = []
         for cell_id, members in boltzmann._cells(grid, states):
             key = boltzmann._mix64(boltzmann._mix64(rng.stream_id, k), cell_id)
-            cols, cell_full = boltzmann._bird_cell(
+            chunks.append(boltzmann._bird_cell(
                 model, states, members, float(times[k]), float(times[k + 1]),
-                members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table, tight,
-                *boltzmann._streams(rng, key, (1, 2, 3)))
-            full = tight = full and cell_full
-            chunks.append(cols)
+                members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table,
+                *boltzmann._streams(rng, key, (1, 2, 3))))
         if chunks:  # a stable sort keeps one cell's time-ordered log as it is
             cols = [np.concatenate(col) for col in zip(*chunks)]
             order = np.argsort(cols[0], kind="stable")
@@ -1043,7 +1052,7 @@ class TestMergedBirdSteps:
     @pytest.mark.parametrize("block", [None, 40], ids=["one-block", "blocks-of-two-steps"])
     def test_merged_steps_give_the_reference_bits(self, monkeypatch, bird_calls, d, t_end, block):
         # N = 300 keeps 15 proposals per step of 0.1 (20 in a last step of 0.13, 11 in one of 0.07),
-        # so a block of 40 proposals holds two steps
+        # so after the first step alone, a block of 40 proposals holds two steps
         if block is not None:
             monkeypatch.setattr(boltzmann, "_BLOCK", block)
         model = maxwell_cutoff_model(uniform_deflection(), d=d)
@@ -1052,8 +1061,8 @@ class TestMergedBirdSteps:
             e0 = Ensemble(RngStream(80, seed).normal((300, d)))
             bird_calls["cell"], bird_calls["merged"] = 0, []
             got = bird_simulate(model, grid, e0, time_grid, RngStream(81, seed))
-            assert bird_calls["cell"] == 1 and None not in bird_calls["merged"]
-            assert len(bird_calls["merged"]) == (1 if block is None else 5)
+            assert bird_calls["cell"] == 0 and None not in bird_calls["merged"]
+            assert len(bird_calls["merged"]) == (2 if block is None else 6)
             assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(81, seed)))
 
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-two-steps"])
@@ -1065,13 +1074,22 @@ class TestMergedBirdSteps:
         model, grid, time_grid = first_collisions_only(0.5), CellGrid.single_cell(), TimeGrid(0.0, 0.3, 0.015)
         e0 = Ensemble(np.zeros((400, 1)))
         got = bird_simulate(model, grid, e0, time_grid, RngStream(82))
+        # the blocks before the one that failed stand, and none is tried after it
         merged = bird_calls["merged"]
-        assert None in merged and bird_calls["cell"] > 1
-        if block is not None:  # the blocks before the one that failed stand
-            assert merged.index(None) > 0
+        assert merged.index(None) == len(merged) - 1 > 0 and bird_calls["cell"] > 1
         final, log = got
         assert 0 < log.accepted < log.proposed and final.states.max() > 1.0
         assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(82)))
+
+    def test_a_step_that_keeps_more_than_a_block_runs_alone(self, monkeypatch, bird_calls):
+        # N = 300 keeps 15 proposals per step of 0.1 and 20 in the last step of 0.13: at _BLOCK = 16
+        # each step is a block of its own, but the last one runs through _bird_cell
+        monkeypatch.setattr(boltzmann, "_BLOCK", 16)
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        grid, time_grid, e0 = CellGrid.single_cell(), TimeGrid(0.0, 1.03, 0.1), Ensemble(RngStream(86).normal((300, 2)))
+        got = bird_simulate(model, grid, e0, time_grid, RngStream(87))
+        assert len(bird_calls["merged"]) == 9 and None not in bird_calls["merged"] and bird_calls["cell"] == 1
+        assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(87)))
 
     def test_q_above_m_q0_in_a_merged_block_raises_the_reference_s_message(self, bird_calls):
         # q grows with what a particle has gained from its collisions, so the first proposal to meet
@@ -1085,7 +1103,8 @@ class TestMergedBirdSteps:
         bird_calls["cell"] = 0
         with pytest.raises(BoundViolation) as got:
             bird_simulate(model, grid, e0, time_grid, RngStream(83))
-        assert bird_calls["cell"] == 1 and bird_calls["merged"] == ["raised"]
+        merged = bird_calls["merged"]  # the first cell step alone, then a block that raises
+        assert bird_calls["cell"] == 0 and len(merged) == 2 and merged[0] is not None and merged[1] == "raised"
         assert str(got.value) == str(want.value) and "acceptance ratio 1.0 > 1" not in str(got.value)
 
     @pytest.mark.parametrize("case", ["hard-sphere", "cell-grid", "free-flow"])
@@ -1100,5 +1119,7 @@ class TestMergedBirdSteps:
             model, grid, d = kinetic_maxwell_model(), CellGrid.single_cell(), 4
         e0 = Ensemble(RngStream(84).normal((300, d)))
         got = bird_simulate(model, grid, e0, time_grid, RngStream(85))
-        assert bird_calls["merged"] == [] and bird_calls["cell"] >= time_grid.steps
+        # hard spheres on one cell fail the call's first merged block, which holds one cell step
+        assert bird_calls["merged"] == ([None] if case == "hard-sphere" else [])
+        assert bird_calls["cell"] >= time_grid.steps
         assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(85)))

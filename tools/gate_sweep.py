@@ -16,7 +16,9 @@ of gates has its own file: ``tools/gates_boltzmann.json`` for 03 to 05,
 ``tools/gates_jump.json`` for 10. For each gate its file gets, under
 ``--label``, the fraction of seeds that pass, quantiles of the gate's
 statistic and the statistic at every seed. Other labels and gates already
-in the file are kept, so runs on two versions sit side by side.
+in the file are kept, so runs on two versions sit side by side; after each
+gate the sweep names the other labels whose statistics equal this run's,
+float for float, so a claim of unchanged numbers can be read off the run.
 
 The tier-1 suite runs each gate at one seed only; this sweep takes minutes
 (criterion 05 runs 2048 exact simulations per seed, criterion 02 a
@@ -99,6 +101,11 @@ def main(argv=None) -> int:
                   f"median {entry[args.label]['quantiles']['q50']:.4g} "
                   f"({time.perf_counter() - start:.0f} s)", flush=True)
             out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+            values = json.dumps(entry[args.label]["values"])  # float reprs: NaN equals NaN, -0.0 differs from 0.0
+            same = [label for label, run in sorted(entry.items())
+                    if label != args.label and isinstance(run, dict) and json.dumps(run["values"]) == values]
+            print(f"{name} [{args.label}]: values equal float for float to {', '.join(same) or 'no other label'}",
+                  flush=True)
     return 0
 
 
