@@ -202,12 +202,6 @@ def _apply_free_flow(model, states, dt):
     return np.asarray(model.free_flow(states, dt), dtype=float)
 
 
-def _streams(rng: RngStream, key: int, kinds=range(4)) -> list[RngStream]:
-    """Substreams ``kinds`` of ``rng``'s stream ``key``, built from the key alone: 0 clock times
-    (Nanbu: collision candidates), 1 pairs (Nanbu: partners), 2 thetas, 3 acceptance uniforms."""
-    return [type(rng)(rng.seed, _mix64(key, k)) for k in kinds]
-
-
 def _block_size(expected: float) -> int:
     """Proposals to draw when about ``expected`` more are to come."""
     return min(_BLOCK, int(1.1 * expected) + 16)
@@ -300,7 +294,7 @@ def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=No
     ends = np.cumsum(np.bincount(level)).tolist()
     for lv in map(slice, [0, *ends], ends):
         states = states if taus is None else _apply_free_flow(model, states, taus[lv.start])
-        z1[lv], z2[lv] = states[pairs[lv, 0]], states[pairs[lv, 1]]
+        z1[lv], z2[lv] = np.take(states, pairs[lv, 0], axis=0), np.take(states, pairs[lv, 1], axis=0)
         accepted[lv], lam[lv], ratio[lv], vetoed[lv] = _accept(model, z1[lv], z2[lv], theta[lv], u[lv])
         _collide(model, states, pairs[lv], z1[lv], z2[lv], theta[lv], accepted[lv], de[lv], dp[lv])
     back = np.empty_like(order)
@@ -330,7 +324,7 @@ def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream
     t, horizon = e0.time, e0.time + T
     total_rate = model.Lambda * model.M * (n - 1) / 2.0
     log = EventLog(cap=event_cap)
-    clock, pair_stream, theta_stream, accept_stream = _streams(rng, rng.stream_id)
+    clock, pair_stream, theta_stream, accept_stream = (rng.substream(k) for k in range(4))
     table = [0] * n
     while total_rate > 0:
         size = _block_size(total_rate * (horizon - t))
@@ -383,7 +377,7 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     times, durations = time_grid.times(), time_grid.step_durations()
     table = [0] * n
     kinds = (1, 2, 3)  # the pair, theta and uniform streams, built once and re-keyed to each cell step
-    streams = _streams(rng, rng.stream_id, kinds)
+    streams = [rng.substream(kind) for kind in kinds]
 
     def keyed(k, cell_id):
         key = _mix64(_mix64(rng.stream_id, k), cell_id)
@@ -535,7 +529,7 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
         p_collide = 1.0
     states = e0.states.copy()
     t = e0.time
-    hit_stream, partner_stream, theta_stream, accept_stream = _streams(rng, rng.stream_id)
+    hit_stream, partner_stream, theta_stream, accept_stream = (rng.substream(k) for k in range(4))
     for _ in range(steps):
         states = _apply_free_flow(model, states, dt)
         t += dt

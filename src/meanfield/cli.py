@@ -50,8 +50,8 @@ _OBJECTIVES = {
 # default of None marks a required param. The checks: "count", an integer >=
 # bound; "real>" and "real>=", a finite number > or >= bound (a (low, high)
 # bound: > or >= low and <= high); "choice", one of bound; "bool"; "spd", a
-# symmetric positive definite matrix; "array", floats; and "cases", a
-# non-empty list of Kuramoto cases
+# finite symmetric positive definite matrix; "array", finite floats; and
+# "cases", a non-empty list of Kuramoto cases
 _PARAMS = {
     "coupling_rate": {"lambda": ("real>=", -math.inf, 1.0), "kappa": ("real>=", -math.inf, 1.0),
                       "m0": ("real>=", -math.inf, 1.0), "v0": ("real>=", 0, 1.0)},
@@ -150,6 +150,12 @@ def validate(config: dict) -> list[str]:
                 v.append(f"params.target: must be one number or dim = {p['dim']} numbers, got {p['target']!r}")
         if kind == "dsmc_compare" and grid is not None and _is_real(p["bird_dt"]) and p["bird_dt"] > grid.t_end:
             v.append(f"params.bird_dt: must be at most time.t_end = {grid.t_end!r}, got {p['bird_dt']!r}")
+        if kind == "eks" and not any(item.startswith("params.") for item in v):
+            try:
+                _eks_config(p, 1)
+            except ValueError as err:  # its message starts with the EksConfig field, G's being forward
+                field = str(err).split()[0]
+                v.append(f"params.{'G' if field == 'forward' else field}: {err}")
     thresholds = config.get("thresholds", {})
     if not isinstance(thresholds, dict):
         v.append(f"thresholds: must be an object, got {type(thresholds).__name__}")
@@ -179,10 +185,10 @@ def _param_errors(name: str, value, check: str, bound) -> list[str]:
         return errors
     if check in ("spd", "array"):
         try:
-            spd_matrix(name, value) if check == "spd" else np.asarray(value, dtype=float)
-            return []
+            arr = spd_matrix(name, value) if check == "spd" else np.asarray(value, dtype=float)
         except (TypeError, ValueError) as err:
             return [f"params.{name}: {err}"]
+        return [] if np.all(np.isfinite(arr)) else [f"params.{name}: must hold finite numbers only, got {value!r}"]
     if check == "count":
         ok, want = _is_count(value, bound), f"an integer >= {bound}"
     elif check.startswith("real"):
@@ -268,14 +274,12 @@ def _check_thresholds(summary: dict, thresholds: dict) -> bool:
 # Experiment kinds
 
 
-def _run_coupling_rate(config, out: Path, threads: int) -> dict:
-    p = _params("coupling_rate", config.get("params", {}))
+def _run_coupling_rate(config, p: dict, base: RngStream, out: Path) -> dict:
     grid = TimeGrid(config["time"].get("t0", 0.0), config["time"]["t_end"], config["time"]["dt"])
     model = mean_field_ou_model(p["lambda"], p["kappa"])
     ref = ou_reference(p["lambda"], p["kappa"], p["m0"], p["v0"])
     ref.check_model(model)
     replicas = config.get("replicas", 1)
-    base = RngStream(config["seed"])
     sup_mse = {}
     for idx, n in enumerate(config["n_list"]):
         n_stream = base.substream(idx)
@@ -283,14 +287,13 @@ def _run_coupling_rate(config, out: Path, threads: int) -> dict:
         # perfbench/tracer.py counts the McKean layer per coupling_replica_mse call
         rows = _map_replicas(
             lambda r: coupling_replica_mse(model, ref, n, grid, n_stream.substream(r)),
-            replicas, threads,
+            replicas, 1,
         )
         report = CouplingReport(times=grid.times(), mse=np.mean(rows, axis=0), n=n, replicas=replicas)
         sup_mse[n] = report.sup_mse
         report.write_csv(out / f"coupling_N{n}.csv")
     fit = fit_rate(sup_mse)
     return {
-        "kind": "coupling_rate",
         "sup_mse": {str(n): sup_mse[n] for n in sup_mse},
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -298,12 +301,10 @@ def _run_coupling_rate(config, out: Path, threads: int) -> dict:
     }
 
 
-def _run_dsmc_compare(config, out: Path, threads: int) -> dict:
-    p = _params("dsmc_compare", config.get("params", {}))
+def _run_dsmc_compare(config, p: dict, base: RngStream, out: Path) -> dict:
     n = config["n_list"][-1]
     t_end = config["time"]["t_end"]
     model = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=p["d"])
-    base = RngStream(config["seed"])
     grid = CellGrid.single_cell()
     time_grid = TimeGrid(0.0, t_end, p["bird_dt"])
 
@@ -318,14 +319,13 @@ def _run_dsmc_compare(config, out: Path, threads: int) -> dict:
         self_dist = wasserstein_1d(exact_c.states[:, 0], exact_d.states[:, 0])
         return cross, self_dist
 
-    results = _map_replicas(run_pair, p["pairs"], threads)
+    results = _map_replicas(run_pair, p["pairs"], 1)
     cross, self_d = zip(*results)
     write_csv(out / "dsmc_pairs.csv", "pair,w1_cross,w1_self",
               ((k, c, s) for k, (c, s) in enumerate(results)))
     mean_cross = float(np.mean(cross))
     mean_self = float(np.mean(self_d))
     return {
-        "kind": "dsmc_compare",
         "n": n,
         "w1_cross_mean": mean_cross,
         "w1_self_mean": mean_self,
@@ -333,8 +333,7 @@ def _run_dsmc_compare(config, out: Path, threads: int) -> dict:
     }
 
 
-def _run_cbo(config, out: Path, threads: int) -> dict:
-    p = _params("cbo", config.get("params", {}))
+def _run_cbo(config, p: dict, base: RngStream, out: Path) -> dict:
     cfg = CboConfig(
         objective=_OBJECTIVES[p["objective"]](p["target"]),
         alpha=p["alpha"],
@@ -347,7 +346,6 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
         eps_heaviside=p["eps_heaviside"],
         init=lambda n, d, rng: p["init_width"] * rng.normal((n, d)),
     )
-    base = RngStream(config["seed"])
     results = cbo_minimize(cfg, [base.substream(k) for k in range(p["seeds"])])
     dists = [float(np.linalg.norm(r.consensus - np.asarray(p["target"]))) for r in results]
     successes = int(sum(d <= p["tol"] for d in dists))
@@ -356,7 +354,6 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
     trajectory_csv = out / "cbo_trajectory.csv"
     results[0].write_trajectory_csv(trajectory_csv)
     return {
-        "kind": "cbo",
         "objective": p["objective"],
         "seeds": p["seeds"],
         "successes": successes,
@@ -368,23 +365,18 @@ def _run_cbo(config, out: Path, threads: int) -> dict:
     }
 
 
-def _run_eks(config, out: Path, threads: int) -> dict:
-    p = _params("eks", config["params"])
-    G = np.atleast_2d(np.asarray(p["G"], dtype=float))
-    cfg = EksConfig(
-        forward=G,
-        Gamma=p["Gamma"],
-        Gamma0=p["Gamma0"],
-        y=p["y"],
-        n=config["n_list"][-1],
-        dt=p["dt"],
-        steps=p["steps"],
-        derivative_free=p["derivative_free"],
-    )
-    base = RngStream(config["seed"])
-    e0 = Ensemble(base.substream(0).normal((cfg.n, G.shape[1])))
+def _eks_config(p: dict, n: int) -> EksConfig:
+    """The EksConfig of eks params ``p`` for ``n`` particles; a 1-D G is one row."""
+    return EksConfig(forward=np.atleast_2d(np.asarray(p["G"], dtype=float)), Gamma=p["Gamma"],
+                     Gamma0=p["Gamma0"], y=p["y"], n=n, dt=p["dt"], steps=p["steps"],
+                     derivative_free=p["derivative_free"])
+
+
+def _run_eks(config, p: dict, base: RngStream, out: Path) -> dict:
+    cfg = _eks_config(p, config["n_list"][-1])
+    e0 = Ensemble(base.substream(0).normal((cfg.n, cfg.forward.shape[1])))
     final = eks_sample(cfg, e0, base.substream(1))
-    mean_oracle, cov_oracle = posterior_gaussian_oracle(G, cfg.Gamma, cfg.Gamma0, cfg.y)
+    mean_oracle, cov_oracle = posterior_gaussian_oracle(cfg.forward, cfg.Gamma, cfg.Gamma0, cfg.y)
     mean_hat = final.states.mean(axis=0)
     centered = final.states - mean_hat
     cov_hat = centered.T @ centered / cfg.n
@@ -393,7 +385,6 @@ def _run_eks(config, out: Path, threads: int) -> dict:
     cov_err = float(np.linalg.norm(cov_hat - cov_oracle) / np.linalg.norm(cov_oracle))
     write_csv(out / "eks_final.csv", ",".join(f"coord{k}" for k in range(final.dim)), final.states)
     return {
-        "kind": "eks",
         "mean_error": mean_err,
         "mean_error_in_posterior_std": mean_err / std_scale,
         "cov_frobenius_rel_error": cov_err,
@@ -415,8 +406,7 @@ def _std_normal_log_density(x: np.ndarray) -> float:
     return -0.5 * float(np.sum(x * x))
 
 
-def _run_cmc(config, out: Path, threads: int) -> dict:
-    p = _params("cmc", config.get("params", {}))
+def _run_cmc(config, p: dict, base: RngStream, out: Path) -> dict:
     n = config["n_list"][-1]
     cfg = CmcConfig(
         # one call per particle: perfbench/tracer.py counts them
@@ -427,26 +417,22 @@ def _run_cmc(config, out: Path, threads: int) -> dict:
         burn_in=p["burn_in"],
         dim=p["dim"],
     )
-    base = RngStream(config["seed"])
     e0 = Ensemble(base.substream(0).normal((n, cfg.dim)))
     result = cmc_run(cfg, e0, base.substream(1))
     result.write_trace_csv(out / "cmc_accept_trace.csv")
     pooled = result.samples
     return {
-        "kind": "cmc",
         "pooled_mean": float(pooled.mean()),
         "pooled_variance": float(pooled.var()),
         "mean_accept_fraction": float(result.accept_trace[cfg.burn_in:].mean()),
     }
 
 
-def _run_bossy_talay(config, out: Path, threads: int) -> dict:
-    p = _params("bossy_talay", config.get("params", {}))
+def _run_bossy_talay(config, p: dict, base: RngStream, out: Path) -> dict:
     sigma = p["sigma"]
     t_end = config["time"]["t_end"]
     dt = config["time"]["dt"]
     replicas = config.get("replicas", 1)
-    base = RngStream(config["seed"])
     span = 6.0 * sigma * math.sqrt(t_end)
     grid = np.linspace(-span, span, p["grid_points"])
     exact_cdf = 0.5 * (1.0 + np.vectorize(math.erf)(grid / (sigma * math.sqrt(2.0 * t_end))))
@@ -463,18 +449,15 @@ def _run_bossy_talay(config, out: Path, threads: int) -> dict:
     write_cdf_checkpoints_csv(runs[0], out / "bossy_checkpoints.csv")
     fit = fit_rate(errors)
     return {
-        "kind": "bossy_talay",
         "errors": {str(n): errors[n] for n in errors},
         "slope": fit.slope,
         "r2": fit.r2,
     }
 
 
-def _run_kuramoto_sweep(config, out: Path, threads: int) -> dict:
-    p = _params("kuramoto_sweep", config.get("params", {}))
+def _run_kuramoto_sweep(config, p: dict, base: RngStream, out: Path) -> dict:
     n = config["n_list"][-1]
     grid = TimeGrid(config["time"].get("t0", 0.0), config["time"]["t_end"], config["time"]["dt"])
-    base = RngStream(config["seed"])
     cases_out = []
     rows = []
     for c_idx, case in enumerate(p["cases"]):
@@ -497,7 +480,7 @@ def _run_kuramoto_sweep(config, out: Path, threads: int) -> dict:
             "count_le_0.3": int(sum(r <= 0.3 for r in r_vals)),
         })
     write_csv(out / "kuramoto_r.csv", "case,coupling,init,seed,r", rows)
-    return {"kind": "kuramoto_sweep", "cases": cases_out}
+    return {"cases": cases_out}
 
 
 # each kind's runner and the keys of its summary, one of which starts every threshold name
@@ -531,7 +514,10 @@ def _valid_config(path, report):
 
 
 def run(config_path, threads: int = 1, out_dir=None) -> int:
-    """Execute a config file; returns the process exit code."""
+    """Execute a config file; returns the process exit code. Each runner
+    gets the config, its kind's params, the base stream of the config's
+    seed and the output directory; ``threads`` is accepted for
+    compatibility and changes nothing."""
     config = _valid_config(config_path, lambda item: print(f"invalid config: {item}", file=sys.stderr))
     if config is None:
         return 2
@@ -539,14 +525,16 @@ def run(config_path, threads: int = 1, out_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "manifest.json",
                 {"config": config, "seed": config["seed"], "tool_version": __version__})
+    kind = config["kind"]
     try:
-        summary = _RUNNERS[config["kind"]][0](config, out, threads)
+        p = _params(kind, config.get("params", {}))
+        summary = {"kind": kind, **_RUNNERS[kind][0](config, p, RngStream(config["seed"]), out)}
         ok = _check_thresholds(summary, config.get("thresholds", {}))
         _write_json(out / "summary.json", summary)
     except Exception:
         traceback.print_exc()
         return 3
-    print(f"{config['kind']}: {'pass' if ok else 'THRESHOLD FAIL'} -> {out / 'summary.json'}")
+    print(f"{kind}: {'pass' if ok else 'THRESHOLD FAIL'} -> {out / 'summary.json'}")
     return 0 if ok else 4
 
 

@@ -235,7 +235,11 @@ class TimeGrid:
             raise ValueError(f"need t0 < t_end, got [{self.t0}, {self.t_end}]")
         if not 0 < self.dt <= self.t_end - self.t0:
             raise ValueError(f"need 0 < dt <= t_end - t0, got dt={self.dt}")
-        object.__setattr__(self, "steps", max(1, round((self.t_end - self.t0) / self.dt)))
+        ratio = (self.t_end - self.t0) / self.dt
+        if not np.isfinite(ratio):
+            raise ValueError(f"need a finite step count (t_end - t0) / dt, got {ratio} "
+                             f"for [{self.t0}, {self.t_end}] at dt={self.dt}")
+        object.__setattr__(self, "steps", max(1, round(ratio)))
 
     def step_durations(self) -> np.ndarray:
         """Per-step durations; all equal to dt except a final partial step."""

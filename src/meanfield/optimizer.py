@@ -119,11 +119,12 @@ def cbo_minimize(cfg: CboConfig, streams: list[RngStream]) -> list[CboResult]:
 
 def spd_matrix(name: str, mat) -> np.ndarray:
     """``mat`` as a 2-D float array. Raises ValueError naming ``name`` unless
-    it is a numeric, symmetric, positive definite (Cholesky) matrix."""
+    it is a numeric, finite, symmetric, positive definite (Cholesky) matrix."""
     try:
         arr = np.atleast_2d(np.asarray(mat, dtype=float))
     except (TypeError, ValueError) as err:
         raise ValueError(f"{name} must be a numeric matrix: {err}") from err
+    _check_finite(name, arr)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
     if not np.allclose(arr, arr.T):
@@ -135,14 +136,22 @@ def spd_matrix(name: str, mat) -> np.ndarray:
     return arr
 
 
+def _check_finite(name: str, arr: np.ndarray):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must hold finite numbers only")
+
+
 @dataclass
 class EksConfig:
     """Ensemble Kalman sampler configuration for y = G(x) + noise.
 
-    ``forward`` is a (k, d) matrix or a callable acting on rows;
+    ``forward`` is a finite (k, d) matrix or a callable acting on rows;
     ``forward_jacobian(x)``, needed only in gradient mode with a callable
-    forward map, returns the (k, d) Jacobian at x. Noise and prior
-    covariances must pass a Cholesky factorization.
+    forward map, returns the (k, d) Jacobian at x. ``y`` holds k finite
+    numbers (a callable forward takes k from y), the noise covariance
+    ``Gamma`` is (k, k) and, for a matrix forward, the prior covariance
+    ``Gamma0`` is (d, d); both must pass a Cholesky factorization. A field
+    that breaks this raises ValueError naming it.
     """
 
     forward: object
@@ -161,15 +170,33 @@ class EksConfig:
                              f"steps={self.steps} and dt={self.dt}")
         self.Gamma = spd_matrix("Gamma", self.Gamma)
         self.Gamma0 = spd_matrix("Gamma0", self.Gamma0)
+        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        _check_finite("y", self.y)
+        if self.y.ndim != 1:
+            raise ValueError(f"y must be a vector, got shape {self.y.shape}")
+        k = len(self.y)
+        if not callable(self.forward):
+            self.forward = np.asarray(self.forward, dtype=float)
+            _check_finite("forward", self.forward)
+            if self.forward.ndim != 2:
+                raise ValueError(f"forward must be a (k, d) matrix, got shape {self.forward.shape}")
+            if self.forward.shape[0] != k:
+                raise ValueError(f"y must hold k = {self.forward.shape[0]} numbers, one per row of forward, "
+                                 f"got {k}")
+            d = self.forward.shape[1]
+            if self.Gamma0.shape != (d, d):
+                raise ValueError(f"Gamma0 must be (d, d) = ({d}, {d}) for a forward of d = {d} columns, "
+                                 f"got {self.Gamma0.shape}")
+        if self.Gamma.shape != (k, k):
+            raise ValueError(f"Gamma must be (k, k) = ({k}, {k}) for y of k = {k} numbers, got {self.Gamma.shape}")
         # inverted once here, not on every drift evaluation
         self._gamma_inv, self._gamma0_inv = np.linalg.inv(self.Gamma), np.linalg.inv(self.Gamma0)
-        self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
 
     def apply_forward(self, states: np.ndarray) -> np.ndarray:
         if callable(self.forward):
             out = np.asarray(self.forward(states), dtype=float)
         else:
-            out = states @ np.asarray(self.forward, dtype=float).T
+            out = states @ self.forward.T
         return out.reshape(states.shape[0], -1)
 
 
@@ -195,8 +222,7 @@ def eks_drift(cfg: EksConfig, states: np.ndarray) -> np.ndarray:
         cross = centered.T @ (g_vals - g_vals.mean(axis=0)) / n
         return -misfit @ cross.T - states @ (cov @ cfg._gamma0_inv.T).T
     if not callable(cfg.forward):
-        jac = np.atleast_2d(np.asarray(cfg.forward, dtype=float))
-        grad_data = misfit @ jac
+        grad_data = misfit @ cfg.forward
     elif cfg.forward_jacobian is not None:
         grad_data = np.stack([cfg.forward_jacobian(x).T @ m for x, m in zip(states, misfit)])
     else:

@@ -1002,7 +1002,7 @@ def reference_bird(model, grid, e0, time_grid, rng):
             chunks.append(boltzmann._bird_cell(
                 model, states, members, float(times[k]), float(times[k + 1]),
                 members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table,
-                *boltzmann._streams(rng, key, (1, 2, 3))))
+                *(RngStream(rng.seed, key).substream(kind) for kind in (1, 2, 3))))
         if chunks:  # a stable sort keeps one cell's time-ordered log as it is
             cols = [np.concatenate(col) for col in zip(*chunks)]
             order = np.argsort(cols[0], kind="stable")

@@ -316,14 +316,24 @@ class TestParamTable:
         ("cbo", {"target": [1.0]}, None, "params.target:"),
         ("cbo", {"target": [[1.0, 2.0]]}, None, "params.target:"),
         ("kuramoto_sweep", {"cases": []}, None, "params.cases:"),
+        ("coupling_rate", {}, {"t0": 0.0, "t_end": math.inf, "dt": 0.1}, "time:"),
+        ("coupling_rate", {}, {"t0": 0.0, "t_end": 1.0, "dt": 1e-320}, "time:"),
+        ("eks", {"G": [[1.0, 2.0]], "y": [1.0, 2.0, 3.0], "Gamma": [[1.0]]}, None, "params.y:"),
+        ("eks", {"G": [[1.0, 2.0]], "y": [1.0], "Gamma": [[1.0]], "Gamma0": [[1.0]]}, None, "params.Gamma0:"),
+        ("eks", {"Gamma": [[1.0]]}, None, "params.Gamma:"),
+        ("eks", {"G": [_EYE]}, None, "params.G:"),
+        ("eks", {"y": [[0.0, 0.0]]}, None, "params.y:"),
     ], ids=["cmc-stpes", "coupling-unknown", "dsmc-unknown", "cbo-unknown", "eks-unknown",
             "bossy-unknown", "kuramoto-unknown", "cbo-tol", "cbo-init_width", "coupling-lambda",
             "eks-derivative_free", "bird_dt-above-t_end", "cmc-tiny-h", "dsmc-t0", "bossy-t0",
-            "cbo-target-too-long", "cbo-target-too-short", "cbo-target-matrix", "kuramoto-empty-cases"])
+            "cbo-target-too-long", "cbo-target-too-short", "cbo-target-matrix", "kuramoto-empty-cases",
+            "time-infinite-t_end", "time-underflowing-dt", "eks-y-length", "eks-Gamma0-shape",
+            "eks-Gamma-shape", "eks-G-3d", "eks-y-matrix"])
     def test_param_exit_2(self, tmp_path, capsys, kind, params, time, field):
         # each of these used to pass validate: an unknown name ran on the defaults,
-        # the tiny h ran to exit 0 with no proposal accepted, t0 was ignored and
-        # the rest exited 3 with a traceback
+        # the tiny h ran to exit 0 with no proposal accepted, t0 was ignored, a
+        # step count of inf exited 1 with an OverflowError and the rest exited 3
+        # with a traceback
         configs = {**SMALL_CONFIGS, "coupling_rate": coupling_config(), "kuramoto_sweep": self.KURAMOTO}
         payload = json.loads(json.dumps(configs[kind]))
         payload["params"].update(params)
@@ -336,6 +346,24 @@ class TestParamTable:
         assert field in capsys.readouterr().out
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, params, field", [
+        ("eks", {"Gamma": [[math.inf, 0.0], [0.0, 1.0]]}, "params.Gamma:"),
+        ("eks", {"Gamma0": [[1.0, 0.0], [0.0, math.nan]]}, "params.Gamma0:"),
+        ("eks", {"G": [[math.nan, 0.0], [0.0, 1.0]]}, "params.G:"),
+        ("eks", {"y": [0.0, -math.inf]}, "params.y:"),
+        ("cbo", {"target": math.nan}, "params.target:"),
+        ("cbo", {"target": [0.0, math.inf]}, "params.target:"),
+    ], ids=["eks-Gamma-inf", "eks-Gamma0-nan", "eks-G-nan", "eks-y-inf", "cbo-target-nan", "cbo-target-inf"])
+    def test_non_finite_array_param_exit_2(self, tmp_path, capsys, kind, params, field):
+        # an infinite Gamma ran to exit 0; NaN in G or target exited 3 with a traceback
+        cfg = write_config(tmp_path / "c.json", small_config(kind, **params))
+        violations = validate(json.loads(cfg.read_text()))
+        assert len(violations) == 1 and violations[0].startswith(field) and "finite" in violations[0]
+        assert main(["validate", str(cfg)]) == 2
+        assert field in capsys.readouterr().out
+        assert run(cfg, out_dir=tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
     def test_kuramoto_sweep_without_cases_exit_2(self, tmp_path, capsys):
@@ -471,15 +499,17 @@ class TestRun:
         assert not out.exists()
 
     def test_runtime_failure_exit_3(self, tmp_path, capsys):
-        # schema-valid eks config whose forward map shape clashes with y
+        # schema-valid eks config whose forward map overflows the drift
         cfg = write_config(tmp_path / "cfg.json", {
             "kind": "eks", "seed": 2, "n_list": [50],
-            "params": {"G": [[1.0, 0.0], [0.0, 1.0]], "y": [0.0, 0.0, 0.0],
+            "params": {"G": [[1e200, 0.0], [0.0, 1.0]], "y": [0.0, 0.0],
                        "Gamma": [[1.0, 0.0], [0.0, 1.0]],
                        "Gamma0": [[1.0, 0.0], [0.0, 1.0]], "steps": 5},
         })
         out = tmp_path / "out"
-        assert run(cfg, out_dir=out) == 3
+        with np.errstate(over="ignore"):  # the same StepError with or without -W error
+            assert run(cfg, out_dir=out) == 3
+        assert "StepError: non-finite drift" in capsys.readouterr().err
         assert (out / "manifest.json").exists()
         assert not (out / "summary.json").exists()
 
@@ -498,7 +528,7 @@ class TestRun:
         # summaries hold built-in JSON types only; a runner that breaks this fails at run time
         keys = cli._RUNNERS["cmc"][1]
         monkeypatch.setitem(cli._RUNNERS, "cmc", (
-            lambda config, out, threads: {"kind": "cmc", "pooled_mean": np.int64(1)}, keys))
+            lambda config, p, base, out: {"pooled_mean": np.int64(1)}, keys))
         cfg = write_config(tmp_path / "cfg.json", small_config("cmc"))
         out = tmp_path / "out"
         assert run(cfg, out_dir=out) == 3

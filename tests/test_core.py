@@ -265,3 +265,10 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("t0, t_end, dt", [(0.0, math.inf, 0.1), (0.0, 1.0, 1e-320),
+                                               (-math.inf, 0.0, 1.0), (0.0, math.inf, math.inf)])
+    def test_a_step_count_that_is_not_finite_is_refused(self, t0, t_end, dt):
+        # round() of an infinite or NaN (t_end - t0) / dt raised OverflowError or ValueError
+        with pytest.raises(ValueError, match="finite step count"):
+            TimeGrid(t0, t_end, dt)

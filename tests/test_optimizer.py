@@ -14,6 +14,7 @@ from meanfield.optimizer import (
     eks_sample,
     matrix_sqrt_psd,
     posterior_gaussian_oracle,
+    spd_matrix,
 )
 
 
@@ -217,6 +218,33 @@ class TestEks:
                     n=400, dt=0.02, steps=400)
         base.update(kw)
         return EksConfig(**base)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"forward": np.ones((1, 2)), "y": [1.0, 2.0, 3.0], "Gamma": [[1.0]]}, "y"),
+        ({"forward": np.ones((1, 2)), "y": [1.0], "Gamma": [[1.0]], "Gamma0": [[1.0]]}, "Gamma0"),
+        ({"Gamma": [[1.0]]}, "Gamma"),
+        ({"forward": np.ones((1, 2, 2))}, "forward"),
+        ({"forward": np.ones(2)}, "forward"),
+        ({"y": np.zeros((1, 2))}, "y"),
+        ({"forward": lambda x: x, "y": [1.0, 2.0, 3.0]}, "Gamma"),
+    ], ids=["y-length", "Gamma0-shape", "Gamma-shape", "forward-3d", "forward-1d", "y-matrix",
+            "callable-y-against-Gamma"])
+    def test_shapes_are_refused_by_name(self, fields, name):
+        # each of these was accepted, and the matrix ones failed in matmul at the first drift
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            self._config(**fields)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["forward", "y", "Gamma", "Gamma0"])
+    def test_non_finite_fields_are_refused_by_name(self, name, bad):
+        # an infinite Gamma ran to the end; NaN in forward raised a StepError at the first step
+        value = np.eye(2) if name != "y" else np.array(self.y)
+        value.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must hold finite numbers only$"):
+            self._config(**{name: value})
+        if name.startswith("Gamma"):
+            with pytest.raises(ValueError, match=f"^{name} must hold finite numbers only$"):
+                spd_matrix(name, value)
 
     def test_zero_forward_map_recovers_prior(self):
         gamma0 = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -47,7 +47,8 @@ FAMILIES = {
     },
     "gates_mckean.json": {
         "criterion_01": ("slope of log sup-t coupling MSE against log N", "in [-1.3, -0.7], with r2 >= 0.9"),
-        "criterion_02": ("mse(5) / mse(10) of the gradient-system coupling",
+        "criterion_02": ("mean MSE over t in [4, 6] / mean MSE over [8, 10] of the gradient-system "
+                         "coupling, against the exact OU law",
                          "in [0.5, 2], with mse(5) and mse(10) <= 5 mse(1)"),
         "criterion_06": ("max(mean error / 0.1, cov error / 0.2, mode gap / 1e-8) of the EKS runs", "<= 1"),
         "criterion_07": ("quadratic CBO seeds, of 20, within 1e-2 of the minimizer", ">= 18"),
