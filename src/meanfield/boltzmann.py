@@ -17,7 +17,8 @@ known before it is drawn, and applies the planned proposals of several
 steps as one block; the first block with a proposal not accepted at Lambda
 is undone, and the rest of the call runs one cell step at a time. Each
 kind of draw has its own substream, so the results do not depend on the
-block size.
+block size. Exact runs a batch of replicas as one system of disjoint
+particle sets, so that one level pass serves every replica.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import BoundViolation
 
 _REJECTION_STALL_FACTOR = 50_000  # consecutive fictitious proposals tolerated per cell pass
 _BLOCK = 4096  # most proposals drawn from a stream at once
+_GROUP_ROWS = 8192  # most proposals of one exact_batch block over its replicas: about 2 MB of columns
 
 
 @dataclass
@@ -220,13 +222,15 @@ def _levels(pairs: np.ndarray, n: int, table: list | None = None) -> np.ndarray:
     """Level of each row of a (k, 2) array of pairs in range(n): 1 + the highest
     level of an earlier row sharing a particle with it, else 0. A ``table`` of n
     zeros, kept over the blocks of one simulator call, spares an n-entry list per
-    block; each call leaves it zeroed."""
-    top, out, rows = [0] * n if table is None else table, [], pairs.tolist()
-    for i, j in rows:
+    block; each call leaves it zeroed. The columns are read through memoryviews,
+    which make no list of the block."""
+    top, out = [0] * n if table is None else table, []
+    first, second = memoryview(pairs[:, 0]), memoryview(pairs[:, 1])
+    for i, j in zip(first, second):
         level = top[i] if top[i] > top[j] else top[j]
         top[i] = top[j] = level + 1
         out.append(level)
-    for i, j in rows:
+    for i, j in zip(first, second):
         top[i] = top[j] = 0
     return np.array(out, dtype=int)
 
@@ -281,69 +285,132 @@ def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, 
         states[pairs[:, 0]], states[pairs[:, 1]] = z1p, z2p
 
 
-def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=None):
+def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=None, undo=True):
     """Apply a block of proposals to ``states`` in place, one ``_levels`` level after the other, each
     reading what the levels below it left; with ``taus``, level k is proposal k after the free flow
     over taus[k], which replaces ``states``. Returns the states, and in proposal order the columns
-    (accepted, lam, ratio, vetoed, dE, dP) and the pre-collision states (z1, z2)."""
+    (accepted, lam, ratio, vetoed, dE, dP) and, with ``undo``, the pre-collision states (z1, z2) that
+    ``_undo`` reads (else None)."""
     order = np.argsort(level, kind="stable")  # each level becomes a slice, rows in proposal order
     pairs, theta, u = (np.take(col, order, axis=0) for col in (pairs, theta, u))  # faster than [order] on rows
     m, d = len(order), states.shape[1]
     accepted, vetoed = np.zeros((2, m), dtype=bool)
-    lam, ratio, de, dp, z1, z2 = *np.zeros((3, m)), *np.zeros((3, m, d))
+    lam, ratio, de, dp = *np.zeros((3, m)), np.zeros((m, d))
+    z1, z2 = np.zeros((2, m, d)) if undo else (None, None)
     ends = np.cumsum(np.bincount(level)).tolist()
     for lv in map(slice, [0, *ends], ends):
         states = states if taus is None else _apply_free_flow(model, states, taus[lv.start])
-        z1[lv], z2[lv] = np.take(states, pairs[lv, 0], axis=0), np.take(states, pairs[lv, 1], axis=0)
-        accepted[lv], lam[lv], ratio[lv], vetoed[lv] = _accept(model, z1[lv], z2[lv], theta[lv], u[lv])
-        _collide(model, states, pairs[lv], z1[lv], z2[lv], theta[lv], accepted[lv], de[lv], dp[lv])
+        a, b = np.take(states, pairs[lv, 0], axis=0), np.take(states, pairs[lv, 1], axis=0)
+        if undo:
+            z1[lv], z2[lv] = a, b
+        accepted[lv], lam[lv], ratio[lv], vetoed[lv] = _accept(model, a, b, theta[lv], u[lv])
+        _collide(model, states, pairs[lv], a, b, theta[lv], accepted[lv], de[lv], dp[lv])
     back = np.empty_like(order)
     back[order] = np.arange(m)
-    accepted, lam, ratio, vetoed, de, dp, z1, z2 = (np.take(col, back, axis=0)
-                                                    for col in (accepted, lam, ratio, vetoed, de, dp, z1, z2))
-    return states, (accepted, lam, ratio, vetoed, de, dp), (z1, z2)
+    cols = tuple(np.take(col, back, axis=0) for col in (accepted, lam, ratio, vetoed, de, dp))
+    return states, cols, tuple(np.take(z, back, axis=0) for z in (z1, z2)) if undo else None
 
 
 def exact_simulate(model: CollisionModel, e0: Ensemble, T: float, rng: RngStream,
                    event_cap: int = 10_000_000):
-    """Jump-exact simulation over [0, T] on top of the ensemble's clock.
+    """Jump-exact simulation over [0, T] on top of the ensemble's clock:
+    ``exact_batch`` of the one replica ``e0``. Returns (ensemble, log)."""
+    finals, logs = exact_batch(model, e0.states[None], T, [rng], e0.time, event_cap)
+    return Ensemble(finals[0], e0.time + T), logs[0]
 
-    A global exponential clock with parameter Lambda M (N-1)/2 proposes
-    collision times; at each ring a uniform pair and a theta ~ q0 nu are
+
+def exact_batch(model: CollisionModel, states, T: float, streams, t0: float = 0.0,
+                event_cap: int = 10_000_000):
+    """Jump-exact simulation of R independent replicas over [t0, t0 + T].
+
+    Each replica runs on a global exponential clock with parameter
+    Lambda M (N-1)/2; at each ring a uniform pair and a theta ~ q0 nu are
     drawn and the collision is accepted with probability
     lam(z_i, z_j) q(z_i, z_j, theta) / (Lambda M q0(theta)). Between rings
-    the free flow is applied exactly. Each ``_levels`` level of a block (with
-    a free flow, each proposal) is one array step. Returns (ensemble, log).
+    the free flow is applied exactly. ``states`` is an (R, n, d) array and
+    ``streams`` holds the R replicas' streams; replica r draws from four
+    substreams of ``streams[r]`` (clock, pairs, thetas, uniforms), so its
+    final states and log are those of its lone run. Returns the (R, n, d)
+    finals and the R event logs, each capped at ``event_cap`` entries.
+
+    Replicas run in groups whose blocks hold at most _GROUP_ROWS proposals
+    together (with a free flow, one replica per group). In each round every
+    replica of a group that has not passed its horizon draws a block; the
+    blocks are stacked, particle indices offset by r n, and applied as one
+    block of the (R n, d) joint states, one ``_levels`` level after the
+    other (with a free flow, one proposal after the other). Replicas share
+    no particle, so each row gets the level of its lone run. The bound is
+    checked after the round, replica by replica in proposal order.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    n = e0.n
+    out = np.array(states, dtype=float)
+    if out.ndim != 3:
+        raise ValueError(f"states must be an (R, n, d) array, got shape {out.shape}")
+    count, n, d = out.shape
     if n < 2:
         raise ValueError("need at least two particles")
-    states = e0.states.copy()
-    t, horizon = e0.time, e0.time + T
+    if len(streams) != count:
+        raise ValueError(f"need one stream per replica: {count} replicas, {len(streams)} streams")
+    if not np.isfinite(out).all():
+        r, i = np.argwhere(~np.isfinite(out))[0, :2].tolist()
+        raise ValueError(f"states must be finite: replica {r}, particle {i} is {out[r, i].tolist()}")
+    horizon = t0 + T
     total_rate = model.Lambda * model.M * (n - 1) / 2.0
-    log = EventLog(cap=event_cap)
-    clock, pair_stream, theta_stream, accept_stream = (rng.substream(k) for k in range(4))
-    table = [0] * n
-    while total_rate > 0:
-        size = _block_size(total_rate * (horizon - t))
-        taus = clock.exponential(1.0 / total_rate, size)
-        times = np.cumsum(np.concatenate([[t], taus]))[1:]  # one addition after the other
-        m = int(np.searchsorted(times, horizon, side="right"))
-        pairs = _draw_pairs(pair_stream, n, m)
-        theta = model.theta_sampler(theta_stream, m)
-        u = accept_stream.uniform(m)
-        level = _levels(pairs, n, table) if model.free_flow is None else np.arange(m)
-        states, (accepted, _, ratio, vetoed, de, dp), _ = _apply_levels(model, states, pairs, level, theta, u, taus)
-        _check(ratio, vetoed, stacklevel=3)
-        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted, de, dp)
-        if m:
-            t = times[m - 1]
-        if m < size:
-            break
-    states = _apply_free_flow(model, states, horizon - t)
-    return Ensemble(states, horizon), log
+    logs = [EventLog(cap=event_cap) for _ in range(count)]
+    # replicas per group: a replica's later blocks are never larger than its first
+    width = 1 if model.free_flow is not None or total_rate == 0 else _GROUP_ROWS // _block_size(total_rate * T)
+    width = max(1, min(width, count))
+    table = [0] * (width * n)
+    for lo in range(0, count, width):
+        hi = min(lo + width, count)
+        out[lo:hi] = _exact_group(model, out[lo:hi].reshape(-1, d), n, t0, horizon, total_rate,
+                                  streams[lo:hi], logs[lo:hi], table).reshape(-1, n, d)
+    return out, logs
+
+
+def _exact_group(model: CollisionModel, joint, n: int, t0: float, horizon: float, total_rate: float,
+                 streams, logs, table):
+    """Run the replicas of the (R n, d) ``joint`` states, replica r in rows r n to (r + 1) n, from
+    t0 to ``horizon``, recording into ``logs``; ``table`` is a level table of at least R n zeros.
+    With a free flow there is one replica. Returns the final joint states."""
+    draws = [[stream.substream(k) for k in range(4)] for stream in streams]
+    t = [t0] * len(streams)
+    active = list(range(len(streams))) if total_rate > 0 else []
+    while active:
+        rounds = []  # (replica, block size, ring times, rings before the horizon) of this round
+        for r in active:
+            size = _block_size(total_rate * (horizon - t[r]))
+            taus = draws[r][0].exponential(1.0 / total_rate, size)
+            times = np.cumsum(np.concatenate([[t[r]], taus]))[1:]  # one addition after the other
+            rounds.append((r, size, times, int(np.searchsorted(times, horizon, side="right"))))
+        blocks = []
+        for r, _, _, m in rounds:
+            _, pair_stream, theta_stream, accept_stream = draws[r]
+            blocks.append((_draw_pairs(pair_stream, n, m) + r * n, model.theta_sampler(theta_stream, m),
+                           accept_stream.uniform(m)))
+        pairs, theta, u = (np.concatenate(col) for col in zip(*blocks))
+        del blocks  # so that the replicas' own draws are not held through the level passes
+        if model.free_flow is None:
+            level, taus = _levels(pairs, len(joint), table), None
+        else:  # the flow moves every particle between rings, so each proposal is its own level;
+            level = np.arange(len(pairs))  # the group is one replica, and taus are its clock gaps
+        joint, (accepted, _, ratio, vetoed, de, dp), _ = _apply_levels(model, joint, pairs, level, theta, u, taus,
+                                                                       undo=False)
+        active = []
+        for (r, size, times, m), end in zip(rounds, np.cumsum([m for *_, m in rounds]).tolist()):
+            rows = slice(end - m, end)
+            _check(ratio[rows], vetoed[rows], stacklevel=4)
+            logs[r].record(times[:m], pairs[rows, 0] - r * n, pairs[rows, 1] - r * n, accepted[rows],
+                           de[rows], dp[rows])
+            if m:
+                t[r] = times[m - 1]
+            if m == size:  # its block ran out before the horizon
+                active.append(r)
+    for r in range(len(streams)):
+        rows = slice(r * n, (r + 1) * n)
+        joint[rows] = _apply_free_flow(model, joint[rows], horizon - t[r])
+    return joint
 
 
 def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid: TimeGrid,

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateWeights
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+MAX_STEPS = 10_000_000  # most steps of a TimeGrid: its step_durations and times take 16 bytes per step
 
 
 def _mix64(a: int, b: int) -> int:
@@ -220,9 +221,9 @@ def empirical_moments(ensemble: Ensemble | np.ndarray, p: int) -> np.ndarray:
 class TimeGrid:
     """Uniform discretization of [t0, t_end] with step dt.
 
-    ``steps`` is round((t_end - t0)/dt); when dt does not divide the
-    interval exactly, the final step absorbs the leftover duration so the
-    grid always lands on t_end.
+    ``steps`` is round((t_end - t0)/dt), at most MAX_STEPS; when dt does
+    not divide the interval exactly, the final step absorbs the leftover
+    duration so the grid always lands on t_end.
     """
 
     t0: float
@@ -239,7 +240,11 @@ class TimeGrid:
         if not np.isfinite(ratio):
             raise ValueError(f"need a finite step count (t_end - t0) / dt, got {ratio} "
                              f"for [{self.t0}, {self.t_end}] at dt={self.dt}")
-        object.__setattr__(self, "steps", max(1, round(ratio)))
+        steps = max(1, round(ratio))
+        if steps > MAX_STEPS:
+            raise ValueError(f"step count {steps:.4g} for [{self.t0}, {self.t_end}] at dt={self.dt} is above the "
+                             f"maximum {MAX_STEPS}: its grid arrays would take {16 * steps / 1e6:.4g} MB")
+        object.__setattr__(self, "steps", steps)
 
     def step_durations(self) -> np.ndarray:
         """Per-step durations; all equal to dt except a final partial step."""

@@ -207,10 +207,13 @@ def matrix_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eks_drift(cfg: EksConfig, states: np.ndarray) -> np.ndarray:
     """Per-particle drift of the Kalman sampler dynamics at the given
     states, using the configured mode. Exposed so the stationarity of the
-    exact posterior can be checked directly."""
+    exact posterior can be checked directly. An overflow gives non-finite
+    rows without a numpy warning, so that ``mckean.simulate``'s check names
+    the step and particle, whatever the warning filter."""
     states = np.asarray(states, dtype=float)
     n = states.shape[0]
     mean = states.mean(axis=0)

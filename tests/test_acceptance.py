@@ -16,6 +16,7 @@ from meanfield.boltzmann import (
     CellGrid,
     bird_simulate,
     conservation_report,
+    exact_batch,
     exact_simulate,
     maxwell_cutoff_model,
 )
@@ -137,12 +138,11 @@ def criterion_04_gate(seed):
     for k in range(5):
         s = RngStream(seed, k)
         init = s.substream(0).normal((n, 2))
-        exact_a, _ = exact_simulate(model, Ensemble(init), t_end, s.substream(1))
+        exact_a, exact_c, exact_d = exact_batch(model, np.broadcast_to(init, (3, n, 2)), t_end,
+                                                [s.substream(j) for j in (1, 3, 4)])[0]
         bird_b, _ = bird_simulate(model, grid, Ensemble(init), tg, s.substream(2))
-        exact_c, _ = exact_simulate(model, Ensemble(init), t_end, s.substream(3))
-        exact_d, _ = exact_simulate(model, Ensemble(init), t_end, s.substream(4))
-        cross.append(wasserstein_1d(exact_a.states[:, 0], bird_b.states[:, 0]))
-        self_dist.append(wasserstein_1d(exact_c.states[:, 0], exact_d.states[:, 0]))
+        cross.append(wasserstein_1d(exact_a[:, 0], bird_b.states[:, 0]))
+        self_dist.append(wasserstein_1d(exact_c[:, 0], exact_d[:, 0]))
     ratio = float(np.mean(cross) / np.mean(self_dist))
     return ratio <= 3.0, ratio, f"W1(exact, bird) / self-distance = {ratio:.2f} <= 3 over 5 seed pairs"
 
@@ -160,14 +160,11 @@ def criterion_05_gate(seed):
     phi = lambda z: math.tanh(z[0])
     covs = {}
     for n in (50, 100, 200, 400):
-        reps = []
-        for r in range(512):
-            s = RngStream(seed, n * 10000 + r)
-            v = s.substream(0).normal((n, 2))
-            v -= v.mean(axis=0)
-            fin, _ = exact_simulate(model, Ensemble(v), 1.0, s.substream(1))
-            reps.append(fin.states)
-        covs[n] = abs(pair_covariance_pooled(np.asarray(reps), phi))
+        streams = [RngStream(seed, n * 10000 + r) for r in range(512)]
+        v = np.stack([s.substream(0).normal((n, 2)) for s in streams])
+        v -= v.mean(axis=1, keepdims=True)
+        finals, _ = exact_batch(model, v, 1.0, [s.substream(1) for s in streams])
+        covs[n] = abs(pair_covariance_pooled(finals, phi))
     fit = fit_rate(covs)
     ok = -1.4 <= fit.slope <= -0.6
     return ok, fit.slope, (f"|pair covariance| slope {fit.slope:.3f} in [-1.4, -0.6] "

@@ -13,6 +13,7 @@ from meanfield.boltzmann import (
     CollisionModel,
     bird_simulate,
     conservation_report,
+    exact_batch,
     exact_simulate,
     hard_sphere_model,
     maxwell_cutoff_model,
@@ -981,6 +982,147 @@ class TestBatchedEngine:
             e = events[k]
             assert (e.time, e.i, e.j, e.accepted, e.de) == (time[k], i[k], j[k], accepted[k], de[k])
             assert same_bits(e.dp, dp[k]) and type(e.time) is float and type(e.i) is int
+
+
+# ---------------------------------------------------------------------------
+# Replicas of the exact engine as one joint system
+
+
+def reference_exact(model, states, T, rng, event_cap=10_000_000):
+    """One replica of the exact engine as its own loop, block after block: what exact_batch runs for
+    each replica, and what each of its replicas must reproduce bit for bit. Returns (finals, log)."""
+    n, t, horizon = len(states), 0.0, T
+    total_rate = model.Lambda * model.M * (n - 1) / 2.0
+    log = boltzmann.EventLog(cap=event_cap)
+    clock, pair_stream, theta_stream, accept_stream = (rng.substream(k) for k in range(4))
+    while total_rate > 0:
+        size = boltzmann._block_size(total_rate * (horizon - t))
+        taus = clock.exponential(1.0 / total_rate, size)
+        times = np.cumsum(np.concatenate([[t], taus]))[1:]
+        m = int(np.searchsorted(times, horizon, side="right"))
+        pairs = boltzmann._draw_pairs(pair_stream, n, m)
+        theta, u = model.theta_sampler(theta_stream, m), accept_stream.uniform(m)
+        level = boltzmann._levels(pairs, n) if model.free_flow is None else np.arange(m)
+        states, (accepted, _, ratio, vetoed, de, dp), _ = boltzmann._apply_levels(
+            model, states.copy(), pairs, level, theta, u, taus)
+        boltzmann._check(ratio, vetoed, stacklevel=2)
+        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted, de, dp)
+        t = times[m - 1] if m else t
+        if m < size:
+            break
+    return boltzmann._apply_free_flow(model, states, horizon - t), log
+
+
+def lone_exact_runs(model, states, T, streams, event_cap=10_000_000):
+    """``reference_exact`` of each replica of ``states``, as (finals, logs) like exact_batch."""
+    runs = [reference_exact(model, z, T, rng, event_cap) for z, rng in zip(states, streams)]
+    return np.stack([final for final, _ in runs]), [log for _, log in runs]
+
+
+def same_logs(a, b):
+    return ((a.proposed, a.accepted, a.truncated) == (b.proposed, b.accepted, b.truncated)
+            and all(same_bits(x, y) for x, y in zip(a.columns(), b.columns())))
+
+
+@pytest.fixture
+def exact_groups(monkeypatch):
+    """The number of replicas of each group that exact_batch runs."""
+    widths, group = [], boltzmann._exact_group
+    monkeypatch.setattr(boltzmann, "_exact_group", lambda *args: widths.append(len(args[6])) or group(*args))
+    return widths
+
+
+class TestExactBatch:
+    def check(self, model, states, T, seed, groups=None, **kw):
+        """exact_batch of ``states``, and exact_simulate of its first replica, give each replica the
+        bits of its ``reference_exact`` run; returns the batch's logs.
+        ``groups``, the exact_groups fixture, is left holding the batch's groups only."""
+        streams = [RngStream(seed, r) for r in range(len(states))]
+        want_finals, want_logs = lone_exact_runs(model, states, T, streams, **kw)
+        final, log = exact_simulate(model, Ensemble(states[0]), T, streams[0], **kw)  # the batch of one
+        assert same_bits(final.states, want_finals[0]) and same_logs(log, want_logs[0])
+        if groups is not None:
+            groups.clear()
+        finals, logs = exact_batch(model, states, T, streams, **kw)
+        assert same_bits(finals, want_finals)
+        assert len(logs) == len(states) and all(same_logs(a, b) for a, b in zip(logs, want_logs))
+        return logs
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_maxwell_replicas_are_their_lone_runs(self, exact_groups, d):
+        logs = self.check(maxwell_cutoff_model(uniform_deflection(), d=d), RngStream(90, d).normal((5, 300, d)),
+                          1.0, 91, exact_groups)
+        assert exact_groups == [5] and all(log.accepted == log.proposed > 100 for log in logs)
+
+    def test_hard_sphere_replicas_reject_as_their_lone_runs(self, exact_groups):
+        logs = self.check(hard_sphere_model(1.5, d=2), RngStream(92).normal((4, 200, 2)), 1.0, 93,
+                          exact_groups)
+        assert exact_groups == [4] and all(0 < log.accepted < log.proposed for log in logs)
+
+    def test_vetoes_still_warn(self):
+        model = wealth_model(lambda rng, k: rng.uniform((k, 4)) - 0.05)
+        with pytest.warns(UserWarning, match="event filter"):
+            logs = self.check(model, np.abs(RngStream(94).normal((3, 100, 1))) + 1.0, 1.0, 95)
+        assert all(0 < log.accepted < log.proposed for log in logs)
+
+    def test_free_flow_replicas_run_alone(self, exact_groups):
+        logs = self.check(kinetic_maxwell_model(), RngStream(96).normal((3, 50, 4)), 1.0, 97, exact_groups)
+        assert exact_groups == [1, 1, 1] and all(log.accepted > 0 for log in logs)
+
+    def test_a_replica_past_its_block_runs_on_alone(self, monkeypatch, exact_groups):
+        # N = 20 over T = 4 expects 38 proposals: at _BLOCK = 38 some replicas run out of their block
+        # before the horizon and draw another, while the others are done
+        monkeypatch.setattr(boltzmann, "_BLOCK", 38)
+        logs = self.check(maxwell_cutoff_model(uniform_deflection(), d=2), RngStream(98).normal((6, 20, 2)), 4.0, 99,
+                          exact_groups)
+        assert exact_groups == [6]
+        assert min(log.proposed for log in logs) < 38 < max(log.proposed for log in logs)
+
+    def test_event_cap_truncates_only_the_replicas_past_it(self):
+        logs = self.check(maxwell_cutoff_model(uniform_deflection(), d=2), RngStream(100).normal((6, 40, 2)),
+                          1.0, 101, event_cap=20)
+        assert {log.truncated for log in logs} == {True, False}
+        assert all(len(log.columns()[0]) == min(log.proposed, 20) for log in logs)
+
+    def test_groups_hold_at_most_the_row_bound(self, monkeypatch, exact_groups):
+        # N = 100 over T = 1 draws a first block of int(1.1 * 49.5) + 16 = 70 proposals per replica
+        monkeypatch.setattr(boltzmann, "_GROUP_ROWS", 150)
+        self.check(maxwell_cutoff_model(uniform_deflection(), d=2), RngStream(102).normal((5, 100, 2)), 1.0, 103,
+                   exact_groups)
+        assert exact_groups == [2, 2, 1]
+
+    def test_a_zero_rate_batch_only_flows(self):
+        model = transport_only_model()
+        finals, logs = exact_batch(model, np.array([[[0.0, 1.0], [1.0, -2.0]]] * 2), 3.0,
+                                   [RngStream(104), RngStream(105)], t0=1.0)
+        assert np.allclose(finals[:, :, 0], [3.0, -5.0]) and all(log.proposed == 0 for log in logs)
+
+    @pytest.mark.parametrize("states, streams, match", [
+        (np.zeros((4, 2)), 4, "an \\(R, n, d\\) array"),
+        (np.zeros((2, 1, 2)), 2, "two particles"),
+        (np.zeros((2, 3, 2)), 3, "one stream per replica"),
+        (np.array([[[0.0], [1.0]], [[np.inf], [0.0]]]), 2, "replica 1, particle 0"),
+    ], ids=["2-d", "one-particle", "streams", "infinite"])
+    def test_bad_batches_are_refused(self, states, streams, match):
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        with pytest.raises(ValueError, match=match):
+            exact_batch(model, states, 1.0, [RngStream(106, r) for r in range(streams)])
+
+    def test_a_bound_violation_in_one_replica_stops_the_batch(self):
+        lying = CollisionModel(lam=lambda a, b: np.where(a[:, 0] > 10, 2.0, 1.0), Lambda=1.0,
+                               psi_pair=lambda a, b, t: (a, b), theta_sampler=no_theta)
+        states = np.zeros((3, 4, 1))
+        states[1, 0] = 20.0
+        with pytest.raises(BoundViolation):
+            exact_batch(lying, states, 5.0, [RngStream(107, r) for r in range(3)])
+        exact_batch(lying, states[[0, 2]], 5.0, [RngStream(107, r) for r in (0, 2)])
+
+    def test_levels_leave_the_table_zeroed(self):
+        pairs = boltzmann._draw_pairs(RngStream(108), 30, 200)
+        table = [0] * 30
+        level = boltzmann._levels(pairs, 30, table)
+        assert table == [0] * 30 and level.max() > 0
+        assert np.array_equal(level, boltzmann._levels(pairs, 30))
 
 
 # ---------------------------------------------------------------------------

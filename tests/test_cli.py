@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,8 @@ class TestParamTable:
         ("kuramoto_sweep", {"cases": []}, None, "params.cases:"),
         ("coupling_rate", {}, {"t0": 0.0, "t_end": math.inf, "dt": 0.1}, "time:"),
         ("coupling_rate", {}, {"t0": 0.0, "t_end": 1.0, "dt": 1e-320}, "time:"),
+        ("kuramoto_sweep", {}, {"t0": 0.0, "t_end": 1e300, "dt": 1.0}, "time:"),
+        ("kuramoto_sweep", {}, {"t0": 0.0, "t_end": 1e10, "dt": 1.0}, "time:"),
         ("eks", {"G": [[1.0, 2.0]], "y": [1.0, 2.0, 3.0], "Gamma": [[1.0]]}, None, "params.y:"),
         ("eks", {"G": [[1.0, 2.0]], "y": [1.0], "Gamma": [[1.0]], "Gamma0": [[1.0]]}, None, "params.Gamma0:"),
         ("eks", {"Gamma": [[1.0]]}, None, "params.Gamma:"),
@@ -327,13 +330,14 @@ class TestParamTable:
             "bossy-unknown", "kuramoto-unknown", "cbo-tol", "cbo-init_width", "coupling-lambda",
             "eks-derivative_free", "bird_dt-above-t_end", "cmc-tiny-h", "dsmc-t0", "bossy-t0",
             "cbo-target-too-long", "cbo-target-too-short", "cbo-target-matrix", "kuramoto-empty-cases",
-            "time-infinite-t_end", "time-underflowing-dt", "eks-y-length", "eks-Gamma0-shape",
-            "eks-Gamma-shape", "eks-G-3d", "eks-y-matrix"])
+            "time-infinite-t_end", "time-underflowing-dt", "time-1e300-steps", "time-1e10-steps", "eks-y-length",
+            "eks-Gamma0-shape", "eks-Gamma-shape", "eks-G-3d", "eks-y-matrix"])
     def test_param_exit_2(self, tmp_path, capsys, kind, params, time, field):
         # each of these used to pass validate: an unknown name ran on the defaults,
         # the tiny h ran to exit 0 with no proposal accepted, t0 was ignored, a
-        # step count of inf exited 1 with an OverflowError and the rest exited 3
-        # with a traceback
+        # step count of inf exited 1 with an OverflowError, one of 1e300 exited 3
+        # with numpy's "Maximum allowed dimension exceeded", one of 1e10 would
+        # have allocated its grid, and the rest exited 3 with a traceback
         configs = {**SMALL_CONFIGS, "coupling_rate": coupling_config(), "kuramoto_sweep": self.KURAMOTO}
         payload = json.loads(json.dumps(configs[kind]))
         payload["params"].update(params)
@@ -507,9 +511,11 @@ class TestRun:
                        "Gamma0": [[1.0, 0.0], [0.0, 1.0]], "steps": 5},
         })
         out = tmp_path / "out"
-        with np.errstate(over="ignore"):  # the same StepError with or without -W error
+        with warnings.catch_warnings():  # as under -W error: numpy's overflow warning must not escape
+            warnings.simplefilter("error")
             assert run(cfg, out_dir=out) == 3
-        assert "StepError: non-finite drift" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "StepError: non-finite drift | particle=0 | step=0" in err and "RuntimeWarning" not in err
         assert (out / "manifest.json").exists()
         assert not (out / "summary.json").exists()
 

@@ -5,6 +5,7 @@ import pytest
 
 from meanfield import core
 from meanfield.core import (
+    MAX_STEPS,
     EmpiricalMeasure,
     Ensemble,
     RngStream,
@@ -272,3 +273,14 @@ class TestTimeGrid:
         # round() of an infinite or NaN (t_end - t0) / dt raised OverflowError or ValueError
         with pytest.raises(ValueError, match="finite step count"):
             TimeGrid(t0, t_end, dt)
+
+    @pytest.mark.parametrize("t_end, count, size", [(1e300, "1e\\+300", "1.6e\\+295 MB"),
+                                                    (1e10, "1e\\+10", "1.6e\\+05 MB"),
+                                                    (MAX_STEPS + 1.0, "1e\\+07", "160 MB")])
+    def test_a_step_count_above_the_maximum_is_refused_by_its_size(self, t_end, count, size):
+        # numpy refused to build the grid of 1e300 steps; 1e10 steps would have allocated 160 GB
+        with pytest.raises(ValueError, match=f"step count {count} .* above the maximum {MAX_STEPS}: .* {size}"):
+            TimeGrid(0.0, t_end, 1.0)
+
+    def test_the_maximum_step_count_is_allowed(self):
+        assert TimeGrid(0.0, float(MAX_STEPS), 1.0).steps == MAX_STEPS
