@@ -11,11 +11,8 @@ Bird draw proposals in blocks and apply each dependency level of a block
 (proposals that touch no particle twice) as one array step, each level
 reading the states the levels below it left, so states and log are those
 of one proposal after the other; Bird then undoes the proposals past its
-counter's cut. On one cell without a free flow, Bird plans each cell step
-as if every proposal were accepted at the rate Lambda, which makes its cut
-known before it is drawn, and applies the planned proposals of several
-steps as one block; the first block with a proposal not accepted at Lambda
-is undone, and the rest of the call runs one cell step at a time. Each
+counter's cut. Bird carries each cell's counter from one time step to the
+next, so on one cell without a free flow a call is one counter run. Each
 kind of draw has its own substream, so the results do not depend on the
 block size. Exact runs a batch of replicas as one system of disjoint
 particle sets, so that one level pass serves every replica.
@@ -422,18 +419,14 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     algorithm and each ACCEPTED collision advances the cell's time counter
     by dt_ij = (N_G (N_G - 1)/2 * lam(z_i, z_j)/N * delta^-d)^-1. A
     collision whose increment overshoots the step boundary is still
-    applied. Cells draw from per-cell substreams, so the outcome does not
-    depend on cell processing order; the call builds one set of three
-    streams and re-keys it to each cell step's substreams.
-
-    On one cell without a free flow, a cell step's cut is known before its
-    draws if every proposal is accepted at the rate Lambda (always so for
-    Maxwell molecules). The call then runs its steps as blocks of just the
-    proposals it will keep (``_bird_full_steps``): its first step alone,
-    so that a model not accepted at Lambda wastes one step's draws, then as
-    many steps as fit in _BLOCK kept proposals. The first block with a
-    proposal not accepted at Lambda is undone, and from it on the call runs
-    one cell step at a time, as it does on a grid or with a free flow.
+    applied, and the counter is carried to the next step (Bird's
+    time-counter method): a cell step starts at the later of the cell's
+    counter and the step's start, and a cell whose counter is already past
+    the step's end skips the step. On one cell without a free flow nothing
+    happens between steps, so the call runs the one step [t0, t_end]. Cells
+    draw from per-cell substreams, so the outcome does not depend on cell
+    processing order; the call builds one set of three streams and re-keys
+    it to each cell step's substreams.
     """
     if e0.time != time_grid.t0:
         raise ValueError(f"the ensemble is at time {e0.time!r} but the time grid starts at {time_grid.t0!r}")
@@ -442,6 +435,8 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     log = EventLog(cap=event_cap)
     inv_volume = 1.0 / grid.cell_volume()
     times, durations = time_grid.times(), time_grid.step_durations()
+    if grid.position is None and model.free_flow is None:
+        times = times[[0, -1]]  # nothing moves between steps: one step, keyed as step 0
     table = [0] * n
     kinds = (1, 2, 3)  # the pair, theta and uniform streams, built once and re-keyed to each cell step
     streams = [rng.substream(kind) for kind in kinds]
@@ -450,29 +445,24 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
         key = _mix64(_mix64(rng.stream_id, k), cell_id)
         return [stream.rekey(_mix64(key, kind)) for kind, stream in zip(kinds, streams)]
 
-    merge = grid.position is None and model.free_flow is None and n >= 2 and model.Lambda * model.M > 0
-    k = 0
-    while k < len(durations):
-        if merge:
-            plan = _full_plan(model, times, range(k, len(durations) if k else 1), n * (n - 1) / 2.0 / n * inv_volume)
-            cols = _bird_full_steps(model, states, plan, table, keyed) if plan else None
-            if cols is not None:
-                log.record(*cols)
-                k += len(plan)
-                continue
-            merge = not plan  # a failed block ends merging; a step too long for one block runs alone
+    counters = {}  # cell id -> the cell's time counter, carried from step to step
+    for k in range(len(times) - 1):
         states = _apply_free_flow(model, states, durations[k])
-        chunks = [_bird_cell(model, states, members, float(times[k]), float(times[k + 1]),
-                             members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table,
-                             *keyed(k, cell_id))
-                  for cell_id, members in (_cells(grid, states) if model.Lambda * model.M > 0 else ())]
+        t_k, t_next = float(times[k]), float(times[k + 1])
+        chunks = []
+        for cell_id, members in (_cells(grid, states) if model.Lambda * model.M > 0 else ()):
+            t_c = max(counters.get(cell_id, t_k), t_k)
+            if t_c <= t_next:  # else the cell's counter is already past the step
+                cols, counters[cell_id] = _bird_cell(model, states, members, t_c, t_next,
+                                                     members.size * (members.size - 1) / 2.0 / n * inv_volume,
+                                                     cell_id, table, *keyed(k, cell_id))
+                chunks.append(cols)
         if len(chunks) == 1:  # one cell's counter never decreases: its log is already time-ordered
             log.record(*chunks[0])
         elif chunks:  # counters run in parallel across cells; merge so the log stays time-ordered
             cols = [np.concatenate(col) for col in zip(*chunks)]
             order = np.argsort(cols[0], kind="stable")
             log.record(*(col[order] for col in cols))
-        k += 1
     return Ensemble(states, time_grid.t_end), log
 
 
@@ -491,7 +481,8 @@ def _cells(grid: CellGrid, states) -> list:
 def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, scale: float, cell_id, table,
                pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream):
     """Run one cell's collision counter from t_c until it passes t_stop, updating ``states`` in place;
-    an accepted proposal adds 1/(scale lam) to the counter. Returns the log columns of the proposals made.
+    an accepted proposal adds 1/(scale lam) to the counter. Returns the log columns of the proposals made
+    and the final counter.
 
     Each block is applied whole, level by level (``table``: the call's level table), then cut after
     the proposal that takes the counter past t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive
@@ -523,9 +514,9 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
         out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc[:made], de[:made], dp[:made]))
         if stalled:
             warnings.warn(f"cell {cell_id}: {stall} consecutive fictitious collisions, "
-                          "abandoning the cell for this step (all pair rates may be zero)")
+                          "abandoning the cell for the rest of this pass (all pair rates may be zero)")
         if stalled or past.size:
-            return out[0] if len(out) == 1 else [np.concatenate(col) for col in zip(*out)]
+            return (out[0] if len(out) == 1 else [np.concatenate(col) for col in zip(*out)]), float(t_c)
 
 
 def _undo(states, pairs, level, rows, z1, z2):
@@ -536,45 +527,6 @@ def _undo(states, pairs, level, rows, z1, z2):
     for lv in sorted(set(top.tolist()), reverse=True):
         undo = rows[top == lv]
         states[pairs[undo, 0]], states[pairs[undo, 1]] = z1[undo], z2[undo]
-
-
-def _full_plan(model: CollisionModel, times, steps, scale: float) -> list:
-    """The single cell's ``steps`` as they run if every proposal is accepted at the rate Lambda: the
-    counter then moves by the same 1 / (scale Lambda) at each. Returns (step, counter before each kept
-    proposal) of as many steps as keep at most _BLOCK proposals together."""
-    plan, room, inc = [], _BLOCK, 1.0 / (scale * float(model.Lambda))
-    for step in steps:
-        t_c, t_stop = float(times[step]), float(times[step + 1])
-        size = min(room, int((t_stop - t_c) * scale * model.Lambda) + 2)  # int + 1 finish it, one more rounds
-        counter = np.cumsum(np.concatenate([[t_c], np.full(size, inc)]))  # as _bird_cell sums it
-        past = np.flatnonzero(counter[1:] > t_stop)
-        if not past.size:
-            break
-        plan.append((step, counter[:past[0] + 1]))
-        room -= past[0] + 1
-    return plan
-
-
-def _bird_full_steps(model: CollisionModel, states, plan, table, keyed):
-    """Run the ``_full_plan`` steps of the single cell as one block: each step's kept proposals are
-    drawn from its streams (``keyed(step, 0)``), and those of all of them are applied to ``states`` in
-    place, level by level. Returns their log columns. If one was not accepted at lam == Lambda, its
-    step's cut is not the planned one: the block is undone and None returned, before any check, so
-    the steps can run one at a time from the same states."""
-    n, draws = len(states), []
-    for step, counter in plan:
-        made = len(counter)
-        pair_stream, theta_stream, accept_stream = keyed(step, 0)
-        draws.append((_draw_pairs(pair_stream, n, made), model.theta_sampler(theta_stream, made),
-                      accept_stream.uniform(made)))
-    pairs, theta, u = (np.concatenate(col) for col in zip(*draws))
-    level = _levels(pairs, n, table)
-    _, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(model, states, pairs, level, theta, u)
-    if not (acc.all() and (lam == model.Lambda).all()):
-        _undo(states, pairs, level, np.flatnonzero(acc), z1, z2)
-        return None
-    _check(ratio, vetoed, stacklevel=4)
-    return np.concatenate([counter for _, counter in plan]), pairs[:, 0], pairs[:, 1], acc, de, dp
 
 
 def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, rng: RngStream) -> Ensemble:

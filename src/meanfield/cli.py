@@ -313,17 +313,17 @@ def _run_dsmc_compare(config, p: dict, base: RngStream, out: Path) -> dict:
         s = base.substream(k)
         init = Ensemble(s.substream(0).normal((n, p["d"])))
         # the three exact runs as one batch, so that each level pass serves all three
-        exact_a, exact_c, exact_d = exact_batch(model, np.broadcast_to(init.states, (3, n, p["d"])), t_end,
-                                                [s.substream(j) for j in (1, 3, 4)])[0]
-        bird_b, _ = bird_simulate(model, grid, init, time_grid, s.substream(2))
+        (exact_a, exact_c, exact_d), exact_logs = exact_batch(model, np.broadcast_to(init.states, (3, n, p["d"])),
+                                                              t_end, [s.substream(j) for j in (1, 3, 4)])
+        bird_b, bird_log = bird_simulate(model, grid, init, time_grid, s.substream(2))
         cross = wasserstein_1d(exact_a[:, 0], bird_b.states[:, 0])
         self_dist = wasserstein_1d(exact_c[:, 0], exact_d[:, 0])
-        return cross, self_dist
+        return cross, self_dist, [log.accepted for log in exact_logs], bird_log.accepted
 
     results = _map_replicas(run_pair, p["pairs"], 1)
-    cross, self_d = zip(*results)
+    cross, self_d, exact_accepted, bird_accepted = zip(*results)
     write_csv(out / "dsmc_pairs.csv", "pair,w1_cross,w1_self",
-              ((k, c, s) for k, (c, s) in enumerate(results)))
+              ((k, c, s) for k, (c, s, *_) in enumerate(results)))
     mean_cross = float(np.mean(cross))
     mean_self = float(np.mean(self_d))
     return {
@@ -331,6 +331,10 @@ def _run_dsmc_compare(config, p: dict, base: RngStream, out: Path) -> dict:
         "w1_cross_mean": mean_cross,
         "w1_self_mean": mean_self,
         "ratio": mean_cross / mean_self if mean_self > 0 else math.inf,
+        # the model has Lambda = M = 1: each run expects Lambda M (n - 1) t_end / 2 collisions
+        "expected_collisions": (n - 1) * t_end / 2.0,
+        "exact_accepted_mean": float(np.mean(exact_accepted)),
+        "bird_accepted_mean": float(np.mean(bird_accepted)),
     }
 
 
@@ -487,7 +491,8 @@ def _run_kuramoto_sweep(config, p: dict, base: RngStream, out: Path) -> dict:
 # each kind's runner and the keys of its summary, one of which starts every threshold name
 _RUNNERS = {
     "coupling_rate": (_run_coupling_rate, ("kind", "sup_mse", "slope", "intercept", "r2")),
-    "dsmc_compare": (_run_dsmc_compare, ("kind", "n", "w1_cross_mean", "w1_self_mean", "ratio")),
+    "dsmc_compare": (_run_dsmc_compare, ("kind", "n", "w1_cross_mean", "w1_self_mean", "ratio", "expected_collisions",
+                                         "exact_accepted_mean", "bird_accepted_mean")),
     "cbo": (_run_cbo, ("kind", "objective", "seeds", "successes", "tolerance", "median_distance",
                        "consensus", "objective_at_consensus", "trajectory_csv")),
     "eks": (_run_eks, ("kind", "mean_error", "mean_error_in_posterior_std", "cov_frobenius_rel_error",

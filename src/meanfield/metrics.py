@@ -35,15 +35,25 @@ def quantile_resample(samples, m: int) -> np.ndarray:
     return np.quantile(samples, q)
 
 
+def _phi_values(phi, states) -> np.ndarray:
+    """phi of a (..., d) state array: one call, one value per row, as a (...) array."""
+    vals = np.asarray(phi(states), dtype=float)
+    if vals.shape != states.shape[:-1]:
+        raise ValueError(f"phi must map (..., d) states to (...) values: got {vals.shape} "
+                         f"for states of shape {states.shape}")
+    return vals
+
+
 def pair_covariance(a, b, phi) -> float:
     """Sample covariance across replicas of (phi(X^1), phi(X^2)).
 
     ``a`` and ``b`` hold the states of two tagged particles at a fixed time,
-    one row per replica; ``phi`` is a bounded test function applied
-    row-wise. A usable estimate needs at least ~100 replicas.
+    one (replicas, d) array each; ``phi`` is a bounded test function that
+    maps a (..., d) state array to its (...) values in one call. A usable
+    estimate needs at least ~100 replicas.
     """
-    fa = np.asarray([phi(x) for x in np.asarray(a, dtype=float)], dtype=float)
-    fb = np.asarray([phi(x) for x in np.asarray(b, dtype=float)], dtype=float)
+    fa = _phi_values(phi, np.asarray(a, dtype=float))
+    fb = _phi_values(phi, np.asarray(b, dtype=float))
     if fa.size != fb.size:
         raise ValueError("replica counts differ")
     return float(np.mean((fa - fa.mean()) * (fb - fb.mean())) * fa.size / (fa.size - 1))
@@ -53,7 +63,8 @@ def pair_covariance_pooled(states, phi) -> float:
     """Two-particle covariance estimated from all ordered pairs of an
     exchangeable system, averaged over replicas.
 
-    ``states`` has shape (replicas, n, d). By exchangeability every pair
+    ``states`` has shape (replicas, n, d), and ``phi`` maps it to its
+    (replicas, n) values in one call. By exchangeability every pair
     (i, j), i != j, has the same joint law as the tagged pair (1, 2), so
     the all-pairs U-statistic estimates the same covariance as
     ``pair_covariance`` with a variance smaller by roughly a factor n^2.
@@ -65,7 +76,7 @@ def pair_covariance_pooled(states, phi) -> float:
     replicas, n, _ = states.shape
     if n < 2:
         raise ValueError("need at least two particles per replica")
-    vals = np.asarray([[phi(x) for x in rep] for rep in states], dtype=float)
+    vals = _phi_values(phi, states)
     m = vals.mean()
     s = vals.sum(axis=1)
     q = (vals ** 2).sum(axis=1)

@@ -157,7 +157,7 @@ def criterion_05_gate(seed):
     exchangeability with far less replica noise.
     """
     model = maxwell(d=2)
-    phi = lambda z: math.tanh(z[0])
+    phi = lambda z: np.tanh(z[..., 0])
     covs = {}
     for n in (50, 100, 200, 400):
         streams = [RngStream(seed, n * 10000 + r) for r in range(512)]

@@ -287,6 +287,12 @@ class TestExactSimulate:
         assert not np.allclose(final.states[:, 2:], e0.states[:, 2:])
 
 
+def assert_expected_count(accepted, expected, cells):
+    """Bird's accepted count within the Poisson band of its expectation, plus the one collision
+    by which each cell's counter may overshoot the end of the run."""
+    assert abs(accepted - expected) <= 3.0 * math.sqrt(expected) + cells, (accepted, expected)
+
+
 class TestBirdSimulate:
     def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream, monkeypatch):
         # an accepted zero-rate event would divide by lam = 0 in the counter
@@ -295,7 +301,8 @@ class TestBirdSimulate:
         with pytest.warns(UserWarning, match="consecutive fictitious"):
             final, log = bird_simulate(zero_rate_counting_model(), CellGrid.single_cell(), e0,
                                        TimeGrid(0, 1, 0.5), zero_uniform_stream(40))
-        assert log.proposed == 40 and log.accepted == 0
+        # one cell without a free flow runs its two steps as one counter run, which stalls once
+        assert log.proposed == 20 and log.accepted == 0
         assert np.array_equal(final.states, e0.states)
 
     def test_zero_rate_pure_transport(self):
@@ -348,6 +355,30 @@ class TestBirdSimulate:
         left, right = {0, 1}, {2, 3}
         for event in log.events:
             assert {event.i, event.j} <= left or {event.i, event.j} <= right
+
+    @pytest.mark.parametrize("dt", [0.1, 0.02, 0.005])
+    @pytest.mark.parametrize("n", [20, 50, 400])
+    def test_one_cell_collides_at_the_expected_rate_at_every_step(self, n, dt):
+        # Maxwell molecules accept every proposal, so the counter moves by 2 / (N - 1) per collision
+        # and one run over [0, 1] applies floor(E) + 1 of the E = (N - 1) / 2 collisions expected;
+        # a counter restarted at each step would apply floor(E dt) + 1 per step instead
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        e0 = Ensemble(RngStream(47, n).normal((n, 2)))
+        _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0.0, 1.0, dt), RngStream(48))
+        assert_expected_count(log.accepted, model.Lambda * (n - 1) / 2.0, cells=1)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.01])
+    def test_a_grid_of_cells_collides_at_the_expected_rate_at_every_step(self, dt):
+        # 2000 particles in 100 cells of side 0.01 at unit rate, none moving: each cell expects
+        # N_G (N_G - 1) / (2 N delta) collisions over T = 1, about 10, whatever the step
+        model = CollisionModel(lam=constant_rate(1.0), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=no_theta)
+        grid = CellGrid(lo=np.array([0.0]), hi=np.array([1.0]), delta=0.01, position=lambda s: s[:, :1])
+        e0 = Ensemble(RngStream(49).uniform((2000, 1)))
+        counts = np.bincount(grid.assign(e0.states))
+        expected = float((counts * (counts - 1)).sum()) / (2.0 * e0.n * grid.cell_volume())
+        _, log = bird_simulate(model, grid, e0, TimeGrid(0.0, 1.0, dt), RngStream(50))
+        assert_expected_count(log.accepted, expected, cells=np.count_nonzero(counts >= 2))
 
     def test_ensemble_time_must_be_the_grid_start(self):
         # a run from an ensemble at 5.0 on a grid from 0 used to end at 1.0, its log starting at 0
@@ -928,29 +959,23 @@ class TestBatchedEngine:
         _, i, j = log.columns()[:3]
         assert sorted(np.flatnonzero(outs[0][:, 0]).tolist()) == [i[0], j[0]] and outs[0].max() == 1.0
 
-    def test_bird_evaluates_only_the_kept_rows_of_a_maxwell_call(self, monkeypatch, bird_calls):
-        # the dsmc workload's Maxwell molecules accept every proposal at the rate Lambda, so the rate
-        # sees just the rows the call keeps: the first cell step's 100, then the other 19 steps' in one
-        # block, and no cell step runs alone
-        maxwell = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=2)
-        rows = []  # kernel rows of the call
-        model = CollisionModel(lam=lambda a, b: rows.append(len(a)) or maxwell.lam(a, b), Lambda=maxwell.Lambda,
-                               psi_pair=maxwell.psi_pair, theta_sampler=maxwell.theta_sampler)
-        apply_levels, blocks = boltzmann._apply_levels, []
+    def test_bird_evaluates_only_the_kept_rows_of_a_maxwell_call(self, monkeypatch):
+        # the dsmc workload's Bird call is one counter run over [0, 2] that expects 1999 collisions:
+        # one block of int(1.1 E) + 16 = 2214 proposals, cut at the 2000th, which takes the counter
+        # past 2; only the 2000 rows kept are checked and logged, the rest are undone
+        model = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=2)
+        apply_levels, check, blocks, checked = boltzmann._apply_levels, boltzmann._check, [], []
         monkeypatch.setattr(boltzmann, "_apply_levels",
                             lambda *args: blocks.append(len(args[2])) or apply_levels(*args))
-        init, time_grid = RngStream(99).normal((2000, 2)), TimeGrid(0.0, 2.0, 0.1)
+        monkeypatch.setattr(boltzmann, "_check",
+                            lambda ratio, *args, **kw: checked.append(len(ratio)) or check(ratio, *args, **kw))
+        init = RngStream(99).normal((2000, 2))
         for key in (2, 3):
-            rows.clear()
             blocks.clear()
-            bird_calls["cell"] = 0
-            got = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), time_grid, RngStream(99, key))
-            log = got[1]
-            assert log.accepted == log.proposed == sum(rows) == 2000 and blocks == [100, 1900]
-            assert bird_calls["cell"] == 0
-            # the blocks of 1.1 E + 16 proposals that each cell step draws alone give the same bits
-            assert same_runs(got, reference_bird(model, CellGrid.single_cell(), Ensemble(init), time_grid,
-                                                 RngStream(99, key)))
+            checked.clear()
+            _, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), TimeGrid(0.0, 2.0, 0.1),
+                                   RngStream(99, key))
+            assert log.accepted == log.proposed == 2000 and blocks == [2214] and checked == [2000]
 
     def test_hard_sphere_bird_draws_no_more_blocks_than_before(self, monkeypatch):
         # hard spheres reject some proposals, so blocks of 1.1 E + 16 proposals need no more draws
@@ -1123,145 +1148,3 @@ class TestExactBatch:
         level = boltzmann._levels(pairs, 30, table)
         assert table == [0] * 30 and level.max() > 0
         assert np.array_equal(level, boltzmann._levels(pairs, 30))
-
-
-# ---------------------------------------------------------------------------
-# Bird's merged cell steps against one _bird_cell call per cell step
-
-
-def reference_bird(model, grid, e0, time_grid, rng):
-    """Bird as one ``_bird_cell`` call per cell and time step, each from freshly built streams:
-    the loop that bird_simulate runs on a grid or with a free flow, and that its merged steps
-    must reproduce bit for bit."""
-    states, n = e0.states.copy(), e0.n
-    log, table, inv_volume = boltzmann.EventLog(), [0] * n, 1.0 / grid.cell_volume()
-    times = time_grid.times()
-    for k, h in enumerate(time_grid.step_durations()):
-        states = boltzmann._apply_free_flow(model, states, h)
-        chunks = []
-        for cell_id, members in boltzmann._cells(grid, states):
-            key = boltzmann._mix64(boltzmann._mix64(rng.stream_id, k), cell_id)
-            chunks.append(boltzmann._bird_cell(
-                model, states, members, float(times[k]), float(times[k + 1]),
-                members.size * (members.size - 1) / 2.0 / n * inv_volume, cell_id, table,
-                *(RngStream(rng.seed, key).substream(kind) for kind in (1, 2, 3))))
-        if chunks:  # a stable sort keeps one cell's time-ordered log as it is
-            cols = [np.concatenate(col) for col in zip(*chunks)]
-            order = np.argsort(cols[0], kind="stable")
-            log.record(*(col[order] for col in cols))
-    return Ensemble(states, time_grid.t_end), log
-
-
-def same_runs(a, b):
-    (final_a, log_a), (final_b, log_b) = a, b
-    return (same_bits(final_a.states, final_b.states)
-            and (log_a.proposed, log_a.accepted) == (log_b.proposed, log_b.accepted)
-            and all(same_bits(x, y) for x, y in zip(log_a.columns(), log_b.columns())))
-
-
-@pytest.fixture
-def bird_calls(monkeypatch):
-    """Counts the cell steps run one at a time, and records what each merged block returned
-    ("raised" if it raised)."""
-    calls = {"cell": 0, "merged": []}
-    cell, merged = boltzmann._bird_cell, boltzmann._bird_full_steps
-
-    def counted_cell(*args):
-        out = cell(*args)
-        calls["cell"] += 1
-        return out
-
-    def counted_merged(*args):
-        calls["merged"].append("raised")
-        calls["merged"][-1] = out = merged(*args)
-        return out
-
-    monkeypatch.setattr(boltzmann, "_bird_cell", counted_cell)
-    monkeypatch.setattr(boltzmann, "_bird_full_steps", counted_merged)
-    return calls
-
-
-def first_collisions_only(rate_after):
-    """States start at 0 and a collision adds 1 to both, so collided particles read above 0.5: the
-    rate is Lambda = 1 until a pair holds a collided particle, then ``rate_after``."""
-    return CollisionModel(lam=lambda a, b: np.where((a > 0.5) | (b > 0.5), rate_after, 1.0)[:, 0], Lambda=1.0,
-                          psi_pair=lambda a, b, t: (a + 1.0, b + 1.0), theta_sampler=no_theta)
-
-
-class TestMergedBirdSteps:
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("t_end", [1.0, 1.03, 0.97], ids=["whole", "long-last-step", "short-last-step"])
-    @pytest.mark.parametrize("block", [None, 40], ids=["one-block", "blocks-of-two-steps"])
-    def test_merged_steps_give_the_reference_bits(self, monkeypatch, bird_calls, d, t_end, block):
-        # N = 300 keeps 15 proposals per step of 0.1 (20 in a last step of 0.13, 11 in one of 0.07),
-        # so after the first step alone, a block of 40 proposals holds two steps
-        if block is not None:
-            monkeypatch.setattr(boltzmann, "_BLOCK", block)
-        model = maxwell_cutoff_model(uniform_deflection(), d=d)
-        grid, time_grid = CellGrid.single_cell(), TimeGrid(0.0, t_end, 0.1)
-        for seed in (0, 1, 2):
-            e0 = Ensemble(RngStream(80, seed).normal((300, d)))
-            bird_calls["cell"], bird_calls["merged"] = 0, []
-            got = bird_simulate(model, grid, e0, time_grid, RngStream(81, seed))
-            assert bird_calls["cell"] == 0 and None not in bird_calls["merged"]
-            assert len(bird_calls["merged"]) == (2 if block is None else 6)
-            assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(81, seed)))
-
-    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-two-steps"])
-    def test_a_block_whose_rate_drops_runs_its_steps_one_at_a_time(self, monkeypatch, bird_calls, block):
-        # a step of 0.015 keeps 3 proposals of 400 particles, so the first step is full but a later
-        # proposal soon meets a collided particle, whose rate 0.5 the block cannot have planned for
-        if block is not None:
-            monkeypatch.setattr(boltzmann, "_BLOCK", block)
-        model, grid, time_grid = first_collisions_only(0.5), CellGrid.single_cell(), TimeGrid(0.0, 0.3, 0.015)
-        e0 = Ensemble(np.zeros((400, 1)))
-        got = bird_simulate(model, grid, e0, time_grid, RngStream(82))
-        # the blocks before the one that failed stand, and none is tried after it
-        merged = bird_calls["merged"]
-        assert merged.index(None) == len(merged) - 1 > 0 and bird_calls["cell"] > 1
-        final, log = got
-        assert 0 < log.accepted < log.proposed and final.states.max() > 1.0
-        assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(82)))
-
-    def test_a_step_that_keeps_more_than_a_block_runs_alone(self, monkeypatch, bird_calls):
-        # N = 300 keeps 15 proposals per step of 0.1 and 20 in the last step of 0.13: at _BLOCK = 16
-        # each step is a block of its own, but the last one runs through _bird_cell
-        monkeypatch.setattr(boltzmann, "_BLOCK", 16)
-        model = maxwell_cutoff_model(uniform_deflection(), d=2)
-        grid, time_grid, e0 = CellGrid.single_cell(), TimeGrid(0.0, 1.03, 0.1), Ensemble(RngStream(86).normal((300, 2)))
-        got = bird_simulate(model, grid, e0, time_grid, RngStream(87))
-        assert len(bird_calls["merged"]) == 9 and None not in bird_calls["merged"] and bird_calls["cell"] == 1
-        assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(87)))
-
-    def test_q_above_m_q0_in_a_merged_block_raises_the_reference_s_message(self, bird_calls):
-        # q grows with what a particle has gained from its collisions, so the first proposal to meet
-        # a collided particle has a ratio above 1 that names its own theta
-        model = CollisionModel(lam=constant_rate(1.0), Lambda=1.0, psi_pair=lambda a, b, t: (a + t, b + t),
-                               theta_sampler=lambda rng, k: rng.uniform((k, 1)),
-                               q=lambda a, b, t: 1.0 + a[:, 0] + b[:, 0], q0=lambda t: np.ones(len(t)))
-        grid, time_grid, e0 = CellGrid.single_cell(), TimeGrid(0.0, 0.6, 0.015), Ensemble(np.zeros((400, 1)))
-        with pytest.raises(BoundViolation) as want:
-            reference_bird(model, grid, e0, time_grid, RngStream(83))
-        bird_calls["cell"] = 0
-        with pytest.raises(BoundViolation) as got:
-            bird_simulate(model, grid, e0, time_grid, RngStream(83))
-        merged = bird_calls["merged"]  # the first cell step alone, then a block that raises
-        assert bird_calls["cell"] == 0 and len(merged) == 2 and merged[0] is not None and merged[1] == "raised"
-        assert str(got.value) == str(want.value) and "acceptance ratio 1.0 > 1" not in str(got.value)
-
-    @pytest.mark.parametrize("case", ["hard-sphere", "cell-grid", "free-flow"])
-    def test_other_runs_take_each_cell_step_alone(self, bird_calls, case):
-        time_grid = TimeGrid(0.0, 1.0, 0.1)
-        if case == "hard-sphere":
-            model, grid, d = hard_sphere_model(1.5, d=2), CellGrid.single_cell(), 2
-        elif case == "cell-grid":
-            model, d = maxwell_cutoff_model(uniform_deflection(), d=2), 2
-            grid = CellGrid(lo=np.array([-1.0]), hi=np.array([1.0]), delta=0.5, position=lambda s: s[:, :1])
-        else:
-            model, grid, d = kinetic_maxwell_model(), CellGrid.single_cell(), 4
-        e0 = Ensemble(RngStream(84).normal((300, d)))
-        got = bird_simulate(model, grid, e0, time_grid, RngStream(85))
-        # hard spheres on one cell fail the call's first merged block, which holds one cell step
-        assert bird_calls["merged"] == ([None] if case == "hard-sphere" else [])
-        assert bird_calls["cell"] >= time_grid.steps
-        assert same_runs(got, reference_bird(model, grid, e0, time_grid, RngStream(85)))

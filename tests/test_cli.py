@@ -596,6 +596,11 @@ class TestExperimentKinds:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["w1_self_mean"] > 0
         assert (out / "dsmc_pairs.csv").exists()
+        # each run expects 199 * 0.5 / 2 = 49.75 collisions; Bird's Maxwell cell, whose counter moves
+        # by 1 / 99.5 per collision, applies floor(49.75) + 1 of them
+        expected = summary["expected_collisions"]
+        assert expected == 49.75 and summary["bird_accepted_mean"] == 50.0
+        assert abs(summary["exact_accepted_mean"] - expected) <= 3.0 * math.sqrt(expected / 6)
 
     def test_cbo(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {

@@ -65,16 +65,24 @@ class TestPairCovariance:
     def test_independent_constants(self):
         a = np.ones((200, 1))
         b = np.full((200, 1), 3.0)
-        assert pair_covariance(a, b, lambda x: float(x[0])) == pytest.approx(0.0)
+        assert pair_covariance(a, b, lambda x: x[..., 0]) == pytest.approx(0.0)
 
     def test_perfectly_coupled(self):
         x = RngStream(6).normal((400, 1))
-        c = pair_covariance(x, x, lambda z: float(z[0]))
+        c = pair_covariance(x, x, lambda z: z[..., 0])
         assert abs(c - 1.0) < 3 / math.sqrt(400)
 
     def test_constant_phi_exactly_zero(self):
         rng = RngStream(7)
-        assert pair_covariance(rng.normal((150, 1)), rng.normal((150, 1)), lambda x: 2.5) == 0.0
+        assert pair_covariance(rng.normal((150, 1)), rng.normal((150, 1)), lambda x: np.full(x.shape[:-1], 2.5)) == 0.0
+
+    def test_a_row_by_row_phi_is_refused(self):
+        # phi takes the whole (..., d) array: a row-wise phi would read the first row as the first state
+        states = RngStream(9).normal((50, 4, 1))
+        with pytest.raises(ValueError, match=r"phi must map \(\.\.\., d\) states to \(\.\.\.\) values"):
+            pair_covariance_pooled(states, lambda z: float(z[0, 0, 0]))
+        with pytest.raises(ValueError, match=r"got \(50, 1\)"):
+            pair_covariance(states[:, 0], states[:, 1], lambda z: z[:, :1])
 
     def test_pooled_matches_tagged_pair_estimand(self):
         # exchangeable synthetic model: x_i = shared + noise_i, so every
@@ -85,8 +93,8 @@ class TestPairCovariance:
             shared = 0.5 * rng.normal()
             reps.append(shared + 0.3 * rng.normal((10, 1)))
         states = np.asarray(reps)
-        pooled = pair_covariance_pooled(states, lambda z: float(z[0]))
-        tagged = pair_covariance(states[:, 0], states[:, 1], lambda z: float(z[0]))
+        pooled = pair_covariance_pooled(states, lambda z: z[..., 0])
+        tagged = pair_covariance(states[:, 0], states[:, 1], lambda z: z[..., 0])
         assert pooled == pytest.approx(0.25, abs=0.05)
         assert tagged == pytest.approx(pooled, abs=0.05)
 
