@@ -12,9 +12,11 @@ Bird draw proposals in blocks and apply each dependency level of a block
 reading the states the levels below it left, so states and log are those
 of one proposal after the other; Bird then undoes the proposals past its
 counter's cut. Bird carries each cell's counter from one time step to the
-next, so on one cell without a free flow a call is one counter run. Each
-kind of draw has its own substream, so the results do not depend on the
-block size. Exact runs a batch of replicas as one system of disjoint
+next, so on one cell without a free flow a call is one counter run, and
+keeps the collision past the call's end with the probability of the time
+left to it. Each kind of draw has its own substream, so the results do
+not depend on the block size. Bird levels a cell's block in the cell's
+own indices; exact runs a batch of replicas as one system of disjoint
 particle sets, so that one level pass serves every replica.
 """
 
@@ -215,20 +217,17 @@ def _draw_pairs(rng: RngStream, n: int, k: int) -> np.ndarray:
     return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
 
 
-def _levels(pairs: np.ndarray, n: int, table: list | None = None) -> np.ndarray:
+def _levels(pairs: np.ndarray, n: int) -> np.ndarray:
     """Level of each row of a (k, 2) array of pairs in range(n): 1 + the highest
-    level of an earlier row sharing a particle with it, else 0. A ``table`` of n
-    zeros, kept over the blocks of one simulator call, spares an n-entry list per
-    block; each call leaves it zeroed. The columns are read through memoryviews,
-    which make no list of the block."""
-    top, out = [0] * n if table is None else table, []
-    first, second = memoryview(pairs[:, 0]), memoryview(pairs[:, 1])
-    for i, j in zip(first, second):
+    level of an earlier row sharing a particle with it, else 0. Relabelling the
+    particles one to one keeps every level. The columns are read through
+    memoryviews, which make no list of the block; the call's one list is the n
+    entries of its index space."""
+    top, out = [0] * n, []
+    for i, j in zip(memoryview(pairs[:, 0]), memoryview(pairs[:, 1])):
         level = top[i] if top[i] > top[j] else top[j]
         top[i] = top[j] = level + 1
         out.append(level)
-    for i, j in zip(first, second):
-        top[i] = top[j] = 0
     return np.array(out, dtype=int)
 
 
@@ -339,8 +338,10 @@ def exact_batch(model: CollisionModel, states, T: float, streams, t0: float = 0.
     no particle, so each row gets the level of its lone run. The bound is
     checked after the round, replica by replica in proposal order.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
     out = np.array(states, dtype=float)
     if out.ndim != 3:
         raise ValueError(f"states must be an (R, n, d) array, got shape {out.shape}")
@@ -358,38 +359,36 @@ def exact_batch(model: CollisionModel, states, T: float, streams, t0: float = 0.
     # replicas per group: a replica's later blocks are never larger than its first
     width = 1 if model.free_flow is not None or total_rate == 0 else _GROUP_ROWS // _block_size(total_rate * T)
     width = max(1, min(width, count))
-    table = [0] * (width * n)
     for lo in range(0, count, width):
         hi = min(lo + width, count)
         out[lo:hi] = _exact_group(model, out[lo:hi].reshape(-1, d), n, t0, horizon, total_rate,
-                                  streams[lo:hi], logs[lo:hi], table).reshape(-1, n, d)
+                                  streams[lo:hi], logs[lo:hi]).reshape(-1, n, d)
     return out, logs
 
 
 def _exact_group(model: CollisionModel, joint, n: int, t0: float, horizon: float, total_rate: float,
-                 streams, logs, table):
+                 streams, logs):
     """Run the replicas of the (R n, d) ``joint`` states, replica r in rows r n to (r + 1) n, from
-    t0 to ``horizon``, recording into ``logs``; ``table`` is a level table of at least R n zeros.
-    With a free flow there is one replica. Returns the final joint states."""
+    t0 to ``horizon``, recording into ``logs``. With a free flow there is one replica. Returns the
+    final joint states."""
     draws = [[stream.substream(k) for k in range(4)] for stream in streams]
     t = [t0] * len(streams)
     active = list(range(len(streams))) if total_rate > 0 else []
     while active:
-        rounds = []  # (replica, block size, ring times, rings before the horizon) of this round
+        rounds, blocks = [], []  # (replica, block size, ring times, rings before the horizon), and draws
         for r in active:
+            clock, pair_stream, theta_stream, accept_stream = draws[r]
             size = _block_size(total_rate * (horizon - t[r]))
-            taus = draws[r][0].exponential(1.0 / total_rate, size)
+            taus = clock.exponential(1.0 / total_rate, size)
             times = np.cumsum(np.concatenate([[t[r]], taus]))[1:]  # one addition after the other
-            rounds.append((r, size, times, int(np.searchsorted(times, horizon, side="right"))))
-        blocks = []
-        for r, _, _, m in rounds:
-            _, pair_stream, theta_stream, accept_stream = draws[r]
+            m = int(np.searchsorted(times, horizon, side="right"))
+            rounds.append((r, size, times, m))
             blocks.append((_draw_pairs(pair_stream, n, m) + r * n, model.theta_sampler(theta_stream, m),
                            accept_stream.uniform(m)))
         pairs, theta, u = (np.concatenate(col) for col in zip(*blocks))
         del blocks  # so that the replicas' own draws are not held through the level passes
         if model.free_flow is None:
-            level, taus = _levels(pairs, len(joint), table), None
+            level, taus = _levels(pairs, len(joint)), None
         else:  # the flow moves every particle between rings, so each proposal is its own level;
             level = np.arange(len(pairs))  # the group is one replica, and taus are its clock gaps
         joint, (accepted, _, ratio, vetoed, de, dp), _ = _apply_levels(model, joint, pairs, level, theta, u, taus,
@@ -404,10 +403,7 @@ def _exact_group(model: CollisionModel, joint, n: int, t0: float, horizon: float
                 t[r] = times[m - 1]
             if m == size:  # its block ran out before the horizon
                 active.append(r)
-    for r in range(len(streams)):
-        rows = slice(r * n, (r + 1) * n)
-        joint[rows] = _apply_free_flow(model, joint[rows], horizon - t[r])
-    return joint
+    return _apply_free_flow(model, joint, horizon - t[0])  # a group with a free flow is one replica
 
 
 def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid: TimeGrid,
@@ -422,10 +418,14 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     applied, and the counter is carried to the next step (Bird's
     time-counter method): a cell step starts at the later of the cell's
     counter and the step's start, and a cell whose counter is already past
-    the step's end skips the step. On one cell without a free flow nothing
+    the step's end skips the step. Nothing carries an overshoot past the
+    call's end t_end, so the collision that takes a counter past t_end is
+    kept with probability (t_end - counter before it) / its increment,
+    which leaves the expected count that of the counter's rate; a dropped
+    one ends the cell's run. On one cell without a free flow nothing
     happens between steps, so the call runs the one step [t0, t_end]. Cells
     draw from per-cell substreams, so the outcome does not depend on cell
-    processing order; the call builds one set of three streams and re-keys
+    processing order; the call builds one set of four streams and re-keys
     it to each cell step's substreams.
     """
     if e0.time != time_grid.t0:
@@ -437,8 +437,8 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     times, durations = time_grid.times(), time_grid.step_durations()
     if grid.position is None and model.free_flow is None:
         times = times[[0, -1]]  # nothing moves between steps: one step, keyed as step 0
-    table = [0] * n
-    kinds = (1, 2, 3)  # the pair, theta and uniform streams, built once and re-keyed to each cell step
+    t_end = float(times[-1])
+    kinds = (1, 2, 3, 4)  # the pair, theta, uniform and end streams, built once and re-keyed to each cell step
     streams = [rng.substream(kind) for kind in kinds]
 
     def keyed(k, cell_id):
@@ -453,9 +453,9 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
         for cell_id, members in (_cells(grid, states) if model.Lambda * model.M > 0 else ()):
             t_c = max(counters.get(cell_id, t_k), t_k)
             if t_c <= t_next:  # else the cell's counter is already past the step
-                cols, counters[cell_id] = _bird_cell(model, states, members, t_c, t_next,
+                cols, counters[cell_id] = _bird_cell(model, states, members, t_c, t_next, t_end,
                                                      members.size * (members.size - 1) / 2.0 / n * inv_volume,
-                                                     cell_id, table, *keyed(k, cell_id))
+                                                     cell_id, *keyed(k, cell_id))
                 chunks.append(cols)
         if len(chunks) == 1:  # one cell's counter never decreases: its log is already time-ordered
             log.record(*chunks[0])
@@ -478,23 +478,27 @@ def _cells(grid: CellGrid, states) -> list:
     return [(c, by_cell[ends[c] - counts[c]:ends[c]]) for c in np.flatnonzero(counts >= 2).tolist()]
 
 
-def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, scale: float, cell_id, table,
-               pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream):
+def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float, t_end: float, scale: float,
+               cell_id, pair_stream: RngStream, theta_stream: RngStream, accept_stream: RngStream,
+               end_stream: RngStream):
     """Run one cell's collision counter from t_c until it passes t_stop, updating ``states`` in place;
     an accepted proposal adds 1/(scale lam) to the counter. Returns the log columns of the proposals made
-    and the final counter.
+    and the final counter. The collision that takes the counter past the call's end t_end is kept with
+    probability (t_end - counter before it) / its increment (one ``end_stream`` uniform); a dropped one
+    is undone with the rows past the cut, and the counter becomes inf.
 
-    Each block is applied whole, level by level (``table``: the call's level table), then cut after
-    the proposal that takes the counter past t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive
-    rejection, which abandons the cell. Only the rows kept are checked and logged; the accepted rows
-    past the cut are undone (``_undo``).
+    Each block's pairs are drawn and levelled in the cell's own indices, so that a block costs its
+    length plus one list over the cell, and mapped through ``members`` only to touch the states. The
+    block is applied whole, level by level, then cut after the proposal that takes the counter past
+    t_stop, or at the _REJECTION_STALL_FACTOR-th consecutive rejection, which abandons the cell. Only
+    the rows kept are checked and logged; the accepted rows past the cut are undone (``_undo``).
     """
     out, stall, cap = [], 0, _REJECTION_STALL_FACTOR
     while True:
         size = _block_size((t_stop - t_c) * scale * model.Lambda * model.M)
-        pairs = members[_draw_pairs(pair_stream, members.size, size)]
+        local = _draw_pairs(pair_stream, members.size, size)
+        level, pairs = _levels(local, members.size), members[local]
         theta, u = model.theta_sampler(theta_stream, size), accept_stream.uniform(size)
-        level = _levels(pairs, len(states), table)
         _, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(model, states, pairs, level, theta, u)
         hits = np.flatnonzero(acc)
         inc = np.zeros(size)
@@ -506,11 +510,13 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
         stop = before[np.diff(np.append(before, size)) > cap] + cap + 1 if stall + size >= cap else before[:0]
         stalled = stop.size > 0 and stop[0] < made
         made = int(stop[0]) if stalled else made
+        t_c = counter[made]
+        if t_c > t_end and end_stream.uniform() >= (t_end - counter[made - 1]) / inc[made - 1]:
+            made, t_c = made - 1, math.inf
         _check(ratio[:made], vetoed[:made], stacklevel=4)
         if made < size:
             _undo(states, pairs, level, hits[hits >= made], z1, z2)
         stall = made - 1 - int(before[np.searchsorted(before, made) - 1])
-        t_c = counter[made]
         out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc[:made], de[:made], dp[:made]))
         if stalled:
             warnings.warn(f"cell {cell_id}: {stall} consecutive fictitious collisions, "
@@ -535,8 +541,10 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
     the usual accept-reject, and updates only itself, to the first state
     of psi_pair. Every update of a step reads the states before the step,
     so a step is one array step (in blocks of at most _BLOCK particles)."""
-    if dt <= 0 or steps < 1:
-        raise ValueError("need dt > 0 and steps >= 1")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if steps < 1:
+        raise ValueError(f"need steps >= 1, got {steps!r}")
     n = e0.n
     if n < 2:
         raise ValueError("need at least two particles")

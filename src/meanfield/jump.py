@@ -50,6 +50,8 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
     """
     if not math.isfinite(model.rate_bound) or model.rate_bound < 0:
         raise ValueError("rate_bound must be finite and nonnegative")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     ensemble = e0.copy()
     result_time = e0.time + T
     if model.rate_bound == 0.0:

@@ -289,7 +289,7 @@ class TestExactSimulate:
 
 def assert_expected_count(accepted, expected, cells):
     """Bird's accepted count within the Poisson band of its expectation, plus the one collision
-    by which each cell's counter may overshoot the end of the run."""
+    that each cell keeps or drops at the end of the run."""
     assert abs(accepted - expected) <= 3.0 * math.sqrt(expected) + cells, (accepted, expected)
 
 
@@ -360,12 +360,23 @@ class TestBirdSimulate:
     @pytest.mark.parametrize("n", [20, 50, 400])
     def test_one_cell_collides_at_the_expected_rate_at_every_step(self, n, dt):
         # Maxwell molecules accept every proposal, so the counter moves by 2 / (N - 1) per collision
-        # and one run over [0, 1] applies floor(E) + 1 of the E = (N - 1) / 2 collisions expected;
-        # a counter restarted at each step would apply floor(E dt) + 1 per step instead
+        # and one run over [0, 1] applies floor(E) or floor(E) + 1 of the E = (N - 1) / 2 collisions
+        # expected; a counter restarted at each step would apply about E dt + 1 per step instead
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         e0 = Ensemble(RngStream(47, n).normal((n, 2)))
         _, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0.0, 1.0, dt), RngStream(48))
         assert_expected_count(log.accepted, model.Lambda * (n - 1) / 2.0, cells=1)
+
+    @pytest.mark.parametrize("n", [20, 50])
+    def test_the_mean_count_of_one_cell_is_its_expectation(self, n):
+        # the collision that takes the counter past the end is kept with probability 1/2 here, so the
+        # count is floor(E) + Bernoulli(1/2) with mean E = (N - 1) / 2; applying it always reads E + 1/2
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        e0 = Ensemble(RngStream(47, n).normal((n, 2)))
+        counts = np.array([bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0.0, 1.0, 0.1),
+                                         RngStream(51, seed))[1].accepted for seed in range(400)])
+        expected = (n - 1) / 2.0
+        assert abs(counts.mean() - expected) <= 3.0 * counts.std(ddof=1) / math.sqrt(len(counts)), counts.mean()
 
     @pytest.mark.parametrize("dt", [0.1, 0.01])
     def test_a_grid_of_cells_collides_at_the_expected_rate_at_every_step(self, dt):
@@ -531,6 +542,17 @@ class TestProposalStep:
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         with pytest.raises(ValueError, match="need at least two particles"):
             nanbu_simulate(model, Ensemble(np.zeros((1, 2))), 0.5, 1, RngStream(56))
+
+    @pytest.mark.parametrize("dt, steps, match", [
+        (math.nan, 1, "^dt must be finite and positive, got nan"),
+        (math.inf, 1, "^dt must be finite and positive, got inf"),
+        (-0.5, 1, "^dt must be finite and positive, got -0.5"),
+        (0.5, 0, "^need steps >= 1, got 0"),
+    ], ids=["dt-nan", "dt-inf", "dt-negative", "no-steps"])
+    def test_nanbu_refuses_a_bad_step_by_name(self, dt, steps, match):
+        model = maxwell_cutoff_model(uniform_deflection(), d=2)
+        with pytest.raises(ValueError, match=match):
+            nanbu_simulate(model, Ensemble(np.zeros((4, 2))), dt, steps, RngStream(57))
 
 
 class TestWealthModel:
@@ -907,17 +929,23 @@ class TestBatchedEngine:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)), max_size=60))))
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)), max_size=60),
+        st.permutations(range(3 * n)))))
     def test_levels_are_one_above_the_latest_sharing_row(self, case):
-        n, draws = case
+        n, draws, labels = case
         rows = [(i, j + (j >= i)) for i, j in draws]  # distinct particles, in either order
-        level = boltzmann._levels(np.array(rows, dtype=int).reshape(-1, 2), n).tolist()
+        pairs = np.array(rows, dtype=int).reshape(-1, 2)
+        level = boltzmann._levels(pairs, n).tolist()
         for k, row in enumerate(rows):
             sharing = [level[e] for e in range(k) if set(rows[e]) & set(row)]
             assert level[k] == 1 + max(sharing, default=-1)
         for value in set(level):
             touched = [p for k, row in enumerate(rows) if level[k] == value for p in row]
             assert len(set(touched)) == len(touched)
+        # Bird levels a cell's rows in the cell's own indices: relabelling them one to one, as
+        # ``members`` maps them into the ensemble, keeps every level
+        relabelled = np.array(labels[:n], dtype=int)[pairs]
+        assert boltzmann._levels(relabelled, 3 * n).tolist() == level
 
     def test_pairs_are_uniform_distinct_and_ordered(self):
         pairs = boltzmann._draw_pairs(RngStream(63), 4, 60_000)
@@ -962,7 +990,8 @@ class TestBatchedEngine:
     def test_bird_evaluates_only_the_kept_rows_of_a_maxwell_call(self, monkeypatch):
         # the dsmc workload's Bird call is one counter run over [0, 2] that expects 1999 collisions:
         # one block of int(1.1 E) + 16 = 2214 proposals, cut at the 2000th, which takes the counter
-        # past 2; only the 2000 rows kept are checked and logged, the rest are undone
+        # past 2 from about 2 - 5e-14 and so is kept with probability about 5e-11; it is dropped with
+        # the rows past it, and only the 1999 rows kept are checked and logged
         model = maxwell_cutoff_model(lambda th: np.ones_like(th) / math.pi, d=2)
         apply_levels, check, blocks, checked = boltzmann._apply_levels, boltzmann._check, [], []
         monkeypatch.setattr(boltzmann, "_apply_levels",
@@ -975,7 +1004,7 @@ class TestBatchedEngine:
             checked.clear()
             _, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(init), TimeGrid(0.0, 2.0, 0.1),
                                    RngStream(99, key))
-            assert log.accepted == log.proposed == 2000 and blocks == [2214] and checked == [2000]
+            assert log.accepted == log.proposed == 1999 and blocks == [2214] and checked == [1999]
 
     def test_hard_sphere_bird_draws_no_more_blocks_than_before(self, monkeypatch):
         # hard spheres reject some proposals, so blocks of 1.1 E + 16 proposals need no more draws
@@ -1122,16 +1151,21 @@ class TestExactBatch:
                                    [RngStream(104), RngStream(105)], t0=1.0)
         assert np.allclose(finals[:, :, 0], [3.0, -5.0]) and all(log.proposed == 0 for log in logs)
 
-    @pytest.mark.parametrize("states, streams, match", [
-        (np.zeros((4, 2)), 4, "an \\(R, n, d\\) array"),
-        (np.zeros((2, 1, 2)), 2, "two particles"),
-        (np.zeros((2, 3, 2)), 3, "one stream per replica"),
-        (np.array([[[0.0], [1.0]], [[np.inf], [0.0]]]), 2, "replica 1, particle 0"),
-    ], ids=["2-d", "one-particle", "streams", "infinite"])
-    def test_bad_batches_are_refused(self, states, streams, match):
+    @pytest.mark.parametrize("states, streams, match, horizon", [
+        (np.zeros((4, 2)), 4, "an \\(R, n, d\\) array", {}),
+        (np.zeros((2, 1, 2)), 2, "two particles", {}),
+        (np.zeros((2, 3, 2)), 3, "one stream per replica", {}),
+        (np.array([[[0.0], [1.0]], [[np.inf], [0.0]]]), 2, "replica 1, particle 0", {}),
+        (np.zeros((2, 3, 2)), 2, "^T must be finite and positive, got nan", {"T": math.nan}),
+        (np.zeros((2, 3, 2)), 2, "^T must be finite and positive, got inf", {"T": math.inf}),
+        (np.zeros((2, 3, 2)), 2, "^T must be finite and positive, got 0.0", {"T": 0.0}),
+        (np.zeros((2, 3, 2)), 2, "^t0 must be finite, got nan", {"t0": math.nan}),
+        (np.zeros((2, 3, 2)), 2, "^t0 must be finite, got -inf", {"t0": -math.inf}),
+    ], ids=["2-d", "one-particle", "streams", "infinite", "T-nan", "T-inf", "T-zero", "t0-nan", "t0-inf"])
+    def test_bad_batches_are_refused(self, states, streams, match, horizon):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         with pytest.raises(ValueError, match=match):
-            exact_batch(model, states, 1.0, [RngStream(106, r) for r in range(streams)])
+            exact_batch(model, states, streams=[RngStream(106, r) for r in range(streams)], **{"T": 1.0, **horizon})
 
     def test_a_bound_violation_in_one_replica_stops_the_batch(self):
         lying = CollisionModel(lam=lambda a, b: np.where(a[:, 0] > 10, 2.0, 1.0), Lambda=1.0,
@@ -1141,10 +1175,3 @@ class TestExactBatch:
         with pytest.raises(BoundViolation):
             exact_batch(lying, states, 5.0, [RngStream(107, r) for r in range(3)])
         exact_batch(lying, states[[0, 2]], 5.0, [RngStream(107, r) for r in (0, 2)])
-
-    def test_levels_leave_the_table_zeroed(self):
-        pairs = boltzmann._draw_pairs(RngStream(108), 30, 200)
-        table = [0] * 30
-        level = boltzmann._levels(pairs, 30, table)
-        assert table == [0] * 30 and level.max() > 0
-        assert np.array_equal(level, boltzmann._levels(pairs, 30))

@@ -95,6 +95,12 @@ class TestSimulateJump:
         assert result.rings > 0 and result.jumps == 0
         assert np.array_equal(result.ensemble.states, e0.states)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+    def test_a_horizon_that_is_not_finite_and_positive_is_refused(self, T):
+        model = JumpModel(rate=lambda x, mu: 1.0, rate_bound=1.0, jump_law=lambda x, mu, rng: x)
+        with pytest.raises(ValueError, match=f"^T must be finite and positive, got {T!r}$"):
+            simulate_jump(model, Ensemble(np.zeros(4)), T, RngStream(66))
+
     def test_rate_above_bound_aborts(self):
         model = JumpModel(rate=lambda x, mu: 3.0, rate_bound=1.0,
                           jump_law=lambda x, mu, rng: x)
