@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ensemble, RngStream, TimeGrid, _mix64, write_csv
+from .core import Ensemble, RngStream, TimeGrid, _block_size, _mix64, write_csv
 from .errors import BoundViolation
 
 _REJECTION_STALL_FACTOR = 50_000  # consecutive fictitious proposals tolerated per cell pass
-_BLOCK = 4096  # most proposals drawn from a stream at once
 _GROUP_ROWS = 8192  # most proposals of one exact_batch block over its replicas: about 2 MB of columns
 
 
@@ -201,11 +200,6 @@ def _apply_free_flow(model, states, dt):
     if model.free_flow is None or dt == 0.0:
         return states
     return np.asarray(model.free_flow(states, dt), dtype=float)
-
-
-def _block_size(expected: float) -> int:
-    """Proposals to draw when about ``expected`` more are to come."""
-    return min(_BLOCK, int(1.1 * expected) + 16)
 
 
 def _draw_pairs(rng: RngStream, n: int, k: int) -> np.ndarray:
@@ -540,7 +534,7 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
     with probability min(1, Lambda M dt) against a uniform partner, runs
     the usual accept-reject, and updates only itself, to the first state
     of psi_pair. Every update of a step reads the states before the step,
-    so a step is one array step (in blocks of at most _BLOCK particles)."""
+    so a step is one array step."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if steps < 1:
@@ -560,19 +554,14 @@ def nanbu_simulate(model: CollisionModel, e0: Ensemble, dt: float, steps: int, r
     for _ in range(steps):
         states = _apply_free_flow(model, states, dt)
         t += dt
-        hits = np.flatnonzero(hit_stream.uniform(n) < p_collide)
-        new_states = states.copy()
-        for lo in range(0, hits.size, _BLOCK):
-            i = hits[lo:lo + _BLOCK]
-            r = partner_stream.integers(n - 1, size=i.size)
-            j = r + (r >= i)
-            z1, z2 = states[i], states[j]
-            theta = model.theta_sampler(theta_stream, i.size)
-            accepted, _, ratio, vetoed = _accept(model, z1, z2, theta, accept_stream.uniform(i.size))
-            _check(ratio, vetoed, stacklevel=3)
-            if accepted.any():
-                new_states[i[accepted]] = model.psi_pair(z1[accepted], z2[accepted], theta[accepted])[0]
-        states = new_states
+        i = np.flatnonzero(hit_stream.uniform(n) < p_collide)
+        r = partner_stream.integers(n - 1, size=i.size)
+        z1, z2 = states[i], states[r + (r >= i)]
+        theta = model.theta_sampler(theta_stream, i.size)
+        accepted, _, ratio, vetoed = _accept(model, z1, z2, theta, accept_stream.uniform(i.size))
+        _check(ratio, vetoed, stacklevel=3)
+        if accepted.any():  # z1 and z2 are copies, so every update reads the states before the step
+            states[i[accepted]] = model.psi_pair(z1[accepted], z2[accepted], theta[accepted])[0]
     return Ensemble(states, t)
 
 
@@ -597,7 +586,7 @@ def _directions(u: np.ndarray, dim: int) -> np.ndarray:
         return np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     angle = 2.0 * math.pi * u[:, 1::2]
-    g = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2).reshape(len(u), -1)[:, :dim]
+    g = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2).reshape(u.shape)[:, :dim]
     norm = np.sqrt(_rowdot(g, g))
     return np.where(norm[:, None] > 0, g / np.where(norm > 0, norm, 1.0)[:, None], np.eye(1, dim))
 

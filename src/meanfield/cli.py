@@ -38,7 +38,7 @@ from .boltzmann import exact_simulate  # noqa: F401  unused here: perfbench/trac
 from .optimizer import CboConfig, EksConfig, cbo_minimize, eks_sample, posterior_gaussian_oracle, spd_matrix
 from .schemes1d import CdfScheme, bossy_talay_run, l1_cdf_error, write_cdf_checkpoints_csv
 
-_SWEEP_KINDS = ("coupling_rate", "bossy_talay")  # fit a rate over n_list
+_SWEEP_KINDS = ("coupling_rate", "bossy_talay")  # fit a rate over n_list, running replicas at each size
 
 _OBJECTIVES = {
     "quadratic": lambda target: (lambda x: np.sum((x - np.asarray(target)) ** 2, axis=-1)),
@@ -72,10 +72,9 @@ _PARAMS = {
 }
 
 
-# every top-level config key, the kinds whose runner reads the time grid, and those that read replicas
+# every top-level config key, and the kinds whose runner reads the time grid
 _CONFIG_KEYS = ("kind", "seed", "n_list", "time", "replicas", "params", "thresholds", "out_dir")
 _TIMED_KINDS = ("coupling_rate", "dsmc_compare", "bossy_talay", "kuramoto_sweep")
-_REPLICA_KINDS = ("coupling_rate", "bossy_talay")
 _TIME_KEYS = ("t0", "t_end", "dt")
 
 
@@ -108,6 +107,8 @@ def validate(config: dict) -> list[str]:
             v.append("n_list: must be strictly ascending")
         elif kind in _SWEEP_KINDS and len(n_list) < 3:
             v.append("n_list: rate-fitting experiments need at least 3 sizes")
+        elif kind in KINDS and kind not in _SWEEP_KINDS and len(n_list) != 1:
+            v.append(f"n_list: the {kind} runner runs one size; give exactly one")
     time = config.get("time")
     grid = None
     if kind in _TIMED_KINDS:
@@ -124,7 +125,7 @@ def validate(config: dict) -> list[str]:
         v.append(f"time: the {kind} runner reads no time grid; remove it")
     if grid is not None and kind in ("dsmc_compare", "bossy_talay") and grid.t0 != 0:
         v.append(f"time.t0: the {kind} runner starts at 0 and would ignore t0, got {grid.t0!r}")
-    if "replicas" in config and kind in KINDS and kind not in _REPLICA_KINDS:
+    if "replicas" in config and kind in KINDS and kind not in _SWEEP_KINDS:
         pairs = " (it runs params.pairs independent pairs)" if kind == "dsmc_compare" else ""
         v.append(f"replicas: the {kind} runner reads no replica count{pairs}; remove it")
     elif not _is_count(config.get("replicas", 1), 1):

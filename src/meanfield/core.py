@@ -20,6 +20,7 @@ from .errors import DegenerateWeights
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_STEPS = 10_000_000  # most steps of a TimeGrid: its step_durations and times take 16 bytes per step
+_BLOCK = 4096  # most draws of one kind taken from a stream at once
 
 
 def _mix64(a: int, b: int) -> int:
@@ -79,6 +80,13 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _block_size(expected: float) -> int:
+    """Draws to take from a stream when about ``expected`` more are to come:
+    the block rule of the exact Boltzmann engine, Bird's cells and the jump
+    clock."""
+    return min(_BLOCK, int(1.1 * expected) + 16)
 
 
 @dataclass

@@ -5,7 +5,6 @@ particles."""
 from __future__ import annotations
 
 import contextvars
-import heapq
 import math
 import os
 import threading
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalMeasure, Ensemble, RngStream, write_csv
+from .core import EmpiricalMeasure, Ensemble, RngStream, _block_size, write_csv
 from .errors import BoundViolation, StepError
 
 
@@ -23,7 +22,7 @@ class JumpModel:
     capped by ``rate_bound``, and a jump law drawing the post-jump state.
 
     ``rate(x, mu)`` takes one state row; ``jump_law(x, mu, rng)`` returns
-    the new state row.
+    the new state row, drawn from ``rng``, the run's jump-law substream.
     """
 
     rate: callable
@@ -41,42 +40,44 @@ class JumpResult:
 def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> JumpResult:
     """Thinned exact simulation of the mean-field jump process over [0, T].
 
-    Every particle carries an Exp(rate_bound) clock; rings are resolved in
-    global time order through one queue, and a ring at state x executes a
-    jump with probability rate(x, mu)/rate_bound where mu is the empirical
-    measure at the ring time. Observing rate > rate_bound aborts, and a
-    non-finite post-jump state raises a StepError naming the particle and
-    the ring time.
+    The N Exp(rate_bound) clocks run as one Exp(N rate_bound) clock whose
+    rings each go to a uniform particle, as in ``boltzmann.exact_batch``;
+    a ring at state x jumps with probability rate(x, mu)/rate_bound, mu
+    the empirical measure at the ring time. Ring gaps, ring particles and
+    acceptance uniforms come in blocks from substreams 0, 1 and 2 of
+    ``rng``, the jump law's draws from substream 3, and ring times are the
+    sequential sum of the gaps, so results do not depend on the block size.
+    Observing rate > rate_bound aborts, and a non-finite post-jump state
+    raises a StepError naming the particle and the ring time.
     """
     if not math.isfinite(model.rate_bound) or model.rate_bound < 0:
         raise ValueError("rate_bound must be finite and nonnegative")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
-    ensemble = e0.copy()
-    result_time = e0.time + T
-    if model.rate_bound == 0.0:
-        ensemble.time = result_time
-        return JumpResult(ensemble, 0, 0)
-    states = ensemble.states
-    n = ensemble.n
-    scale = 1.0 / model.rate_bound
-    queue = [(e0.time + rng.exponential(scale), i) for i in range(n)]
-    heapq.heapify(queue)
+    states = e0.states.copy()
+    n, t, horizon = len(states), e0.time, e0.time + T
+    total = n * model.rate_bound
+    gaps, marks, uniforms, law = (rng.substream(k) for k in range(4))
     mu = EmpiricalMeasure(states)  # a live view: each jump writes into states
     jumps = rings = 0
-    while queue[0][0] <= result_time:
-        t, i = heapq.heappop(queue)
-        rings += 1
-        r = float(model.rate(states[i], mu))
-        if r > model.rate_bound * (1 + 1e-12):
-            raise BoundViolation(f"rate {r:g} exceeds the declared bound {model.rate_bound:g}")
-        if rng.uniform() < r / model.rate_bound:
-            states[i] = np.asarray(model.jump_law(states[i], mu, rng), dtype=float)
-            if not np.isfinite(states[i]).all():
-                raise StepError("non-finite post-jump state", particle=i, time=t)
-            jumps += 1
-        heapq.heappush(queue, (t + rng.exponential(scale), i))
-    return JumpResult(Ensemble(states, result_time), jumps, rings)
+    while total > 0:
+        size = _block_size(total * (horizon - t))
+        times = np.cumsum(np.concatenate([[t], gaps.exponential(1.0 / total, size)]))[1:]
+        m = int(np.searchsorted(times, horizon, side="right"))
+        rings_of_block = zip(times[:m].tolist(), marks.integers(n, size=m).tolist(), uniforms.uniform(m).tolist())
+        for t, i, u in rings_of_block:
+            r = float(model.rate(states[i], mu))
+            if r > model.rate_bound * (1 + 1e-12):
+                raise BoundViolation(f"rate {r:g} exceeds the declared bound {model.rate_bound:g}")
+            if u < r / model.rate_bound:
+                states[i] = np.asarray(model.jump_law(states[i], mu, law), dtype=float)
+                if not np.isfinite(states[i]).all():
+                    raise StepError("non-finite post-jump state", particle=i, time=t)
+                jumps += 1
+        rings += m
+        if m < size:  # the block reached the horizon; else t is its last ring time
+            break
+    return JumpResult(Ensemble(states, horizon), jumps, rings)
 
 
 # the least proposal bandwidth h, about 5.27e-155, for which the mixture's

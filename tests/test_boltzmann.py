@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanfield import boltzmann
+from meanfield import boltzmann, core
 from meanfield.core import Ensemble, RngStream, TimeGrid
 from meanfield.errors import BoundViolation
 from meanfield.boltzmann import (
@@ -226,8 +226,8 @@ class TestExactSimulate:
                                psi_pair=lambda a, b, t: (a + b + 1.0, a + b + 1.0), theta_sampler=no_theta)
         e0 = Ensemble(RngStream(70).uniform(50))
         messages = []
-        for block in (boltzmann._BLOCK, 1):
-            monkeypatch.setattr(boltzmann, "_BLOCK", block)
+        for block in (core._BLOCK, 1):
+            monkeypatch.setattr(core, "_BLOCK", block)
             with pytest.raises(BoundViolation) as caught:
                 exact_simulate(model, e0, 3.0, RngStream(70))
             messages.append(str(caught.value))
@@ -237,6 +237,22 @@ class TestExactSimulate:
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         with pytest.raises(ValueError):
             exact_simulate(model, Ensemble(np.zeros((1, 2))), 1.0, RngStream(32))
+
+    @pytest.mark.parametrize("make, d", [
+        (lambda: hard_sphere_model(1.5, d=3), 3),
+        (lambda: maxwell_cutoff_model(uniform_deflection(), d=4), 4),
+    ], ids=["hard-sphere-3", "maxwell-4"])
+    @pytest.mark.parametrize("engine", ["exact", "nanbu"])
+    def test_a_draw_of_no_rows(self, make, d, engine):
+        # two particles expect 0.0075 exact rings over T = 0.01, and Nanbu hits at most 1.5% of them
+        # per step, so the engines draw thetas for no rows: directions on a sphere of dimension 3 or
+        # more must come as (0, d)
+        e0 = Ensemble(RngStream(33).normal((2, d)))
+        if engine == "exact":
+            final, log = exact_simulate(make(), e0, 0.01, RngStream(34))
+            assert log.proposed == 0 and same_bits(final.states, e0.states)
+        else:
+            assert nanbu_simulate(make(), e0, 0.01, 3, RngStream(34)).time == pytest.approx(0.03)
 
     def test_event_log_cap_downgrades_to_counters(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
@@ -490,6 +506,21 @@ class TestSemiParametric:
                                q0=lambda t: np.ones(len(t)), M=2.0)
         with pytest.raises(BoundViolation, match="does not bound"):
             simulate(model, Ensemble(np.arange(4.0)), RngStream(53))
+
+
+    @pytest.mark.parametrize("scale", [2.0, 3.0])
+    def test_symmetry_probe_reports_the_density_excess(self, scale):
+        # q = scale theta with theta uniform on [0, 1), against M q0 = 2: no excess at scale 2, and
+        # at scale 3 the largest of the probe's thetas above 2/3 gives 3 theta - 2
+        model = CollisionModel(lam=constant_rate(1.0), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=lambda rng, k: rng.uniform((k, 1)),
+                               q=lambda a, b, t: scale * t[:, 0], q0=lambda t: np.ones(len(t)), M=2.0)
+        report = probe_model_symmetry(model, lambda r, k: r.normal((k, 1)), RngStream(54), pairs=16, draws=10)
+        replay = RngStream(54)
+        replay.normal((32, 1))  # the probe's two state draws, then its thetas
+        excess = max(0.0, float(np.max(scale * replay.uniform((16, 1))[:, 0] - 2.0)))
+        assert report["density_bound_excess"] == excess
+        assert (excess > 0) == (scale > 2)
 
 
 class TestProposalStep:
@@ -908,8 +939,8 @@ class TestBatchedEngine:
         e0 = Ensemble(RngStream(60).normal((200, d)))
         grid = CellGrid(lo=np.array([-1.0]), hi=np.array([1.0]), delta=0.5, position=lambda s: s[:, :1])
         outs = []
-        for block in (1, 7, boltzmann._BLOCK):
-            monkeypatch.setattr(boltzmann, "_BLOCK", block)
+        for block in (1, 7, core._BLOCK):
+            monkeypatch.setattr(core, "_BLOCK", block)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the wealth model's vetoes
                 if engine == "exact":
@@ -974,8 +1005,8 @@ class TestBatchedEngine:
         blocks, levels = [], boltzmann._levels
         monkeypatch.setattr(boltzmann, "_levels", lambda *args: blocks.append(levels(*args)) or blocks[-1])
         outs = []
-        for block in (boltzmann._BLOCK, 1):
-            monkeypatch.setattr(boltzmann, "_BLOCK", block)
+        for block in (core._BLOCK, 1):
+            monkeypatch.setattr(core, "_BLOCK", block)
             final, log = bird_simulate(model, CellGrid.single_cell(), e0, TimeGrid(0, 0.01, 0.01),
                                        zero_uniform_stream(69))
             assert log.proposed == log.accepted == 1
@@ -1015,7 +1046,7 @@ class TestBatchedEngine:
         blocks, levels = [], boltzmann._levels
         monkeypatch.setattr(boltzmann, "_levels", lambda *args: blocks.append(levels(*args)) or blocks[-1])
         outs, counts = [], []
-        for rule in (boltzmann._block_size, lambda expected: min(boltzmann._BLOCK, int(expected) + 2)):
+        for rule in (boltzmann._block_size, lambda expected: min(core._BLOCK, int(expected) + 2)):
             monkeypatch.setattr(boltzmann, "_block_size", rule)
             blocks.clear()
             final, log = bird_simulate(model, grid, e0, TimeGrid(0, 1, 0.1), RngStream(71))
@@ -1126,7 +1157,7 @@ class TestExactBatch:
     def test_a_replica_past_its_block_runs_on_alone(self, monkeypatch, exact_groups):
         # N = 20 over T = 4 expects 38 proposals: at _BLOCK = 38 some replicas run out of their block
         # before the horizon and draw another, while the others are done
-        monkeypatch.setattr(boltzmann, "_BLOCK", 38)
+        monkeypatch.setattr(core, "_BLOCK", 38)
         logs = self.check(maxwell_cutoff_model(uniform_deflection(), d=2), RngStream(98).normal((6, 20, 2)), 4.0, 99,
                           exact_groups)
         assert exact_groups == [6]
@@ -1175,3 +1206,29 @@ class TestExactBatch:
         with pytest.raises(BoundViolation):
             exact_batch(lying, states, 5.0, [RngStream(107, r) for r in range(3)])
         exact_batch(lying, states[[0, 2]], 5.0, [RngStream(107, r) for r in (0, 2)])
+
+
+class TestExactOracle:
+    """Maxwell molecules in d = 2 with a uniform deflection turn a pair's relative velocity to a
+    uniform direction, so each collision takes, in mean, the fraction 1/(N - 1) off the centered
+    anisotropy B = mean(v_x^2 - v_y^2) - (P_x^2 - P_y^2), P the mean velocity, whatever the pair.
+    After K collisions, B_T - B_0 (1 - 1/(N - 1))^K has mean 0."""
+
+    @staticmethod
+    def anisotropy(v):
+        p = v.mean(axis=1)
+        return (v[..., 0] ** 2 - v[..., 1] ** 2).mean(axis=1) - (p[:, 0] ** 2 - p[:, 1] ** 2)
+
+    def test_anisotropy_decays_by_the_collision_count(self):
+        # every proposal is accepted, so K is Poisson((N - 1) T / 2). A frozen engine fails the K
+        # check; an N(0, diag(1.5, 0.5)) start, not centered, has B_0 near 1
+        n, count, T = 50, 1024, 1.0
+        rng = RngStream(108)
+        v0 = rng.normal((count, n, 2)) * np.sqrt([1.5, 0.5])
+        finals, logs = exact_batch(maxwell_cutoff_model(uniform_deflection(), d=2), v0, T,
+                                   [rng.substream(r) for r in range(count)])
+        k = np.array([log.accepted for log in logs])
+        expected = (n - 1) * T / 2
+        assert abs(k.mean() - expected) <= 4 * math.sqrt(expected / count)
+        residual = self.anisotropy(finals) - self.anisotropy(v0) * (1 - 1 / (n - 1)) ** k
+        assert abs(residual.mean()) <= 4 * residual.std(ddof=1) / math.sqrt(count)

@@ -413,6 +413,17 @@ class TestParamTable:
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["dsmc_compare", "cbo", "eks", "cmc", "kuramoto_sweep"])
+    def test_several_sizes_on_a_kind_that_runs_one_exit_2(self, tmp_path, capsys, kind):
+        # these runners used to run the last size alone and ignore the others
+        payload = {**SMALL_CONFIGS, "kuramoto_sweep": self.KURAMOTO}[kind] | {"n_list": [10, 20]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert validate(payload) == [f"n_list: the {kind} runner runs one size; give exactly one"]
+        assert main(["validate", str(cfg)]) == 2
+        assert "n_list:" in capsys.readouterr().out
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_pass_their_own_checks(self):
         for kind, table in cli._PARAMS.items():
             for name, (check, bound, default) in table.items():
@@ -478,6 +489,30 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["pass"] is False
         assert summary["checks"]["slope"]["pass"] is False
+
+    @pytest.mark.parametrize("bound, code", [
+        ({"min": -1.0}, 0), ({"min": 2.0}, 4), ({"max": 2.0}, 0), ({"max": -1.0}, 4),
+    ], ids=["min-pass", "min-fail", "max-pass", "max-fail"])
+    def test_min_and_max_bounds(self, tmp_path, bound, code):
+        # r2 lies in [0, 1]
+        cfg = write_config(tmp_path / "cfg.json", coupling_config(thresholds={"r2": bound}))
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == code
+        summary = json.loads((out / "summary.json").read_text())
+        check = summary["checks"]["r2"]
+        assert summary["pass"] is check["pass"] is (code == 0)
+        assert check["bound"] == bound and 0.0 <= check["value"] <= 1.0
+
+    def test_a_bound_at_the_value_passes(self, tmp_path):
+        first = tmp_path / "first"
+        assert run(write_config(tmp_path / "cfg.json", coupling_config()), out_dir=first) == 0
+        r2 = json.loads((first / "summary.json").read_text())["r2"]
+        for k, bound in enumerate([{"min": r2}, {"max": r2}, {"range": [r2, r2]}]):
+            cfg = write_config(tmp_path / "cfg.json", coupling_config(thresholds={"r2": bound}))
+            out = tmp_path / f"out{k}"
+            assert run(cfg, out_dir=out) == 0
+            check = json.loads((out / "summary.json").read_text())["checks"]["r2"]
+            assert check == {"value": r2, "bound": bound, "pass": True}
 
     @pytest.mark.parametrize("name", ["sup_mse"])
     def test_unusable_threshold_exit_4(self, tmp_path, capsys, name):

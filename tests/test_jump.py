@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meanfield import jump
+from meanfield import core, jump
 from meanfield.core import Ensemble, RngStream
 from meanfield.errors import BoundViolation, StepError
 from meanfield.jump import MAX_BANDWIDTH, MIN_BANDWIDTH, CmcConfig, JumpModel, cmc_run, simulate_jump, _log_mixture
@@ -123,6 +123,59 @@ class TestSimulateJump:
             simulate_jump(model, Ensemble(np.array([0.0, 1.0, 2.0, 3.0])), 50.0, RngStream(71))
         assert err.value.particle == 2 and 0.0 < err.value.time <= 50.0
         assert err.value.step is None and f"particle=2 | time={err.value.time:g}" in str(err.value)
+
+    def test_rings_go_to_uniform_particles(self):
+        # every ring jumps x -> x + 1, so each state counts its particle's rings: iid Poisson(rate T = 3)
+        n, mean = 2000, 3.0
+        model = JumpModel(rate=lambda x, mu: 1.5, rate_bound=1.5, jump_law=lambda x, mu, rng: x + 1.0)
+        result = simulate_jump(model, Ensemble(np.zeros(n)), 2.0, RngStream(67))
+        counts = result.ensemble.states[:, 0]
+        assert result.rings == result.jumps == counts.sum()
+        assert abs(counts.mean() - mean) <= 4 * math.sqrt(mean / n)
+        # the sample variance of n Poisson counts has variance about (mean + 2 mean^2) / n
+        assert abs(counts.var(ddof=1) - mean) <= 4 * math.sqrt((mean + 2 * mean ** 2) / n)
+
+    def test_block_size_changes_nothing(self, monkeypatch):
+        # block size 1 draws the rings one at a time
+        model = JumpModel(rate=lambda x, mu: 0.5 + 0.5 * math.tanh(x[0] - mu.mean()[0]), rate_bound=1.0,
+                          jump_law=lambda x, mu, rng: x + rng.normal(1))
+        outs = []
+        for block in (1, 7, core._BLOCK):
+            monkeypatch.setattr(core, "_BLOCK", block)
+            result = simulate_jump(model, Ensemble(np.zeros(50)), 3.0, RngStream(68))
+            outs.append((result.ensemble.states.tobytes(), result.jumps, result.rings))
+        assert 0 < outs[0][1] < outs[0][2]
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+class TestTwoStateLimit:
+    """0 -> 1 at rate a + b m and 1 -> 0 at rate c, where m is the fraction in state 1: as N grows,
+    m follows the mean-field ODE dm/dt = (1 - m)(a + b m) - c m."""
+
+    a, b, c = 0.2, 1.0, 0.6
+
+    def drift(self, m: float) -> float:
+        return (1.0 - m) * (self.a + self.b * m) - self.c * m
+
+    def limit(self, T: float, h: float = 1e-3) -> float:
+        """m(T) from m(0) = 0, by RK4 at step h."""
+        m = 0.0
+        for _ in range(round(T / h)):
+            k1 = self.drift(m)
+            k2 = self.drift(m + h / 2 * k1)
+            k3 = self.drift(m + h / 2 * k2)
+            m += h / 6 * (k1 + 2 * k2 + 2 * k3 + self.drift(m + h * k3))
+        return m
+
+    def test_fraction_follows_the_mean_field_ode(self):
+        # m(5) = 0.54388; at N = 4000 the fraction's sd over seeds 10000-10049 is 0.0100, so the
+        # bound is 3.5 sd. A frozen engine (m = 0), or one whose rates read the initial measure (the
+        # b = 0 limit, 0.245), is far outside it
+        model = JumpModel(rate=lambda x, mu: self.a + self.b * mu.mean()[0] if x[0] == 0.0 else self.c,
+                          rate_bound=max(self.a + self.b, self.c), jump_law=lambda x, mu, rng: 1.0 - x)
+        result = simulate_jump(model, Ensemble(np.zeros(4000)), 5.0, RngStream(72))
+        assert self.limit(5.0) == pytest.approx(0.54388, abs=1e-5)
+        assert abs(result.ensemble.states.mean() - self.limit(5.0)) <= 0.035
 
 
 class TestCmc:
