@@ -225,6 +225,12 @@ def _levels(pairs: np.ndarray, n: int) -> np.ndarray:
     return np.array(out, dtype=int)
 
 
+def _level_order(level: np.ndarray) -> np.ndarray:
+    """np.argsort(level, kind="stable") for levels below len(level), on the narrowest unsigned key: numpy
+    radix-sorts up to 16 bits, and a stable order is unique."""
+    return np.argsort(level.astype(np.min_scalar_type(len(level))), kind="stable")
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products, summed over the columns in order."""
     out = a[:, 0] * b[:, 0]
@@ -281,7 +287,7 @@ def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=No
     over taus[k], which replaces ``states``. Returns the states, and in proposal order the columns
     (accepted, lam, ratio, vetoed, dE, dP) and, with ``undo``, the pre-collision states (z1, z2) that
     ``_undo`` reads (else None)."""
-    order = np.argsort(level, kind="stable")  # each level becomes a slice, rows in proposal order
+    order = _level_order(level)  # each level becomes a slice, rows in proposal order
     pairs, theta, u = (np.take(col, order, axis=0) for col in (pairs, theta, u))  # faster than [order] on rows
     m, d = len(order), states.shape[1]
     accepted, vetoed = np.zeros((2, m), dtype=bool)
@@ -349,6 +355,8 @@ def exact_batch(model: CollisionModel, states, T: float, streams, t0: float = 0.
         raise ValueError(f"states must be finite: replica {r}, particle {i} is {out[r, i].tolist()}")
     horizon = t0 + T
     total_rate = model.Lambda * model.M * (n - 1) / 2.0
+    if not math.isfinite(total_rate * (horizon - t0)):  # the expected count of a first block, the largest
+        raise ValueError(f"the expected proposal count Lambda M (N - 1) / 2 * T is {total_rate * (horizon - t0)!r}")
     logs = [EventLog(cap=event_cap) for _ in range(count)]
     # replicas per group: a replica's later blocks are never larger than its first
     width = 1 if model.free_flow is not None or total_rate == 0 else _GROUP_ROWS // _block_size(total_rate * T)
@@ -432,6 +440,10 @@ def bird_simulate(model: CollisionModel, grid: CellGrid, e0: Ensemble, time_grid
     if grid.position is None and model.free_flow is None:
         times = times[[0, -1]]  # nothing moves between steps: one step, keyed as step 0
     t_end = float(times[-1])
+    # no cell step expects more proposals than one cell of every particle over the whole run
+    most = (t_end - float(times[0])) * (n * (n - 1) / 2.0 / n * inv_volume) * model.Lambda * model.M
+    if not math.isfinite(most):
+        raise ValueError(f"the expected proposal count Lambda M (N - 1) / 2 / cell volume * (t_end - t0) is {most!r}")
     kinds = (1, 2, 3, 4)  # the pair, theta, uniform and end streams, built once and re-keyed to each cell step
     streams = [rng.substream(kind) for kind in kinds]
 
@@ -624,8 +636,11 @@ def _elastic_pair(v, v_star, sigma_dir, speed=None):
 
 
 def _same_rows(z1, z2) -> np.ndarray:
-    """Rows with z1 == z2 in every coordinate (NaN differs, -0.0 equals 0.0)."""
-    return (z1 == z2).all(axis=1)
+    """Rows with z1 == z2 in every coordinate (NaN differs, -0.0 equals 0.0), a column at a time."""
+    same = z1[:, 0] == z2[:, 0]
+    for c in range(1, z1.shape[1]):
+        same &= z1[:, c] == z2[:, c]
+    return same
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +677,9 @@ def maxwell_cutoff_model(sigma_density, d: int = 3) -> CollisionModel:
     def theta_sampler(rng, k):
         u = rng.uniform((k, columns))
         theta = np.empty((k, d))
-        theta[:, 0] = np.interp(u[:, 0], cdf, angles)
+        u0 = u[:, 0]
+        order = u0.argsort()  # np.interp looks up ascending queries from the last knot found
+        theta[order, 0] = np.interp(u0[order], cdf, angles)
         theta[:, 1:] = _directions(u[:, 1:], d - 1)
         return theta
 

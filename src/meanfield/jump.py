@@ -57,6 +57,8 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
     states = e0.states.copy()
     n, t, horizon = len(states), e0.time, e0.time + T
     total = n * model.rate_bound
+    if not math.isfinite(total * (horizon - t)):
+        raise ValueError(f"the expected ring count N rate_bound T is {total * (horizon - t)!r}")
     gaps, marks, uniforms, law = (rng.substream(k) for k in range(4))
     mu = EmpiricalMeasure(states)  # a live view: each jump writes into states
     jumps = rings = 0

@@ -26,3 +26,20 @@ class ZeroUniformStream(RngStream):
 @pytest.fixture
 def zero_uniform_stream():
     return ZeroUniformStream
+
+
+class NoDrawStream(RngStream):
+    """An RngStream, and substreams of it, on which any draw fails the test."""
+
+    def substream(self, index: int) -> "NoDrawStream":
+        return NoDrawStream(self.seed, super().substream(index).stream_id)
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    normal = uniform = exponential = integers = _refuse
+
+
+@pytest.fixture
+def no_draw_stream():
+    return NoDrawStream

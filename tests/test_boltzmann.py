@@ -310,6 +310,15 @@ def assert_expected_count(accepted, expected, cells):
 
 
 class TestBirdSimulate:
+    def test_an_infinite_proposal_count_is_refused(self, no_draw_stream):
+        # the one cell of N = 10 particles expects Lambda (N - 1) / 2 (t_end - t0) proposals: inf, before any draw
+        model = CollisionModel(lam=constant_rate(1e308), Lambda=1e308, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=no_theta)
+        with pytest.raises(ValueError, match=r"^the expected proposal count Lambda M \(N - 1\) / 2 / cell volume "
+                                             r"\* \(t_end - t0\) is inf$"):
+            bird_simulate(model, CellGrid.single_cell(), Ensemble(np.zeros((10, 1))), TimeGrid(0, 1, 0.5),
+                          no_draw_stream(89))
+
     def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream, monkeypatch):
         # an accepted zero-rate event would divide by lam = 0 in the counter
         monkeypatch.setattr(boltzmann, "_REJECTION_STALL_FACTOR", 20)
@@ -841,11 +850,45 @@ class TestGeometryMatchesDenseFormulas:
         model = maxwell_cutoff_model(density, d=3)
         cdf, angles = deflection_cdf(density)
         us = np.concatenate([RngStream(96).uniform(20_000), cdf, [0.0, np.nextafter(1.0, 0.0)]])
-        u = np.column_stack([us, RngStream(97).uniform(us.size)])
-        theta = model.theta_sampler(FixedUniforms(u), us.size)
-        assert same_bits(theta[:, 0], np.interp(us, cdf, angles))
-        for row in range(0, us.size, 97):
-            assert same_bits(theta[row, 1:], dense_directions(u[row, 1:], 2))
+        # the sampler looks the uniforms up in ascending order: a block that repeats uniforms and
+        # holds the cdf knots in random order must give each row its own lookup too
+        shuffled = RngStream(95).gen.permutation(np.concatenate([us[:500], us[:500], cdf]))
+        for u0 in (us, shuffled):
+            u = np.column_stack([u0, RngStream(97).uniform(u0.size)])
+            given = u.copy()
+            theta = model.theta_sampler(FixedUniforms(u), u0.size)
+            assert same_bits(u, given)  # the uniforms handed over are left as they were
+            assert same_bits(theta[:, 0], np.interp(u0, cdf, angles))
+            for row in range(0, u0.size, 97):
+                assert same_bits(theta[row, 1:], dense_directions(u[row, 1:], 2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_rows_is_the_all_equal_test(self, d):
+        # equal rows, both zero signs, and a NaN or an infinity of either sign in one coordinate
+        z1, z2 = edge_pairs(d, RngStream(94, d))
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+        rows1, rows2 = [], []
+        for a in special:
+            for b in special:
+                for col in range(d):
+                    row1, row2 = z1[-1].copy(), z1[-1].copy()
+                    row1[col], row2[col] = a, b
+                    rows1.append(row1)
+                    rows2.append(row2)
+        z1, z2 = np.concatenate([z1, rows1]), np.concatenate([z2, rows2])
+        same = boltzmann._same_rows(z1, z2)
+        assert same.dtype == bool and same_bits(same, (z1 == z2).all(axis=1))
+        assert same.any() and not same.all()
+        assert same_bits(boltzmann._same_rows(z1[:0], z2[:0]), np.zeros(0, dtype=bool))
+
+    @pytest.mark.parametrize("m", [200, 60_000, 70_000], ids=["8-bit", "16-bit", "32-bit"])
+    def test_level_order_is_the_stable_argsort(self, m):
+        # levels below m with many ties, the highest level m - 1 included
+        level = RngStream(93, m).integers(m, size=m)
+        level[:m // 2] %= 5
+        level[-1] = m - 1
+        order = boltzmann._level_order(level)
+        assert order.dtype == np.intp and same_bits(order, np.argsort(level, kind="stable"))
 
     def test_hard_sphere_lam_and_psi_pair(self):
         model = hard_sphere_model(2.0, d=3)
@@ -932,7 +975,7 @@ class TestBatchedEngine:
         (lambda: wealth_model(lambda rng, k: rng.uniform((k, 4)) - 0.05), 1),
         (kinetic_maxwell_model, 4),
     ], ids=["hard-sphere", "wealth-with-vetoes", "free-flow"])
-    @pytest.mark.parametrize("engine", ["exact", "bird", "nanbu"])
+    @pytest.mark.parametrize("engine", ["exact", "bird"])  # Nanbu draws per step, with no block
     def test_block_size_changes_nothing(self, monkeypatch, make, d, engine):
         # block size 1 takes the proposals one at a time
         model = make()
@@ -945,18 +988,14 @@ class TestBatchedEngine:
                 warnings.simplefilter("ignore")  # the wealth model's vetoes
                 if engine == "exact":
                     final, log = exact_simulate(model, e0, 0.75, RngStream(61))
-                elif engine == "bird":
-                    final, log = bird_simulate(model, grid, e0, TimeGrid(0, 2, 0.25), RngStream(61))
                 else:
-                    final, log = nanbu_simulate(model, e0, 0.1, 10, RngStream(61)), None
-            outs.append((final.states, None if log is None else log.columns()))
+                    final, log = bird_simulate(model, grid, e0, TimeGrid(0, 2, 0.25), RngStream(61))
+            outs.append((final.states, log.columns()))
         (states, cols), others = outs[0], outs[1:]
-        if cols is not None:
-            assert cols[0].size > 50 and np.count_nonzero(cols[3]) > 0
+        assert cols[0].size > 50 and np.count_nonzero(cols[3]) > 0
         for other_states, other_cols in others:
             assert same_bits(other_states, states)
-            if cols is not None:
-                assert all(same_bits(a, b) for a, b in zip(other_cols, cols))
+            assert all(same_bits(a, b) for a, b in zip(other_cols, cols))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
@@ -1132,6 +1171,13 @@ class TestExactBatch:
         assert same_bits(finals, want_finals)
         assert len(logs) == len(states) and all(same_logs(a, b) for a, b in zip(logs, want_logs))
         return logs
+
+    def test_an_infinite_proposal_count_is_refused(self, no_draw_stream):
+        # Lambda (N - 1) / 2 overflows at N = 10, before any draw
+        model = CollisionModel(lam=constant_rate(1e308), Lambda=1e308, psi_pair=lambda a, b, t: (a, b),
+                               theta_sampler=no_theta)
+        with pytest.raises(ValueError, match=r"^the expected proposal count Lambda M \(N - 1\) / 2 \* T is inf$"):
+            exact_batch(model, np.zeros((2, 10, 1)), 1.0, [no_draw_stream(88, r) for r in range(2)])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_maxwell_replicas_are_their_lone_runs(self, exact_groups, d):

@@ -101,6 +101,12 @@ class TestSimulateJump:
         with pytest.raises(ValueError, match=f"^T must be finite and positive, got {T!r}$"):
             simulate_jump(model, Ensemble(np.zeros(4)), T, RngStream(66))
 
+    def test_an_infinite_ring_count_is_refused(self, no_draw_stream):
+        # N rate_bound overflows at N = 10, before any draw
+        model = JumpModel(rate=lambda x, mu: 1.0, rate_bound=1e308, jump_law=lambda x, mu, rng: x)
+        with pytest.raises(ValueError, match=r"^the expected ring count N rate_bound T is inf$"):
+            simulate_jump(model, Ensemble(np.zeros(10)), 1.0, no_draw_stream(67))
+
     def test_rate_above_bound_aborts(self):
         model = JumpModel(rate=lambda x, mu: 3.0, rate_bound=1.0,
                           jump_law=lambda x, mu, rng: x)
