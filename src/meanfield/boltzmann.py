@@ -174,7 +174,14 @@ class CellGrid:
                 raise ValueError(f"lo and hi must have one shape, got {self.lo.shape} and {self.hi.shape}")
             if not (math.isfinite(self.delta) and self.delta > 0):
                 raise ValueError(f"cell side delta must be finite and positive, got {self.delta!r}")
-            self._shape = np.maximum(1, np.ceil((self.hi - self.lo) / self.delta - 1e-12).astype(int))
+            if self.delta ** self.lo.size == 0:
+                raise ValueError(f"cell side delta = {self.delta!r} gives a cell volume delta^{self.lo.size} of 0")
+            with np.errstate(over="ignore"):  # an infinite count is refused below
+                counts = np.maximum(1, np.ceil((self.hi - self.lo) / self.delta - 1e-12))
+                cells = counts.prod()
+            if not cells < np.iinfo(np.intp).max:  # assign's flat index must fit
+                raise ValueError(f"cell side delta = {self.delta!r} gives {cells:g} cells, more than an index holds")
+            self._shape = counts.astype(int)
 
     def cell_volume(self) -> float:
         if self.position is None:

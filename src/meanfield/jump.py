@@ -4,10 +4,7 @@ particles."""
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,20 +130,13 @@ class CmcResult:
 
 
 # _log_mixture keeps each of its (rows, N) temporaries at or below
-# _BLOCK_FLOATS floats (512 KB), with at least one row per block.
+# _BLOCK_FLOATS floats (512 KB), with at least one row per block, so its
+# memory is O(block * N * d) rather than len(at) * N * d.
 _BLOCK_FLOATS = 65536
 # a row whose exp-sum is below _LEAST_SUM is computed again with its row
 # max shifted out: some of its terms may have underflowed. Far above the
 # subnormals, so a row at or above it has lost no term that counts.
 _LEAST_SUM = 2.0 ** -900
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
 
 
 def _log_terms(points, block, inv, sq, diff):
@@ -170,30 +160,42 @@ def _log_terms(points, block, inv, sq, diff):
     np.multiply(sq, inv, out=sq)
 
 
-def _mixture_rows(points, at, inv, lse, start, stop, rows, work, scratch):
-    """lse[i] = log sum_j exp(-|at_i - x_j|^2 / (2 h^2)) for start <= i < stop,
-    in blocks of ``rows`` rows in the buffers ``work`` and ``scratch``.
+def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
+    """log of the kernel mixture (1/N) sum_j phi_h(at_i - x_j), row-wise:
+    CMC's proposal density, tuned for ``cmc_run``, its one caller. Every
+    other kernel mean goes through ``core.pair_mean``.
 
-    Every row takes one pass shape: log terms, exp, row sum, log. A row
-    whose sum is below ``_LEAST_SUM`` (a query far from every point, or
-    an infinite one) has its log terms computed again, and takes the row
-    max shifted form m + log sum_j exp(t_j - m); a row of points has the
-    self term exp(0) = 1 and never does.
+    Rows of ``at`` go through in blocks of ``_BLOCK_FLOATS // (N * d)``
+    rows in one ``work`` buffer (and one ``scratch`` at d > 1) allocated
+    once per call. Every row takes one pass shape: log terms, exp, row
+    sum, log. A row whose sum is below ``_LEAST_SUM`` (a query far from
+    every point, or an infinite one) has its log terms computed again, and
+    takes the row max shifted form m + log sum_j exp(t_j - m); a row of
+    points has the self term exp(0) = 1 and never does.
 
-    The range runs with numpy's ufunc buffer sized to one row of N floats,
-    in its own ``np.errstate`` context, which restores the caller's size on
-    exit. A pass over a block with a broadcast operand (the query
-    coordinate, a far row's max) runs buffered, and with the default
-    8192-float buffer a row shorter than the buffer goes about 4 times
-    slower than once the buffer holds one row. A row longer than the buffer
-    in effect keeps that buffer.
+    The loop runs with numpy's ufunc buffer sized to one row of N floats,
+    in its own ``np.errstate`` context, so the caller's buffer size and
+    error state come back unchanged, also when a row raises. A pass over a
+    block with a broadcast operand (the query coordinate, a far row's max)
+    runs buffered, and with the default 8192-float buffer a row shorter
+    than the buffer goes about 4 times slower than once the buffer holds
+    one row. A row longer than the buffer in effect keeps that buffer.
+    Every element and every row reduction is the one of the dense formula
+    ``((at[:, None] - points[None]) ** 2).sum(axis=2) * (-1 / (2 h^2))``
+    and so on, so the result equals it bit for bit.
     """
+    n, d = points.shape
+    rows = max(1, min(_BLOCK_FLOATS // max(1, n * d), len(at)))
+    work = np.empty((rows, n))
+    scratch = np.empty((rows, n, d) if d >= 8 else (rows, n)) if d > 1 else None
+    inv = -1.0 / (2.0 * h * h)
+    lse = np.empty(len(at))
     with np.errstate():
-        one_row = -(-points.shape[0] // 16) * 16  # numpy takes multiples of 16
+        one_row = -(-n // 16) * 16  # numpy takes multiples of 16
         if one_row < np.getbufsize():
             np.setbufsize(one_row)
-        for lo in range(start, stop, rows):
-            block = at[lo:min(lo + rows, stop)]
+        for lo in range(0, len(at), rows):
+            block = at[lo:lo + rows]
             sq = work[:len(block)]
             _log_terms(points, block, inv, sq, None if scratch is None else scratch[:len(block)])
             np.exp(sq, out=sq)
@@ -212,58 +214,6 @@ def _mixture_rows(points, at, inv, lse, start, stop, rows, work, scratch):
                 out[low] = m + np.log(sq.sum(axis=1))
             else:
                 np.log(total, out=out)
-
-
-def _log_mixture(points: np.ndarray, at: np.ndarray, h: float) -> np.ndarray:
-    """log of the kernel mixture (1/N) sum_j phi_h(at_i - x_j), row-wise:
-    CMC's proposal density, tuned for ``cmc_run``, its one caller. Every
-    other kernel mean goes through ``core.pair_mean``.
-
-    Rows of ``at`` go through in blocks of ``_BLOCK_FLOATS // (N * d)``
-    rows, so memory is O(k * block * N * d) rather than len(at) * N * d.
-    The blocks are split into k contiguous ranges, k = min(CPUs of the
-    process, full blocks); the calling thread computes the first and one
-    thread per other range the rest, each in its own buffers allocated once
-    per call. numpy releases the GIL in every ufunc loop and reduction here,
-    so the ranges run in parallel. Threads run in a copy of the caller's
-    context, so ``np.errstate`` holds in them; once every thread has
-    ended, the exception of the lowest range that raised one is raised.
-    Each range sizes numpy's ufunc buffer to one row inside its own
-    ``np.errstate`` context (see ``_mixture_rows``), so the caller's buffer
-    size and error state come back unchanged, also when a range raises.
-    Every element and every row reduction is the one of the dense formula
-    ``((at[:, None] - points[None]) ** 2).sum(axis=2) * (-1 / (2 h^2))``
-    and so on, so the result equals it bit for bit at any k.
-    """
-    n, d = points.shape
-    rows = max(1, min(_BLOCK_FLOATS // max(1, n * d), len(at)))
-    k = max(1, min(_cpu_count(), len(at) // rows))
-    # one allocation per worker: glibc serves a single (k, rows, N) block
-    # with more growth of the peak RSS than k separate ones
-    work = [np.empty((rows, n)) for _ in range(k)]
-    scratch = [np.empty((rows, n, d) if d >= 8 else (rows, n)) if d > 1 else None for _ in range(k)]
-    inv = -1.0 / (2.0 * h * h)
-    lse = np.empty(len(at))
-    blocks = -(-len(at) // rows)
-    bounds = [min(len(at), (w * blocks // k) * rows) for w in range(k + 1)]
-    errors = [None] * k
-
-    def rows_of(w):
-        try:
-            _mixture_rows(points, at, inv, lse, bounds[w], bounds[w + 1], rows, work[w], scratch[w])
-        except BaseException as err:  # raised once every worker has ended
-            errors[w] = err
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(rows_of, w))
-               for w in range(1, k)]
-    for t in threads:
-        t.start()
-    rows_of(0)
-    for t in threads:
-        t.join()
-    for err in errors:
-        if err is not None:
-            raise err
     norm = math.log(n) + d * math.log(h) + 0.5 * d * math.log(2.0 * math.pi)
     return lse - norm
 

@@ -677,6 +677,19 @@ class TestCellGrid:
         with pytest.raises(ValueError, match=rf"^(lo and hi|cell side {field}|{field}) "):
             CellGrid(position=lambda s: s, **bounds)
 
+    # delta^2 underflows to 0; on a box of side 1e-300 the grid is one cell
+    @pytest.mark.parametrize("side", [1.0, 1e-300])
+    def test_a_cell_volume_of_zero_is_refused_naming_delta(self, side):
+        with pytest.raises(ValueError, match=r"^cell side delta = 1e-200 gives a cell volume delta\^2 of 0$"):
+            CellGrid(lo=np.zeros(2), hi=np.full(2, side), delta=1e-200, position=lambda s: s)
+
+    # 1e20 cells along one axis, or 1e10 along each of two; hi - lo overflows to inf
+    @pytest.mark.parametrize("lo, hi, delta", [([0.0], [1e10], 1e-10), ([0.0, 0.0], [1.0, 1.0], 1e-10),
+                                               ([-1e308, 0.0], [1e308, 1.0], 1.0)])
+    def test_a_cell_count_beyond_the_integers_is_refused_naming_delta(self, lo, hi, delta):
+        with pytest.raises(ValueError, match=r"^cell side delta = \S+ gives (1e\+20|inf) cells, more than an index holds$"):
+            CellGrid(lo=lo, hi=hi, delta=delta, position=lambda s: s)
+
     def test_positions_map_to_unique_cells(self):
         grid = CellGrid(lo=np.zeros(2), hi=np.array([2.0, 2.0]), delta=1.0,
                         position=lambda s: s)

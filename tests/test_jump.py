@@ -1,6 +1,5 @@
 import math
 import re
-import threading
 import warnings
 
 import numpy as np
@@ -377,63 +376,45 @@ class TestCmc:
 
 
 @pytest.fixture(params=[1, 2, 3, 7])
-def workers(request, monkeypatch):
-    """Run the mixture as if the process had this many CPUs."""
-    monkeypatch.setattr(jump, "_cpu_count", lambda: request.param)
+def block_share(request, monkeypatch):
+    """Run the mixture with 1/share of its block floats: rows are blocked
+    another way, and no value may change."""
+    monkeypatch.setattr(jump, "_BLOCK_FLOATS", jump._BLOCK_FLOATS // request.param)
     return request.param
 
 
 class TestMixtureWorkers:
-    # fewer query rows than workers, and no query rows at all
+    # fewer query rows than a block, and no query rows at all
     @pytest.mark.parametrize("n, m, d", MIXTURE_SHAPES + BUFFER_SHAPES + [(1000, 2, 1), (50, 0, 3)])
-    def test_equals_dense_at_any_worker_count(self, workers, monkeypatch, n, m, d):
+    def test_equals_dense_at_any_worker_count(self, block_share, monkeypatch, n, m, d):
         rng = RngStream(79)
         points = rng.normal((n, d))
         at = rng.normal((m, d))
-        callers = []  # one call of the row loop per worker, each on its own thread
-        rows_of = jump._mixture_rows
+        sizes = []  # the rows of each block, and of each block's far rows
+        log_terms = jump._log_terms
 
-        def traced(*args):
-            callers.append(threading.current_thread())
-            return rows_of(*args)
+        def traced(points, block, *args):
+            sizes.append(len(block))
+            return log_terms(points, block, *args)
 
-        monkeypatch.setattr(jump, "_mixture_rows", traced)
-        before = threading.active_count()
+        monkeypatch.setattr(jump, "_log_terms", traced)
         val = _log_mixture(points, at, 0.3)
-        assert threading.active_count() == before
         assert np.array_equal(val, dense_log_mixture(points, at, 0.3))
-        rows = max(1, min(jump._BLOCK_FLOATS // (n * d), m))
-        assert len(set(callers)) == len(callers) == max(1, min(workers, m // rows))
+        rows = max(1, jump._BLOCK_FLOATS // (n * d))
+        assert max(sizes, default=0) == min(rows, m)
 
-    def test_cmc_run_is_the_same_on_one_and_two_workers(self, monkeypatch):
-        # N = 300 gives 218-row blocks, so the 600 mixture rows of a sweep are 2 full blocks
-        cfg = CmcConfig(target_log_density=lambda x: -0.5 * np.sum(x ** 2, axis=1),
-                        h=0.5, n=300, steps=20, burn_in=5, dim=1, vectorized=True)
-        e0 = Ensemble(RngStream(82).normal((300, 1)))
-        runs = []
-        for count in (1, 2):
-            monkeypatch.setattr(jump, "_cpu_count", lambda: count)
-            before = threading.active_count()
-            runs.append(cmc_run(cfg, e0, RngStream(83)))
-            assert threading.active_count() == before
-        assert np.array_equal(runs[0].ensemble.states, runs[1].ensemble.states)
-        assert np.array_equal(runs[0].accept_trace, runs[1].accept_trace)
-        assert np.array_equal(runs[0].samples, runs[1].samples)
-
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_helpers_keep_the_errstate_and_raise_in_the_caller(self, monkeypatch, count):
+    @pytest.mark.parametrize("share", [1, 2])
+    def test_helpers_keep_the_errstate_and_raise_in_the_caller(self, monkeypatch, share):
         # an infinite query row has every log term -inf, so its exp-sum is 0
-        # and its max shift computes -inf - -inf; 65-row blocks put the last
-        # of 200 rows in the second worker's range
-        monkeypatch.setattr(jump, "_cpu_count", lambda: count)
+        # and its max shift computes -inf - -inf; 65- or 32-row blocks put
+        # the last of 200 rows in a last block of 5 or 8 rows
+        monkeypatch.setattr(jump, "_BLOCK_FLOATS", jump._BLOCK_FLOATS // share)
         rng = RngStream(84)
         points = rng.normal((1000, 1))
         at = rng.normal((200, 1))
         at[-1] = np.inf
-        before = threading.active_count()
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
             _log_mixture(points, at, 0.5)
-        assert threading.active_count() == before
         with np.errstate(invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             val = _log_mixture(points, at, 0.5)
@@ -446,7 +427,7 @@ def same_bits(a, b):
 
 class TestMixtureBuffer:
     @pytest.mark.parametrize("n, bufsize", [(1000, 1008), (8000, 8000), (9000, 8192), (1, 16)])
-    def test_each_range_runs_with_a_one_row_buffer(self, workers, monkeypatch, n, bufsize):
+    def test_each_range_runs_with_a_one_row_buffer(self, block_share, monkeypatch, n, bufsize):
         sizes = []  # the buffer size in effect at each exp of a block
         exp = np.exp
 
@@ -464,7 +445,7 @@ class TestMixtureBuffer:
             _log_mixture(rng.normal((n, 1)), rng.normal((200, 1)), 0.3)
         assert sizes and set(sizes) == {16}
 
-    def test_buffer_size_and_errstate_come_back(self, workers):
+    def test_buffer_size_and_errstate_come_back(self, block_share):
         rng = RngStream(91)
         points = rng.normal((1000, 1))
         at = rng.normal((200, 1))
@@ -481,7 +462,7 @@ class TestMixtureBuffer:
         assert (np.getbufsize(), np.geterr()) == before
 
     @pytest.mark.parametrize("n, m, d", MIXTURE_SHAPES + BUFFER_SHAPES)
-    def test_values_do_not_depend_on_the_callers_buffer(self, workers, n, m, d):
+    def test_values_do_not_depend_on_the_callers_buffer(self, block_share, n, m, d):
         rng = RngStream(92)
         points = rng.normal((n, d))
         at = rng.normal((m, d))
@@ -492,7 +473,7 @@ class TestMixtureBuffer:
 
     # 65-, 43- and 24-row blocks: the own rows start inside a block
     @pytest.mark.parametrize("n, m, d", [(1000, 100, 1), (500, 60, 3), (300, 50, 9), (40, 7, 2)])
-    def test_own_rows_equal_the_general_path(self, workers, n, m, d):
+    def test_own_rows_equal_the_general_path(self, block_share, n, m, d):
         # a sweep queries its proposals, then the points themselves; the own
         # rows take the pass of every other row, with a self term exp(0) = 1
         rng = RngStream(93)
