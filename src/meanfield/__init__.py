@@ -7,10 +7,10 @@ convergence rates at desk scale."""
 __version__ = "0.1.0"
 
 from .core import (
-    EmpiricalMeasure,
     Ensemble,
     RngStream,
     TimeGrid,
+    empirical_mean,
     empirical_moments,
     weighted_mean,
 )
@@ -26,7 +26,6 @@ from .errors import (
 __all__ = [
     "BoundViolation",
     "DegenerateWeights",
-    "EmpiricalMeasure",
     "Ensemble",
     "MeanFieldError",
     "ModelSpecError",
@@ -34,6 +33,7 @@ __all__ = [
     "StepError",
     "TimeGrid",
     "UnsupportedReference",
+    "empirical_mean",
     "empirical_moments",
     "weighted_mean",
     "__version__",

@@ -261,11 +261,14 @@ def _accept(model: CollisionModel, z1, z2, theta, u):
 
 
 def _check(ratio, vetoed, stacklevel):
-    """Raise at the first ratio above 1; warn (for frame ``stacklevel``) if the filter vetoed a collision."""
-    too_big = ratio > 1.0 + 1e-9
-    if too_big.any():
+    """Raise at the first ratio above 1, below 0 or NaN; warn (for frame ``stacklevel``) if the filter
+    vetoed a collision."""
+    bad = ~((ratio >= 0.0) & (ratio <= 1.0 + 1e-9))
+    if bad.any():
+        first = ratio[bad][0]
         raise BoundViolation(
-            f"acceptance ratio {ratio[too_big][0]:g} > 1: the declared Lambda or M does not bound the model"
+            f"acceptance ratio {first:g} > 1: the declared Lambda or M does not bound the model" if first > 1
+            else f"acceptance ratio {first:g} is not a probability: the model's lam or q is NaN or below 0"
         )
     if vetoed.any():
         warnings.warn("collision rejected by the model's event filter", stacklevel=stacklevel)
@@ -350,7 +353,7 @@ def exact_batch(model: CollisionModel, states, T: float, streams, t0: float = 0.
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
     out = np.array(states, dtype=float)
-    if out.ndim != 3:
+    if out.ndim != 3 or out.shape[2] < 1:
         raise ValueError(f"states must be an (R, n, d) array, got shape {out.shape}")
     count, n, d = out.shape
     if n < 2:

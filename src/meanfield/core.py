@@ -1,13 +1,14 @@
 """Ensembles, seeded random streams, empirical-measure functionals and time grids.
 
 Everything downstream (diffusions, collision models, jump processes, the
-particle optimizers) is built on the three objects defined here: an
-``Ensemble`` holding the states of N particles at one time instant, the
-``EmpiricalMeasure`` view of a points array (one ensemble's states, or a
-batch of replicas') as the uniform atomic measure (1/N) sum of Dirac
-masses, and ``RngStream``, a counter-based random stream that can be
-replayed bit-for-bit and split into independent substreams. Every kernel
-integral K * mu against such a measure is one mechanism, ``pair_mean``.
+particle optimizers) is built on the two objects defined here: an
+``Ensemble`` holding the states of N particles at one time instant, and
+``RngStream``, a counter-based random stream that can be replayed
+bit-for-bit and split into independent substreams. The empirical measure
+(1/N) sum of Dirac masses has uniform weights, so it is its points: one
+(n, d) ensemble's states, or the (R, n, d) points of R replicas, every
+functional reducing over axis -2. Every kernel integral K * mu against such
+a measure is one mechanism, ``pair_mean``.
 """
 
 from __future__ import annotations
@@ -126,32 +127,13 @@ class Ensemble:
     def copy(self) -> "Ensemble":
         return Ensemble(self.states.copy(), self.time)
 
-    def measure(self) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(self.states)
 
-
-class EmpiricalMeasure:
-    """Non-owning view of a points array as the measure (1/N) sum of delta_{x^i}.
-
-    Weights are uniform by construction, so the total mass is exactly 1.
-    ``points`` is one (n, d) ensemble or the (R, n, d) points of R
-    replicas, unvalidated; every reduction over particles runs over axis
-    -2, one measure per replica.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[-2]
-
-    def mean(self) -> np.ndarray:
-        """The (d,) mean of one ensemble, or the (R, 1, d) per-replica means
-        of a batch, shaped to broadcast against its (R, n, d) states."""
-        pts = self.points
-        # the particle sum divided by n is np.mean's result, bit for bit
-        return np.add.reduce(pts, axis=-2, keepdims=pts.ndim > 2) / pts.shape[-2]
+def empirical_mean(points: np.ndarray) -> np.ndarray:
+    """The (d,) mean of one (n, d) ensemble's points, or the (R, 1, d)
+    per-replica means of an (R, n, d) batch, shaped to broadcast against
+    its states."""
+    # the particle sum divided by n is np.mean's result, bit for bit
+    return np.add.reduce(points, axis=-2, keepdims=points.ndim > 2) / points.shape[-2]
 
 
 # pair_mean keeps each block of (..., rows, m, d) pairs at or below
@@ -173,9 +155,9 @@ def pair_mean(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(b, dtype=float).mean(axis=-2) for b in blocks], axis=-2)
 
 
-def weighted_mean(ensemble: Ensemble | np.ndarray, w=None, log_w=None) -> np.ndarray:
-    """Weighted average of particle positions: the (d,) mean of one ensemble,
-    or one per replica of an (..., n, d) batch, bit for bit a lone call's.
+def weighted_mean(pts: np.ndarray, w=None, log_w=None) -> np.ndarray:
+    """Weighted average of particle positions: the (d,) mean of one (n, d)
+    ensemble, or one per replica of an (..., n, d) batch, bit for bit a lone call's.
 
     Exactly one of ``w`` (a nonnegative weight function of the state) or
     ``log_w`` (its logarithm, for weights of the form exp(score)) must be
@@ -188,7 +170,6 @@ def weighted_mean(ensemble: Ensemble | np.ndarray, w=None, log_w=None) -> np.nda
     """
     if (w is None) == (log_w is None):
         raise ValueError("provide exactly one of w or log_w")
-    pts = ensemble if isinstance(ensemble, np.ndarray) else ensemble.states
     if log_w is not None:
         lw = np.asarray(log_w(pts), dtype=float).reshape(pts.shape[:-1])
         lw = np.where(np.isnan(lw), -np.inf, lw)
@@ -215,13 +196,12 @@ def _raise_degenerate(message: str, mask: np.ndarray):
         raise DegenerateWeights(message.format(particle=particle) + where)
 
 
-def empirical_moments(ensemble: Ensemble | np.ndarray, p: int) -> np.ndarray:
+def empirical_moments(pts: np.ndarray, p: int) -> np.ndarray:
     """Coordinate-wise p-th moment (1/N) sum_i (x^i_k)^p: the (d,) moments of
-    one ensemble, or one row per replica of an (..., n, d) batch, bit for
-    bit a lone call's."""
+    one (n, d) ensemble, or one row per replica of an (..., n, d) batch, bit
+    for bit a lone call's."""
     if p < 1:
         raise ValueError("moment order p must be >= 1")
-    pts = ensemble if isinstance(ensemble, np.ndarray) else ensemble.states
     return np.mean(pts ** p, axis=-2)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalMeasure, Ensemble, RngStream, _block_size, write_csv
+from .core import Ensemble, RngStream, _block_size, write_csv
 from .errors import BoundViolation, StepError
 
 
@@ -18,8 +18,10 @@ class JumpModel:
     """Jump specification: state-and-measure dependent rate lambda(x, mu)
     capped by ``rate_bound``, and a jump law drawing the post-jump state.
 
-    ``rate(x, mu)`` takes one state row; ``jump_law(x, mu, rng)`` returns
-    the new state row, drawn from ``rng``, the run's jump-law substream.
+    ``rate(x, points)`` takes one state row and the (n, d) points of the
+    empirical measure mu, which are the live states: the array that each
+    jump writes into. ``jump_law(x, points, rng)`` returns the new state
+    row, drawn from ``rng``, the run's jump-law substream.
     """
 
     rate: callable
@@ -44,8 +46,9 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
     acceptance uniforms come in blocks from substreams 0, 1 and 2 of
     ``rng``, the jump law's draws from substream 3, and ring times are the
     sequential sum of the gaps, so results do not depend on the block size.
-    Observing rate > rate_bound aborts, and a non-finite post-jump state
-    raises a StepError naming the particle and the ring time.
+    Observing a rate above rate_bound, below 0 or NaN aborts, and a
+    non-finite post-jump state raises a StepError naming the particle and
+    the ring time.
     """
     if not math.isfinite(model.rate_bound) or model.rate_bound < 0:
         raise ValueError("rate_bound must be finite and nonnegative")
@@ -57,7 +60,6 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
     if not math.isfinite(total * (horizon - t)):
         raise ValueError(f"the expected ring count N rate_bound T is {total * (horizon - t)!r}")
     gaps, marks, uniforms, law = (rng.substream(k) for k in range(4))
-    mu = EmpiricalMeasure(states)  # a live view: each jump writes into states
     jumps = rings = 0
     while total > 0:
         size = _block_size(total * (horizon - t))
@@ -65,11 +67,12 @@ def simulate_jump(model: JumpModel, e0: Ensemble, T: float, rng: RngStream) -> J
         m = int(np.searchsorted(times, horizon, side="right"))
         rings_of_block = zip(times[:m].tolist(), marks.integers(n, size=m).tolist(), uniforms.uniform(m).tolist())
         for t, i, u in rings_of_block:
-            r = float(model.rate(states[i], mu))
-            if r > model.rate_bound * (1 + 1e-12):
-                raise BoundViolation(f"rate {r:g} exceeds the declared bound {model.rate_bound:g}")
+            r = float(model.rate(states[i], states))
+            if not 0 <= r <= model.rate_bound * (1 + 1e-12):
+                raise BoundViolation(f"rate {r:g} exceeds the declared bound {model.rate_bound:g}" if r > 0
+                                     else f"rate {r:g} is not a rate: it is NaN or below 0")
             if u < r / model.rate_bound:
-                states[i] = np.asarray(model.jump_law(states[i], mu, law), dtype=float)
+                states[i] = np.asarray(model.jump_law(states[i], states, law), dtype=float)
                 if not np.isfinite(states[i]).all():
                     raise StepError("non-finite post-jump state", particle=i, time=t)
                 jumps += 1

@@ -3,9 +3,10 @@ named interacting systems, and the synchronous-coupling harness that
 measures the distance to the nonlinear limit empirically.
 
 Drift and diffusion callables are vectorized over particles and replicas:
-they receive a (..., n, d) state array together with the matching empirical
-measure and return per-particle values. Within one explicit step every
-particle sees the same pre-step measure of its own replica.
+they receive a (..., n, d) state array together with the points of the
+matching empirical measure and return per-particle values. Within one
+explicit step every particle sees the same pre-step measure of its own
+replica.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EmpiricalMeasure, Ensemble, RngStream, TimeGrid, csv_row, empirical_moments,
+from .core import (Ensemble, RngStream, TimeGrid, csv_row, empirical_mean, empirical_moments,
                    pair_mean, write_csv)
 from .errors import ModelSpecError, StepError, UnsupportedReference
 
@@ -25,16 +26,16 @@ class McKeanModel:
     """Drift/diffusion specification b(x, mu), sigma(x, mu) on R^dim.
 
     Both callables take states of shape (..., n, d): one (n, d) ensemble,
-    or an (R, n, d) batch of R replicas advanced together. ``mu`` is the
-    matching ``EmpiricalMeasure`` with points (..., m, d), where m may
-    differ from n (a nonlinear process reads a larger surrogate's measure).
-    Reductions over the measure run over axis -2, so each replica sees its
-    own measure only. ``drift(states, mu)`` returns a (..., n, d) array.
-    ``diffusion(states, mu)`` may return a scalar (isotropic), a (..., n)
-    array (per-particle scalar), a (..., n, d) array (per-particle
-    diagonal) or a (..., n, d, d) array of full matrices. A pairwise
-    interaction reduces through ``core.pair_mean``, whose blocks bound its
-    memory whatever the batch.
+    or an (R, n, d) batch of R replicas advanced together. ``points`` are
+    the (..., m, d) points of the matching empirical measure mu, whose
+    weights are uniform; m may differ from n (a nonlinear process reads a
+    larger surrogate's measure). Reductions over the measure run over axis
+    -2, so each replica sees its own measure only. ``drift(states,
+    points)`` returns a (..., n, d) array. ``diffusion(states, points)`` may
+    return a scalar (isotropic), a (..., n) array (per-particle scalar), a
+    (..., n, d) array (per-particle diagonal) or a (..., n, d, d) array of
+    full matrices. A pairwise interaction reduces through
+    ``core.pair_mean``, whose blocks bound its memory whatever the batch.
     """
 
     drift: callable
@@ -68,8 +69,8 @@ def _raise_non_finite(what, arr, batched, first_replica, step, time):
                     step=step, time=time)
 
 
-def _em_update(model, states, mu, h, root_h, xi, time, step, first_replica=0, system=""):
-    """One explicit Euler-Maruyama update against a frozen measure, for an
+def _em_update(model, states, h, root_h, xi, time, step, first_replica=0, system=""):
+    """One explicit Euler-Maruyama update against the states' own pre-step measure, for an
     (n, d) ensemble or an (R, n, d) batch whose first replica has index
     ``first_replica``: ``states + b h + (sigma xi) sqrt(h)``, with
     ``root_h`` = sqrt(h). Returns the new states, sigma and the noise term
@@ -79,8 +80,8 @@ def _em_update(model, states, mu, h, root_h, xi, time, step, first_replica=0, sy
     or diffusion always makes them non-finite, and only then are the
     coefficients searched for the cause.
     """
-    b = np.asarray(model.drift(states, mu), dtype=float)
-    sigma = model.diffusion(states, mu)
+    b = np.asarray(model.drift(states, states), dtype=float)
+    sigma = model.diffusion(states, states)
     term = _apply_diffusion(sigma, xi) * root_h
     new = states + b * h + term
     if not np.isfinite(new).all():
@@ -94,7 +95,7 @@ def _em_update(model, states, mu, h, root_h, xi, time, step, first_replica=0, sy
 def _em_loop(model, x, t, grid, streams, first=0, observers=()):
     """The one Euler-Maruyama loop, from states ``x`` at time ``t`` over
     ``grid``: one (n, d) ensemble, or an (R, n, d) batch with first replica
-    ``first``, each step seen through ``EmpiricalMeasure(x)``; row r draws
+    ``first``, each step seeing the measure of ``x`` itself; row r draws
     from ``streams[r]``. Each observer is called as ``obs(x, t, step, first)``
     at step 0 and after each step; it must not write to ``x``."""
     for obs in observers:
@@ -103,7 +104,7 @@ def _em_loop(model, x, t, grid, streams, first=0, observers=()):
     for k0, block in _noise_steps(streams, x.shape[-2:], grid.steps):
         for k, xi in enumerate(block.reshape(-1, *x.shape), k0):
             h = durations[k]
-            x = _em_update(model, x, EmpiricalMeasure(x), h, math.sqrt(h), xi, t, k, first)[0]
+            x = _em_update(model, x, h, math.sqrt(h), xi, t, k, first)[0]
             t += h
             for obs in observers:
                 obs(x, t, k + 1, first)
@@ -248,13 +249,13 @@ class GaussianReference:
         if model.dim != 1:
             raise UnsupportedReference(f"exact gaussian reference needs a 1-D model, got dim {model.dim}")
         states = np.array([[-2.0], [-0.5], [1.0], [3.0]])
-        mu = EmpiricalMeasure(np.array([[-1.5], [0.25], [2.0]]))
+        points = np.array([[-1.5], [0.25], [2.0]])
         want = -self.lam * states - self.kappa * (states - 0.25)
-        b = np.asarray(model.drift(states, mu), dtype=float)
+        b = np.asarray(model.drift(states, points), dtype=float)
         if b.shape != want.shape or not (np.array_equal(b, want)  # equal even where both overflow
                                          or np.abs(b - want).max() <= 1e-12 * np.abs(want).max()):
             raise UnsupportedReference(f"model drift is not -{self.lam!r} x - {self.kappa!r} (x - m)")
-        if not np.all(np.asarray(model.diffusion(states, mu), dtype=float) == 1.0):
+        if not np.all(np.asarray(model.diffusion(states, points), dtype=float) == 1.0):
             raise UnsupportedReference("exact gaussian reference needs a unit diffusion")
 
     def drift(self, states: np.ndarray, t: float) -> np.ndarray:
@@ -316,10 +317,10 @@ def mean_field_ou_model(lam: float, kappa: float) -> McKeanModel:
     ensemble mean, b(x, mu) = -lam x - kappa (x - m(mu)), sigma = 1. The
     ensemble mean includes the particle itself."""
 
-    def drift(states, mu):
-        return -lam * states - kappa * (states - mu.mean())
+    def drift(states, points):
+        return -lam * states - kappa * (states - empirical_mean(points))
 
-    return McKeanModel(drift=drift, diffusion=lambda states, mu: 1.0, dim=1)
+    return McKeanModel(drift=drift, diffusion=lambda states, points: 1.0, dim=1)
 
 
 # simulate and the coupling engine advance replicas in batches whose (Rb, n, d)
@@ -419,12 +420,11 @@ def _coupling_batch(model, ref, n, grid, streams, first, out):
                 b_bar = _reference_drift(ref, x_bar, t, k)
                 sig_bar = ref.diffusion(x_bar, t)
             else:
-                mu_s = EmpiricalMeasure(surrogate)
-                b_bar = model.drift(x_bar, mu_s)
-                sig_bar = model.diffusion(x_bar, mu_s)
-                surrogate = _em_update(model, surrogate, mu_s, h, root_h, next(surrogate_noise),
-                                       t, k, first, "surrogate ")[0]
-            x, sigma, term = _em_update(model, x, EmpiricalMeasure(x), h, root_h, xi, t, k, first)
+                b_bar = model.drift(x_bar, surrogate)
+                sig_bar = model.diffusion(x_bar, surrogate)
+                surrogate = _em_update(model, surrogate, h, root_h, next(surrogate_noise), t, k, first,
+                                       "surrogate ")[0]
+            x, sigma, term = _em_update(model, x, h, root_h, xi, t, k, first)
             if not _same_float(sigma, sig_bar):
                 term = _apply_diffusion(sig_bar, xi) * root_h
             x_bar = x_bar + np.asarray(b_bar, dtype=float) * h + term
@@ -496,7 +496,7 @@ def gradient_system_model(
     ``grad_V`` and ``grad_W`` act row-wise on (..., d) arrays. The
     interaction gradient must be odd; this is probed at construction on
     eight points drawn from the fixed stream ``RngStream(2024, 777)``.
-    ``grad_W_conv(states, mu_points)``, when supplied, is a closed form
+    ``grad_W_conv(states, points)``, when supplied, is a closed form
     for the convolution grad W * mu evaluated at each state
     (e.g. x - mean for quadratic W), replacing the O(N^2) pairwise sum. It
     takes (..., n, d) states and the (..., m, d) support points of their
@@ -509,16 +509,16 @@ def gradient_system_model(
         raise ModelSpecError("grad_W fails the odd-symmetry probe; W must be symmetric")
 
     if grad_W_conv is not None:
-        def interaction(states, mu):
-            return np.asarray(grad_W_conv(states, mu.points), dtype=float)
+        def interaction(states, points):
+            return np.asarray(grad_W_conv(states, points), dtype=float)
     else:
-        def interaction(states, mu):
-            return pair_mean(lambda x, y: grad_W(x - y), states, mu.points)
+        def interaction(states, points):
+            return pair_mean(lambda x, y: grad_W(x - y), states, points)
 
-    def drift(states, mu):
-        return -np.asarray(grad_V(states), dtype=float) - interaction(states, mu)
+    def drift(states, points):
+        return -np.asarray(grad_V(states), dtype=float) - interaction(states, points)
 
-    return McKeanModel(drift=drift, diffusion=lambda states, mu: float(sigma_const), dim=dim)
+    return McKeanModel(drift=drift, diffusion=lambda states, points: float(sigma_const), dim=dim)
 
 
 def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None, rng: RngStream | None = None) -> McKeanModel:
@@ -527,9 +527,10 @@ def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None,
     The natural frequencies xi_i are quenched: drawn once at construction
     (``disorder_sampler(n, rng)``) and frozen for the model's lifetime.
     Phases live in R; reduce mod 2 pi only for reporting. The alignment sum
-    runs over the points theta^j of the measure ``mu``, which may differ
-    from the states (a nonlinear copy reads a surrogate), and is evaluated
-    through the complex order parameter, so each step is O(N + M).
+    runs over the measure's points theta^j, which may differ from the
+    states (a nonlinear copy reads a surrogate), and is evaluated through
+    the complex order parameter, so each step is O(N + M). When the points
+    are the states array itself, their phases are computed once.
     """
     if disorder_sampler is not None:
         if n is None or rng is None:
@@ -538,20 +539,20 @@ def kuramoto_model(coupling: float, n: int | None = None, disorder_sampler=None,
     else:
         disorder = None
 
-    def drift(states, mu):
+    def drift(states, points):
         theta = states[..., 0]
         if disorder is not None and theta.shape[-1] != disorder.shape[0]:
             raise ValueError("ensemble size differs from the quenched disorder draw")
         phase = np.exp(1j * theta)
         # the interacting system reads its own measure: its phases are the states'
-        mu_phase = phase if mu.points is states else np.exp(1j * mu.points[..., 0])
+        mu_phase = phase if points is states else np.exp(1j * points[..., 0])
         z = np.mean(mu_phase, axis=-1, keepdims=True)
         align = -coupling * np.imag(phase * np.conj(z))
         if disorder is not None:
             align = align + disorder
         return align[..., None]
 
-    return McKeanModel(drift=drift, diffusion=lambda states, mu: 1.0, dim=1)
+    return McKeanModel(drift=drift, diffusion=lambda states, points: 1.0, dim=1)
 
 
 def cucker_smale_model(gamma: float, sigma_const: float, d: int = 1) -> McKeanModel:
@@ -571,10 +572,10 @@ def cucker_smale_model(gamma: float, sigma_const: float, d: int = 1) -> McKeanMo
         k = (1.0 + np.sum((y[..., :d] - x[..., :d]) ** 2, axis=-1)) ** (-gamma / 2.0)
         return k[..., None] * (y[..., d:] - x[..., d:])
 
-    def drift(states, mu):
-        return np.concatenate([states[..., d:], pair_mean(align, states, mu.points)], axis=-1)
+    def drift(states, points):
+        return np.concatenate([states[..., d:], pair_mean(align, states, points)], axis=-1)
 
-    def diffusion(states, mu):
+    def diffusion(states, points):
         sig = np.zeros(states.shape)
         sig[..., d:] = sigma_const
         return sig
@@ -598,7 +599,7 @@ def regularized_coulomb_model(xi_strength: float, eps: float, sigma_const: float
         norms = np.linalg.norm(diffs, axis=-1)
         return xi_strength * diffs / np.maximum(norms, eps)[..., None] ** d
 
-    def drift(states, mu):
-        return pair_mean(lambda x, y: force(x - y), states, mu.points)
+    def drift(states, points):
+        return pair_mean(lambda x, y: force(x - y), states, points)
 
-    return McKeanModel(drift=drift, diffusion=lambda states, mu: float(sigma_const), dim=d)
+    return McKeanModel(drift=drift, diffusion=lambda states, points: float(sigma_const), dim=d)

@@ -105,8 +105,8 @@ def cbo_minimize(cfg: CboConfig, streams: list[RngStream]) -> list[CboResult]:
         seen.update(gap=gap, gate=gate, radius=np.linalg.norm(gap, axis=-1, keepdims=True))
 
     # _em_loop observes every state array before stepping it, so seen holds that array's x - v and gate
-    model = McKeanModel(drift=lambda x, mu: -cfg.lambda_drift * seen["gap"] * seen["gate"], dim=cfg.dim,
-                        diffusion=lambda x, mu: math.sqrt(2.0) * cfg.sigma_noise * seen["radius"])
+    model = McKeanModel(drift=lambda x, points: -cfg.lambda_drift * seen["gap"] * seen["gate"], dim=cfg.dim,
+                        diffusion=lambda x, points: math.sqrt(2.0) * cfg.sigma_noise * seen["radius"])
     x0 = np.array([_cbo_init(cfg, s) for s in streams]).reshape(-1, cfg.n, cfg.dim)
     if cfg.steps == 0:
         observe(x0, 0.0, 0, 0)
@@ -252,7 +252,7 @@ def eks_sample(cfg: EksConfig, e0: Ensemble, rng: RngStream) -> Ensemble:
         warnings.warn(f"n = {n} <= dim = {d}: ensemble covariance is rank deficient")
     warned = False
 
-    def diffusion(states, mu):
+    def diffusion(states, points):
         nonlocal warned
         centered = states - states.mean(axis=0)
         cov = centered.T @ centered / n  # measure-functional normalization, 1/N
@@ -262,7 +262,7 @@ def eks_sample(cfg: EksConfig, e0: Ensemble, rng: RngStream) -> Ensemble:
         # one sqrt(2 Cov) shared by every particle, as (n, d, d) full matrices
         return np.broadcast_to(matrix_sqrt_psd(2.0 * cov), (n, d, d))
 
-    model = McKeanModel(drift=lambda states, mu: eks_drift(cfg, states), diffusion=diffusion, dim=d)
+    model = McKeanModel(drift=lambda states, points: eks_drift(cfg, states), diffusion=diffusion, dim=d)
     return simulate(model, e0, TimeGrid(0.0, cfg.steps * cfg.dt, cfg.dt), rng)
 
 

@@ -77,8 +77,8 @@ def _kernel_mean(kernel, states, points):
 
 def cdf_model(scheme: CdfScheme) -> McKeanModel:
     """The scheme as a McKean model: drift and diffusion are the kernel means of k1 and k2."""
-    return McKeanModel(drift=lambda states, mu: _kernel_mean(scheme.k1, states, mu.points),
-                       diffusion=lambda states, mu: _kernel_mean(scheme.k2, states, mu.points),
+    return McKeanModel(drift=lambda states, points: _kernel_mean(scheme.k1, states, points),
+                       diffusion=lambda states, points: _kernel_mean(scheme.k2, states, points),
                        dim=1)
 
 

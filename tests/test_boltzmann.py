@@ -37,6 +37,15 @@ def constant_rate(value):
     return lambda a, b: np.full(len(a), value)
 
 
+# a NaN or negative lam gives no acceptance probability: every engine must refuse it by name
+IMPROPER_RATES = pytest.mark.parametrize("rate", [math.nan, -1.0], ids=["nan", "negative"])
+
+
+def improper_rate_model(rate):
+    return CollisionModel(lam=constant_rate(rate), Lambda=1.0, psi_pair=lambda a, b, t: (a, b),
+                          theta_sampler=no_theta)
+
+
 def zero_rate_counting_model():
     """Lambda = 1 proposes events, lam = 0 must reject every one of them;
     an accepted collision would add 1 to both states."""
@@ -218,6 +227,11 @@ class TestExactSimulate:
         with pytest.raises(BoundViolation):
             exact_simulate(lying, Ensemble(np.zeros((4, 1))), 5.0, RngStream(31))
 
+    @IMPROPER_RATES
+    def test_a_nan_or_negative_rate_is_a_bound_violation(self, rate):
+        with pytest.raises(BoundViolation, match=f"^acceptance ratio {rate:g} is not a probability"):
+            exact_simulate(improper_rate_model(rate), Ensemble(np.zeros((20, 1))), 1.0, RngStream(31))
+
     def test_bound_violation_names_the_first_breaking_proposal(self, monkeypatch):
         # accepted collisions raise the states and lam grows with them, so only some rows break
         # the bound, at several levels of a block; the error must name the first row in proposal
@@ -318,6 +332,13 @@ class TestBirdSimulate:
                                              r"\* \(t_end - t0\) is inf$"):
             bird_simulate(model, CellGrid.single_cell(), Ensemble(np.zeros((10, 1))), TimeGrid(0, 1, 0.5),
                           no_draw_stream(89))
+
+    @IMPROPER_RATES
+    def test_a_nan_or_negative_rate_is_a_bound_violation(self, rate):
+        # refused before the cell could stall on rejections
+        with pytest.raises(BoundViolation, match=f"^acceptance ratio {rate:g} is not a probability"):
+            bird_simulate(improper_rate_model(rate), CellGrid.single_cell(), Ensemble(np.zeros((20, 1))),
+                          TimeGrid(0, 1, 0.5), RngStream(39))
 
     def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream, monkeypatch):
         # an accepted zero-rate event would divide by lam = 0 in the counter
@@ -452,6 +473,11 @@ class TestNanbu:
         e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
         final = nanbu_simulate(model, e0, 0.1, 10, RngStream(43))
         assert np.array_equal(final.states, e0.states)
+
+    @IMPROPER_RATES
+    def test_a_nan_or_negative_rate_is_a_bound_violation(self, rate):
+        with pytest.raises(BoundViolation, match=f"^acceptance ratio {rate:g} is not a probability"):
+            nanbu_simulate(improper_rate_model(rate), Ensemble(np.zeros((20, 1))), 0.5, 2, RngStream(42))
 
     def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream):
         # a zero uniform also makes every particle a collision candidate
@@ -1251,7 +1277,9 @@ class TestExactBatch:
         (np.zeros((2, 3, 2)), 2, "^T must be finite and positive, got 0.0", {"T": 0.0}),
         (np.zeros((2, 3, 2)), 2, "^t0 must be finite, got nan", {"t0": math.nan}),
         (np.zeros((2, 3, 2)), 2, "^t0 must be finite, got -inf", {"t0": -math.inf}),
-    ], ids=["2-d", "one-particle", "streams", "infinite", "T-nan", "T-inf", "T-zero", "t0-nan", "t0-inf"])
+        (np.zeros((2, 3, 0)), 2, "an \\(R, n, d\\) array, got shape \\(2, 3, 0\\)", {}),
+    ], ids=["2-d", "one-particle", "streams", "infinite", "T-nan", "T-inf", "T-zero", "t0-nan", "t0-inf",
+            "zero-width"])
     def test_bad_batches_are_refused(self, states, streams, match, horizon):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         with pytest.raises(ValueError, match=match):

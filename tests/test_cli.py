@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -448,6 +449,121 @@ class TestParamTable:
                 value = "required" if default is None else f"`{json.dumps(default)}`"
                 expected.add((f"`{kind}`", f"`{name}`", check.rstrip("<>="), shown, value))
         assert rows == expected
+
+
+class TestConfigAudit:
+    """Every field a config accepts is read: perturbing it changes some artifact other than the
+    manifest (which records the config as given), or ``validate`` refuses the result, unless it is
+    a no-op named below. Each config below sets every param of its kind, every time key its runner
+    reads, and, in the test, one threshold and an ``out_dir``."""
+
+    CONFIGS = {
+        "coupling_rate": {"kind": "coupling_rate", "seed": 1, "n_list": [4, 5, 6], "replicas": 2,
+                          "time": {"t0": 0.1, "t_end": 0.3, "dt": 0.1},
+                          "params": {"lambda": 1.0, "kappa": 1.0, "m0": 1.0, "v0": 1.0}},
+        "dsmc_compare": {"kind": "dsmc_compare", "seed": 2, "n_list": [10],
+                         "time": {"t0": 0.0, "t_end": 0.2, "dt": 0.1},
+                         "params": {"d": 2, "pairs": 1, "bird_dt": 0.1}},
+        "cbo": {"kind": "cbo", "seed": 3, "n_list": [6],
+                "params": {"objective": "quadratic", "dim": 2, "target": 0.5, "seeds": 1, "tol": 1.0,
+                           "init_width": 1.0, "alpha": 30.0, "lambda": 1.0, "sigma": 0.5, "dt": 0.01,
+                           "steps": 3, "eps_heaviside": 0.1}},
+        # the CLI's forward map is a matrix, for which the derivative-free mode is the gradient
+        # mode in exact arithmetic: the two differ in rounding only (this G moves the last bits)
+        "eks": {"kind": "eks", "seed": 4, "n_list": [6],
+                "params": {"G": [[1.3, 0.7], [-0.4, 2.1]], "y": [0.3, -0.2], "Gamma": _EYE, "Gamma0": _EYE,
+                           "dt": 0.02, "steps": 3, "derivative_free": False}},
+        "cmc": {"kind": "cmc", "seed": 5, "n_list": [6], "params": {"h": 0.5, "steps": 3, "burn_in": 1, "dim": 1}},
+        "bossy_talay": {"kind": "bossy_talay", "seed": 6, "n_list": [4, 5, 6], "replicas": 2,
+                        "time": {"t0": 0.0, "t_end": 0.01, "dt": 0.005},
+                        "params": {"sigma": 1.0, "grid_points": 11}},
+        "kuramoto_sweep": {"kind": "kuramoto_sweep", "seed": 7, "n_list": [5],
+                           "time": {"t0": 0.1, "t_end": 0.2, "dt": 0.05},
+                           "params": {"seeds": 2, "cases": [{"coupling": 2.0, "init": "uniform"}]}},
+    }
+    # a kuramoto_sweep summary holds its numbers in a list of cases, which no threshold name can
+    # reach: its threshold fails (exit 4), and the summary that records the check is still written
+    THRESHOLDS = {"coupling_rate": "slope", "dsmc_compare": "ratio", "cbo": "median_distance",
+                  "eks": "mean_error", "cmc": "pooled_mean", "bossy_talay": "slope", "kuramoto_sweep": "cases"}
+    CHOICES = {"kind": cli.KINDS, "objective": cli._PARAMS["cbo"]["objective"][1],
+               "init": ("concentrated", "uniform")}
+    # the fields that change no artifact, with the kinds where they do not, each with its reason
+    NO_OPS = {
+        # accepted for compatibility: replicas run one after another in index order
+        "--threads": cli.KINDS,
+        # a path, which the --out of every run here overrides
+        "out_dir": cli.KINDS,
+        # one cell without a free flow runs the whole call as one step, whatever its length, and
+        # the runner always uses CellGrid.single_cell() with a flow-free Maxwell model. Refusing
+        # both waits on a benchmark change: the dsmc workload and perfbench's self-test set them
+        "params.bird_dt": ("dsmc_compare",),
+        "time.dt": ("dsmc_compare",),
+    }
+
+    @classmethod
+    def fields(cls, config):
+        """The path of every field of ``config``: top-level values, time keys, params (a Kuramoto
+        case's keys one by one) and threshold bounds; then the run's ``--threads``."""
+        for key, value in config.items():
+            if key == "time":
+                yield from (("time", k) for k in value)
+            elif key == "params":
+                for name, param in value.items():
+                    if name == "cases":
+                        yield from (("params", name, i, k) for i, case in enumerate(param) for k in case)
+                    else:
+                        yield ("params", name)
+            elif key == "thresholds":
+                yield from (("thresholds", name, b) for name, bound in value.items() for b in bound)
+            else:
+                yield (key,)
+        yield ("--threads",)
+
+    @classmethod
+    def perturbed(cls, value, key):
+        """A bool negated, an integer + 1, a real x 1.25 (0 + 1), a string the next choice (a path
+        another one), and every entry of a list so."""
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, int):
+            return value + 1
+        if isinstance(value, float):
+            return value * 1.25 if value else 1.0
+        if key == "out_dir":
+            return value + "_moved"
+        if isinstance(value, str):
+            choices = cls.CHOICES[key]
+            return choices[(choices.index(value) + 1) % len(choices)]
+        return [cls.perturbed(v, key) for v in value]
+
+    @staticmethod
+    def digests(out: Path) -> dict:
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir() if p.name != "manifest.json"}
+
+    @pytest.mark.parametrize("kind", cli.KINDS)
+    def test_every_field_changes_an_artifact_or_is_refused(self, tmp_path, capsys, kind):
+        base = {**self.CONFIGS[kind], "thresholds": {self.THRESHOLDS[kind]: {"max": 1e9}},
+                "out_dir": str(tmp_path / "unused")}
+        assert validate(base) == []
+        assert run(write_config(tmp_path / "base.json", base), out_dir=tmp_path / "base") in (0, 4)
+        want = self.digests(tmp_path / "base")
+        no_ops = set()
+        for k, path in enumerate(self.fields(base)):
+            config, threads = json.loads(json.dumps(base)), 2 if path == ("--threads",) else 1
+            if threads == 1:
+                *parents, last = path
+                holder = config
+                for part in parents:
+                    holder = holder[part]
+                holder[last] = self.perturbed(holder[last], path[-1] if isinstance(last, str) else path[-2])
+            code = run(write_config(tmp_path / f"{k}.json", config), threads, out_dir=tmp_path / str(k))
+            label = ".".join(map(str, path))
+            assert code != 3, f"{label}: {capsys.readouterr().err}"
+            if code != 2 and self.digests(tmp_path / str(k)) == want:
+                no_ops.add(label)
+        assert no_ops == {field for field, kinds in self.NO_OPS.items() if kind in kinds}
+        assert not (tmp_path / "unused").exists() and not (tmp_path / "unused_moved").exists()
 
 
 class TestRun:

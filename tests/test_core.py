@@ -6,10 +6,10 @@ import pytest
 from meanfield import core
 from meanfield.core import (
     MAX_STEPS,
-    EmpiricalMeasure,
     Ensemble,
     RngStream,
     TimeGrid,
+    empirical_mean,
     empirical_moments,
     pair_mean,
     weighted_mean,
@@ -98,17 +98,17 @@ class TestEnsemble:
             Ensemble(np.empty((0, 2)))
 
     def test_measure_mass_is_uniform(self):
-        mu = Ensemble(np.arange(6.0).reshape(3, 2)).measure()
-        assert mu.n == 3
-        assert np.allclose(mu.mean(), [2.0, 3.0])
+        states = Ensemble(np.arange(6.0).reshape(3, 2)).states
+        assert np.array_equal(empirical_mean(states), [2.0, 3.0])
+        # the bits of np.mean, whose pairwise sum is a plain one below 8 terms
+        points = RngStream(14).normal((7, 3))
+        assert empirical_mean(points).tobytes() == np.mean(points, axis=0).tobytes()
 
     def test_batch_measure_reduces_per_replica(self):
         states = np.arange(12.0).reshape(2, 3, 2)
-        mu = EmpiricalMeasure(states)
-        assert mu.n == 3
-        assert mu.mean().shape == (2, 1, 2)
+        assert empirical_mean(states).shape == (2, 1, 2)
         for r in range(2):
-            assert np.array_equal(mu.mean()[r, 0], Ensemble(states[r]).measure().mean())
+            assert np.array_equal(empirical_mean(states)[r, 0], empirical_mean(states[r]))
 
 
 class TestPairMean:
@@ -154,47 +154,47 @@ class TestPairMean:
 
 class TestWeightedMean:
     def test_uniform_weights_plain_mean(self):
-        e = Ensemble(np.array([0.0, 2.0]))
-        assert weighted_mean(e, w=lambda p: np.ones(p.shape[0])) == pytest.approx(1.0)
+        pts = np.array([[0.0], [2.0]])
+        assert weighted_mean(pts, w=lambda p: np.ones(p.shape[0])) == pytest.approx(1.0)
 
     def test_exponential_concentration(self):
         # explicit weights: exp(-100*0)=1 vs exp(-100*100)=e^-10000 -> mean ~ 0
-        e = Ensemble(np.array([0.0, 10.0]))
-        v = weighted_mean(e, log_w=lambda p: -100.0 * np.sum(p**2, axis=1))
+        pts = np.array([[0.0], [10.0]])
+        v = weighted_mean(pts, log_w=lambda p: -100.0 * np.sum(p**2, axis=1))
         assert abs(float(v[0])) < 1e-6
 
     def test_single_particle(self):
-        e = Ensemble(np.array([5.0]))
-        assert weighted_mean(e, w=lambda p: np.ones(1)) == pytest.approx(5.0)
+        pts = np.array([[5.0]])
+        assert weighted_mean(pts, w=lambda p: np.ones(1)) == pytest.approx(5.0)
 
     def test_degenerate_weights_raise(self):
-        e = Ensemble(np.array([1.0, 2.0]))
+        pts = np.array([[1.0], [2.0]])
         with pytest.raises(DegenerateWeights):
-            weighted_mean(e, w=lambda p: np.zeros(p.shape[0]))
+            weighted_mean(pts, w=lambda p: np.zeros(p.shape[0]))
         with pytest.raises(DegenerateWeights):
-            weighted_mean(e, log_w=lambda p: np.full(p.shape[0], -np.inf))
+            weighted_mean(pts, log_w=lambda p: np.full(p.shape[0], -np.inf))
 
     def test_plus_inf_log_weight_named(self):
-        e = Ensemble(np.array([1.0, 2.0, 3.0]))
+        pts = np.array([[1.0], [2.0], [3.0]])
         with pytest.raises(DegenerateWeights, match=r"\+inf at particle 1"):
-            weighted_mean(e, log_w=lambda p: np.array([0.0, np.inf, -1.0]))
+            weighted_mean(pts, log_w=lambda p: np.array([0.0, np.inf, -1.0]))
         with pytest.raises(DegenerateWeights, match="-inf or nan"):
-            weighted_mean(e, log_w=lambda p: np.array([np.nan, -np.inf, np.nan]))
+            weighted_mean(pts, log_w=lambda p: np.array([np.nan, -np.inf, np.nan]))
 
     def test_scale_invariance(self):
         rng = RngStream(11)
-        e = Ensemble(rng.normal((50, 3)))
+        pts = rng.normal((50, 3))
         raw = lambda p: np.exp(-np.sum(p**2, axis=1))
-        v1 = weighted_mean(e, w=raw)
-        v2 = weighted_mean(e, w=lambda p: 7.3e5 * raw(p))
+        v1 = weighted_mean(pts, w=raw)
+        v2 = weighted_mean(pts, w=lambda p: 7.3e5 * raw(p))
         assert np.allclose(v1, v2, rtol=1e-12)
 
     def test_log_and_plain_agree(self):
         rng = RngStream(12)
-        e = Ensemble(rng.normal((40, 2)))
+        pts = rng.normal((40, 2))
         score = lambda p: -0.5 * np.sum(p**2, axis=1)
-        v1 = weighted_mean(e, w=lambda p: np.exp(score(p)))
-        v2 = weighted_mean(e, log_w=score)
+        v1 = weighted_mean(pts, w=lambda p: np.exp(score(p)))
+        v2 = weighted_mean(pts, log_w=score)
         assert np.allclose(v1, v2, rtol=1e-12)
 
 
@@ -206,7 +206,7 @@ class TestWeightedMean:
         batch = weighted_mean(states, **fn)
         assert batch.shape == (6, 3)
         for r in range(6):
-            assert np.array_equal(batch[r], weighted_mean(Ensemble(states[r]), **fn))
+            assert np.array_equal(batch[r], weighted_mean(states[r], **fn))
 
     def test_degenerate_weights_name_the_replica(self):
         states = np.ones((3, 4, 2))
@@ -224,25 +224,25 @@ class TestWeightedMean:
 
 class TestEmpiricalMoments:
     def test_second_moment(self):
-        assert empirical_moments(Ensemble(np.array([-1.0, 1.0])), 2) == pytest.approx(1.0)
+        assert empirical_moments(np.array([[-1.0], [1.0]]), 2) == pytest.approx(1.0)
 
     def test_first_moment(self):
-        assert empirical_moments(Ensemble(np.array([-1.0, 1.0])), 1) == pytest.approx(0.0)
+        assert empirical_moments(np.array([[-1.0], [1.0]]), 1) == pytest.approx(0.0)
 
     def test_third_moment(self):
         # (1 + 8 + 27)/3 = 12
-        assert empirical_moments(Ensemble(np.array([1.0, 2.0, 3.0])), 3) == pytest.approx(12.0)
+        assert empirical_moments(np.array([[1.0], [2.0], [3.0]]), 3) == pytest.approx(12.0)
 
     def test_requires_positive_order(self):
         with pytest.raises(ValueError):
-            empirical_moments(Ensemble(np.array([1.0])), 0)
+            empirical_moments(np.array([[1.0]]), 0)
 
     def test_a_batch_gives_each_replica_its_lone_moments(self):
         states = RngStream(12).normal((3, 129, 2))
         batch = empirical_moments(states, 3)
         assert batch.shape == (3, 2)
         for r in range(3):
-            assert np.array_equal(batch[r], empirical_moments(Ensemble(states[r]), 3))
+            assert np.array_equal(batch[r], empirical_moments(states[r], 3))
 
 
 class TestTimeGrid:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meanfield import core, jump
-from meanfield.core import Ensemble, RngStream
+from meanfield.core import Ensemble, RngStream, empirical_mean
 from meanfield.errors import BoundViolation, StepError
 from meanfield.jump import MAX_BANDWIDTH, MIN_BANDWIDTH, CmcConfig, JumpModel, cmc_run, simulate_jump, _log_mixture
 
@@ -50,8 +50,8 @@ def longdouble_log_mixture(points, at, h):
 
 class TestSimulateJump:
     def test_zero_rate_identity(self):
-        model = JumpModel(rate=lambda x, mu: 0.0, rate_bound=5.0,
-                          jump_law=lambda x, mu, rng: np.zeros_like(x))
+        model = JumpModel(rate=lambda x, points: 0.0, rate_bound=5.0,
+                          jump_law=lambda x, points, rng: np.zeros_like(x))
         e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
         result = simulate_jump(model, e0, 10.0, RngStream(60))
         assert np.array_equal(result.ensemble.states, e0.states)
@@ -60,16 +60,16 @@ class TestSimulateJump:
     def test_poisson_survival_fraction(self):
         # unit rate, jump to 0: P(no jump by T=3) = e^-3
         n = 2000
-        model = JumpModel(rate=lambda x, mu: 1.0, rate_bound=2.5,
-                          jump_law=lambda x, mu, rng: np.zeros(1))
+        model = JumpModel(rate=lambda x, points: 1.0, rate_bound=2.5,
+                          jump_law=lambda x, points, rng: np.zeros(1))
         result = simulate_jump(model, Ensemble(np.ones(n)), 3.0, RngStream(61))
         survived = float((result.ensemble.states == 1.0).mean())
         p = math.exp(-3)
         assert abs(survived - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
     def test_identity_jump_law_keeps_states(self):
-        model = JumpModel(rate=lambda x, mu: 2.0, rate_bound=2.0,
-                          jump_law=lambda x, mu, rng: x)
+        model = JumpModel(rate=lambda x, points: 2.0, rate_bound=2.0,
+                          jump_law=lambda x, points, rng: x)
         e0 = Ensemble(np.array([4.0, -1.0]))
         result = simulate_jump(model, e0, 2.0, RngStream(62))
         assert np.array_equal(result.ensemble.states, e0.states)
@@ -79,16 +79,16 @@ class TestSimulateJump:
     def test_thinning_invariant_under_bound(self, bound):
         # jump count has mean r N T regardless of the bound used to thin
         n, t, r = 400, 2.0, 1.0
-        model = JumpModel(rate=lambda x, mu: r, rate_bound=bound,
-                          jump_law=lambda x, mu, rng: x + 1.0)
+        model = JumpModel(rate=lambda x, points: r, rate_bound=bound,
+                          jump_law=lambda x, points, rng: x + 1.0)
         result = simulate_jump(model, Ensemble(np.zeros(n)), t, RngStream(63))
         mean = r * n * t
         assert abs(result.jumps - mean) <= 3 * math.sqrt(mean)
 
     def test_zero_rate_rejects_a_zero_uniform(self, zero_uniform_stream):
         # acceptance is strict: u = 0.0 never accepts a zero-rate ring
-        model = JumpModel(rate=lambda x, mu: 0.0, rate_bound=5.0,
-                          jump_law=lambda x, mu, rng: np.zeros_like(x))
+        model = JumpModel(rate=lambda x, points: 0.0, rate_bound=5.0,
+                          jump_law=lambda x, points, rng: np.zeros_like(x))
         e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
         result = simulate_jump(model, e0, 10.0, zero_uniform_stream(60))
         assert result.rings > 0 and result.jumps == 0
@@ -96,34 +96,40 @@ class TestSimulateJump:
 
     @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
     def test_a_horizon_that_is_not_finite_and_positive_is_refused(self, T):
-        model = JumpModel(rate=lambda x, mu: 1.0, rate_bound=1.0, jump_law=lambda x, mu, rng: x)
+        model = JumpModel(rate=lambda x, points: 1.0, rate_bound=1.0, jump_law=lambda x, points, rng: x)
         with pytest.raises(ValueError, match=f"^T must be finite and positive, got {T!r}$"):
             simulate_jump(model, Ensemble(np.zeros(4)), T, RngStream(66))
 
     def test_an_infinite_ring_count_is_refused(self, no_draw_stream):
         # N rate_bound overflows at N = 10, before any draw
-        model = JumpModel(rate=lambda x, mu: 1.0, rate_bound=1e308, jump_law=lambda x, mu, rng: x)
+        model = JumpModel(rate=lambda x, points: 1.0, rate_bound=1e308, jump_law=lambda x, points, rng: x)
         with pytest.raises(ValueError, match=r"^the expected ring count N rate_bound T is inf$"):
             simulate_jump(model, Ensemble(np.zeros(10)), 1.0, no_draw_stream(67))
 
     def test_rate_above_bound_aborts(self):
-        model = JumpModel(rate=lambda x, mu: 3.0, rate_bound=1.0,
-                          jump_law=lambda x, mu, rng: x)
+        model = JumpModel(rate=lambda x, points: 3.0, rate_bound=1.0,
+                          jump_law=lambda x, points, rng: x)
         with pytest.raises(BoundViolation):
+            simulate_jump(model, Ensemble(np.zeros(10)), 5.0, RngStream(64))
+
+    @pytest.mark.parametrize("rate", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_a_nan_or_negative_rate_aborts(self, rate):
+        model = JumpModel(rate=lambda x, points: rate, rate_bound=1.0, jump_law=lambda x, points, rng: x)
+        with pytest.raises(BoundViolation, match=f"^rate {rate:g} is not a rate"):
             simulate_jump(model, Ensemble(np.zeros(10)), 5.0, RngStream(64))
 
     def test_rate_sees_current_measure(self):
         # rate depends on the mean: after enough jumps push the mean above
         # the gate, jumping stops; exercises measure refresh at every ring
-        model = JumpModel(rate=lambda x, mu: 1.0 if mu.mean()[0] < 0.5 else 0.0,
-                          rate_bound=1.0, jump_law=lambda x, mu, rng: np.ones(1))
+        model = JumpModel(rate=lambda x, points: 1.0 if empirical_mean(points)[0] < 0.5 else 0.0,
+                          rate_bound=1.0, jump_law=lambda x, points, rng: np.ones(1))
         result = simulate_jump(model, Ensemble(np.zeros(100)), 50.0, RngStream(65))
         assert 0.45 <= result.ensemble.states.mean() <= 0.6
 
     def test_non_finite_post_jump_state_names_particle_and_ring_time(self):
         # particle 2 is the only one whose jump law gives nan
-        model = JumpModel(rate=lambda x, mu: 1.0, rate_bound=1.0,
-                          jump_law=lambda x, mu, rng: np.full_like(x, np.nan if x[0] == 2.0 else 0.0))
+        model = JumpModel(rate=lambda x, points: 1.0, rate_bound=1.0,
+                          jump_law=lambda x, points, rng: np.full_like(x, np.nan if x[0] == 2.0 else 0.0))
         with pytest.raises(StepError, match="non-finite post-jump state") as err:
             simulate_jump(model, Ensemble(np.array([0.0, 1.0, 2.0, 3.0])), 50.0, RngStream(71))
         assert err.value.particle == 2 and 0.0 < err.value.time <= 50.0
@@ -132,7 +138,7 @@ class TestSimulateJump:
     def test_rings_go_to_uniform_particles(self):
         # every ring jumps x -> x + 1, so each state counts its particle's rings: iid Poisson(rate T = 3)
         n, mean = 2000, 3.0
-        model = JumpModel(rate=lambda x, mu: 1.5, rate_bound=1.5, jump_law=lambda x, mu, rng: x + 1.0)
+        model = JumpModel(rate=lambda x, points: 1.5, rate_bound=1.5, jump_law=lambda x, points, rng: x + 1.0)
         result = simulate_jump(model, Ensemble(np.zeros(n)), 2.0, RngStream(67))
         counts = result.ensemble.states[:, 0]
         assert result.rings == result.jumps == counts.sum()
@@ -142,8 +148,8 @@ class TestSimulateJump:
 
     def test_block_size_changes_nothing(self, monkeypatch):
         # block size 1 draws the rings one at a time
-        model = JumpModel(rate=lambda x, mu: 0.5 + 0.5 * math.tanh(x[0] - mu.mean()[0]), rate_bound=1.0,
-                          jump_law=lambda x, mu, rng: x + rng.normal(1))
+        model = JumpModel(rate=lambda x, points: 0.5 + 0.5 * math.tanh(x[0] - empirical_mean(points)[0]),
+                          rate_bound=1.0, jump_law=lambda x, points, rng: x + rng.normal(1))
         outs = []
         for block in (1, 7, core._BLOCK):
             monkeypatch.setattr(core, "_BLOCK", block)
@@ -176,8 +182,8 @@ class TestTwoStateLimit:
         # m(5) = 0.54388; at N = 4000 the fraction's sd over seeds 10000-10049 is 0.0100, so the
         # bound is 3.5 sd. A frozen engine (m = 0), or one whose rates read the initial measure (the
         # b = 0 limit, 0.245), is far outside it
-        model = JumpModel(rate=lambda x, mu: self.a + self.b * mu.mean()[0] if x[0] == 0.0 else self.c,
-                          rate_bound=max(self.a + self.b, self.c), jump_law=lambda x, mu, rng: 1.0 - x)
+        model = JumpModel(rate=lambda x, pts: self.a + self.b * empirical_mean(pts)[0] if x[0] == 0.0 else self.c,
+                          rate_bound=max(self.a + self.b, self.c), jump_law=lambda x, points, rng: 1.0 - x)
         result = simulate_jump(model, Ensemble(np.zeros(4000)), 5.0, RngStream(72))
         assert self.limit(5.0) == pytest.approx(0.54388, abs=1e-5)
         assert abs(result.ensemble.states.mean() - self.limit(5.0)) <= 0.035

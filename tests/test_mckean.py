@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meanfield import core
-from meanfield.core import EmpiricalMeasure, Ensemble, RngStream, TimeGrid
+from meanfield.core import Ensemble, RngStream, TimeGrid, empirical_mean
 from meanfield.errors import ModelSpecError, StepError, UnsupportedReference
 from meanfield.mckean import (
     GaussianReference,
@@ -30,14 +30,14 @@ from meanfield.mckean import (
 
 
 def _still(dim=1):
-    return McKeanModel(drift=lambda s, mu: np.zeros_like(s), diffusion=lambda s, mu: 0.0, dim=dim)
+    return McKeanModel(drift=lambda s, points: np.zeros_like(s), diffusion=lambda s, points: 0.0, dim=dim)
 
 
 def _nan_from_call(first_bad):
     """A drift that is zero on its first ``first_bad - 1`` calls and nan from then on."""
     calls = []
 
-    def drift(states, mu):
+    def drift(states, points):
         calls.append(None)
         return np.full_like(states, np.nan) if len(calls) >= first_bad else np.zeros_like(states)
 
@@ -52,36 +52,37 @@ class TestStepEm:
         assert e1.time == pytest.approx(0.75)
 
     def test_explicit_euler_on_linear_ode(self):
-        model = McKeanModel(drift=lambda s, mu: -s, diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: -s, diffusion=lambda s, points: 0.0, dim=1)
         e1 = step_em(model, Ensemble(np.array([1.0])), 0.1, RngStream(0))
         assert e1.states[0, 0] == pytest.approx(0.9)
 
     def test_mean_field_drift_uses_shared_measure(self):
         # brute force: mean = 1, each particle moves dt*(1 - x)
-        model = McKeanModel(drift=lambda s, mu: mu.mean() - s, diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: empirical_mean(points) - s,
+                            diffusion=lambda s, points: 0.0, dim=1)
         e1 = step_em(model, Ensemble(np.array([0.0, 2.0])), 0.5, RngStream(0))
         assert np.allclose(e1.states.ravel(), [0.5, 1.5])
 
     def test_all_particles_see_pre_step_measure(self):
         seen = []
 
-        def recording_drift(states, mu):
-            seen.append(mu.points.copy())
+        def recording_drift(states, points):
+            seen.append(points.copy())
             return -states
 
-        model = McKeanModel(drift=recording_drift, diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=recording_drift, diffusion=lambda s, points: 0.0, dim=1)
         e0 = Ensemble(np.array([1.0, 2.0, 3.0]))
         step_em(model, e0, 0.1, RngStream(0))
         assert len(seen) == 1  # one evaluation against one frozen measure
         assert np.array_equal(seen[0], e0.states)
 
     def test_non_finite_drift_raises_step_error(self):
-        def bad(states, mu):
+        def bad(states, points):
             out = -states.copy()
             out[1] = np.nan
             return out
 
-        model = McKeanModel(drift=bad, diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=bad, diffusion=lambda s, points: 0.0, dim=1)
         with pytest.raises(StepError) as err:
             step_em(model, Ensemble(np.array([1.0, 2.0])), 0.1, RngStream(0))
         assert err.value.particle == 1
@@ -90,30 +91,30 @@ class TestStepEm:
         rng = RngStream(1)
         e0 = Ensemble(rng.normal((5, 2)))
         for sigma in (
-            lambda s, mu: 0.5,
-            lambda s, mu: np.full(5, 0.5),
-            lambda s, mu: np.full((5, 2), 0.5),
-            lambda s, mu: np.tile(0.5 * np.eye(2), (5, 1, 1)),
+            lambda s, points: 0.5,
+            lambda s, points: np.full(5, 0.5),
+            lambda s, points: np.full((5, 2), 0.5),
+            lambda s, points: np.tile(0.5 * np.eye(2), (5, 1, 1)),
         ):
-            model = McKeanModel(drift=lambda s, mu: np.zeros_like(s), diffusion=sigma, dim=2)
+            model = McKeanModel(drift=lambda s, points: np.zeros_like(s), diffusion=sigma, dim=2)
             out = step_em(model, e0, 0.01, RngStream(2))
             assert out.states.shape == (5, 2)
         results = [
-            step_em(McKeanModel(drift=lambda s, mu: np.zeros_like(s), diffusion=sig, dim=2),
+            step_em(McKeanModel(drift=lambda s, points: np.zeros_like(s), diffusion=sig, dim=2),
                     e0, 0.01, RngStream(2)).states
-            for sig in (lambda s, mu: 0.5, lambda s, mu: np.tile(0.5 * np.eye(2), (5, 1, 1)))
+            for sig in (lambda s, points: 0.5, lambda s, points: np.tile(0.5 * np.eye(2), (5, 1, 1)))
         ]
         assert np.allclose(results[0], results[1])  # scalar and matrix forms agree
 
 
 class TestSimulate:
     def test_ou_decay_matches_exact_solution(self):
-        model = McKeanModel(drift=lambda s, mu: -s, diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: -s, diffusion=lambda s, points: 0.0, dim=1)
         final = simulate(model, Ensemble(np.array([1.0])), TimeGrid(0, 1, 1e-4), RngStream(0))
         assert abs(final.states[0, 0] - math.exp(-1)) < 1e-3
 
     def test_pure_diffusion_variance(self):
-        model = McKeanModel(drift=lambda s, mu: np.zeros_like(s), diffusion=lambda s, mu: 1.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: np.zeros_like(s), diffusion=lambda s, points: 1.0, dim=1)
         final = simulate(model, Ensemble(np.zeros(10_000)), TimeGrid(0, 1, 0.01), RngStream(3))
         assert final.states.var() == pytest.approx(1.0, rel=0.1)
 
@@ -136,14 +137,14 @@ class TestSimulate:
         assert len(lines) == 1 + 3 * 2
 
         # one drift call per step: the 4th is step 3's
-        bad = McKeanModel(drift=_nan_from_call(4), diffusion=lambda s, mu: 0.0, dim=1)
+        bad = McKeanModel(drift=_nan_from_call(4), diffusion=lambda s, points: 0.0, dim=1)
         with pytest.raises(StepError) as err:
             simulate(bad, Ensemble(np.array([0.0])), grid, RngStream(0))
         assert err.value.step == 3
 
     def test_snapshot_writer_closes_when_simulate_raises(self, tmp_path):
         # the drift is nan from step 3 on, at t = 0.75
-        bad = McKeanModel(drift=_nan_from_call(4), diffusion=lambda s, mu: 0.0, dim=1)
+        bad = McKeanModel(drift=_nan_from_call(4), diffusion=lambda s, points: 0.0, dim=1)
         path = tmp_path / "snap.csv"
         with pytest.raises(StepError):
             with SnapshotWriter(path) as writer:
@@ -164,7 +165,8 @@ class TestSimulate:
         monkeypatch.setattr(Ensemble, "__post_init__", lambda self: (built.append(None), post_init(self)))
         seen = []
         model = mean_field_ou_model(1.0, 1.0)
-        model.drift = lambda states, mu, drift=model.drift: (seen.append(mu.points is states), drift(states, mu))[1]
+        model.drift = lambda states, points, drift=model.drift: (seen.append(points is states),
+                                                                 drift(states, points))[1]
         final = simulate(model, e0, TimeGrid(0, 1, 0.1), RngStream(4))
         assert seen == [True] * 10
         assert len(built) == 1 and isinstance(final, Ensemble)
@@ -178,7 +180,7 @@ class TestSimulate:
         seen = []
         calls = []
         model = mean_field_ou_model(1.0, 1.0)
-        model.drift = lambda states, mu, drift=model.drift: (seen.append(states), drift(states, mu))[1]
+        model.drift = lambda states, points, drift=model.drift: (seen.append(states), drift(states, points))[1]
         observe = lambda states, t, step, first: calls.append((states, t, step, first))
         grid = TimeGrid(0, 1, 0.1)
         with SnapshotWriter(tmp_path / "snap.csv") as writer:
@@ -230,8 +232,8 @@ class TestSimulateBatch:
         # With 11 replicas per batch, replica 13 sits in the second batch.
         states = np.zeros((15, 700, 1))
         states[13, 4] = 0.3
-        model = McKeanModel(drift=lambda s, mu: np.where(s > 1.0, np.nan, 1.0),
-                            diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: np.where(s > 1.0, np.nan, 1.0),
+                            diffusion=lambda s, points: 0.0, dim=1)
         streams = [RngStream(33, r) for r in range(15)]
         with pytest.raises(StepError, match="non-finite drift") as err:
             simulate(model, states, TimeGrid(0, 1, 0.25), streams)
@@ -278,7 +280,7 @@ class TestSimulateBatch:
             one = step_em(model, e0, dt, RngStream(35))
             ref = simulate(model, e0, TimeGrid(0.0, dt, dt), RngStream(35))
             # the explicit update with unit diffusion, written out
-            drift = model.drift(e0.states, e0.measure())
+            drift = model.drift(e0.states, e0.states)
             by_hand = e0.states + drift * dt + RngStream(35).normal((50, 1)) * math.sqrt(dt)
             assert np.array_equal(one.states, ref.states)
             assert np.array_equal(one.states, by_hand)
@@ -337,9 +339,10 @@ class TestOuReference:
         (gradient_system_model(lambda x: x, lambda z: 2.0 * z, 1.0), "drift"),  # another lam
         (gradient_system_model(lambda x: 0.5 * x, lambda z: 2.0 * z, math.sqrt(2)), "unit diffusion"),
         (gradient_system_model(lambda x: 0.5 * x, lambda z: 2.0 * z, 1.0, dim=2), "1-D model"),
-        (McKeanModel(drift=lambda s, mu: np.full_like(s, np.nan), diffusion=lambda s, mu: 1.0, dim=1), "drift"),
-        (McKeanModel(drift=lambda s, mu: (-0.5 * s - 2.0 * (s - mu.mean()))[:, 0],  # (n,), not (n, 1)
-                     diffusion=lambda s, mu: 1.0, dim=1), "drift"),
+        (McKeanModel(drift=lambda s, points: np.full_like(s, np.nan), diffusion=lambda s, points: 1.0, dim=1),
+         "drift"),
+        (McKeanModel(drift=lambda s, points: (-0.5 * s - 2.0 * (s - empirical_mean(points)))[:, 0],  # (n,), not (n, 1)
+                     diffusion=lambda s, points: 1.0, dim=1), "drift"),
     ])
     def test_refuses_other_dynamics(self, model, match):
         with pytest.raises(UnsupportedReference, match=match):
@@ -356,8 +359,8 @@ class TestOuReference:
 
     def test_refuses_a_model_reading_its_states_not_its_measure(self):
         # the probe's measure has another mean than the probe states
-        model = McKeanModel(drift=lambda s, mu: -0.5 * s - 2.0 * (s - s.mean(axis=-2)),
-                            diffusion=lambda s, mu: 1.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: -0.5 * s - 2.0 * (s - s.mean(axis=-2)),
+                            diffusion=lambda s, points: 1.0, dim=1)
         with pytest.raises(UnsupportedReference, match="drift"):
             ou_reference(0.5, 2.0, 0.0, 1.0).check_model(model)
 
@@ -383,13 +386,13 @@ class TestModelContract:
     @pytest.mark.parametrize("dim, sample_shape", [(1, lambda n: (n, 2)), (2, lambda n: (2 * n, 1)),
                                                     (1, lambda n: (n,))])
     def test_the_engine_refuses_draws_without_dim_coordinates(self, dim, sample_shape):
-        model = McKeanModel(drift=lambda s, mu: -s, diffusion=lambda s, mu: 1.0, dim=dim)
+        model = McKeanModel(drift=lambda s, points: -s, diffusion=lambda s, points: 1.0, dim=dim)
         ref = SurrogateReference(lambda n, rng: rng.normal(sample_shape(n)), factor=2)
         with pytest.raises(ValueError, match=rf"shape \(8, {dim}\)"):
             coupling_mse_rows(model, ref, 8, TimeGrid(0, 0.2, 0.1), [RngStream(4, r) for r in range(2)])
 
     def test_the_engine_refuses_the_1d_exact_reference_for_a_2d_model(self):
-        model = McKeanModel(drift=lambda s, mu: -s, diffusion=lambda s, mu: 1.0, dim=2)
+        model = McKeanModel(drift=lambda s, points: -s, diffusion=lambda s, points: 1.0, dim=2)
         with pytest.raises(ValueError, match=r"shape \(8, 2\)"):
             coupling_mse_rows(model, ou_reference(1.0, 1.0, 0.0, 1.0), 8, TimeGrid(0, 0.2, 0.1), [RngStream(5)])
 
@@ -424,7 +427,7 @@ class TestSynchronousCoupling:
         assert 2.0 <= ratio <= 8.0
 
     def test_noise_sharing_bitwise_with_zero_diffusion(self):
-        model = McKeanModel(drift=lambda s, mu: -s, diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: -s, diffusion=lambda s, points: 0.0, dim=1)
         ref = SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=4)
         report = simulate_synchronous_coupling(model, ref, n=8, grid=TimeGrid(0, 1, 0.1),
                                                rng=RngStream(8), replicas=2)
@@ -485,14 +488,12 @@ class TestReplicaBatching:
             (regularized_coulomb_model(1.0, 0.1, 0.5, d=2), rng.normal((3, 7, 2))),
         ]
         for case, (model, states) in enumerate(cases):
-            batch = EmpiricalMeasure(states)
-            drift = model.drift(states, batch)
-            sigma = np.broadcast_to(model.diffusion(states, batch), states.shape)
+            drift = model.drift(states, states)
+            sigma = np.broadcast_to(model.diffusion(states, states), states.shape)
             for r in range(states.shape[0]):
-                mu = Ensemble(states[r]).measure()
-                assert np.array_equal(drift[r], model.drift(states[r], mu)), case
-                assert np.array_equal(sigma[r], np.broadcast_to(model.diffusion(states[r], mu),
-                                                                states[r].shape))
+                one = states[r]
+                assert np.array_equal(drift[r], model.drift(one, one)), case
+                assert np.array_equal(sigma[r], np.broadcast_to(model.diffusion(one, one), one.shape))
 
     def test_non_finite_drift_names_replica_and_particle(self):
         # only particle 3 of replica 6 starts at 1; the drift is nan there.
@@ -507,8 +508,8 @@ class TestReplicaBatching:
                 x[3] = 1.0
             return x
 
-        model = McKeanModel(drift=lambda s, mu: np.where(s > 0.5, np.nan, -s),
-                            diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: np.where(s > 0.5, np.nan, -s),
+                            diffusion=lambda s, points: 0.0, dim=1)
         ref = SurrogateReference(sampler, factor=4)
         with pytest.raises(StepError, match="non-finite drift") as err:
             simulate_synchronous_coupling(model, ref, n=512, grid=TimeGrid(0, 0.3, 0.1),
@@ -530,12 +531,12 @@ class TestReplicaBatching:
                 x[3] = 1.0
             return x
 
-        def drift(s, mu):
-            if mu.points.shape[-2] == s.shape[-2]:  # x and the surrogate read their own measure
+        def drift(s, points):
+            if points.shape[-2] == s.shape[-2]:  # x and the surrogate read their own measure
                 return -s
             return np.where(s > 1.5, np.nan, s)
 
-        model = McKeanModel(drift=drift, diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=drift, diffusion=lambda s, points: 0.0, dim=1)
         ref = SurrogateReference(sampler, factor=2)
         with pytest.raises(StepError, match="non-finite nonlinear copy state") as err:
             simulate_synchronous_coupling(model, ref, n=4096, grid=TimeGrid(0, 1.0, 0.05), rng=root, replicas=2)
@@ -545,7 +546,7 @@ class TestReplicaBatching:
     def test_non_finite_state_is_reported_at_its_step(self):
         # drift and diffusion stay finite, but every state overflows in step 1;
         # the surrogate is advanced first, so it is the one reported
-        model = McKeanModel(drift=lambda s, mu: 1e308 * np.sign(s), diffusion=lambda s, mu: 0.0, dim=1)
+        model = McKeanModel(drift=lambda s, points: 1e308 * np.sign(s), diffusion=lambda s, points: 0.0, dim=1)
         ref = SurrogateReference(lambda n, rng: rng.normal((n, 1)), factor=2)
         with np.errstate(over="ignore"), pytest.raises(StepError, match="non-finite surrogate state") as err:
             simulate_synchronous_coupling(model, ref, n=4, grid=TimeGrid(0, 4, 1.0),
@@ -573,13 +574,11 @@ def _coupling_rows_by_hand(model, ref, n, grid, streams):
             if ref.exact:
                 b_bar, sig_bar = ref.drift(x_bar, t), ref.diffusion(x_bar, t)
             else:
-                mu_s = EmpiricalMeasure(surrogate)
-                b_bar, sig_bar = model.drift(x_bar, mu_s), model.diffusion(x_bar, mu_s)
-                surrogate = (surrogate + model.drift(surrogate, mu_s) * h
-                             + _diffuse_by_hand(model.diffusion(surrogate, mu_s),
+                b_bar, sig_bar = model.drift(x_bar, surrogate), model.diffusion(x_bar, surrogate)
+                surrogate = (surrogate + model.drift(surrogate, surrogate) * h
+                             + _diffuse_by_hand(model.diffusion(surrogate, surrogate),
                                                 surrogate_noise.normal(surrogate.shape)) * math.sqrt(h))
-            mu = EmpiricalMeasure(x)
-            x = x + model.drift(x, mu) * h + _diffuse_by_hand(model.diffusion(x, mu), xi) * math.sqrt(h)
+            x = x + model.drift(x, x) * h + _diffuse_by_hand(model.diffusion(x, x), xi) * math.sqrt(h)
             x_bar = x_bar + b_bar * h + _diffuse_by_hand(sig_bar, xi) * math.sqrt(h)
             t += h
             row.append(np.mean(np.sum((x - x_bar) ** 2, axis=1)))
@@ -589,7 +588,7 @@ def _coupling_rows_by_hand(model, ref, n, grid, streams):
 
 def _pulled_to_mean(diffusion, d):
     """A surrogate-coupled model with drift -(x - m(mu)) and the given diffusion."""
-    model = McKeanModel(drift=lambda s, mu: -(s - mu.mean()), diffusion=diffusion, dim=d)
+    model = McKeanModel(drift=lambda s, points: -(s - empirical_mean(points)), diffusion=diffusion, dim=d)
     return model, SurrogateReference(lambda n, rng: rng.normal((n, d)), factor=2)
 
 
@@ -620,13 +619,13 @@ class TestStepBits:
 
     @pytest.mark.parametrize("d", [1, 2, 9])
     def test_a_float_diffusion_shares_its_noise_term(self, d):
-        model, ref = _pulled_to_mean(lambda s, mu: 0.7, d)
+        model, ref = _pulled_to_mean(lambda s, points: 0.7, d)
         rows = self._rows_equal_by_hand(model, ref, 12, [RngStream(42, r) for r in range(4)])
         assert np.all(rows[:, 1:] > 0)
 
     @pytest.mark.parametrize("d", [1, 2, 9])
     def test_an_array_diffusion_keeps_its_own_noise_term(self, d):
-        model, ref = _pulled_to_mean(lambda s, mu: 0.7 + 0.1 * np.tanh(s), d)
+        model, ref = _pulled_to_mean(lambda s, points: 0.7 + 0.1 * np.tanh(s), d)
         rows = self._rows_equal_by_hand(model, ref, 12, [RngStream(43, r) for r in range(4)])
         assert np.all(rows[:, 1:] > 0)
 
@@ -635,10 +634,10 @@ class TestStepBits:
         # of -0.0: after step 0 each particle of x holds the sign of its
         # increment as a zero, and x_bar the opposite sign. The drift then
         # moves the positive zeros by h, so only separate terms give MSE h^2.
-        def drift(s, mu):
+        def drift(s, points):
             return np.where(np.signbit(s), -0.0, 1.0)
 
-        model = McKeanModel(drift=drift, diffusion=lambda s, mu: 0.0 if mu.points is s else -0.0, dim=1)
+        model = McKeanModel(drift=drift, diffusion=lambda s, points: 0.0 if points is s else -0.0, dim=1)
         ref = SurrogateReference(lambda n, rng: np.full((n, 1), -0.0), factor=2)
         grid = TimeGrid(0.0, 0.2, 0.1)
         rows = coupling_mse_rows(model, ref, 5, grid, [RngStream(44)])
@@ -662,7 +661,7 @@ class TestStepBits:
             x, noise = states[r], RngStream(46, r)
             for h in grid.step_durations():
                 xi = noise.normal(x.shape)
-                x = x + model.drift(x, EmpiricalMeasure(x)) * h + _diffuse_by_hand(1.0, xi) * math.sqrt(h)
+                x = x + model.drift(x, x) * h + _diffuse_by_hand(1.0, xi) * math.sqrt(h)
             assert np.array_equal(final[r], x), r
         t = 0.0
         for h in grid.step_durations():
@@ -714,8 +713,8 @@ class TestPairwiseDrifts:
             n = states.shape[-2]
             rows = core._PAIR_FLOATS // (states.size // n * m)
             assert 1 < rows < n and n % rows
-        assert np.array_equal(model.drift(single, Ensemble(single).measure()), dense(single, single))
-        assert np.array_equal(model.drift(batch, EmpiricalMeasure(pts)), dense(batch, pts))
+        assert np.array_equal(model.drift(single, single), dense(single, single))
+        assert np.array_equal(model.drift(batch, pts), dense(batch, pts))
 
 
 class TestGradientSystem:
@@ -723,14 +722,14 @@ class TestGradientSystem:
         model = gradient_system_model(grad_V=lambda x: x, grad_W=lambda z: np.zeros_like(z),
                                       sigma_const=0.0)
         e = Ensemble(np.array([2.0, -1.0]))
-        assert np.allclose(model.drift(e.states, e.measure()), -e.states)
+        assert np.allclose(model.drift(e.states, e.states), -e.states)
 
     def test_interaction_only(self):
         # states {0, 2}, at x = 0: -mean(grad W(0 - y)) = -mean(-y) = +1
         model = gradient_system_model(grad_V=lambda x: np.zeros_like(x), grad_W=lambda z: z,
                                       sigma_const=0.0)
         e = Ensemble(np.array([0.0, 2.0]))
-        drift = model.drift(e.states, e.measure())
+        drift = model.drift(e.states, e.states)
         assert drift[0, 0] == pytest.approx(1.0)
 
     def test_quartic_gradient_is_odd(self):
@@ -738,7 +737,7 @@ class TestGradientSystem:
                                       grad_W=lambda z: 4.0 * z**3, sigma_const=1.0)
         # states {0, 1}: -mean(4 (x - y)^3) is +2 at x = 0 and -2 at x = 1
         e = Ensemble(np.array([0.0, 1.0]))
-        assert np.array_equal(model.drift(e.states, e.measure()), [[2.0], [-2.0]])
+        assert np.array_equal(model.drift(e.states, e.states), [[2.0], [-2.0]])
 
     def test_even_gradient_rejected(self):
         with pytest.raises(ModelSpecError, match="odd"):
@@ -749,7 +748,7 @@ class TestGradientSystem:
         fast = gradient_system_model(lambda x: x, lambda z: z, 1.0,
                                      grad_W_conv=lambda s, pts: s - pts.mean(axis=-2, keepdims=True))
         e = Ensemble(RngStream(10).normal((20, 1)))
-        assert np.allclose(pairwise.drift(e.states, e.measure()), fast.drift(e.states, e.measure()))
+        assert np.allclose(pairwise.drift(e.states, e.states), fast.drift(e.states, e.states))
 
     def test_uniform_in_time_plateau(self):
         # quadratic V and W: the coupling error reaches a level flat in time
@@ -767,34 +766,33 @@ class TestKuramoto:
     def test_no_coupling_no_disorder_zero_drift(self):
         model = kuramoto_model(0.0)
         e = Ensemble(RngStream(12).uniform(10) * 2 * math.pi)
-        assert np.allclose(model.drift(e.states, e.measure()), 0.0)
+        assert np.allclose(model.drift(e.states, e.states), 0.0)
 
     def test_two_particle_alignment_drift(self):
         # -(K/N) sum_j sin(theta1 - theta_j) = -(1/2) sin(-pi/2) = +1/2
         model = kuramoto_model(1.0)
         e = Ensemble(np.array([0.0, math.pi / 2]))
-        drift = model.drift(e.states, e.measure())
+        drift = model.drift(e.states, e.states)
         assert drift[0, 0] == pytest.approx(0.5)
         assert drift[1, 0] == pytest.approx(-0.5)
 
     def test_synchronized_phases_no_drift(self):
         model = kuramoto_model(3.0)
         e = Ensemble(np.full(20, 1.1))
-        assert np.allclose(model.drift(e.states, e.measure()), 0.0, atol=1e-14)
+        assert np.allclose(model.drift(e.states, e.states), 0.0, atol=1e-14)
 
     def test_own_measure_drift_equals_a_copied_measure(self):
-        # the drift reuses the states' phases when mu is their own measure
+        # the drift reuses the states' phases when the points are the states array itself
         model = kuramoto_model(1.3)
         states = RngStream(14).normal((4, 50, 1))
-        assert np.array_equal(model.drift(states, EmpiricalMeasure(states)),
-                              model.drift(states, EmpiricalMeasure(states.copy())))
+        assert np.array_equal(model.drift(states, states), model.drift(states, states.copy()))
 
     def test_quenched_disorder_frozen_at_construction(self):
         model = kuramoto_model(1.0, n=6, disorder_sampler=lambda n, rng: rng.normal(n),
                                rng=RngStream(13))
         e = Ensemble(np.zeros(6))
-        d1 = model.drift(e.states, e.measure())
-        d2 = model.drift(e.states, e.measure())
+        d1 = model.drift(e.states, e.states)
+        d2 = model.drift(e.states, e.states)
         assert np.array_equal(d1, d2)  # same draw on every evaluation
         with pytest.raises(ModelSpecError):
             kuramoto_model(1.0, disorder_sampler=lambda n, rng: rng.normal(n))
@@ -802,7 +800,7 @@ class TestKuramoto:
     def test_unit_diffusion(self):
         model = kuramoto_model(1.0)
         e = Ensemble(np.zeros(4))
-        assert model.diffusion(e.states, e.measure()) == 1.0
+        assert model.diffusion(e.states, e.states) == 1.0
 
     @pytest.mark.parametrize("shape", [(7, 1), (3, 7, 1)])
     def test_drift_reads_the_measure_it_is_given(self, shape):
@@ -811,11 +809,11 @@ class TestKuramoto:
         states = rng.substream(0).normal(shape)
         points = rng.substream(1).normal((*shape[:-2], 11, 1))
         model = kuramoto_model(1.5)
-        drift = model.drift(states, EmpiricalMeasure(points))
+        drift = model.drift(states, points)
         dense = -1.5 * np.mean(np.sin(states[..., :, None, 0] - points[..., None, :, 0]), axis=-1)
         assert drift.shape == shape
         assert np.allclose(drift[..., 0], dense)
-        assert not np.allclose(drift, model.drift(states, EmpiricalMeasure(states)))
+        assert not np.allclose(drift, model.drift(states, states))
 
 
 class TestCuckerSmale:
@@ -823,7 +821,7 @@ class TestCuckerSmale:
         model = cucker_smale_model(gamma=2.0, sigma_const=0.0, d=2)
         states = np.concatenate([RngStream(14).normal((8, 2)), np.tile([1.0, -1.0], (8, 1))], axis=1)
         e = Ensemble(states)
-        drift = model.drift(e.states, e.measure())
+        drift = model.drift(e.states, e.states)
         assert np.allclose(drift[:, 2:], 0.0)
         assert np.allclose(drift[:, :2], states[:, 2:])  # dx = v
 
@@ -831,7 +829,7 @@ class TestCuckerSmale:
         # same position (K = 1), v1 = 0, v2 = 2: dv1 = (1/2)(2 - 0) = 1
         model = cucker_smale_model(gamma=2.0, sigma_const=0.0, d=1)
         e = Ensemble(np.array([[0.0, 0.0], [0.0, 2.0]]))
-        drift = model.drift(e.states, e.measure())
+        drift = model.drift(e.states, e.states)
         assert drift[0, 1] == pytest.approx(1.0)
         assert drift[1, 1] == pytest.approx(-1.0)
 
@@ -847,7 +845,7 @@ class TestCuckerSmale:
     def test_noise_only_on_velocity(self):
         model = cucker_smale_model(gamma=1.0, sigma_const=1.0, d=1)
         e = Ensemble(np.zeros((6, 2)))
-        sig = model.diffusion(e.states, e.measure())
+        sig = model.diffusion(e.states, e.states)
         assert np.all(sig[:, 0] == 0.0) and np.all(sig[:, 1] == 1.0)
 
 
@@ -856,20 +854,20 @@ class TestRegularizedCoulomb:
         # d = 2, xi = 1, distance r > eps: |F| = 1/r; drift carries the 1/N factor
         model = regularized_coulomb_model(1.0, eps=0.1, sigma_const=0.0, d=2)
         e = Ensemble(np.array([[0.0, 0.0], [3.0, 0.0]]))
-        drift = model.drift(e.states, e.measure())
+        drift = model.drift(e.states, e.states)
         assert np.linalg.norm(drift[0]) * e.n == pytest.approx(1.0 / 3.0)
 
     def test_coincident_particles_finite(self):
         model = regularized_coulomb_model(1.0, eps=0.5, sigma_const=0.0, d=2)
         e = Ensemble(np.zeros((3, 2)))
-        drift = model.drift(e.states, e.measure())
+        drift = model.drift(e.states, e.states)
         assert np.all(np.isfinite(drift))
         assert np.allclose(drift, 0.0)
 
     def test_zero_strength(self):
         model = regularized_coulomb_model(0.0, eps=0.1, sigma_const=0.0, d=2)
         e = Ensemble(RngStream(16).normal((5, 2)))
-        assert np.allclose(model.drift(e.states, e.measure()), 0.0)
+        assert np.allclose(model.drift(e.states, e.states), 0.0)
 
     def test_requires_positive_cutoff(self):
         with pytest.raises(ModelSpecError):
@@ -879,5 +877,5 @@ class TestRegularizedCoulomb:
         # distance below eps: denominator clamps at eps^d
         model = regularized_coulomb_model(1.0, eps=0.5, sigma_const=0.0, d=2)
         e = Ensemble(np.array([[0.0, 0.0], [0.1, 0.0]]))
-        drift = model.drift(e.states, e.measure())
+        drift = model.drift(e.states, e.states)
         assert np.linalg.norm(drift[0]) * e.n == pytest.approx(0.1 / 0.25)
