@@ -3,8 +3,10 @@
 Three simulators share one model object: the jump-exact algorithm driven by
 a global exponential clock, Bird's cell-based DSMC with per-cell time
 counters, and a one-sided Nanbu variant. Rejected (fictitious) proposals
-are first-class events: they are logged but apply no update, which makes
-rate audits possible.
+are first-class events: the log holds each proposal's time, pair and
+acceptance, and a rejected one applies no update, which makes rate audits
+possible. Conservation is audited on states (``conservation_report``), not
+per event.
 
 Models are batched: every model callable takes k pairs at once. Exact and
 Bird draw proposals in blocks and apply each dependency level of a block
@@ -85,20 +87,17 @@ class CollisionModel:
 
 @dataclass(slots=True)
 class CollisionEvent:
-    """One proposed collision: accepted events carry the conserved-quantity
-    deltas (state-sum and squared-norm-sum over the touched pair)."""
+    """One proposed collision: its time, its pair (i, j) and whether it was accepted."""
 
     time: float
     i: int
     j: int
     accepted: bool
-    dp: np.ndarray
-    de: float
 
 
 class EventLog:
     """Bounded audit log, stored as chunks of columns (time, i, j,
-    accepted, dE, dP). Past the cap it keeps counting but stores nothing."""
+    accepted). Past the cap it keeps counting but stores nothing."""
 
     def __init__(self, cap: int = 10_000_000):
         self.cap = cap
@@ -108,8 +107,8 @@ class EventLog:
         self._chunks = []
         self._stored = 0
 
-    def record(self, time, i, j, accepted, de, dp):
-        """Log one proposal per row of the columns, dp being (k, d)."""
+    def record(self, time, i, j, accepted):
+        """Log one proposal per row of the columns."""
         k = len(time)
         self.proposed += k
         self.accepted += int(np.count_nonzero(accepted))
@@ -117,11 +116,11 @@ class EventLog:
         if keep < k:
             self.truncated = True
         if keep > 0:
-            self._chunks.append(tuple(col[:keep] for col in (time, i, j, accepted, de, dp)))
+            self._chunks.append(tuple(col[:keep] for col in (time, i, j, accepted)))
             self._stored += keep
 
     def columns(self):
-        """The stored (time, i, j, accepted, dE, dP) columns, or None if empty."""
+        """The stored (time, i, j, accepted) columns, or None if empty."""
         return tuple(np.concatenate(col) for col in zip(*self._chunks)) if self._chunks else None
 
     @property
@@ -129,20 +128,16 @@ class EventLog:
         """The stored entries as CollisionEvent objects, built on each read."""
         if not self._chunks:
             return []
-        time, i, j, accepted, de, dp = self.columns()
-        return [CollisionEvent(*row) for row in
-                zip(time.tolist(), i.tolist(), j.tolist(), accepted.tolist(), dp, de.tolist())]
+        return [CollisionEvent(*row) for row in zip(*(col.tolist() for col in self.columns()))]
 
     def write_csv(self, path):
         cols = self.columns()
         if cols is None:
-            dim, rows = 1, ()
+            rows = ()
         else:
-            time, i, j, accepted, de, dp = cols
-            dim = dp.shape[1]
-            rows = zip(time.tolist(), i.tolist(), j.tolist(), accepted.astype(int).tolist(), de.tolist(),
-                       *dp.T.tolist())
-        write_csv(path, "time,i,j,accepted,dE," + ",".join(f"dP{k}" for k in range(dim)), rows)
+            time, i, j, accepted = cols
+            rows = zip(time.tolist(), i.tolist(), j.tolist(), accepted.astype(int).tolist())
+        write_csv(path, "time,i,j,accepted", rows)
 
 
 @dataclass
@@ -274,34 +269,25 @@ def _check(ratio, vetoed, stacklevel):
         warnings.warn("collision rejected by the model's event filter", stacklevel=stacklevel)
 
 
-def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted, de, dp):
-    """Apply the accepted rows of proposals that touch no particle twice, with pre-collision states
-    z1 and z2, to ``states`` in place; write their squared-norm-sum and state-sum deltas to ``de``, ``dp``."""
-    rows = accepted
-    if accepted.all():
-        rows = slice(None)  # a slice writes faster than a mask
-    else:
-        pairs, z1, z2, theta = pairs[rows], z1[rows], z2[rows], theta[rows]
-    if len(pairs):
-        z1p, z2p = (np.asarray(z, dtype=float) for z in model.psi_pair(z1, z2, theta))
-        stack = np.concatenate([z1p, z2p, z1, z2])
-        sq = _rowdot(stack, stack).reshape(4, -1)
-        de[rows] = sq[0] + sq[1] - sq[2] - sq[3]
-        dp[rows] = (z1p + z2p) - (z1 + z2)
-        states[pairs[:, 0]], states[pairs[:, 1]] = z1p, z2p
+def _collide(model: CollisionModel, states, pairs, z1, z2, theta, accepted):
+    """Write the post-collision states of the accepted rows of proposals that touch no particle twice,
+    with pre-collision states z1 and z2, to ``states`` in place."""
+    if accepted.any():
+        z1p, z2p = model.psi_pair(z1[accepted], z2[accepted], theta[accepted])
+        states[pairs[accepted, 0]], states[pairs[accepted, 1]] = z1p, z2p
 
 
 def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=None, undo=True):
     """Apply a block of proposals to ``states`` in place, one ``_levels`` level after the other, each
     reading what the levels below it left; with ``taus``, level k is proposal k after the free flow
     over taus[k], which replaces ``states``. Returns the states, and in proposal order the columns
-    (accepted, lam, ratio, vetoed, dE, dP) and, with ``undo``, the pre-collision states (z1, z2) that
-    ``_undo`` reads (else None)."""
+    (accepted, lam, ratio, vetoed) and, with ``undo``, the pre-collision states (z1, z2) that ``_undo``
+    reads (else None)."""
     order = _level_order(level)  # each level becomes a slice, rows in proposal order
     pairs, theta, u = (np.take(col, order, axis=0) for col in (pairs, theta, u))  # faster than [order] on rows
     m, d = len(order), states.shape[1]
     accepted, vetoed = np.zeros((2, m), dtype=bool)
-    lam, ratio, de, dp = *np.zeros((3, m)), np.zeros((m, d))
+    lam, ratio = np.zeros((2, m))
     z1, z2 = np.zeros((2, m, d)) if undo else (None, None)
     ends = np.cumsum(np.bincount(level)).tolist()
     for lv in map(slice, [0, *ends], ends):
@@ -310,10 +296,10 @@ def _apply_levels(model: CollisionModel, states, pairs, level, theta, u, taus=No
         if undo:
             z1[lv], z2[lv] = a, b
         accepted[lv], lam[lv], ratio[lv], vetoed[lv] = _accept(model, a, b, theta[lv], u[lv])
-        _collide(model, states, pairs[lv], a, b, theta[lv], accepted[lv], de[lv], dp[lv])
+        _collide(model, states, pairs[lv], a, b, theta[lv], accepted[lv])
     back = np.empty_like(order)
     back[order] = np.arange(m)
-    cols = tuple(np.take(col, back, axis=0) for col in (accepted, lam, ratio, vetoed, de, dp))
+    cols = tuple(np.take(col, back, axis=0) for col in (accepted, lam, ratio, vetoed))
     return states, cols, tuple(np.take(z, back, axis=0) for z in (z1, z2)) if undo else None
 
 
@@ -387,14 +373,14 @@ def _exact_group(model: CollisionModel, joint, n: int, t0: float, horizon: float
     t = [t0] * len(streams)
     active = list(range(len(streams))) if total_rate > 0 else []
     while active:
-        rounds, blocks = [], []  # (replica, block size, ring times, rings before the horizon), and draws
+        rounds, blocks = [], []  # (replica, block size, gaps, ring times, rings before the horizon), and draws
         for r in active:
             clock, pair_stream, theta_stream, accept_stream = draws[r]
             size = _block_size(total_rate * (horizon - t[r]))
-            taus = clock.exponential(1.0 / total_rate, size)
-            times = np.cumsum(np.concatenate([[t[r]], taus]))[1:]  # one addition after the other
+            gaps = clock.exponential(1.0 / total_rate, size)
+            times = np.cumsum(np.concatenate([[t[r]], gaps]))[1:]  # one addition after the other
             m = int(np.searchsorted(times, horizon, side="right"))
-            rounds.append((r, size, times, m))
+            rounds.append((r, size, gaps, times, m))
             blocks.append((_draw_pairs(pair_stream, n, m) + r * n, model.theta_sampler(theta_stream, m),
                            accept_stream.uniform(m)))
         pairs, theta, u = (np.concatenate(col) for col in zip(*blocks))
@@ -402,15 +388,15 @@ def _exact_group(model: CollisionModel, joint, n: int, t0: float, horizon: float
         if model.free_flow is None:
             level, taus = _levels(pairs, len(joint)), None
         else:  # the flow moves every particle between rings, so each proposal is its own level;
-            level = np.arange(len(pairs))  # the group is one replica, and taus are its clock gaps
-        joint, (accepted, _, ratio, vetoed, de, dp), _ = _apply_levels(model, joint, pairs, level, theta, u, taus,
-                                                                       undo=False)
+            [(_, _, taus, _, _)] = rounds  # the group is one replica, and these are its clock gaps
+            level = np.arange(len(pairs))
+        joint, (accepted, _, ratio, vetoed), _ = _apply_levels(model, joint, pairs, level, theta, u, taus,
+                                                               undo=False)
         active = []
-        for (r, size, times, m), end in zip(rounds, np.cumsum([m for *_, m in rounds]).tolist()):
+        for (r, size, _, times, m), end in zip(rounds, np.cumsum([m for *_, m in rounds]).tolist()):
             rows = slice(end - m, end)
             _check(ratio[rows], vetoed[rows], stacklevel=4)
-            logs[r].record(times[:m], pairs[rows, 0] - r * n, pairs[rows, 1] - r * n, accepted[rows],
-                           de[rows], dp[rows])
+            logs[r].record(times[:m], pairs[rows, 0] - r * n, pairs[rows, 1] - r * n, accepted[rows])
             if m:
                 t[r] = times[m - 1]
             if m == size:  # its block ran out before the horizon
@@ -515,7 +501,7 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
         local = _draw_pairs(pair_stream, members.size, size)
         level, pairs = _levels(local, members.size), members[local]
         theta, u = model.theta_sampler(theta_stream, size), accept_stream.uniform(size)
-        _, (acc, lam, ratio, vetoed, de, dp), (z1, z2) = _apply_levels(model, states, pairs, level, theta, u)
+        _, (acc, lam, ratio, vetoed), (z1, z2) = _apply_levels(model, states, pairs, level, theta, u)
         hits = np.flatnonzero(acc)
         inc = np.zeros(size)
         inc[hits] = 1.0 / (scale * lam[hits])
@@ -533,7 +519,7 @@ def _bird_cell(model: CollisionModel, states, members, t_c: float, t_stop: float
         if made < size:
             _undo(states, pairs, level, hits[hits >= made], z1, z2)
         stall = made - 1 - int(before[np.searchsorted(before, made) - 1])
-        out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc[:made], de[:made], dp[:made]))
+        out.append((counter[:made], pairs[:made, 0], pairs[:made, 1], acc[:made]))
         if stalled:
             warnings.warn(f"cell {cell_id}: {stall} consecutive fictitious collisions, "
                           "abandoning the cell for the rest of this pass (all pair rates may be zero)")

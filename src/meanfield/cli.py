@@ -239,17 +239,19 @@ def _write_json(path: Path, payload: dict):
 def _check_thresholds(summary: dict, thresholds: dict) -> bool:
     """Compare summary entries against declared bounds. Supported forms:
     {"name": {"min": a}}, {"name": {"max": b}} and {"name": {"range": [a, b]}}
-    where name is a dotted path into the summary. A name with no summary
-    entry, or whose entry is not a number (a per-N table, say), fails its
-    check, with an error naming ``thresholds.<name>``."""
+    where name is a dotted path into the summary; a component that is a
+    decimal index within a list's range indexes that list (``cases.0.r_median``).
+    A name with no summary entry, or whose entry is not a number (a per-N
+    table or a null, say), fails its check, with an error naming
+    ``thresholds.<name>``."""
     checks = {}
     ok = True
     for name, bound in thresholds.items():
         value = summary
         try:
             for part in name.split("."):
-                value = value[part]
-        except (KeyError, TypeError):
+                value = value[int(part) if isinstance(value, list) and part.isdecimal() else part]
+        except (KeyError, TypeError, IndexError, ValueError):  # ValueError: more digits than int() reads
             value = None
         if not isinstance(value, numbers.Real):
             error = f"thresholds.{name}: the summary has no number at {name!r}"
@@ -331,7 +333,7 @@ def _run_dsmc_compare(config, p: dict, base: RngStream, out: Path) -> dict:
         "n": n,
         "w1_cross_mean": mean_cross,
         "w1_self_mean": mean_self,
-        "ratio": mean_cross / mean_self if mean_self > 0 else math.inf,
+        "ratio": mean_cross / mean_self if mean_self > 0 else None,  # null: strict JSON has no Infinity
         # the model has Lambda = M = 1: each run expects Lambda M (n - 1) t_end / 2 collisions
         "expected_collisions": (n - 1) * t_end / 2.0,
         "exact_accepted_mean": float(np.mean(exact_accepted)),

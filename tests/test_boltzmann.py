@@ -283,7 +283,7 @@ class TestExactSimulate:
         path = tmp_path / "events.csv"
         log.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "time,i,j,accepted,dE,dP0,dP1"
+        assert lines[0] == "time,i,j,accepted"
         assert len(lines) == 1 + len(log.events)
         times = [float(line.split(",")[0]) for line in lines[1:]]
         assert times == sorted(times)
@@ -599,7 +599,7 @@ class TestProposalStep:
         n = 400
         _, log = bird_simulate(model, CellGrid.single_cell(), Ensemble(np.arange(float(n))),
                                TimeGrid(0, 1, 1), RngStream(68))
-        time, _, _, accepted, _, _ = log.columns()
+        time, _, _, accepted = log.columns()
         increment = 1.0 / (n * (n - 1) / 2.0 / n * 0.4)  # 1 / (scale lam) in a single cell
         assert log.accepted > 50
         assert time.max() <= 1.0 and accepted[-1] and time[-1] + increment > 1.0
@@ -966,7 +966,7 @@ class TestGeometryMatchesDenseFormulas:
             assert same_bits(got[row], dense_directions(u[row], k))
         assert np.allclose(np.sqrt((got * got).sum(axis=1)), 1.0, rtol=0, atol=1e-15)
 
-    def test_collide_deltas(self):
+    def test_collide_writes_the_accepted_pairs(self):
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         rng = RngStream(95)
         states = rng.normal((40, 2))
@@ -974,16 +974,11 @@ class TestGeometryMatchesDenseFormulas:
         pairs = np.arange(40).reshape(20, 2)
         theta = model.theta_sampler(rng, 20)
         accepted = rng.uniform(20) < 0.7
-        de, dp = np.zeros(20), np.zeros((20, 2))
-        boltzmann._collide(model, states, pairs, before[pairs[:, 0]], before[pairs[:, 1]], theta,
-                           accepted, de, dp)
-        for (i, j), theta_row, acc, de_row, dp_row in zip(pairs, theta, accepted, de, dp):
+        boltzmann._collide(model, states, pairs, before[pairs[:, 0]], before[pairs[:, 1]], theta, accepted)
+        for (i, j), theta_row, acc in zip(pairs, theta, accepted):
             z1, z2 = before[i], before[j]
             z1p, z2p = dense_maxwell_psi_pair(z1, z2, theta_row) if acc else (z1, z2)
             assert same_bits(states[i], z1p) and same_bits(states[j], z2p)
-            want_de = row_dot(z1p, z1p) + row_dot(z2p, z2p) - row_dot(z1, z1) - row_dot(z2, z2) if acc else 0.0
-            assert same_bits(de_row, want_de)
-            assert same_bits(dp_row, (z1p + z2p) - (z1 + z2) if acc else np.zeros(2))
 
     @pytest.mark.parametrize("model", [
         maxwell_cutoff_model(uniform_deflection(), d=2),
@@ -1138,13 +1133,13 @@ class TestBatchedEngine:
         model = maxwell_cutoff_model(uniform_deflection(), d=2)
         e0 = Ensemble(RngStream(66).normal((30, 2)))
         _, log = exact_simulate(model, e0, 1.0, RngStream(67))
-        time, i, j, accepted, de, dp = log.columns()
+        time, i, j, accepted = log.columns()
         events = log.events
         assert len(events) == log.proposed == len(time)
         for k in (0, len(events) // 2, len(events) - 1):
             e = events[k]
-            assert (e.time, e.i, e.j, e.accepted, e.de) == (time[k], i[k], j[k], accepted[k], de[k])
-            assert same_bits(e.dp, dp[k]) and type(e.time) is float and type(e.i) is int
+            assert (e.time, e.i, e.j, e.accepted) == (time[k], i[k], j[k], accepted[k])
+            assert type(e.time) is float and type(e.i) is int
 
 
 # ---------------------------------------------------------------------------
@@ -1166,10 +1161,10 @@ def reference_exact(model, states, T, rng, event_cap=10_000_000):
         pairs = boltzmann._draw_pairs(pair_stream, n, m)
         theta, u = model.theta_sampler(theta_stream, m), accept_stream.uniform(m)
         level = boltzmann._levels(pairs, n) if model.free_flow is None else np.arange(m)
-        states, (accepted, _, ratio, vetoed, de, dp), _ = boltzmann._apply_levels(
+        states, (accepted, _, ratio, vetoed), _ = boltzmann._apply_levels(
             model, states.copy(), pairs, level, theta, u, taus)
         boltzmann._check(ratio, vetoed, stacklevel=2)
-        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted, de, dp)
+        log.record(times[:m], pairs[:, 0], pairs[:, 1], accepted)
         t = times[m - 1] if m else t
         if m < size:
             break

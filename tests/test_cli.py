@@ -481,10 +481,9 @@ class TestConfigAudit:
                            "time": {"t0": 0.1, "t_end": 0.2, "dt": 0.05},
                            "params": {"seeds": 2, "cases": [{"coupling": 2.0, "init": "uniform"}]}},
     }
-    # a kuramoto_sweep summary holds its numbers in a list of cases, which no threshold name can
-    # reach: its threshold fails (exit 4), and the summary that records the check is still written
     THRESHOLDS = {"coupling_rate": "slope", "dsmc_compare": "ratio", "cbo": "median_distance",
-                  "eks": "mean_error", "cmc": "pooled_mean", "bossy_talay": "slope", "kuramoto_sweep": "cases"}
+                  "eks": "mean_error", "cmc": "pooled_mean", "bossy_talay": "slope",
+                  "kuramoto_sweep": "cases.0.r_median"}
     CHOICES = {"kind": cli.KINDS, "objective": cli._PARAMS["cbo"]["objective"][1],
                "init": ("concentrated", "uniform")}
     # the fields that change no artifact, with the kinds where they do not, each with its reason
@@ -546,7 +545,7 @@ class TestConfigAudit:
         base = {**self.CONFIGS[kind], "thresholds": {self.THRESHOLDS[kind]: {"max": 1e9}},
                 "out_dir": str(tmp_path / "unused")}
         assert validate(base) == []
-        assert run(write_config(tmp_path / "base.json", base), out_dir=tmp_path / "base") in (0, 4)
+        assert run(write_config(tmp_path / "base.json", base), out_dir=tmp_path / "base") == 0
         want = self.digests(tmp_path / "base")
         no_ops = set()
         for k, path in enumerate(self.fields(base)):
@@ -642,6 +641,23 @@ class TestRun:
         check = summary["checks"][name]
         assert check["pass"] is False and check["value"] is None
         assert f"thresholds.{name}" in check["error"]
+
+    @pytest.mark.parametrize("name, code", [
+        ("cases.0.r_median", 0), ("cases.1.r_median", 4), ("cases.-1.r_median", 4),
+        (f"cases.{'9' * 5000}.r_median", 4),
+    ], ids=["first-case", "past-the-end", "negative", "more-digits-than-int-reads"])
+    def test_a_list_index_reaches_a_kuramoto_case(self, tmp_path, capsys, name, code):
+        # the sweep has one case: index 1 is past its end, -1 is not a decimal index, and int()
+        # refuses a string of more than 4300 digits
+        cfg = {**TestParamTable.KURAMOTO, "thresholds": {name: {"max": 2.0}}}
+        assert validate(cfg) == []
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path / "cfg.json", cfg), out_dir=out) == code
+        summary = json.loads((out / "summary.json").read_text())
+        value = summary["cases"][0]["r_median"] if code == 0 else None
+        check = summary["checks"][name]
+        assert (check["value"], check["bound"], check["pass"]) == (value, {"max": 2.0}, code == 0)
+        assert (f"thresholds.{name}" in capsys.readouterr().err) is (code == 4)
 
     def test_cmc_burn_in_at_steps_exit_2(self, tmp_path, capsys):
         # burn_in == steps used to run, keep no samples and fail on NaN moments
@@ -752,6 +768,25 @@ class TestExperimentKinds:
         expected = summary["expected_collisions"]
         assert expected == 49.75 and summary["bird_accepted_mean"] == 50.0
         assert abs(summary["exact_accepted_mean"] - expected) <= 3.0 * math.sqrt(expected / 6)
+
+    @pytest.mark.parametrize("thresholds, code", [({}, 0), ({"ratio": {"max": 3}}, 4)], ids=["none", "ratio"])
+    def test_dsmc_compare_with_a_zero_self_distance_writes_a_null_ratio(self, tmp_path, capsys, thresholds, code):
+        # at this seed the two exact self-runs end with the same first coordinates: W1 distance 0
+        cfg = write_config(tmp_path / "c.json", {
+            "kind": "dsmc_compare", "seed": 3, "n_list": [10],
+            "time": {"t0": 0.0, "t_end": 0.2, "dt": 0.1}, "params": {"pairs": 1}, "thresholds": thresholds,
+        })
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == code
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["w1_self_mean"] == 0.0 and summary["ratio"] is None
+        if thresholds:
+            assert "thresholds.ratio" in capsys.readouterr().err
+            assert summary["checks"]["ratio"]["value"] is None
 
     def test_cbo(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {

@@ -410,7 +410,7 @@ class TestMixtureWorkers:
         assert max(sizes, default=0) == min(rows, m)
 
     @pytest.mark.parametrize("share", [1, 2])
-    def test_helpers_keep_the_errstate_and_raise_in_the_caller(self, monkeypatch, share):
+    def test_runs_under_the_callers_errstate(self, monkeypatch, share):
         # an infinite query row has every log term -inf, so its exp-sum is 0
         # and its max shift computes -inf - -inf; 65- or 32-row blocks put
         # the last of 200 rows in a last block of 5 or 8 rows
