@@ -109,6 +109,9 @@ def validate(config: dict) -> list[str]:
             v.append("n_list: rate-fitting experiments need at least 3 sizes")
         elif kind in KINDS and kind not in _SWEEP_KINDS and len(n_list) != 1:
             v.append(f"n_list: the {kind} runner runs one size; give exactly one")
+        elif kind == "dsmc_compare" and n_list[0] < 2:
+            v.append(f"n_list: the dsmc_compare runner collides pairs of particles; it needs at least 2, "
+                     f"got {n_list[0]}")
     time = config.get("time")
     grid = None
     if kind in _TIMED_KINDS:

@@ -36,6 +36,8 @@ class McKeanModel:
     (..., n, d) array (per-particle diagonal) or a (..., n, d, d) array of
     full matrices. A pairwise interaction reduces through
     ``core.pair_mean``, whose blocks bound its memory whatever the batch.
+    The coupling harness reuses its state buffers across steps, so a
+    callable must not keep the arrays it is given.
     """
 
     drift: callable
@@ -69,12 +71,14 @@ def _raise_non_finite(what, arr, batched, first_replica, step, time):
                     step=step, time=time)
 
 
-def _em_update(model, states, h, root_h, xi, time, step, first_replica=0, system=""):
+def _em_update(model, states, h, root_h, xi, time, step, first_replica=0, system="", out=None):
     """One explicit Euler-Maruyama update against the states' own pre-step measure, for an
     (n, d) ensemble or an (R, n, d) batch whose first replica has index
     ``first_replica``: ``states + b h + (sigma xi) sqrt(h)``, with
     ``root_h`` = sqrt(h). Returns the new states, sigma and the noise term
     (sigma xi) sqrt(h), which a copy driven by the same xi may reuse.
+    The new states are a new array, or ``out``: an array of the states'
+    shape that none of the other arguments share memory with.
 
     Finiteness is checked once, on the updated states: a non-finite drift
     or diffusion always makes them non-finite, and only then are the
@@ -83,8 +87,10 @@ def _em_update(model, states, h, root_h, xi, time, step, first_replica=0, system
     b = np.asarray(model.drift(states, states), dtype=float)
     sigma = model.diffusion(states, states)
     term = _apply_diffusion(sigma, xi) * root_h
-    new = states + b * h + term
-    if not np.isfinite(new).all():
+    new = np.empty_like(states) if out is None else out
+    np.add(states, np.multiply(b, h, out=new), out=new)
+    np.add(new, term, out=new)
+    if np.count_nonzero(np.isfinite(new)) != new.size:  # np.isfinite(new).all(), counted faster
         batched = states.ndim == 3
         for what, arr in (("drift", b), ("diffusion", np.asarray(sigma, dtype=float)), ("state", new)):
             if not np.isfinite(arr).all():
@@ -97,7 +103,8 @@ def _em_loop(model, x, t, grid, streams, first=0, observers=()):
     ``grid``: one (n, d) ensemble, or an (R, n, d) batch with first replica
     ``first``, each step seeing the measure of ``x`` itself; row r draws
     from ``streams[r]``. Each observer is called as ``obs(x, t, step, first)``
-    at step 0 and after each step; it must not write to ``x``."""
+    at step 0 and after each step; it must not write to ``x``, and may keep
+    it: every step makes a new array."""
     for obs in observers:
         obs(x, t, 0, first)
     durations = grid.step_durations().tolist()
@@ -341,19 +348,24 @@ def _noise_steps(streams, shape, steps):
     """Yield ``(k0, block)`` for each block of steps: ``block`` holds the
     (k, R, *shape) normal increments of steps k0 .. k0 + k - 1, row r from
     ``streams[r]``. A stream draws a block per call, which gives the same
-    variates in the same order as one draw per step."""
+    variates in the same order as one draw per step. One stream's block is
+    its draw itself, viewed with a replica axis."""
     per_step = len(streams) * math.prod(shape)
     block = max(1, _NOISE_FLOATS // per_step)
     for start in range(0, steps, block):
         k = min(block, steps - start)
-        yield start, np.stack([s.normal((k, *shape)) for s in streams], axis=1)
+        if len(streams) == 1:
+            yield start, streams[0].normal((k, *shape))[:, None]
+        else:
+            yield start, np.stack([s.normal((k, *shape)) for s in streams], axis=1)
 
 
-def _mean_square(diff: np.ndarray) -> np.ndarray:
+def _mean_square(diff: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """(1/n) sum_i |diff^i|^2 of each (n, d) ensemble of a (..., n, d) array,
     bit for bit equal to ``np.mean(np.sum(diff[r] ** 2, axis=1))``: every
-    particle sum runs over the same contiguous axis, whatever the leading axes."""
-    sq = diff * diff
+    particle sum runs over the same contiguous axis, whatever the leading axes.
+    The squares are written to ``sq``, an array of diff's shape."""
+    np.multiply(diff, diff, out=sq)
     per_particle = sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
     return np.add.reduce(per_particle, axis=-1) / diff.shape[-2]
 
@@ -397,22 +409,31 @@ def _coupling_batch(model, ref, n, grid, streams, first, out):
     increments from substreams 2 and 3. x and x_bar share each increment;
     when both diffusions are the same float, they share its noise term too.
     The x - x_bar of a noise block's steps are reduced, then checked, at once.
+
+    x and x_bar advance in buffers allocated once per batch, which the
+    coefficients see and later steps overwrite. Each step's x - x_bar
+    overwrites the increments it has used, and the squares go to one buffer
+    per batch, the only array of a block's size besides the draws.
     """
     d = model.dim
     x = _initial_batch(ref, n, d, streams, 0, "initial state", first, grid.t0)
     noise = _noise_steps([s.substream(1) for s in streams], (n, d), grid.steps)
     x_bar = x.copy()
+    spare, scratch = np.empty_like(x), np.empty_like(x)
     if not ref.exact:
         m = ref.factor * n
         surrogate = _initial_batch(ref, m, d, streams, 2, "initial surrogate state", first, grid.t0)
+        surrogate_spare = np.empty_like(surrogate)
         surrogate_noise = (xi for _, block in _noise_steps([s.substream(3) for s in streams], (m, d), grid.steps)
                            for xi in block)
 
     out[:, 0] = 0.0
     t = grid.t0
     durations = grid.step_durations().tolist()
+    squares = None
     for k0, block in noise:
-        diffs = np.empty_like(block)
+        if squares is None:  # the first block is the longest
+            squares = np.empty_like(block)
         for k, xi in enumerate(block, k0):
             h = durations[k]
             root_h = math.sqrt(h)
@@ -422,15 +443,19 @@ def _coupling_batch(model, ref, n, grid, streams, first, out):
             else:
                 b_bar = model.drift(x_bar, surrogate)
                 sig_bar = model.diffusion(x_bar, surrogate)
-                surrogate = _em_update(model, surrogate, h, root_h, next(surrogate_noise), t, k, first,
-                                       "surrogate ")[0]
-            x, sigma, term = _em_update(model, x, h, root_h, xi, t, k, first)
+                surrogate, surrogate_spare = _em_update(model, surrogate, h, root_h, next(surrogate_noise), t, k,
+                                                        first, "surrogate ", out=surrogate_spare)[0], surrogate
+            new, sigma, term = _em_update(model, x, h, root_h, xi, t, k, first, out=spare)
+            x, spare = new, x
             if not _same_float(sigma, sig_bar):
                 term = _apply_diffusion(sig_bar, xi) * root_h
-            x_bar = x_bar + np.asarray(b_bar, dtype=float) * h + term
+            # x_bar + b_bar h + term, as two sums in place
+            np.add(x_bar, np.multiply(np.asarray(b_bar, dtype=float), h, out=scratch), out=x_bar)
+            np.add(x_bar, term, out=x_bar)
             t += h
-            np.subtract(x, x_bar, out=diffs[k - k0])
-        mse = _mean_square(diffs)
+            np.subtract(x, x_bar, out=xi)  # xi is used up: its slot keeps x - x_bar
+        diffs = block
+        mse = _mean_square(diffs, squares[:len(diffs)])
         if not np.isfinite(mse).all() and not np.isfinite(diffs).all():
             j = int(np.argwhere(~np.isfinite(diffs))[0, 0])
             _raise_non_finite("nonlinear copy state", diffs[j], True, first, k0 + j, float(grid.times()[k0 + j]))

@@ -92,6 +92,23 @@ class TestValidate:
         violations = validate(coupling_config(n_list=[10, 20]))
         assert any("at least 3" in v for v in violations)
 
+    def test_dsmc_compare_needs_two_particles(self):
+        cfg = small_config("dsmc_compare")
+        cfg["n_list"] = [1]
+        assert validate(cfg) == ["n_list: the dsmc_compare runner collides pairs of particles; "
+                                 "it needs at least 2, got 1"]
+        cfg["n_list"] = [2]
+        assert validate(cfg) == []
+
+    def test_a_one_particle_dsmc_compare_exits_2_before_writing(self, tmp_path, capsys):
+        # it used to pass validate, write manifest.json and exit 3 from the exact engine
+        cfg = write_config(tmp_path / "c.json", {**small_config("dsmc_compare"), "n_list": [1]})
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().out.startswith("n_list: the dsmc_compare runner")
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("invalid config: n_list: the dsmc_compare runner")
+        assert not (tmp_path / "out").exists()
+
     def test_cmc_burn_in_must_leave_samples(self):
         cfg = {"kind": "cmc", "seed": 8, "n_list": [20], "params": {"steps": 30, "burn_in": 30}}
         assert any(v.startswith("params.burn_in") for v in validate(cfg))

@@ -15,6 +15,7 @@ from meanfield.mckean import (
     SurrogateReference,
     _NOISE_FLOATS,
     _batch_width,
+    _noise_steps,
     coupling_mse_rows,
     coupling_replica_mse,
     cucker_smale_model,
@@ -599,7 +600,9 @@ class TestStepBits:
     the one of the step written out by hand."""
 
     # 160 steps, the last of 0.0075: at four 12-particle replicas in R^9, a
-    # noise block holds 75 steps, so the run spans three blocks, the last partial
+    # noise block holds 75 steps, so the run spans three blocks, the last partial.
+    # One replica of 720 / d particles in R^d, whose noise block is the stream's
+    # draw itself, spans four blocks of 45 steps, the last of 25.
     GRID = TimeGrid(0.0, 1.5975, 0.01)
 
     def _rows_equal_by_hand(self, model, ref, n, streams):
@@ -609,25 +612,45 @@ class TestStepBits:
 
     def test_the_grid_spans_noise_blocks_and_ends_in_a_partial_step(self):
         assert _NOISE_FLOATS // (4 * 12 * 9) == 75 and self.GRID.steps == 160
+        assert _NOISE_FLOATS // 720 == 45
         assert 0.0 < self.GRID.step_durations()[-1] < self.GRID.dt
 
     def test_the_exact_reference_equals_the_step_by_hand(self):
         # 400 particles of three replicas: 27 steps per noise block, six blocks
         model, ref = mean_field_ou_model(1.0, 2.0), ou_reference(1.0, 2.0, m0=1.0, v0=1.0)
-        rows = self._rows_equal_by_hand(model, ref, 400, [RngStream(41, r) for r in range(3)])
-        assert np.all(rows[:, 1:] > 0)
+        for n, streams in ((400, [RngStream(41, r) for r in range(3)]), (720, [RngStream(47)])):
+            rows = self._rows_equal_by_hand(model, ref, n, streams)
+            assert np.all(rows[:, 1:] > 0)
 
     @pytest.mark.parametrize("d", [1, 2, 9])
     def test_a_float_diffusion_shares_its_noise_term(self, d):
         model, ref = _pulled_to_mean(lambda s, points: 0.7, d)
-        rows = self._rows_equal_by_hand(model, ref, 12, [RngStream(42, r) for r in range(4)])
-        assert np.all(rows[:, 1:] > 0)
+        for n, streams in ((12, [RngStream(42, r) for r in range(4)]), (720 // d, [RngStream(48)])):
+            rows = self._rows_equal_by_hand(model, ref, n, streams)
+            assert np.all(rows[:, 1:] > 0)
 
     @pytest.mark.parametrize("d", [1, 2, 9])
     def test_an_array_diffusion_keeps_its_own_noise_term(self, d):
         model, ref = _pulled_to_mean(lambda s, points: 0.7 + 0.1 * np.tanh(s), d)
-        rows = self._rows_equal_by_hand(model, ref, 12, [RngStream(43, r) for r in range(4)])
-        assert np.all(rows[:, 1:] > 0)
+        for n, streams in ((12, [RngStream(43, r) for r in range(4)]), (720 // d, [RngStream(49)])):
+            rows = self._rows_equal_by_hand(model, ref, n, streams)
+            assert np.all(rows[:, 1:] > 0)
+
+    def test_one_stream_yields_its_draws_as_views(self):
+        draws = []
+
+        class Recorded(RngStream):
+            def normal(self, size=None):
+                draws.append(super().normal(size))
+                return draws[-1]
+
+        # 400 particles: 81 steps per block, then 19
+        blocks = list(_noise_steps([Recorded(50)], (400, 1), 100))
+        fresh = RngStream(50)
+        assert [k0 for k0, _ in blocks] == [0, 81] and len(draws) == 2
+        for (_, block), draw in zip(blocks, draws):
+            assert block.shape == (len(draw), 1, 400, 1) and np.shares_memory(block, draw)
+            assert block.tobytes() == np.stack([fresh.normal(draw.shape)], axis=1).tobytes()
 
     def test_zero_and_negative_zero_diffusions_keep_their_own_terms(self):
         # x sees diffusion 0.0 and x_bar -0.0, from states of -0.0 and a drift
